@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import SimulationError
+from .errors import ControllerError, Open5GError, SimulationError
 from .netsim import Simulator
 from .scenario import ParseError, load_scenario
 from .trace import TraceParseError, read_trace, write_trace
@@ -21,6 +21,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_PARSE_ERROR = 2
 EXIT_SIM_ERROR = 3
+
+# the simulator, controller and Open5G protocol error families
+RUN_ERRORS = (SimulationError, ControllerError, Open5GError)
 
 
 def cmd_run(scenario_path: str, out_path: str) -> int:
@@ -31,7 +34,7 @@ def cmd_run(scenario_path: str, out_path: str) -> int:
         return EXIT_PARSE_ERROR
     try:
         trace = Simulator(scenario.topology, list(scenario.script), scenario.settings).run()
-    except SimulationError as exc:
+    except RUN_ERRORS as exc:
         print(f"simulation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SIM_ERROR
     write_trace(out_path, trace)
@@ -72,7 +75,7 @@ def cmd_table_dump(scenario_path: str, node: str, at_step: int) -> int:
     try:
         sim = Simulator(scenario.topology, list(scenario.script), scenario.settings)
         sim.run()
-    except SimulationError as exc:
+    except RUN_ERRORS as exc:
         print(f"simulation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SIM_ERROR
     for row in sim.table_at_step(node, at_step):

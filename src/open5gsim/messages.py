@@ -89,8 +89,3 @@ def ngap_to_bytes(msg: NgapMessage) -> bytes:
 def ngap_from_bytes(data: bytes) -> NgapMessage:
     doc = json.loads(data.decode())
     return NgapMessage(doc["kind"], doc["fields"])
-
-
-def peek_kind(data: bytes) -> str:
-    """Kind of a canonical RRC/NGAP byte form without full validation."""
-    return json.loads(data.decode())["kind"]

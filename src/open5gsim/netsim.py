@@ -9,6 +9,7 @@ an Open5G configuration batch counts as a single record.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import wire
@@ -244,7 +245,10 @@ class Simulator:
                 raise ScriptError(f"stimulus references unknown UE {stim.args[0]!r}")
 
         self.records: list[TraceRecord] = []
-        self.table_snapshots: list[tuple[int, dict[str, list[str]]]] = []
+        # node -> [(step, rendered table)] after each Open5G batch the node
+        # received; no other delivery changes its ports or flows
+        self.table_history: dict[str, list[tuple[int, list[str]]]] = {n: [] for n in self.nodes}
+        self.deliveries = 0
         self.uplink_injected = 0
         self.downlink_injected = 0
         self._heap: list = []
@@ -273,11 +277,6 @@ class Simulator:
         )
         self._push(self._now + 1, delivery)
 
-    def _snapshot_tables(self, step_no: int) -> None:
-        self.table_snapshots.append(
-            (step_no, {name: render_flow_table(node) for name, node in self.nodes.items()})
-        )
-
     # -- run ------------------------------------------------------------------
 
     def run(self) -> EventTrace:
@@ -296,18 +295,13 @@ class Simulator:
             if isinstance(item, Stimulus):
                 self._process_stimulus(item)
             else:
-                step_no = self._find_step(item)
+                # deliveries arrive in send order, so this counter is the step
+                self.deliveries += 1
                 self._process_delivery(item)
-                if step_no is not None:
-                    self._snapshot_tables(step_no)
+                if item.channel == "OPEN5G" and item.dst in self.nodes:
+                    rows = render_flow_table(self.nodes[item.dst])
+                    self.table_history[item.dst].append((self.deliveries, rows))
         return EventTrace(list(self.records))
-
-    def _find_step(self, delivery: _Delivery) -> int | None:
-        # deliveries are processed in send (step) order; track via a cursor
-        if not hasattr(self, "_delivery_cursor"):
-            self._delivery_cursor = 0
-        self._delivery_cursor += 1
-        return self._delivery_cursor
 
     # -- stimuli ----------------------------------------------------------------
 
@@ -478,12 +472,10 @@ class Simulator:
     # -- inspection -------------------------------------------------------------
 
     def table_at_step(self, node_id: str, at_step: int) -> list[str]:
-        rows: list[str] = []
-        for step_no, tables in self.table_snapshots:
-            if step_no > at_step:
-                break
-            rows = tables[node_id]
-        return rows
+        """The node's flow table right after trace step `at_step`."""
+        history = self.table_history[node_id]
+        i = bisect_right(history, at_step, key=lambda change: change[0])
+        return history[i - 1][1] if i else []
 
 
 def render_flow_table(node: DataPlaneNode) -> list[str]:

@@ -73,9 +73,10 @@ def _parse_proto(token: str, lineno: int) -> int:
     if token in _PROTO_NAMES:
         return _PROTO_NAMES[token]
     try:
-        return int(token)
+        proto = int(token)
     except ValueError:
         raise ParseError(lineno, f"unknown protocol {token!r}") from None
+    return _check_uint(proto, 8, lineno, "protocol")
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -83,6 +84,16 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         return int(token)
     except ValueError:
         raise ParseError(lineno, f"bad {what} {token!r}") from None
+
+
+def _check_uint(value: int, bits: int, lineno: int, what: str) -> int:
+    if not 0 <= value < 1 << bits:
+        raise ParseError(lineno, f"{what} {value} out of range 0..{(1 << bits) - 1}")
+    return value
+
+
+def _parse_l4_port(token: str, lineno: int) -> int:
+    return _check_uint(_parse_int(token, lineno, "l4 port"), 16, lineno, "l4 port")
 
 
 def _parse_ip(token: str, lineno: int) -> str:
@@ -138,15 +149,16 @@ class _SectionAccumulator:
             tokens = value.split()
             if len(tokens) != 5 or not tokens[4].startswith("drb="):
                 raise ParseError(lineno, "flow wants: <id> <ip_dst> <proto> <l4_dst> drb=<n>")
-            flows.append(
-                QosFlowSpec(
-                    flow_id=_parse_int(tokens[0], lineno, "flow id"),
-                    ip_dst=ip_bytes(_parse_ip(tokens[1], lineno)),
-                    ip_proto=_parse_proto(tokens[2], lineno),
-                    l4_dst=_parse_int(tokens[3], lineno, "l4 port"),
-                    drb=_parse_int(tokens[4][4:], lineno, "drb"),
-                )
+            flow = QosFlowSpec(
+                flow_id=_parse_int(tokens[0], lineno, "flow id"),
+                ip_dst=ip_bytes(_parse_ip(tokens[1], lineno)),
+                ip_proto=_parse_proto(tokens[2], lineno),
+                l4_dst=_parse_l4_port(tokens[3], lineno),
+                drb=_parse_int(tokens[4][4:], lineno, "drb"),
             )
+            if flow.drb not in drbs:
+                raise ParseError(lineno, f"flow {flow.flow_id} maps to absent DRB {flow.drb}")
+            flows.append(flow)
         self.sessions.append((kv["ue"][1], SessionSpec(session_id, drbs, tuple(flows))))
 
     def add_script_line(self, lineno: int, line: str) -> None:
@@ -169,7 +181,7 @@ class _SectionAccumulator:
                 args[0],
                 _parse_ip(args[1], lineno),
                 _parse_proto(args[2], lineno),
-                _parse_int(args[3], lineno, "l4 port"),
+                _parse_l4_port(args[3], lineno),
                 _parse_hex(args[4], lineno),
             )
         self.script.append(Stimulus(tick, kind, parsed))

@@ -8,7 +8,6 @@ deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import (
     DuplicateBearerError,
@@ -31,16 +30,10 @@ from .wire import (
 )
 
 
-class PortState(Enum):
-    ACTIVE = "active"
-    DELETED = "deleted"
-
-
 @dataclass
 class LogicalPort:
     port_id: int
     spec: PortSpec
-    state: PortState = PortState.ACTIVE
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,6 @@ class PortRegistry:
         port = self.ports.pop(body.port_id, None)
         if port is None:
             raise UnknownPortError(f"port {body.port_id}")
-        port.state = PortState.DELETED
         return port
 
 

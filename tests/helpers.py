@@ -4,6 +4,18 @@ from __future__ import annotations
 
 import random
 
+from open5gsim import wire
+from open5gsim.controller import QosFlowSpec, SessionSpec
+from open5gsim.netsim import (
+    NodeSpec,
+    Settings,
+    Simulator,
+    Stimulus,
+    Topology,
+    UeSpec,
+    render_flow_table,
+)
+from open5gsim.node import Rat
 from open5gsim.switch import FlowEntry, match_context
 from open5gsim.wire import (
     BearerKind,
@@ -153,3 +165,46 @@ def random_context(rng: random.Random):
         ip_proto=rng.choice(_PROTOS + [None]),
         l4_dst=rng.choice(_L4S + [None]),
     )
+
+
+class EveryDeliveryTables(Simulator):
+    """Oracle for `Simulator.table_at_step`: renders every node's table after
+    every delivery, whatever its channel, and looks tables up by step."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.snapshots: list[dict[str, list[str]]] = []  # index = step - 1
+
+    def _process_delivery(self, d) -> None:
+        super()._process_delivery(d)
+        self.snapshots.append({name: render_flow_table(n) for name, n in self.nodes.items()})
+
+    def oracle_table(self, node_id: str, at_step: int) -> list[str]:
+        if at_step < 1 or not self.snapshots:
+            return []
+        return self.snapshots[min(at_step, len(self.snapshots)) - 1][node_id]
+
+
+def generated_scenario(ues: int = 50) -> tuple[Topology, list[Stimulus], Settings]:
+    """`ues` UEs round-robin over four nodes (NR, NR, LTE, WLAN), one attach
+    per tick. Each has one session with two DRBs and two downlink flows, then
+    sends two uplink and receives two downlink packets; one of each matches no
+    flow entry and is dropped."""
+    rats = (Rat.NR, Rat.NR, Rat.LTE, Rat.WLAN)
+    nodes = tuple(NodeSpec(f"node{k + 1}", rat, f"10.0.0.{k + 1}") for k, rat in enumerate(rats))
+    specs = []
+    script = []
+    data_tick = ues + 32  # an attach takes 17 ticks
+    for i in range(ues):
+        ip = wire.ip_bytes(f"10.1.{i}.1")
+        flows = (QosFlowSpec(1, ip, 6, 80, drb=1), QosFlowSpec(2, ip, 17, 53, drb=2))
+        name = f"ue{i + 1}"
+        specs.append(UeSpec(name, nodes[i % len(nodes)].name, (SessionSpec(1, (1, 2), flows),)))
+        script.append(Stimulus(i, "ue_power_on", (name,)))
+        for bearer in (1, 7):  # bearer 7 has no flow entry
+            script.append(Stimulus(data_tick + i, "send_uplink_data", (name, bearer, b"up")))
+        for l4_dst in (80, 81):  # 81 has no flow entry
+            stim = (name, f"10.1.{i}.1", 6, l4_dst, b"down")
+            script.append(Stimulus(data_tick + i, "inject_downlink_data", stim))
+    settings = Settings(admission_cap=-(-ues // len(nodes)), max_events=100 * ues)
+    return Topology(nodes, tuple(specs)), script, settings

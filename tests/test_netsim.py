@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from helpers import EveryDeliveryTables, generated_scenario
 
 from open5gsim import wire
 from open5gsim.controller import QosFlowSpec, SessionSpec
@@ -26,6 +27,7 @@ from open5gsim.netsim import (
     UpfStub,
 )
 from open5gsim.node import Rat
+from open5gsim.scenario import load_scenario
 from open5gsim.trace import read_trace
 
 SESSION = SessionSpec(
@@ -185,6 +187,45 @@ def test_table_snapshot_grows_monotonically():
     sizes = [len(sim.table_at_step("gnb1", s)) for s in range(21)]
     assert sizes == sorted(sizes)
     assert sizes[-1] == 10  # 2 SRB0 + 2 SRB1 + 1 SRB2 + 2 uplink + 3 downlink
+
+
+def _bundled(path):
+    scenario = load_scenario(path)
+    return scenario.topology, list(scenario.script), scenario.settings
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _bundled("scenarios/initial_access.scn"),
+        lambda: _bundled("scenarios/multi_rat.scn"),
+        generated_scenario,
+    ],
+    ids=["initial_access", "multi_rat", "generated_50_ues"],
+)
+def test_table_history_matches_every_delivery_oracle(make):
+    topology, script, settings = make()
+    oracle = EveryDeliveryTables(topology, script, settings)
+    oracle_trace = oracle.run()
+    sim = Simulator(topology, script, settings)
+    trace = sim.run()
+    assert trace.to_text() == oracle_trace.to_text()
+
+    steps = len(trace.records)
+    for node in sim.nodes:
+        for step in range(-1, steps + 2):
+            assert sim.table_at_step(node, step) == oracle.oracle_table(node, step), (node, step)
+
+    # one stored render per Open5G batch the controller sent
+    batches = sum(1 for r in trace.records if r.channel == "OPEN5G" and r.src == "src")
+    assert sum(len(history) for history in sim.table_history.values()) == batches
+
+    # accounting: every record is delivered; every packet arrives or is dropped
+    assert sim.deliveries == steps
+    injected = sim.uplink_injected + sim.downlink_injected
+    delivered = len(sim.upf.received) + sum(len(ue.received) for ue in sim.ues.values())
+    dropped = sum(node.drop_count for node in sim.nodes.values()) + sim.upf.bad_frames
+    assert injected == delivered + dropped
 
 
 # -- stubs in isolation ----------------------------------------------------------------

@@ -7,6 +7,8 @@ from open5gsim.cli import (
     EXIT_SIM_ERROR,
     main,
 )
+from open5gsim.controller import Controller
+from open5gsim.errors import InvalidMessageError, ProtocolViolationError
 from open5gsim.scenario import (
     ParseError,
     load_scenario,
@@ -94,6 +96,56 @@ def test_run_rejects_malformed_scenario(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text("[node]\nname = n1\n")
     assert main(["run", str(bad), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
+
+
+BAD_FLOW_SCENARIO = (
+    "[node]\nname = gnb1\nrat = NR\nngu_ip = 10.0.0.1\n"
+    "[ue]\nname = ue1\nattach = gnb1\n"
+    "[session]\nue = ue1\nid = 1\ndrbs = 1\nflow = {flow}\n"
+    "[script]\n0 ue_power_on ue1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "flow, fragment",
+    [
+        ("1 10.0.1.1 tcp 99999 drb=1", "line 12: l4 port 99999 out of range 0..65535"),
+        ("1 10.0.1.1 tcp 43 drb=7", "line 12: flow 1 maps to absent DRB 7"),
+    ],
+    ids=["l4_dst_out_of_range", "drb_not_in_session"],
+)
+def test_run_rejects_bad_flow_at_parse_time(tmp_path, capsys, flow, fragment):
+    scn = tmp_path / "bad_flow.scn"
+    scn.write_text(BAD_FLOW_SCENARIO.format(flow=flow))
+    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == f"parse error: {fragment}\n"
+
+
+@pytest.mark.parametrize(
+    "proto, l4_dst, fragment",
+    [("tcp", 65536, "l4 port 65536 out of range"), (256, 43, "protocol 256 out of range")],
+)
+def test_out_of_range_downlink_tuple_rejected(proto, l4_dst, fragment):
+    line = f"40 inject_downlink_data ue1 10.0.1.1 {proto} {l4_dst} 6869"
+    expect_parse_error(f"[script]\n{line}\n", 2, fragment)
+
+
+@pytest.mark.parametrize("error", [ProtocolViolationError, InvalidMessageError])
+@pytest.mark.parametrize("command", ["run", "table"])
+def test_controller_and_protocol_errors_are_sim_errors(
+    tmp_path, capsys, monkeypatch, error, command
+):
+    def explode(self, *args):
+        raise error("injected")
+
+    monkeypatch.setattr(Controller, "on_rrc_uplink", explode)
+    if command == "run":
+        argv = ["run", INITIAL_ACCESS, "-o", str(tmp_path / "o.trace")]
+    else:
+        argv = ["table", INITIAL_ACCESS, "--node", "gnb1", "--at", "5"]
+    assert main(argv) == EXIT_SIM_ERROR
+    err = capsys.readouterr().err
+    assert err == f"simulation error: {error.__name__}: injected\n"
 
 
 def test_run_reports_budget_exhaustion(tmp_path):
