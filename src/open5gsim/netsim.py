@@ -174,9 +174,11 @@ class UpfStub:
         self.bad_frames = 0
         # (ue_tmp_id, session_id) -> (node_id, teid)
         self.sessions: dict[tuple[int, int], tuple[str, int]] = {}
+        self._lowest: dict[int, int] = {}  # ue_tmp_id -> its lowest session id
 
     def register_session(self, ue_tmp_id: int, session_id: int, node_id: str, teid: int) -> None:
         self.sessions[(ue_tmp_id, session_id)] = (node_id, teid)
+        self._lowest[ue_tmp_id] = min(session_id, self._lowest.get(ue_tmp_id, session_id))
 
     def on_uplink(self, frame: bytes) -> None:
         try:
@@ -188,10 +190,10 @@ class UpfStub:
 
     def downlink(self, ue_tmp_id: int, packet: bytes) -> tuple[str, bytes]:
         """Wrap an injected pseudo-IP packet toward the UE's serving node."""
-        for (uid, _session_id), (node_id, teid) in sorted(self.sessions.items()):
-            if uid == ue_tmp_id:
-                return node_id, wire.encap_gtpu(packet, teid)
-        raise ScriptError(f"no configured session for ue_tmp_id {ue_tmp_id}")
+        if ue_tmp_id not in self._lowest:
+            raise ScriptError(f"no configured session for ue_tmp_id {ue_tmp_id}")
+        node_id, teid = self.sessions[(ue_tmp_id, self._lowest[ue_tmp_id])]
+        return node_id, wire.encap_gtpu(packet, teid)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +228,8 @@ class Simulator:
 
         self.ues: dict[str, UeSim] = {}
         self.ue_by_tmp_id: dict[int, UeSim] = {}
+        # (node, C-RNTI) -> UE, filled as UEs learn their C-RNTI
+        self.ue_by_crnti: dict[tuple[str, int], UeSim] = {}
         session_specs: dict[int, tuple[SessionSpec, ...]] = {}
         for i, spec in enumerate(topology.ues):
             if spec.attach not in node_names:
@@ -431,10 +435,7 @@ class Simulator:
         if ue_tmp_id is not None:
             ue = self.ue_by_tmp_id.get(ue_tmp_id)
             return ue if ue is not None and ue.attach == node_id else None
-        for ue in self.ues.values():
-            if ue.attach == node_id and ue.crnti == crnti:
-                return ue
-        return None
+        return self.ue_by_crnti.get((node_id, crnti))
 
     def _src_receive(self, d: _Delivery) -> None:
         if d.channel == "OPEN5G":
@@ -442,9 +443,13 @@ class Simulator:
             self.controller.on_node_error(d.src, msg.code, msg.detail)
             return
         if d.channel == "NGAP":
-            emissions = self.controller.on_ngap(ngap_from_bytes(d.payload))
+            msg = ngap_from_bytes(d.payload)
+            emissions = self.controller.on_ngap(msg)
             self._emit_controller(emissions)
-            self._register_upf_sessions()
+            # only the UE named in the message gained sessions
+            ue = self.controller.ue_contexts[msg.fields["ue_tmp_id"]]
+            for session in ue.pdu_sessions:
+                self.upf.register_session(ue.ue_tmp_id, session.session_id, ue.node_id, session.teid)
             return
         # signaling tunnel uplink
         tunnel_id, payload = wire.decap_sig(d.payload)
@@ -456,11 +461,6 @@ class Simulator:
         emissions = self.controller.on_rrc_uplink(d.src, tunnel_id, ue_tmp_id, rrc)
         self._emit_controller(emissions)
 
-    def _register_upf_sessions(self) -> None:
-        for ue in self.controller.ue_contexts.values():
-            for session in ue.pdu_sessions:
-                self.upf.register_session(ue.ue_tmp_id, session.session_id, ue.node_id, session.teid)
-
     def _ue_receive(self, ue: UeSim, d: _Delivery) -> None:
         if d.channel == "RADIO_DATA":
             ue.on_data(d.bearer_id, d.payload)
@@ -468,6 +468,10 @@ class Simulator:
         bearer = _CHANNEL_BEARER[d.channel]
         for reply_bearer, msg in ue.on_rrc(bearer, rrc_from_bytes(d.payload)):
             self._send_ue_rrc(ue, reply_bearer, msg)
+        if ue.crnti is not None:
+            # should two UEs on a node share a C-RNTI, the first-declared one wins
+            key = (ue.attach, ue.crnti)
+            self.ue_by_crnti[key] = min(self.ue_by_crnti.get(key, ue), ue, key=lambda u: u.ue_tmp_id)
 
     # -- inspection -------------------------------------------------------------
 

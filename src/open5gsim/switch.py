@@ -7,7 +7,11 @@ deterministically.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from functools import cache
+from operator import attrgetter
+from typing import Callable
 
 from .errors import (
     DuplicateBearerError,
@@ -57,18 +61,12 @@ class PacketContext:
     payload: bytes = b""
 
 
-def match_context(match: FlowMatch, ctx: PacketContext) -> bool:
-    """True iff every populated match field equals the context field."""
-    for name in ("in_port", "crnti", "bearer_id", "ip_dst", "ip_proto", "l4_dst"):
-        want = getattr(match, name)
-        if want is not None and getattr(ctx, name) != want:
-            return False
-    return True
-
-
 class PortRegistry:
+    """Ports by id, plus one exact-match index per port class."""
+
     def __init__(self):
-        self.ports: dict[int, LogicalPort] = {}
+        self.ports: dict[int, LogicalPort] = {}  # in creation order
+        self._reindex()
 
     def __len__(self) -> int:
         return len(self.ports)
@@ -80,50 +78,58 @@ class PortRegistry:
         return self.ports.get(port_id)
 
     def radio_port(self, crnti: int, bearer_id: int) -> LogicalPort | None:
-        for port in self.ports.values():
-            spec = port.spec
-            if isinstance(spec, RadioBearer) and spec.crnti == crnti and spec.bearer_id == bearer_id:
-                return port
-        return None
+        return self._radio.get((crnti, bearer_id))
 
     def gtp_port(self, teid: int) -> LogicalPort | None:
-        for port in self.ports.values():
-            if isinstance(port.spec, GtpTunnel) and port.spec.teid == teid:
-                return port
-        return None
+        ports = self._teid.get(teid)
+        return ports[0] if ports else None  # the earliest created
 
     def sig_port(self, tunnel_id: int) -> LogicalPort | None:
+        return self._sig.get(tunnel_id)
+
+    def _index(self, spec: PortSpec) -> tuple[dict, tuple[int, int] | int]:
+        """The index of the spec's port class and the spec's key in it."""
+        if isinstance(spec, RadioBearer):
+            return self._radio, (spec.crnti, spec.bearer_id)
+        if isinstance(spec, GtpTunnel):
+            return self._gtp, (spec.udp_port, spec.teid)
+        return self._sig, spec.tunnel_id
+
+    def _link(self, port: LogicalPort) -> None:
+        index, key = self._index(port.spec)
+        index[key] = port
+        if isinstance(port.spec, GtpTunnel):
+            self._teid.setdefault(port.spec.teid, []).append(port)
+
+    def _reindex(self) -> None:
+        self._radio: dict[tuple[int, int], LogicalPort] = {}  # (crnti, bearer_id)
+        self._gtp: dict[tuple[int, int], LogicalPort] = {}  # (udp_port, teid)
+        self._sig: dict[int, LogicalPort] = {}  # tunnel_id
+        self._teid: dict[int, list[LogicalPort]] = {}  # teid -> GTP ports, earliest created first
         for port in self.ports.values():
-            if isinstance(port.spec, SigTunnel) and port.spec.tunnel_id == tunnel_id:
-                return port
-        return None
+            self._link(port)
 
     def _check_uniqueness(self, port_id: int, spec: PortSpec) -> None:
-        for other in self.ports.values():
-            if other.port_id == port_id:
-                continue
-            if isinstance(spec, RadioBearer) and isinstance(other.spec, RadioBearer):
-                if (spec.crnti, spec.bearer_id) == (other.spec.crnti, other.spec.bearer_id):
-                    raise DuplicateBearerError(
-                        f"crnti {spec.crnti} bearer {spec.bearer_id} already on port {other.port_id}"
-                    )
-            elif isinstance(spec, GtpTunnel) and isinstance(other.spec, GtpTunnel):
-                if (spec.udp_port, spec.teid) == (other.spec.udp_port, other.spec.teid):
-                    raise DuplicatePortError(
-                        f"gtp tunnel (port {spec.udp_port}, teid {spec.teid}) already exists"
-                    )
-            elif isinstance(spec, SigTunnel) and isinstance(other.spec, SigTunnel):
-                if spec.tunnel_id == other.spec.tunnel_id:
-                    raise DuplicatePortError(f"sig tunnel {spec.tunnel_id} already exists")
+        index, key = self._index(spec)
+        other = index.get(key)
+        if other is None or other.port_id == port_id:
+            return
+        if isinstance(spec, RadioBearer):
+            raise DuplicateBearerError(f"crnti {spec.crnti} bearer {spec.bearer_id} already on port {other.port_id}")
+        if isinstance(spec, GtpTunnel):
+            raise DuplicatePortError(f"gtp tunnel (port {spec.udp_port}, teid {spec.teid}) already exists")
+        raise DuplicatePortError(f"sig tunnel {spec.tunnel_id} already exists")
 
     def apply_port_mod(self, body: PortModBody) -> LogicalPort:
-        """Apply one PORT_MOD; returns the affected port (DELETE: the removed one)."""
+        """Apply one PORT_MOD; returns the affected port (DELETE: the removed one).
+        MODIFY and DELETE, which the controller never sends, rebuild the indexes."""
         if body.command == PortModCommand.CREATE:
             if body.port_id in self.ports:
                 raise DuplicatePortError(f"port {body.port_id} already exists")
             self._check_uniqueness(body.port_id, body.port_spec)
             port = LogicalPort(body.port_id, body.port_spec)
             self.ports[body.port_id] = port
+            self._link(port)
             return port
         if body.command == PortModCommand.MODIFY:
             port = self.ports.get(body.port_id)
@@ -131,10 +137,12 @@ class PortRegistry:
                 raise UnknownPortError(f"port {body.port_id}")
             self._check_uniqueness(body.port_id, body.port_spec)
             port.spec = body.port_spec
+            self._reindex()  # drops the old key, which may be of another class
             return port
         port = self.ports.pop(body.port_id, None)
         if port is None:
             raise UnknownPortError(f"port {body.port_id}")
+        self._reindex()
         return port
 
 
@@ -152,48 +160,86 @@ def entry_references_port(entry: FlowEntry, port: LogicalPort) -> bool:
     return False
 
 
+_MATCH_FIELDS = ("in_port", "crnti", "bearer_id", "ip_dst", "ip_proto", "l4_dst")
+
+
+@cache
+def _getter(shape: tuple[str, ...]) -> Callable:
+    """Reads the fields of a match shape from a FlowMatch or a PacketContext.
+    There is one getter per shape, so a getter also names its shape."""
+    return attrgetter(*shape) if shape else lambda _: ()
+
+
+def _slot(match: FlowMatch) -> tuple[Callable, object]:
+    """The getter of the match's shape (its populated fields), and its key."""
+    key_of = _getter(tuple(name for name in _MATCH_FIELDS if getattr(match, name) is not None))
+    return key_of, key_of(match)
+
+
+def _rank(entry: FlowEntry) -> tuple[int, int]:
+    return -entry.priority, entry.entry_id
+
+
 class FlowTable:
+    """Tuple-space classifier (Srinivasan, Suri & Varghese, SIGCOMM 1999)."""
+
     def __init__(self):
         self.entries: list[FlowEntry] = []
         self._next_entry_id = 1
 
+    @property
+    def entries(self) -> list[FlowEntry]:
+        return self._entries  # in installation order
+
+    @entries.setter
+    def entries(self, entries: list[FlowEntry]) -> None:
+        self._entries: list[FlowEntry] = []
+        # shape getter -> field values -> the entries with exactly that match, by _rank
+        self._shapes: dict[Callable, dict[object, list[FlowEntry]]] = {}
+        for entry in entries:
+            self._insert(entry)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
+
+    def _insert(self, entry: FlowEntry) -> None:
+        self._entries.append(entry)
+        key_of, key = _slot(entry.match)
+        insort(self._shapes.setdefault(key_of, {}).setdefault(key, []), entry, key=_rank)
 
     def apply_flow_mod(self, body: FlowModBody, registry: PortRegistry) -> None:
+        key_of, key = _slot(body.match)
+        buckets = self._shapes.get(key_of, {})
         if body.command == FlowModCommand.ADD:
             if body.action.out_port not in registry:
                 raise UnknownOutPortError(f"out_port {body.action.out_port}")
-            for entry in self.entries:
-                if entry.priority == body.priority and entry.match == body.match:
-                    raise DuplicateEntryError(
-                        f"entry (priority {body.priority}, {body.match}) already present"
-                    )
-            self.entries.append(
-                FlowEntry(self._next_entry_id, body.priority, body.match, body.action)
-            )
+            if any(entry.priority == body.priority for entry in buckets.get(key, ())):
+                raise DuplicateEntryError(
+                    f"entry (priority {body.priority}, {body.match}) already present"
+                )
+            self._insert(FlowEntry(self._next_entry_id, body.priority, body.match, body.action))
             self._next_entry_id += 1
-        else:
+        elif buckets.pop(key, None):
             # exact-match delete: drop every entry whose match equals exactly
-            self.entries = [e for e in self.entries if e.match != body.match]
+            if not buckets:
+                del self._shapes[key_of]
+            self._entries = [e for e in self._entries if e.match != body.match]
 
     def drop_port_references(self, port: LogicalPort) -> int:
         """Cascade after a port DELETE; returns the number of entries removed."""
-        before = len(self.entries)
-        self.entries = [e for e in self.entries if not entry_references_port(e, port)]
-        return before - len(self.entries)
+        before = len(self._entries)
+        self.entries = [e for e in self._entries if not entry_references_port(e, port)]
+        return before - len(self._entries)
 
     def match(self, ctx: PacketContext) -> FlowAction | None:
         """Highest priority wins; earliest installed wins among equals."""
         best: FlowEntry | None = None
-        for entry in self.entries:
-            if not match_context(entry.match, ctx):
-                continue
-            if best is None or entry.priority > best.priority:
-                best = entry
-            # equal priority: keep the earlier entry_id (list is insertion-ordered)
+        for key_of, buckets in self._shapes.items():
+            bucket = buckets.get(key_of(ctx))
+            if bucket and (best is None or _rank(bucket[0]) < _rank(best)):
+                best = bucket[0]
         return best.action if best else None
 
     def ordered_entries(self) -> list[FlowEntry]:
         """Entries in display order: priority descending, then installation order."""
-        return sorted(self.entries, key=lambda e: (-e.priority, e.entry_id))
+        return sorted(self._entries, key=_rank)

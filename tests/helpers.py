@@ -6,6 +6,13 @@ import random
 
 from open5gsim import wire
 from open5gsim.controller import QosFlowSpec, SessionSpec
+from open5gsim.errors import (
+    DuplicateBearerError,
+    DuplicateEntryError,
+    DuplicatePortError,
+    UnknownOutPortError,
+    UnknownPortError,
+)
 from open5gsim.netsim import (
     NodeSpec,
     Settings,
@@ -16,7 +23,7 @@ from open5gsim.netsim import (
     render_flow_table,
 )
 from open5gsim.node import Rat
-from open5gsim.switch import FlowEntry, match_context
+from open5gsim.switch import FlowEntry, LogicalPort, PacketContext, entry_references_port
 from open5gsim.wire import (
     BearerKind,
     ConfigTlv,
@@ -31,6 +38,7 @@ from open5gsim.wire import (
     PortMod,
     PortModBody,
     PortModCommand,
+    PortSpec,
     RadioBearer,
     SigTunnel,
 )
@@ -104,6 +112,15 @@ def random_message(rng: random.Random, force_type: int | None = None):
     )
 
 
+def match_context(match: FlowMatch, ctx: PacketContext) -> bool:
+    """True iff every populated match field equals the context field."""
+    for name in ("in_port", "crnti", "bearer_id", "ip_dst", "ip_proto", "l4_dst"):
+        want = getattr(match, name)
+        if want is not None and getattr(ctx, name) != want:
+            return False
+    return True
+
+
 def oracle_match(entries: list[FlowEntry], ctx) -> FlowAction | None:
     """Naive linear scan with the documented tie-break: highest priority,
     then earliest entry_id. Independent of FlowTable.match."""
@@ -154,9 +171,7 @@ def random_entries(rng: random.Random, count: int) -> list[FlowEntry]:
     ]
 
 
-def random_context(rng: random.Random):
-    from open5gsim.switch import PacketContext
-
+def random_context(rng: random.Random) -> PacketContext:
     return PacketContext(
         in_port=rng.choice(_PORTS + [None]),
         crnti=rng.choice(_CRNTIS + [None, 9]),
@@ -208,3 +223,128 @@ def generated_scenario(ues: int = 50) -> tuple[Topology, list[Stimulus], Setting
             script.append(Stimulus(data_tick + i, "inject_downlink_data", stim))
     settings = Settings(admission_cap=-(-ues // len(nodes)), max_events=100 * ues)
     return Topology(nodes, tuple(specs)), script, settings
+
+
+# -- linear-scan reference data plane ------------------------------------------
+# A port registry and a flow table in which every lookup and check scans all
+# ports or entries. The differential test in test_switch.py holds the indexed
+# switch.PortRegistry and switch.FlowTable to them.
+
+
+class ScanPortRegistry:
+    def __init__(self):
+        self.ports: dict[int, LogicalPort] = {}
+
+    def __len__(self) -> int:
+        return len(self.ports)
+
+    def __contains__(self, port_id: int) -> bool:
+        return port_id in self.ports
+
+    def get(self, port_id: int) -> LogicalPort | None:
+        return self.ports.get(port_id)
+
+    def radio_port(self, crnti: int, bearer_id: int) -> LogicalPort | None:
+        for port in self.ports.values():
+            spec = port.spec
+            if isinstance(spec, RadioBearer) and spec.crnti == crnti and spec.bearer_id == bearer_id:
+                return port
+        return None
+
+    def gtp_port(self, teid: int) -> LogicalPort | None:
+        for port in self.ports.values():
+            if isinstance(port.spec, GtpTunnel) and port.spec.teid == teid:
+                return port
+        return None
+
+    def sig_port(self, tunnel_id: int) -> LogicalPort | None:
+        for port in self.ports.values():
+            if isinstance(port.spec, SigTunnel) and port.spec.tunnel_id == tunnel_id:
+                return port
+        return None
+
+    def _check_uniqueness(self, port_id: int, spec: PortSpec) -> None:
+        for other in self.ports.values():
+            if other.port_id == port_id:
+                continue
+            if isinstance(spec, RadioBearer) and isinstance(other.spec, RadioBearer):
+                if (spec.crnti, spec.bearer_id) == (other.spec.crnti, other.spec.bearer_id):
+                    raise DuplicateBearerError(
+                        f"crnti {spec.crnti} bearer {spec.bearer_id} already on port {other.port_id}"
+                    )
+            elif isinstance(spec, GtpTunnel) and isinstance(other.spec, GtpTunnel):
+                if (spec.udp_port, spec.teid) == (other.spec.udp_port, other.spec.teid):
+                    raise DuplicatePortError(
+                        f"gtp tunnel (port {spec.udp_port}, teid {spec.teid}) already exists"
+                    )
+            elif isinstance(spec, SigTunnel) and isinstance(other.spec, SigTunnel):
+                if spec.tunnel_id == other.spec.tunnel_id:
+                    raise DuplicatePortError(f"sig tunnel {spec.tunnel_id} already exists")
+
+    def apply_port_mod(self, body: PortModBody) -> LogicalPort:
+        """Apply one PORT_MOD; returns the affected port (DELETE: the removed one)."""
+        if body.command == PortModCommand.CREATE:
+            if body.port_id in self.ports:
+                raise DuplicatePortError(f"port {body.port_id} already exists")
+            self._check_uniqueness(body.port_id, body.port_spec)
+            port = LogicalPort(body.port_id, body.port_spec)
+            self.ports[body.port_id] = port
+            return port
+        if body.command == PortModCommand.MODIFY:
+            port = self.ports.get(body.port_id)
+            if port is None:
+                raise UnknownPortError(f"port {body.port_id}")
+            self._check_uniqueness(body.port_id, body.port_spec)
+            port.spec = body.port_spec
+            return port
+        port = self.ports.pop(body.port_id, None)
+        if port is None:
+            raise UnknownPortError(f"port {body.port_id}")
+        return port
+
+
+class ScanFlowTable:
+    def __init__(self):
+        self.entries: list[FlowEntry] = []
+        self._next_entry_id = 1
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def apply_flow_mod(self, body: FlowModBody, registry) -> None:
+        if body.command == FlowModCommand.ADD:
+            if body.action.out_port not in registry:
+                raise UnknownOutPortError(f"out_port {body.action.out_port}")
+            for entry in self.entries:
+                if entry.priority == body.priority and entry.match == body.match:
+                    raise DuplicateEntryError(
+                        f"entry (priority {body.priority}, {body.match}) already present"
+                    )
+            self.entries.append(
+                FlowEntry(self._next_entry_id, body.priority, body.match, body.action)
+            )
+            self._next_entry_id += 1
+        else:
+            # exact-match delete: drop every entry whose match equals exactly
+            self.entries = [e for e in self.entries if e.match != body.match]
+
+    def drop_port_references(self, port: LogicalPort) -> int:
+        """Cascade after a port DELETE; returns the number of entries removed."""
+        before = len(self.entries)
+        self.entries = [e for e in self.entries if not entry_references_port(e, port)]
+        return before - len(self.entries)
+
+    def match(self, ctx: PacketContext) -> FlowAction | None:
+        """Highest priority wins; earliest installed wins among equals."""
+        best: FlowEntry | None = None
+        for entry in self.entries:
+            if not match_context(entry.match, ctx):
+                continue
+            if best is None or entry.priority > best.priority:
+                best = entry
+            # equal priority: keep the earlier entry_id (list is insertion-ordered)
+        return best.action if best else None
+
+    def ordered_entries(self) -> list[FlowEntry]:
+        """Entries in display order: priority descending, then installation order."""
+        return sorted(self.entries, key=lambda e: (-e.priority, e.entry_id))

@@ -253,3 +253,24 @@ def test_upf_counts_bad_frames():
 def test_upf_downlink_without_session_is_script_error():
     with pytest.raises(ScriptError):
         UpfStub().downlink(1, b"x")
+
+
+def test_upf_downlink_uses_lowest_session_id_whatever_the_order():
+    upf = UpfStub()
+    upf.register_session(1, 5, "gnb2", 50)
+    upf.register_session(2, 1, "gnb9", 90)  # another UE's session
+    upf.register_session(1, 2, "gnb1", 20)
+    upf.register_session(1, 3, "gnb3", 30)
+    node_id, frame = upf.downlink(1, b"x")
+    assert node_id == "gnb1"
+    assert wire.decap_gtpu(frame) == (20, b"x")
+
+
+def test_ue_resolved_by_crnti_once_learned():
+    sim = make_sim()
+    assert sim._resolve_ue("gnb1", 1, None) is None
+    sim.run()
+    ue = sim.ues["ue1"]
+    assert sim._resolve_ue("gnb1", ue.crnti, None) is ue
+    assert sim._resolve_ue("gnb2", ue.crnti, None) is None
+    assert sim._resolve_ue("gnb1", ue.crnti + 1, None) is None

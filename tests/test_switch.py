@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import oracle_match, random_context, random_entries
+from helpers import ScanFlowTable, ScanPortRegistry, oracle_match, random_context, random_entries
 from open5gsim import wire
 from open5gsim.errors import (
     DuplicateBearerError,
     DuplicateEntryError,
     DuplicatePortError,
+    Open5GError,
     UnknownOutPortError,
     UnknownPortError,
 )
@@ -249,3 +252,170 @@ def test_determinism_of_command_replay():
         (p.port_id, p.spec) for p in r2.ports.values()
     ]
     assert t1.entries == t2.entries
+
+
+# -- indexes -------------------------------------------------------------------
+
+
+def _create(registry: PortRegistry, port_id: int, spec) -> None:
+    registry.apply_port_mod(PortModBody(PortModCommand.CREATE, port_id, spec))
+
+
+def _gtp(udp_port: int, teid: int) -> GtpTunnel:
+    return GtpTunnel(IP1, IP2, udp_port, teid)
+
+
+def test_shared_teid_resolves_to_earliest_created_port():
+    registry = PortRegistry()
+    _create(registry, 7, _gtp(2152, 9))
+    _create(registry, 3, _gtp(2153, 9))
+    assert registry.gtp_port(9).port_id == 7
+    registry.apply_port_mod(PortModBody(PortModCommand.DELETE, 7, None))
+    assert registry.gtp_port(9).port_id == 3
+    registry.apply_port_mod(PortModBody(PortModCommand.DELETE, 3, None))
+    assert registry.gtp_port(9) is None
+
+
+def test_modify_into_shared_teid_keeps_creation_order():
+    registry = PortRegistry()
+    _create(registry, 1, RadioBearer(1, 1, BearerKind.DRB))
+    _create(registry, 2, _gtp(2152, 9))
+    registry.apply_port_mod(PortModBody(PortModCommand.MODIFY, 1, _gtp(2153, 9)))
+    assert registry.gtp_port(9).port_id == 1  # created first, though modified last
+
+
+def test_modify_frees_the_old_key():
+    registry = PortRegistry()
+    _create(registry, 1, RadioBearer(1, 1, BearerKind.DRB))
+    registry.apply_port_mod(PortModBody(PortModCommand.MODIFY, 1, RadioBearer(1, 2, BearerKind.DRB)))
+    assert registry.radio_port(1, 1) is None
+    assert registry.radio_port(1, 2).port_id == 1
+    _create(registry, 2, RadioBearer(1, 1, BearerKind.DRB))
+    assert registry.radio_port(1, 1).port_id == 2
+    with pytest.raises(DuplicateBearerError):
+        _create(registry, 3, RadioBearer(1, 2, BearerKind.DRB))
+
+
+def test_modify_across_classes_frees_the_old_key():
+    registry = PortRegistry()
+    _create(registry, 1, _gtp(2152, 9))
+    registry.apply_port_mod(PortModBody(PortModCommand.MODIFY, 1, SigTunnel(IP1, 4)))
+    assert registry.gtp_port(9) is None
+    assert registry.sig_port(4).port_id == 1
+    _create(registry, 2, _gtp(2152, 9))
+    assert registry.gtp_port(9).port_id == 2
+    with pytest.raises(DuplicatePortError):
+        _create(registry, 3, SigTunnel(IP2, 4))
+
+
+def test_delete_removes_the_port_from_its_index():
+    registry = reference_ports()
+    for port_id in (LP1, LP2, LP4):
+        registry.apply_port_mod(PortModBody(PortModCommand.DELETE, port_id, None))
+    assert registry.gtp_port(1) is None
+    assert registry.sig_port(2) is None
+    assert registry.radio_port(1, 1) is None
+    assert registry.radio_port(1, 2).port_id == LP5
+    _create(registry, 9, RadioBearer(1, 1, BearerKind.DRB))
+    assert registry.radio_port(1, 1).port_id == 9
+
+
+def test_assigning_entries_rebuilds_the_classifier(reference_state):
+    _, table = reference_state
+    ctx = PacketContext(crnti=1, bearer_id=1)
+    assert table.match(ctx) == FlowAction(LP1)
+    table.entries = [e for e in table.entries if e.match != FlowMatch(crnti=1, bearer_id=1)]
+    assert table.match(ctx) is None
+    assert table.match(PacketContext(in_port=LP2)) == FlowAction(LP3)
+    table.entries = []
+    assert table.match(PacketContext(in_port=LP2)) is None
+
+
+# -- differential test against the linear-scan reference ----------------------
+
+_PORT_IDS = st.integers(1, 5)
+_SPECS = st.one_of(
+    st.builds(RadioBearer, st.integers(0, 2), st.sampled_from([0, 1, 3]), st.just(BearerKind.DRB)),
+    st.builds(GtpTunnel, st.just(IP1), st.just(IP2), st.integers(1, 2), st.integers(1, 2)),
+    st.builds(SigTunnel, st.just(IP1), st.integers(1, 2)),
+)
+_CREATE = st.builds(PortModBody, st.just(PortModCommand.CREATE), _PORT_IDS, _SPECS)
+_MODIFY = st.builds(PortModBody, st.just(PortModCommand.MODIFY), _PORT_IDS, _SPECS)
+_DELETE = st.builds(PortModBody, st.just(PortModCommand.DELETE), _PORT_IDS, st.none())
+# field values; None leaves a match field unpopulated
+_FIELDS = {
+    "in_port": st.none() | _PORT_IDS,
+    "crnti": st.none() | st.integers(1, 2),
+    "bearer_id": st.none() | st.sampled_from([1, 3]),
+    "ip_dst": st.none() | st.sampled_from([IP1, IP2]),
+    "ip_proto": st.none() | st.sampled_from([6, 17]),
+    "l4_dst": st.none() | st.sampled_from([23, 43]),
+}
+# mostly from a small pool of overlapping matches, so that duplicates, exact
+# deletes and ties between shapes are common
+_MATCH_POOL = [
+    FlowMatch(),
+    FlowMatch(in_port=1),
+    FlowMatch(in_port=2),
+    FlowMatch(crnti=1, bearer_id=1),
+    FlowMatch(crnti=1, bearer_id=3),
+    FlowMatch(crnti=2, bearer_id=1),
+    FlowMatch(in_port=1, crnti=1, bearer_id=1),
+    FlowMatch(ip_dst=IP1),
+    FlowMatch(ip_dst=IP1, ip_proto=6, l4_dst=23),
+    FlowMatch(ip_dst=IP1, ip_proto=6, l4_dst=43),
+    FlowMatch(in_port=2, ip_dst=IP1, ip_proto=6, l4_dst=23),
+]
+_MATCHES = st.sampled_from(_MATCH_POOL) | st.builds(FlowMatch, **_FIELDS)
+_PRIORITIES = st.sampled_from([100, 110])
+# fixed sig ports 11-16 give entries distinct actions; port 6 is never created
+_FIXED_PORTS = [PortModBody(PortModCommand.CREATE, 10 + i, SigTunnel(IP2, 10 + i)) for i in range(1, 7)]
+_ACTIONS = st.builds(FlowAction, st.integers(1, 6) | st.integers(11, 16))
+_ADD = st.builds(FlowModBody, st.just(FlowModCommand.ADD), _PRIORITIES, _MATCHES, _ACTIONS)
+_REMOVE = st.builds(FlowModBody, st.just(FlowModCommand.DELETE), _PRIORITIES, _MATCHES, _ACTIONS)
+# weighted so that ports and entries accumulate
+_COMMANDS = st.sampled_from([_CREATE] * 3 + [_MODIFY, _DELETE] + [_ADD] * 6 + [_REMOVE]).flatmap(lambda s: s)
+
+
+def _apply(registry, table, body) -> tuple[type, str] | None:
+    """Apply one command as a node does; returns the error raised, if any."""
+    try:
+        if isinstance(body, PortModBody):
+            port = registry.apply_port_mod(body)
+            if body.command == PortModCommand.DELETE:
+                table.drop_port_references(port)
+        else:
+            table.apply_flow_mod(body, registry)
+    except Open5GError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _overlay(ctx: PacketContext, match: FlowMatch) -> PacketContext:
+    """`ctx` with the populated fields of `match` written over it."""
+    return PacketContext(**{**vars(ctx), **{k: v for k, v in vars(match).items() if v is not None}})
+
+
+@given(
+    st.lists(_COMMANDS, min_size=10, max_size=60),
+    st.lists(st.builds(PacketContext, **_FIELDS), min_size=2, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_indexed_data_plane_agrees_with_linear_scan(commands, contexts):
+    registry, table = PortRegistry(), FlowTable()
+    ref_registry, ref_table = ScanPortRegistry(), ScanFlowTable()
+    for body in _FIXED_PORTS + commands:
+        assert _apply(registry, table, body) == _apply(ref_registry, ref_table, body)
+        assert table.entries == ref_table.entries
+        assert table.ordered_entries() == ref_table.ordered_entries()
+        # packets that hit each entry, and each pair of successive entries
+        entries = ref_table.entries
+        probes = contexts + [_overlay(ctx, e.match) for e in entries for ctx in contexts[:2]]
+        probes += [_overlay(_overlay(contexts[0], a.match), b.match) for a, b in zip(entries, entries[1:])]
+        for ctx in probes:
+            assert table.match(ctx) == ref_table.match(ctx)
+        for key in range(4):
+            assert registry.gtp_port(key) == ref_registry.gtp_port(key)
+            assert registry.sig_port(key) == ref_registry.sig_port(key)
+            for bearer in (0, 1, 3):
+                assert registry.radio_port(key, bearer) == ref_registry.radio_port(key, bearer)
