@@ -176,7 +176,7 @@ class NgapOut:
     msg: NgapMessage
 
 
-Emission = ConfigBatch | RrcDownlink | NgapOut
+ControllerOutput = ConfigBatch | RrcDownlink | NgapOut
 
 
 class Controller:
@@ -223,7 +223,7 @@ class Controller:
 
     # -- step 1: system startup ----------------------------------------------
 
-    def bootstrap_node(self, node_id: str) -> list[Emission]:
+    def bootstrap_node(self, node_id: str) -> list[ControllerOutput]:
         node = self.nodes[node_id]
         if node.bootstrapped:
             raise AlreadyBootstrappedError(node_id)
@@ -329,7 +329,7 @@ class Controller:
         tunnel_id: int,
         ue_tmp_id: int | None,
         rrc: RrcMessage,
-    ) -> list[Emission]:
+    ) -> list[ControllerOutput]:
         info = self.tunnel_info.get(tunnel_id)
         if info is None or info.node_id != node_id:
             raise UnknownTunnelError(f"tunnel {tunnel_id} at {node_id}")
@@ -388,7 +388,7 @@ class Controller:
 
         raise ProtocolViolationError(f"unexpected uplink {rrc.kind}")
 
-    def _on_setup_request(self, node_id: str, ue_tmp_id: int | None, rrc: RrcMessage) -> list[Emission]:
+    def _on_setup_request(self, node_id: str, ue_tmp_id: int | None, rrc: RrcMessage) -> list[ControllerOutput]:
         if ue_tmp_id is None:
             raise ProtocolViolationError("RrcSetupRequest without UE identity")
         if ue_tmp_id in self.ue_contexts:
@@ -477,7 +477,7 @@ class Controller:
 
     # -- NG-AP -----------------------------------------------------------------
 
-    def on_ngap(self, msg: NgapMessage) -> list[Emission]:
+    def on_ngap(self, msg: NgapMessage) -> list[ControllerOutput]:
         if msg.kind != NGAP_INITIAL_CONTEXT_SETUP_REQUEST:
             raise ProtocolViolationError(f"unexpected NGAP {msg.kind}")
         ue = self.ue_contexts.get(msg.fields.get("ue_tmp_id"))

@@ -252,6 +252,7 @@ class Simulator:
         # node -> [(step, rendered table)] after each Open5G batch the node
         # received; no other delivery changes its ports or flows
         self.table_history: dict[str, list[tuple[int, list[str]]]] = {n: [] for n in self.nodes}
+        self._row_cache: dict[str, dict] = {n: {} for n in self.nodes}  # see render_flow_table
         self.deliveries = 0
         self.uplink_injected = 0
         self.downlink_injected = 0
@@ -303,7 +304,7 @@ class Simulator:
                 self.deliveries += 1
                 self._process_delivery(item)
                 if item.channel == "OPEN5G" and item.dst in self.nodes:
-                    rows = render_flow_table(self.nodes[item.dst])
+                    rows = render_flow_table(self.nodes[item.dst], self._row_cache[item.dst])
                     self.table_history[item.dst].append((self.deliveries, rows))
         return EventTrace(list(self.records))
 
@@ -482,11 +483,25 @@ class Simulator:
         return history[i - 1][1] if i else []
 
 
-def render_flow_table(node: DataPlaneNode) -> list[str]:
-    """Render (match, action) rows in priority then installation order."""
+def render_flow_table(node: DataPlaneNode, cache: dict | None = None) -> list[str]:
+    """Render (match, action) rows in priority then installation order.
+
+    `cache` (entry_id -> (entry, out-port spec, row)) carries rows from one
+    call on the node to the next. A row is reused only while the entry and
+    its out-port's spec are the very objects it was rendered from; PORT_MOD
+    MODIFY replaces a port's spec, so it re-renders the rows that output there.
+    """
+    cache = {} if cache is None else cache
+    ports = node.registry.ports
     rows = []
     for entry in node.table.ordered_entries():
-        rows.append(f"{entry.priority} [{_match_str(entry)}] -> [{_action_str(entry, node)}]")
+        port = ports.get(entry.action.out_port)
+        spec = port.spec if port is not None else None
+        cached = cache.get(entry.entry_id)
+        if cached is None or cached[0] is not entry or cached[1] is not spec:
+            row = f"{entry.priority} [{_match_str(entry)}] -> [{_action_str(entry, spec)}]"
+            cached = cache[entry.entry_id] = (entry, spec, row)
+        rows.append(cached[2])
     return rows
 
 
@@ -508,18 +523,14 @@ def _match_str(entry) -> str:
     return ",".join(parts)
 
 
-def _action_str(entry, node: DataPlaneNode) -> str:
-    port = node.registry.get(entry.action.out_port)
-    if port is None:
-        return f"output port={entry.action.out_port}"
-    spec = port.spec
+def _action_str(entry, spec) -> str:
     if isinstance(spec, RadioBearer):
         return f"output radio(crnti={spec.crnti},bearer={spec.bearer_id})"
     if isinstance(spec, GtpTunnel):
         return f"output gtp(udp={spec.udp_port},teid={spec.teid})"
     if isinstance(spec, SigTunnel):
         return f"output sig(tunnel={spec.tunnel_id})"
-    return f"output port={entry.action.out_port}"
+    return f"output port={entry.action.out_port}"  # no such port
 
 
 def run_scenario(topology: Topology, script: list[Stimulus], settings: Settings | None = None) -> EventTrace:

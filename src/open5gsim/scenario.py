@@ -40,7 +40,7 @@ from .controller import QosFlowSpec, SessionSpec
 from .errors import SimulationError
 from .netsim import NodeSpec, Settings, Stimulus, Topology, UeSpec
 from .node import Rat
-from .wire import ip_bytes, ip_str
+from .wire import SRB_BEARER_IDS, ip_bytes, ip_str
 
 
 class ParseError(SimulationError):
@@ -92,6 +92,13 @@ def _check_uint(value: int, bits: int, lineno: int, what: str) -> int:
     return value
 
 
+def _parse_drb(token: str, lineno: int) -> int:
+    drb = _parse_int(token, lineno, "drb")
+    if drb in SRB_BEARER_IDS:
+        raise ParseError(lineno, f"drb {drb} is an SRB bearer id (0, 3 or 4)")
+    return _check_uint(drb, 5, lineno, "drb")
+
+
 def _parse_l4_port(token: str, lineno: int) -> int:
     return _check_uint(_parse_int(token, lineno, "l4 port"), 16, lineno, "l4 port")
 
@@ -109,6 +116,8 @@ class _SectionAccumulator:
         self.nodes: list[NodeSpec] = []
         self.ues: list[UeSpec] = []
         self.sessions: list[tuple[str, SessionSpec]] = []  # (ue name, spec)
+        self.session_ids: set[tuple[str, int]] = set()  # (ue name, session id)
+        self.drbs: set[tuple[str, int]] = set()  # (ue name, drb), over all its sessions
         self.settings_kv: dict[str, int] = {}
         self.script: list[Stimulus] = []
 
@@ -139,9 +148,18 @@ class _SectionAccumulator:
         # session
         kv = _unique_pairs(pairs, repeatable={"flow"})
         _require(got, {"ue", "id", "drbs"}, start_line, "session")
-        session_id = _parse_int(kv["id"][1], kv["id"][0], "session id")
+        ue_name = kv["ue"][1]
+        id_line, id_value = kv["id"]
+        session_id = _parse_int(id_value, id_line, "session id")
+        if (ue_name, session_id) in self.session_ids:
+            raise ParseError(id_line, f"ue {ue_name} already has session {session_id}")
+        self.session_ids.add((ue_name, session_id))
         drb_line, drb_value = kv["drbs"]
-        drbs = tuple(_parse_int(t.strip(), drb_line, "drb") for t in drb_value.split(","))
+        drbs = tuple(_parse_drb(t.strip(), drb_line) for t in drb_value.split(","))
+        for drb in drbs:
+            if (ue_name, drb) in self.drbs:
+                raise ParseError(drb_line, f"ue {ue_name} already uses drb {drb}")
+            self.drbs.add((ue_name, drb))
         flows = []
         for lineno, key, value in pairs:
             if key != "flow":
@@ -159,7 +177,7 @@ class _SectionAccumulator:
             if flow.drb not in drbs:
                 raise ParseError(lineno, f"flow {flow.flow_id} maps to absent DRB {flow.drb}")
             flows.append(flow)
-        self.sessions.append((kv["ue"][1], SessionSpec(session_id, drbs, tuple(flows))))
+        self.sessions.append((ue_name, SessionSpec(session_id, drbs, tuple(flows))))
 
     def add_script_line(self, lineno: int, line: str) -> None:
         tokens = line.split()

@@ -194,6 +194,7 @@ class FlowTable:
     @entries.setter
     def entries(self, entries: list[FlowEntry]) -> None:
         self._entries: list[FlowEntry] = []
+        self._ordered: list[FlowEntry] = []  # in display order, by _rank
         # shape getter -> field values -> the entries with exactly that match, by _rank
         self._shapes: dict[Callable, dict[object, list[FlowEntry]]] = {}
         for entry in entries:
@@ -204,6 +205,7 @@ class FlowTable:
 
     def _insert(self, entry: FlowEntry) -> None:
         self._entries.append(entry)
+        insort(self._ordered, entry, key=_rank)
         key_of, key = _slot(entry.match)
         insort(self._shapes.setdefault(key_of, {}).setdefault(key, []), entry, key=_rank)
 
@@ -224,6 +226,7 @@ class FlowTable:
             if not buckets:
                 del self._shapes[key_of]
             self._entries = [e for e in self._entries if e.match != body.match]
+            self._ordered = [e for e in self._ordered if e.match != body.match]
 
     def drop_port_references(self, port: LogicalPort) -> int:
         """Cascade after a port DELETE; returns the number of entries removed."""
@@ -242,4 +245,4 @@ class FlowTable:
 
     def ordered_entries(self) -> list[FlowEntry]:
         """Entries in display order: priority descending, then installation order."""
-        return sorted(self._entries, key=_rank)
+        return list(self._ordered)

@@ -20,9 +20,8 @@ from open5gsim.netsim import (
     Stimulus,
     Topology,
     UeSpec,
-    render_flow_table,
 )
-from open5gsim.node import Rat
+from open5gsim.node import DataPlaneNode, Rat
 from open5gsim.switch import FlowEntry, LogicalPort, PacketContext, entry_references_port
 from open5gsim.wire import (
     BearerKind,
@@ -192,7 +191,7 @@ class EveryDeliveryTables(Simulator):
 
     def _process_delivery(self, d) -> None:
         super()._process_delivery(d)
-        self.snapshots.append({name: render_flow_table(n) for name, n in self.nodes.items()})
+        self.snapshots.append({name: reference_render_flow_table(n) for name, n in self.nodes.items()})
 
     def oracle_table(self, node_id: str, at_step: int) -> list[str]:
         if at_step < 1 or not self.snapshots:
@@ -348,3 +347,48 @@ class ScanFlowTable:
     def ordered_entries(self) -> list[FlowEntry]:
         """Entries in display order: priority descending, then installation order."""
         return sorted(self.entries, key=lambda e: (-e.priority, e.entry_id))
+
+
+# -- reference table renderer ---------------------------------------------------
+# Renders every row of the table on every call, with no row cache. The
+# differential test in test_netsim.py holds netsim.render_flow_table to it.
+
+
+def reference_render_flow_table(node: DataPlaneNode) -> list[str]:
+    """Render (match, action) rows in priority then installation order."""
+    rows = []
+    for entry in node.table.ordered_entries():
+        rows.append(f"{entry.priority} [{_match_str(entry)}] -> [{_action_str(entry, node)}]")
+    return rows
+
+
+def _match_str(entry) -> str:
+    m = entry.match
+    parts = []
+    if m.in_port is not None:
+        parts.append(f"in_port={m.in_port}")
+    if m.crnti is not None:
+        parts.append(f"crnti={m.crnti}")
+    if m.bearer_id is not None:
+        parts.append(f"bearer={m.bearer_id}")
+    if m.ip_dst is not None:
+        parts.append(f"ip_dst={wire.ip_str(m.ip_dst)}")
+    if m.ip_proto is not None:
+        parts.append(f"proto={m.ip_proto}")
+    if m.l4_dst is not None:
+        parts.append(f"l4_dst={m.l4_dst}")
+    return ",".join(parts)
+
+
+def _action_str(entry, node: DataPlaneNode) -> str:
+    port = node.registry.get(entry.action.out_port)
+    if port is None:
+        return f"output port={entry.action.out_port}"
+    spec = port.spec
+    if isinstance(spec, RadioBearer):
+        return f"output radio(crnti={spec.crnti},bearer={spec.bearer_id})"
+    if isinstance(spec, GtpTunnel):
+        return f"output gtp(udp={spec.udp_port},teid={spec.teid})"
+    if isinstance(spec, SigTunnel):
+        return f"output sig(tunnel={spec.tunnel_id})"
+    return f"output port={entry.action.out_port}"

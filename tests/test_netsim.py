@@ -1,7 +1,10 @@
 import random
 
 import pytest
-from helpers import EveryDeliveryTables, generated_scenario
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import EveryDeliveryTables, generated_scenario, reference_render_flow_table
 
 from open5gsim import wire
 from open5gsim.controller import QosFlowSpec, SessionSpec
@@ -25,10 +28,26 @@ from open5gsim.netsim import (
     Topology,
     UeSpec,
     UpfStub,
+    render_flow_table,
 )
-from open5gsim.node import Rat
+from open5gsim.node import DataPlaneNode, Rat
+from open5gsim.switch import FlowEntry
 from open5gsim.scenario import load_scenario
 from open5gsim.trace import read_trace
+from open5gsim.wire import (
+    BearerKind,
+    FlowAction,
+    FlowMatch,
+    FlowMod,
+    FlowModBody,
+    FlowModCommand,
+    GtpTunnel,
+    PortMod,
+    PortModBody,
+    PortModCommand,
+    RadioBearer,
+    SigTunnel,
+)
 
 SESSION = SessionSpec(
     session_id=1,
@@ -226,6 +245,71 @@ def test_table_history_matches_every_delivery_oracle(make):
     delivered = len(sim.upf.received) + sum(len(ue.received) for ue in sim.ues.values())
     dropped = sum(node.drop_count for node in sim.nodes.values()) + sim.upf.bad_frames
     assert injected == delivered + dropped
+
+
+# -- the row cache of render_flow_table -----------------------------------------------
+
+_IP = wire.ip_bytes("10.0.1.1")
+_PORT_IDS = st.integers(1, 4)
+# small domains, so that MODIFY often rewrites the out-port of an entry,
+# sometimes into a spec of another class
+_SPECS = st.one_of(
+    st.builds(RadioBearer, st.integers(1, 2), st.sampled_from([1, 2]), st.just(BearerKind.DRB)),
+    st.builds(GtpTunnel, st.just(_IP), st.just(_IP), st.integers(1, 2), st.integers(1, 2)),
+    st.builds(SigTunnel, st.just(_IP), st.integers(1, 2)),
+)
+# a DELETE cascades through an entry's out-port, its in_port or its
+# (crnti, bearer_id) match
+_MATCHES = st.sampled_from(
+    [
+        FlowMatch(in_port=1),
+        FlowMatch(in_port=2),
+        FlowMatch(crnti=1, bearer_id=1),
+        FlowMatch(crnti=2, bearer_id=2),
+        FlowMatch(in_port=3, crnti=1, bearer_id=1),
+        FlowMatch(ip_dst=_IP),
+        FlowMatch(ip_dst=_IP, ip_proto=6, l4_dst=23),
+        FlowMatch(ip_dst=_IP, ip_proto=6, l4_dst=43),
+    ]
+)
+_PRIORITIES = st.sampled_from([100, 110])
+
+
+def _port_mod(command: PortModCommand, port_id: int, spec) -> PortMod:
+    return PortMod(1, PortModBody(command, port_id, None if command == PortModCommand.DELETE else spec))
+
+
+def _flow_mod(command: FlowModCommand, priority: int, match: FlowMatch, out_port: int) -> FlowMod:
+    return FlowMod(1, FlowModBody(command, priority, match, FlowAction(out_port)))
+
+
+_PORT_MOD = st.builds(_port_mod, st.sampled_from(PortModCommand), _PORT_IDS, _SPECS)
+_FLOW_MOD = st.builds(
+    _flow_mod, st.sampled_from([FlowModCommand.ADD] * 3 + [FlowModCommand.DELETE]), _PRIORITIES, _MATCHES, _PORT_IDS
+)
+# `table.entries = [...]`: the indexes of current entries to keep, then new
+# entries whose ids collide with cached ones and whose out-port may not exist
+_NEW_ENTRY = st.builds(FlowEntry, st.integers(1, 8), _PRIORITIES, _MATCHES, st.builds(FlowAction, st.integers(1, 5)))
+_ASSIGN = st.tuples(st.lists(st.integers(0, 20), max_size=8), st.lists(_NEW_ENTRY, max_size=3))
+_STEPS = st.one_of(_PORT_MOD, _PORT_MOD, _FLOW_MOD, _FLOW_MOD, _FLOW_MOD, _ASSIGN)
+
+
+@given(st.lists(_STEPS, min_size=5, max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_cached_render_matches_reference_render(steps):
+    node = DataPlaneNode("gnb1", Rat.NR, wire.ip_bytes("10.0.0.1"))
+    cache: dict = {}
+    for step in steps:
+        if isinstance(step, tuple):
+            keep, extra = step
+            entries = node.table.entries
+            node.table.entries = [entries[i] for i in keep if i < len(entries)] + extra
+        else:
+            node.handle_open5g(wire.encode_message(step))  # an ERROR stops the batch; go on
+        assert node.table.ordered_entries() == sorted(node.table.entries, key=lambda e: (-e.priority, e.entry_id))
+        want = reference_render_flow_table(node)
+        assert render_flow_table(node, cache) == want
+        assert render_flow_table(node) == want
 
 
 # -- stubs in isolation ----------------------------------------------------------------

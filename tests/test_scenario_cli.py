@@ -121,6 +121,43 @@ def test_run_rejects_bad_flow_at_parse_time(tmp_path, capsys, flow, fragment):
     assert capsys.readouterr().err == f"parse error: {fragment}\n"
 
 
+TWO_SESSIONS_SCENARIO = (
+    "[node]\nname = gnb1\nrat = NR\nngu_ip = 10.0.0.1\n"
+    "[ue]\nname = ue1\nattach = gnb1\n"
+    "[session]\nue = ue1\nid = 1\ndrbs = {drbs}\n"
+    "[session]\nue = ue1\nid = {second_id}\ndrbs = {second_drbs}\n"
+    "[script]\n0 ue_power_on ue1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "drbs, second_id, second_drbs, fragment",
+    [
+        ("0", 2, "5", "line 11: drb 0 is an SRB bearer id (0, 3 or 4)"),
+        ("1,3", 2, "5", "line 11: drb 3 is an SRB bearer id (0, 3 or 4)"),
+        ("1", 2, "4", "line 15: drb 4 is an SRB bearer id (0, 3 or 4)"),
+        ("32", 2, "5", "line 11: drb 32 out of range 0..31"),
+        ("1,1", 2, "5", "line 11: ue ue1 already uses drb 1"),
+        ("1,2", 2, "5,2", "line 15: ue ue1 already uses drb 2"),
+        ("1", 1, "2", "line 14: ue ue1 already has session 1"),
+    ],
+    ids=["srb0", "srb1", "srb2", "above_31", "twice_in_session", "twice_across_sessions", "session_id_twice"],
+)
+def test_run_rejects_bad_session_and_drb_ids_at_parse_time(
+    tmp_path, capsys, drbs, second_id, second_drbs, fragment
+):
+    scn = tmp_path / "bad_ids.scn"
+    scn.write_text(TWO_SESSIONS_SCENARIO.format(drbs=drbs, second_id=second_id, second_drbs=second_drbs))
+    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == f"parse error: {fragment}\n"
+
+
+def test_two_sessions_with_distinct_ids_and_drbs_run(tmp_path):
+    scn = tmp_path / "two_sessions.scn"
+    scn.write_text(TWO_SESSIONS_SCENARIO.format(drbs="1,2", second_id=2, second_drbs="5,31"))
+    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_OK
+
+
 @pytest.mark.parametrize(
     "proto, l4_dst, fragment",
     [("tcp", 65536, "l4 port 65536 out of range"), (256, 43, "protocol 256 out of range")],
