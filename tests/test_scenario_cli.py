@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from open5gsim.cli import (
@@ -9,6 +11,7 @@ from open5gsim.cli import (
 )
 from open5gsim.controller import Controller
 from open5gsim.errors import InvalidMessageError, ProtocolViolationError
+from open5gsim.netsim import Simulator
 from open5gsim.scenario import (
     ParseError,
     load_scenario,
@@ -150,6 +153,26 @@ def test_run_rejects_bad_session_and_drb_ids_at_parse_time(
     scn.write_text(TWO_SESSIONS_SCENARIO.format(drbs=drbs, second_id=second_id, second_drbs=second_drbs))
     assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
     assert capsys.readouterr().err == f"parse error: {fragment}\n"
+
+
+SECOND_SESSION = "[session]\nue = ue1\nid = 2\ndrbs = 5\nflow = 4 10.0.9.9 udp 53 drb=5\n\n"
+
+
+@pytest.mark.parametrize(
+    "path, extra_session, golden",
+    [
+        (INITIAL_ACCESS, "", "goldens/initial_access.full.trace"),
+        (MULTI_RAT, "", "goldens/multi_rat.full.trace"),
+        (INITIAL_ACCESS, SECOND_SESSION, "goldens/two_sessions.full.trace"),
+    ],
+    ids=["initial_access", "multi_rat", "two_sessions"],
+)
+def test_trace_matches_full_golden(path, extra_session, golden):
+    """Whole trace lines, payload digests included: a reordered port id or
+    xid in any Open5G command changes a digest and fails here."""
+    scn = parse_scenario(Path(path).read_text().replace("[script]", extra_session + "[script]"))
+    trace = Simulator(scn.topology, list(scn.script), scn.settings).run()
+    assert trace.to_text() == Path(golden).read_text()
 
 
 def test_two_sessions_with_distinct_ids_and_drbs_run(tmp_path):
