@@ -48,6 +48,7 @@ from .wire import (
     PortMod,
     PortModBody,
     PortModCommand,
+    PortSpec,
     RadioBearer,
     SigTunnel,
 )
@@ -78,7 +79,6 @@ def default_layer_config(rat: Rat) -> tuple[ConfigTlv, ...]:
 
 
 class RrcState(Enum):
-    IDLE = "IDLE"
     SETUP_REQUESTED = "SETUP_REQUESTED"
     CONNECTED = "CONNECTED"
     SECURED = "SECURED"
@@ -105,11 +105,8 @@ class SessionSpec:
 @dataclass
 class PduSessionCtx:
     session_id: int
-    drb_ports: dict[int, int]  # bearer_id -> radio port id
-    ngu_port_id: int
+    drbs: tuple[int, ...]
     teid: int
-    udp_port: int
-    flows: tuple[QosFlowSpec, ...]
 
 
 @dataclass
@@ -118,18 +115,15 @@ class UeContext:
     node_id: str
     crnti: int
     rrc_state: RrcState = RrcState.SETUP_REQUESTED
-    srb_ports: dict[int, int] = field(default_factory=dict)  # bearer -> radio port
-    srb_sig_ports: dict[int, int] = field(default_factory=dict)  # bearer -> tunnel port
+    srb1_sig_port: int = 0  # SRB2's uplink flow shares SRB1's tunnel port
     srb_tunnels: dict[int, int] = field(default_factory=dict)  # bearer -> tunnel id
     pdu_sessions: list[PduSessionCtx] = field(default_factory=list)
-    security_info: str = ""
     security_mode_sent: bool = False
 
 
 @dataclass
 class TunnelInfo:
     node_id: str
-    srb_bearer: int
     ue_tmp_id: int | None  # None for the shared SRB0 tunnel
 
 
@@ -144,8 +138,6 @@ class _NodeState:
     next_crnti: int = CRNTI_FIRST
     next_xid: int = 1
     ue_count: int = 0
-    srb0_port_id: int = 0
-    srb0_sig_port_id: int = 0
     srb0_tunnel_id: int = 0
 
 
@@ -179,11 +171,16 @@ class NgapOut:
 ControllerOutput = ConfigBatch | RrcDownlink | NgapOut
 
 
+def _check_session(session: SessionSpec) -> None:
+    for flow in session.flows:
+        if flow.drb not in session.drbs:
+            raise InvalidSessionError(f"flow {flow.flow_id} maps to absent DRB {flow.drb}")
+
+
 class Controller:
-    def __init__(self, controller_ip: str = "10.255.0.1", admission_cap: int = 8, admit_fn=None):
+    def __init__(self, controller_ip: str = "10.255.0.1", admission_cap: int = 8):
         self.controller_ip = wire.ip_bytes(controller_ip)
         self.admission_cap = admission_cap
-        self.admit_fn = admit_fn
         self.nodes: dict[str, _NodeState] = {}
         self.ue_contexts: dict[int, UeContext] = {}
         self.tunnel_info: dict[int, TunnelInfo] = {}
@@ -192,34 +189,29 @@ class Controller:
         self._next_udp_port = 2152
 
     # -- allocators ----------------------------------------------------------
+    # _create_port and _add_flow build every Open5G command and are the only
+    # writers of a node's port id and xid counters.
 
-    def _alloc_port(self, node: _NodeState) -> int:
+    def _create_port(self, node: _NodeState, spec: PortSpec) -> tuple[int, PortMod]:
         port_id = node.next_port_id
         node.next_port_id += 1
-        return port_id
-
-    def _alloc_xid(self, node: _NodeState) -> int:
-        xid = node.next_xid
         node.next_xid += 1
-        return xid
+        return port_id, PortMod(node.next_xid - 1, PortModBody(PortModCommand.CREATE, port_id, spec))
 
-    def _alloc_tunnel(self, node_id: str, srb_bearer: int, ue_tmp_id: int | None) -> int:
+    def _add_flow(self, node: _NodeState, priority: int, match: FlowMatch, out_port: int) -> FlowMod:
+        node.next_xid += 1
+        return FlowMod(node.next_xid - 1, FlowModBody(FlowModCommand.ADD, priority, match, FlowAction(out_port)))
+
+    def _alloc_tunnel(self, node_id: str, ue_tmp_id: int | None) -> int:
         tunnel_id = self._next_tunnel_id
         self._next_tunnel_id += 1
-        self.tunnel_info[tunnel_id] = TunnelInfo(node_id, srb_bearer, ue_tmp_id)
+        self.tunnel_info[tunnel_id] = TunnelInfo(node_id, ue_tmp_id)
         return tunnel_id
 
     # -- topology ------------------------------------------------------------
 
     def register_node(self, node_id: str, rat: Rat, ngu_ip: str, upf_ip: str) -> None:
         self.nodes[node_id] = _NodeState(node_id, rat, wire.ip_bytes(ngu_ip), wire.ip_bytes(upf_ip))
-
-    # -- admission -----------------------------------------------------------
-
-    def admit_ue(self, node_id: str, request: RrcMessage | None = None) -> bool:
-        if self.admit_fn is not None:
-            return self.admit_fn(node_id, request)
-        return self.nodes[node_id].ue_count < self.admission_cap
 
     # -- step 1: system startup ----------------------------------------------
 
@@ -228,97 +220,27 @@ class Controller:
         if node.bootstrapped:
             raise AlreadyBootstrappedError(node_id)
         node.bootstrapped = True
-
-        radio_port = self._alloc_port(node)
-        sig_port = self._alloc_port(node)
-        tunnel_id = self._alloc_tunnel(node_id, SRB0_BEARER, None)
-        node.srb0_port_id = radio_port
-        node.srb0_sig_port_id = sig_port
-        node.srb0_tunnel_id = tunnel_id
-
-        messages = [
-            PortMod(
-                self._alloc_xid(node),
-                PortModBody(
-                    PortModCommand.CREATE,
-                    radio_port,
-                    RadioBearer(0, SRB0_BEARER, BearerKind.SRB, default_layer_config(node.rat)),
-                ),
-            ),
-            PortMod(
-                self._alloc_xid(node),
-                PortModBody(
-                    PortModCommand.CREATE,
-                    sig_port,
-                    SigTunnel(self.controller_ip, tunnel_id),
-                ),
-            ),
-            FlowMod(
-                self._alloc_xid(node),
-                FlowModBody(
-                    FlowModCommand.ADD,
-                    PRIO_SIGNALING,
-                    FlowMatch(crnti=0, bearer_id=SRB0_BEARER),
-                    FlowAction(sig_port),
-                ),
-            ),
-            FlowMod(
-                self._alloc_xid(node),
-                FlowModBody(
-                    FlowModCommand.ADD,
-                    PRIO_SIGNALING,
-                    FlowMatch(in_port=sig_port),
-                    FlowAction(radio_port),
-                ),
-            ),
-        ]
-        return [ConfigBatch(node_id, "CreatePortsSrb0", messages)]
+        # SRB0 is the SRB pair of C-RNTI 0, shared by every UE's setup request
+        node.srb0_tunnel_id, _, commands = self._srb_pair(node, 0, SRB0_BEARER, None)
+        return [ConfigBatch(node_id, "CreatePortsSrb0", commands)]
 
     # -- SRB pair helper -------------------------------------------------------
 
-    def _srb_pair(self, node: _NodeState, ue: UeContext, bearer: int) -> list[Open5GMessage]:
-        """Dedicated SRB: radio port + controller tunnel port + both flow entries."""
-        radio_port = self._alloc_port(node)
-        sig_port = self._alloc_port(node)
-        tunnel_id = self._alloc_tunnel(node.node_id, bearer, ue.ue_tmp_id)
-        ue.srb_ports[bearer] = radio_port
-        ue.srb_sig_ports[bearer] = sig_port
-        ue.srb_tunnels[bearer] = tunnel_id
-        return [
-            PortMod(
-                self._alloc_xid(node),
-                PortModBody(
-                    PortModCommand.CREATE,
-                    radio_port,
-                    RadioBearer(ue.crnti, bearer, BearerKind.SRB, default_layer_config(node.rat)),
-                ),
-            ),
-            PortMod(
-                self._alloc_xid(node),
-                PortModBody(
-                    PortModCommand.CREATE,
-                    sig_port,
-                    SigTunnel(self.controller_ip, tunnel_id),
-                ),
-            ),
-            FlowMod(
-                self._alloc_xid(node),
-                FlowModBody(
-                    FlowModCommand.ADD,
-                    PRIO_SIGNALING,
-                    FlowMatch(crnti=ue.crnti, bearer_id=bearer),
-                    FlowAction(sig_port),
-                ),
-            ),
-            FlowMod(
-                self._alloc_xid(node),
-                FlowModBody(
-                    FlowModCommand.ADD,
-                    PRIO_SIGNALING,
-                    FlowMatch(in_port=sig_port),
-                    FlowAction(radio_port),
-                ),
-            ),
+    def _srb_pair(
+        self, node: _NodeState, crnti: int, bearer: int, ue_tmp_id: int | None
+    ) -> tuple[int, int, list[Open5GMessage]]:
+        """Signaling bearer: radio port + controller tunnel port + both flow
+        entries. Returns the tunnel id, the tunnel port and the commands."""
+        tunnel_id = self._alloc_tunnel(node.node_id, ue_tmp_id)
+        radio_port, create_radio = self._create_port(
+            node, RadioBearer(crnti, bearer, BearerKind.SRB, default_layer_config(node.rat))
+        )
+        sig_port, create_sig = self._create_port(node, SigTunnel(self.controller_ip, tunnel_id))
+        return tunnel_id, sig_port, [
+            create_radio,
+            create_sig,
+            self._add_flow(node, PRIO_SIGNALING, FlowMatch(crnti=crnti, bearer_id=bearer), sig_port),
+            self._add_flow(node, PRIO_SIGNALING, FlowMatch(in_port=sig_port), radio_port),
         ]
 
     # -- uplink RRC ------------------------------------------------------------
@@ -337,7 +259,7 @@ class Controller:
             ue_tmp_id = info.ue_tmp_id
 
         if rrc.kind == RRC_SETUP_REQUEST:
-            return self._on_setup_request(node_id, ue_tmp_id, rrc)
+            return self._on_setup_request(node_id, ue_tmp_id)
 
         ue = self.ue_contexts.get(ue_tmp_id)
         if ue is None:
@@ -362,12 +284,7 @@ class Controller:
             ue.rrc_state = RrcState.SECURED
             reconfig = RrcMessage(
                 RRC_RECONFIGURATION,
-                {
-                    "sessions": [
-                        {"session_id": s.session_id, "drbs": sorted(s.drb_ports)}
-                        for s in ue.pdu_sessions
-                    ]
-                },
+                {"sessions": [{"session_id": s.session_id, "drbs": sorted(s.drbs)} for s in ue.pdu_sessions]},
             )
             return [
                 RrcDownlink(node_id, ue.srb_tunnels[SRB1_BEARER], SRB1_BEARER, None, reconfig)
@@ -388,92 +305,61 @@ class Controller:
 
         raise ProtocolViolationError(f"unexpected uplink {rrc.kind}")
 
-    def _on_setup_request(self, node_id: str, ue_tmp_id: int | None, rrc: RrcMessage) -> list[ControllerOutput]:
+    def _on_setup_request(self, node_id: str, ue_tmp_id: int | None) -> list[ControllerOutput]:
         if ue_tmp_id is None:
             raise ProtocolViolationError("RrcSetupRequest without UE identity")
         if ue_tmp_id in self.ue_contexts:
             raise ProtocolViolationError(f"ue_tmp_id {ue_tmp_id} already in procedure")
-        if not self.admit_ue(node_id, rrc):
-            return []
         node = self.nodes[node_id]
+        if node.ue_count >= self.admission_cap:
+            return []
         crnti = node.next_crnti
         node.next_crnti += 1
         node.ue_count += 1
         ue = UeContext(ue_tmp_id, node_id, crnti)
         self.ue_contexts[ue_tmp_id] = ue
 
-        batch = ConfigBatch(node_id, "CreatePortsSrb1", self._srb_pair(node, ue, SRB1_BEARER))
+        ue.srb_tunnels[SRB1_BEARER], ue.srb1_sig_port, commands = self._srb_pair(
+            node, crnti, SRB1_BEARER, ue_tmp_id
+        )
         setup = RrcMessage(RRC_SETUP, {"crnti": crnti, "srb1_bearer": SRB1_BEARER})
         return [
-            batch,
+            ConfigBatch(node_id, "CreatePortsSrb1", commands),
             RrcDownlink(node_id, node.srb0_tunnel_id, SRB0_BEARER, ue_tmp_id, setup),
         ]
 
     # -- session configuration ---------------------------------------------------
 
-    def build_session_config(
-        self, ue: UeContext, session: SessionSpec
-    ) -> tuple[list[PortModBody], list[FlowModBody]]:
-        """Port and flow commands realizing one PDU session at the serving node."""
-        drb_set = set(session.drbs)
-        for flow in session.flows:
-            if flow.drb not in drb_set:
-                raise InvalidSessionError(
-                    f"flow {flow.flow_id} maps to absent DRB {flow.drb}"
-                )
+    def build_session_config(self, ue: UeContext, session: SessionSpec) -> list[Open5GMessage]:
+        """Commands realizing one PDU session at the serving node: the DRB
+        ports, the NG-U port, the uplink flows, then the downlink flows."""
+        _check_session(session)
         node = self.nodes[ue.node_id]
-
-        port_mods: list[PortModBody] = []
-        flow_mods: list[FlowModBody] = []
-
-        drb_ports: dict[int, int] = {}
+        commands: list[Open5GMessage] = []
+        drb_ports: dict[int, int] = {}  # bearer_id -> radio port id
         for bearer in session.drbs:
-            port_id = self._alloc_port(node)
-            drb_ports[bearer] = port_id
-            port_mods.append(
-                PortModBody(
-                    PortModCommand.CREATE,
-                    port_id,
-                    RadioBearer(ue.crnti, bearer, BearerKind.DRB, default_layer_config(node.rat)),
-                )
+            drb_ports[bearer], create = self._create_port(
+                node, RadioBearer(ue.crnti, bearer, BearerKind.DRB, default_layer_config(node.rat))
             )
+            commands.append(create)
 
-        ngu_port = self._alloc_port(node)
         teid = self._next_teid
         self._next_teid += 1
         udp_port = self._next_udp_port
         self._next_udp_port += 1
-        port_mods.append(
-            PortModBody(
-                PortModCommand.CREATE,
-                ngu_port,
-                GtpTunnel(node.ngu_ip, node.upf_ip, udp_port, teid),
-            )
-        )
+        ngu_port, create = self._create_port(node, GtpTunnel(node.ngu_ip, node.upf_ip, udp_port, teid))
+        commands.append(create)
 
         for bearer in session.drbs:
-            flow_mods.append(
-                FlowModBody(
-                    FlowModCommand.ADD,
-                    PRIO_UPLINK_DATA,
-                    FlowMatch(crnti=ue.crnti, bearer_id=bearer),
-                    FlowAction(ngu_port),
-                )
+            commands.append(
+                self._add_flow(node, PRIO_UPLINK_DATA, FlowMatch(crnti=ue.crnti, bearer_id=bearer), ngu_port)
             )
         for flow in session.flows:
-            flow_mods.append(
-                FlowModBody(
-                    FlowModCommand.ADD,
-                    PRIO_DOWNLINK_FLOW,
-                    FlowMatch(ip_dst=flow.ip_dst, ip_proto=flow.ip_proto, l4_dst=flow.l4_dst),
-                    FlowAction(drb_ports[flow.drb]),
-                )
-            )
+            match = FlowMatch(ip_dst=flow.ip_dst, ip_proto=flow.ip_proto, l4_dst=flow.l4_dst)
+            commands.append(self._add_flow(node, PRIO_DOWNLINK_FLOW, match, drb_ports[flow.drb]))
 
-        ue.pdu_sessions.append(
-            PduSessionCtx(session.session_id, drb_ports, ngu_port, teid, udp_port, session.flows)
-        )
-        return port_mods, flow_mods
+        ue.pdu_sessions.append(PduSessionCtx(session.session_id, session.drbs, teid))
+        return commands
 
     # -- NG-AP -----------------------------------------------------------------
 
@@ -485,49 +371,29 @@ class Controller:
             raise UnknownUeError(f"ue_tmp_id {msg.fields.get('ue_tmp_id')}")
         if ue.rrc_state != RrcState.CONNECTED or ue.security_mode_sent:
             raise ProtocolViolationError(f"{msg.kind} in {ue.rrc_state.value}")
+        # every session is checked before any id is allocated, so a bad one
+        # leaves the controller as it was
+        sessions = [session_spec_from_doc(doc) for doc in msg.fields.get("sessions", [])]
+        for session in sessions:
+            _check_session(session)
         node = self.nodes[ue.node_id]
-        ue.security_info = msg.fields.get("security_info", "")
-
-        messages: list[Open5GMessage] = []
 
         # SRB2: dedicated radio port paired onto the existing SRB1 tunnel
-        srb2_port = self._alloc_port(node)
-        ue.srb_ports[SRB2_BEARER] = srb2_port
+        _, create_srb2 = self._create_port(
+            node, RadioBearer(ue.crnti, SRB2_BEARER, BearerKind.SRB, default_layer_config(node.rat))
+        )
         ue.srb_tunnels[SRB2_BEARER] = ue.srb_tunnels[SRB1_BEARER]
-        srb1_sig_port = ue.srb_sig_ports[SRB1_BEARER]
-        messages.append(
-            PortMod(
-                self._alloc_xid(node),
-                PortModBody(
-                    PortModCommand.CREATE,
-                    srb2_port,
-                    RadioBearer(ue.crnti, SRB2_BEARER, BearerKind.SRB, default_layer_config(node.rat)),
-                ),
-            )
-        )
-        messages.append(
-            FlowMod(
-                self._alloc_xid(node),
-                FlowModBody(
-                    FlowModCommand.ADD,
-                    PRIO_SIGNALING,
-                    FlowMatch(crnti=ue.crnti, bearer_id=SRB2_BEARER),
-                    FlowAction(srb1_sig_port),
-                ),
-            )
-        )
+        commands = [
+            create_srb2,
+            self._add_flow(node, PRIO_SIGNALING, FlowMatch(crnti=ue.crnti, bearer_id=SRB2_BEARER), ue.srb1_sig_port),
+        ]
+        for session in sessions:
+            commands += self.build_session_config(ue, session)
 
-        for session_doc in msg.fields.get("sessions", []):
-            session = session_spec_from_doc(session_doc)
-            port_mods, flow_mods = self.build_session_config(ue, session)
-            messages.extend(PortMod(self._alloc_xid(node), b) for b in port_mods)
-            messages.extend(FlowMod(self._alloc_xid(node), b) for b in flow_mods)
-
-        batch = ConfigBatch(ue.node_id, "CreatePortsSrb2Drbs", messages)
         ue.security_mode_sent = True
-        command = RrcMessage(RRC_SECURITY_MODE_COMMAND, {"security_info": ue.security_info})
+        command = RrcMessage(RRC_SECURITY_MODE_COMMAND, {"security_info": msg.fields.get("security_info", "")})
         return [
-            batch,
+            ConfigBatch(ue.node_id, "CreatePortsSrb2Drbs", commands),
             RrcDownlink(ue.node_id, ue.srb_tunnels[SRB1_BEARER], SRB1_BEARER, None, command),
         ]
 

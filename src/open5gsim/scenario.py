@@ -2,8 +2,9 @@
 
 Sections start with a bracketed header. [node], [ue], and [session] may
 repeat; key lines are `key = value`. The [script] section holds one stimulus
-per line: `<tick> <stimulus> <args...>`. Unknown sections, keys, or values
-are rejected with the offending line number.
+per line: `<tick> <stimulus> <args...>`. Unknown sections, keys, or values,
+references to unknown UEs and repeated node or UE names are rejected with
+the offending line number.
 
 Example:
 
@@ -115,9 +116,10 @@ class _SectionAccumulator:
     def __init__(self):
         self.nodes: list[NodeSpec] = []
         self.ues: list[UeSpec] = []
-        self.sessions: list[tuple[str, SessionSpec]] = []  # (ue name, spec)
+        self.sessions: list[tuple[str, int, SessionSpec]] = []  # (ue name, its line, spec)
         self.session_ids: set[tuple[str, int]] = set()  # (ue name, session id)
         self.drbs: set[tuple[str, int]] = set()  # (ue name, drb), over all its sessions
+        self.names: set[tuple[str, str]] = set()  # (section, name) of every [node] and [ue]
         self.settings_kv: dict[str, int] = {}
         self.script: list[Stimulus] = []
 
@@ -138,17 +140,19 @@ class _SectionAccumulator:
             except ValueError:
                 raise ParseError(lineno, f"unknown RAT {rat_value!r}") from None
             _parse_ip(kv["ngu_ip"][1], kv["ngu_ip"][0])
+            self.add_name("node", kv["name"])
             self.nodes.append(NodeSpec(kv["name"][1], rat, kv["ngu_ip"][1]))
             return
         if name == "ue":
             kv = _unique_pairs(pairs)
             _require(got, {"name", "attach"}, start_line, "ue")
+            self.add_name("ue", kv["name"])
             self.ues.append(UeSpec(kv["name"][1], kv["attach"][1]))
             return
         # session
         kv = _unique_pairs(pairs, repeatable={"flow"})
         _require(got, {"ue", "id", "drbs"}, start_line, "session")
-        ue_name = kv["ue"][1]
+        ue_line, ue_name = kv["ue"]
         id_line, id_value = kv["id"]
         session_id = _parse_int(id_value, id_line, "session id")
         if (ue_name, session_id) in self.session_ids:
@@ -177,7 +181,13 @@ class _SectionAccumulator:
             if flow.drb not in drbs:
                 raise ParseError(lineno, f"flow {flow.flow_id} maps to absent DRB {flow.drb}")
             flows.append(flow)
-        self.sessions.append((ue_name, SessionSpec(session_id, drbs, tuple(flows))))
+        self.sessions.append((ue_name, ue_line, SessionSpec(session_id, drbs, tuple(flows))))
+
+    def add_name(self, section: str, name_pair: tuple[int, str]) -> None:
+        lineno, name = name_pair
+        if (section, name) in self.names:
+            raise ParseError(lineno, f"duplicate {section} name {name!r}")
+        self.names.add((section, name))
 
     def add_script_line(self, lineno: int, line: str) -> None:
         tokens = line.split()
@@ -267,9 +277,9 @@ def parse_scenario(text: str) -> Scenario:
 
     ue_names = {u.name for u in acc.ues}
     sessions_by_ue: dict[str, list[SessionSpec]] = {name: [] for name in ue_names}
-    for ue_name, spec in acc.sessions:
+    for ue_name, ue_line, spec in acc.sessions:
         if ue_name not in ue_names:
-            raise ParseError(0, f"session references unknown UE {ue_name!r}")
+            raise ParseError(ue_line, f"session references unknown UE {ue_name!r}")
         sessions_by_ue[ue_name].append(spec)
     ues = tuple(
         UeSpec(u.name, u.attach, tuple(sessions_by_ue[u.name])) for u in acc.ues

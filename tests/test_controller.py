@@ -160,16 +160,6 @@ def test_admission_denied_emits_nothing():
     assert 1 not in c.ue_contexts
 
 
-def test_custom_admit_fn():
-    c = make_controller(admit_fn=lambda node_id, req: False)
-    c.bootstrap_node("gnb1")
-    node = c.nodes["gnb1"]
-    out = c.on_rrc_uplink(
-        "gnb1", node.srb0_tunnel_id, 1, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1})
-    )
-    assert out == []
-
-
 def test_setup_complete_emits_initial_ue_message():
     c = bootstrapped()
     node = c.nodes["gnb1"]
@@ -226,20 +216,19 @@ def test_session_config_counts():
     c = bootstrapped()
     attach_ue(c)
     ue = c.ue_contexts[1]
-    port_mods, flow_mods = c.build_session_config(ue, SESSION)
-    # 2 DRB radio ports + 1 NG-U tunnel; 2 uplink rows + 3 downlink rows
-    assert len(port_mods) == 3
-    assert len(flow_mods) == 5
-    assert [f.priority for f in flow_mods] == [120, 120, 110, 110, 110]
+    commands = c.build_session_config(ue, SESSION)
+    # 2 DRB radio ports + 1 NG-U tunnel, then 2 uplink rows + 3 downlink rows
+    assert [type(m) for m in commands] == [PortMod] * 3 + [FlowMod] * 5
+    assert [m.body.priority for m in commands[3:]] == [120, 120, 110, 110, 110]
 
 
 def test_session_with_no_flows():
     c = bootstrapped()
     attach_ue(c)
     ue = c.ue_contexts[1]
-    port_mods, flow_mods = c.build_session_config(ue, SessionSpec(2, (5,), ()))
-    assert len(port_mods) == 2  # one DRB, one tunnel
-    assert [f.priority for f in flow_mods] == [120]
+    commands = c.build_session_config(ue, SessionSpec(2, (5,), ()))
+    assert [type(m) for m in commands] == [PortMod, PortMod, FlowMod]  # one DRB, one tunnel
+    assert commands[2].body.priority == 120
 
 
 def test_flow_on_absent_drb_rejected():
@@ -269,6 +258,31 @@ def test_ics_request_one_session_one_flow_one_drb_counts():
     assert sum(isinstance(m, FlowMod) for m in batch.messages) == 3
     assert downlink.msg.kind == RRC_SECURITY_MODE_COMMAND
     assert downlink.msg.fields["security_info"] == "sec-1"
+
+
+def test_ics_request_with_a_bad_session_changes_no_state():
+    """A later session that fails validation must not leave the SRB2 port,
+    the earlier session or any counter behind."""
+    c = bootstrapped()
+    attach_ue(c)
+    bad = SessionSpec(2, (5,), (QosFlowSpec(1, wire.ip_bytes("10.0.1.1"), 6, 80, drb=9),))
+    node, ue = c.nodes["gnb1"], c.ue_contexts[1]
+
+    def state():
+        return (
+            node.next_port_id, node.next_xid, c._next_teid, c._next_udp_port, c._next_tunnel_id,
+            dict(c.tunnel_info), dict(ue.srb_tunnels), list(ue.pdu_sessions), ue.rrc_state,
+            ue.security_mode_sent,
+        )
+
+    before = state()
+    assert before[:3] == (5, 9, 1)
+    with pytest.raises(InvalidSessionError):
+        c.on_ngap(ics_request(sessions=(SESSION, bad)))
+    assert state() == before
+    # the UE can still be configured by a valid request
+    batch, _ = c.on_ngap(ics_request())
+    assert [m.xid for m in batch.messages] == list(range(9, 19))
 
 
 def test_ics_request_before_setup_complete_is_violation():

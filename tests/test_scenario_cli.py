@@ -82,8 +82,27 @@ def test_bad_hex_payload_rejected():
 
 def test_session_for_unknown_ue_rejected():
     text = "[session]\nue = ghost\nid = 1\ndrbs = 1\n"
-    with pytest.raises(ParseError):
-        parse_scenario(text)
+    expect_parse_error(text, 2, "unknown UE")
+
+
+NODE = "[node]\nname = gnb1\nrat = NR\nngu_ip = 10.0.0.1\n"
+UE = "[ue]\nname = ue1\nattach = gnb1\n"
+
+
+@pytest.mark.parametrize(
+    "text, lineno, fragment",
+    [
+        (NODE + NODE, 6, "duplicate node name 'gnb1'"),
+        (NODE + UE + UE, 9, "duplicate ue name 'ue1'"),
+    ],
+    ids=["node", "ue"],
+)
+def test_duplicate_names_rejected(tmp_path, capsys, text, lineno, fragment):
+    expect_parse_error(text, lineno, fragment)
+    scn = tmp_path / "dup.scn"
+    scn.write_text(text + "[script]\n0 ue_power_on ue1\n")
+    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == f"parse error: line {lineno}: {fragment}\n"
 
 
 # -- CLI ------------------------------------------------------------------------
