@@ -194,6 +194,15 @@ def test_trace_matches_full_golden(path, extra_session, golden):
     assert trace.to_text() == Path(golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "path, node", [(INITIAL_ACCESS, "gnb1"), (MULTI_RAT, "gnb1"), (MULTI_RAT, "enb1"), (MULTI_RAT, "wt1")]
+)
+def test_final_table_matches_golden(capsys, path, node):
+    """`table --at` past the last step prints the node's final table, every row."""
+    assert main(["table", path, "--node", node, "--at", "100000"]) == EXIT_OK
+    assert capsys.readouterr().out == Path(f"goldens/{Path(path).stem}.{node}.table").read_text()
+
+
 def test_two_sessions_with_distinct_ids_and_drbs_run(tmp_path):
     scn = tmp_path / "two_sessions.scn"
     scn.write_text(TWO_SESSIONS_SCENARIO.format(drbs="1,2", second_id=2, second_drbs="5,31"))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 
@@ -17,6 +18,7 @@ from open5gsim.errors import (
     UnknownTypeError,
     WireDecodeError,
 )
+from open5gsim.node import DataPlaneNode, Rat
 from open5gsim.wire import (
     BearerKind,
     FlowAction,
@@ -221,3 +223,85 @@ def test_envelope_round_trip():
 def test_ip_packet_round_trip():
     packet = wire.pack_ip_packet(wire.ip_bytes("10.0.1.2"), 6, 34, b"payload")
     assert wire.unpack_ip_packet(packet) == (wire.ip_bytes("10.0.1.2"), 6, 34, b"payload")
+
+
+# -- match-field error messages ---------------------------------------------------
+# These messages become the detail bytes of a node's ERROR, so they reach the
+# trace digests; each row pins one match field's checks.
+
+# name, TLV type, wire width, valid value, out-of-range value, validation message
+MATCH_FIELD_CASES = [
+    ("in_port", 1, 4, 7, 2**32, "in_port out of range"),
+    ("crnti", 2, 2, 61, 2**16, "crnti out of range"),
+    ("bearer_id", 3, 1, 1, 256, "bearer_id out of range"),
+    ("ip_dst", 4, 4, wire.ip_bytes("10.0.1.1"), b"\x0a\x00\x01", "bad ip_dst length"),
+    ("ip_proto", 5, 1, 6, 256, "ip_proto out of range"),
+    ("l4_dst", 6, 2, 43, 2**16, "l4_dst out of range"),
+]
+_IDS = [case[0] for case in MATCH_FIELD_CASES]
+_FULL_MATCH = FlowMatch(**{case[0]: case[3] for case in MATCH_FIELD_CASES})
+
+
+def _encode_match(match: FlowMatch) -> bytes:
+    return encode_message(FlowMod(1, FlowModBody(FlowModCommand.ADD, 100, match, FlowAction(1))))
+
+
+def _flow_mod_frame(tlvs: list[tuple[int, bytes]]) -> bytes:
+    """A FLOW_MOD ADD with the given raw match TLVs, built without the codec."""
+    body = struct.pack(">BHB", 0, 100, len(tlvs))
+    body += b"".join(struct.pack(">HH", mtype, len(value)) + value for mtype, value in tlvs)
+    body += struct.pack(">BI", 1, 1)
+    return struct.pack(">BBHI", 1, 4, 8 + len(body), 9) + body
+
+
+def _error_detail(frame: bytes) -> bytes:
+    """The detail of the ERROR a node answers the frame with."""
+    (em,) = DataPlaneNode("n", Rat.NR, wire.ip_bytes("10.0.0.1")).handle_open5g(frame)
+    err = decode_message(em.payload)
+    assert (err.xid, err.code) == (0, MalformedTlvError.code)
+    return err.detail
+
+
+@pytest.mark.parametrize("index", range(len(MATCH_FIELD_CASES)), ids=_IDS)
+def test_match_validation_reports_the_first_bad_field(index):
+    """Every field from `index` on is out of range; the first one is named."""
+    bad = {case[0]: case[4] for case in MATCH_FIELD_CASES[index:]}
+    with pytest.raises(InvalidMessageError) as exc:
+        _encode_match(dataclasses.replace(_FULL_MATCH, **bad))
+    assert str(exc.value) == MATCH_FIELD_CASES[index][5]
+
+
+def test_crnti_reserved_range_is_checked_right_after_its_range():
+    with pytest.raises(InvalidMessageError) as exc:
+        _encode_match(FlowMatch(crnti=wire.CRNTI_MAX + 1, bearer_id=256))
+    assert str(exc.value) == "crnti above reserved range"
+    frame = _flow_mod_frame([(2, struct.pack(">H", wire.CRNTI_MAX + 1)), (3, b"\x01")])
+    with pytest.raises(MalformedTlvError) as exc:
+        decode_message(frame)
+    assert str(exc.value) == "crnti above reserved range"
+    assert _error_detail(frame) == b"crnti above reserved range"
+
+
+@pytest.mark.parametrize("name, mtype, width", [case[:3] for case in MATCH_FIELD_CASES], ids=_IDS)
+def test_match_tlv_decode_messages(name, mtype, width):
+    upper = name.upper()
+    cases = [
+        ([(mtype, bytes(width + 1))], f"match {upper} has length {width + 1}, want {width}"),
+        ([(mtype, bytes(width - 1))], f"match {upper} has length {width - 1}, want {width}"),
+        ([(mtype, bytes(width)), (mtype, bytes(width))], f"duplicate match field {upper}"),
+    ]
+    for tlvs, message in cases:
+        frame = _flow_mod_frame(tlvs)
+        with pytest.raises(MalformedTlvError) as exc:
+            decode_message(frame)
+        assert str(exc.value) == message
+        assert _error_detail(frame) == message.encode()
+
+
+@pytest.mark.parametrize("mtype", [0, 7, 0xFFFF])
+def test_unknown_match_type_message(mtype):
+    frame = _flow_mod_frame([(mtype, b"\x00")])
+    with pytest.raises(MalformedTlvError) as exc:
+        decode_message(frame)
+    assert str(exc.value) == f"unknown match type {mtype}"
+    assert _error_detail(frame) == f"unknown match type {mtype}".encode()
