@@ -23,31 +23,10 @@ CODE_UNSUPPORTED_LAYER = 11
 CODE_BAD_GTPU_FLAGS = 12
 CODE_BAD_SIG_FLAGS = 13
 
-CODE_NAMES = {
-    CODE_TRUNCATED: "Truncated",
-    CODE_BAD_VERSION: "BadVersion",
-    CODE_UNKNOWN_TYPE: "UnknownType",
-    CODE_MALFORMED_TLV: "MalformedTlv",
-    CODE_INVALID_MESSAGE: "InvalidMessage",
-    CODE_DUPLICATE_PORT: "DuplicatePort",
-    CODE_UNKNOWN_PORT: "UnknownPort",
-    CODE_DUPLICATE_BEARER: "DuplicateBearer",
-    CODE_UNKNOWN_OUT_PORT: "UnknownOutPort",
-    CODE_DUPLICATE_ENTRY: "DuplicateEntry",
-    CODE_UNSUPPORTED_LAYER: "UnsupportedLayer",
-    CODE_BAD_GTPU_FLAGS: "BadGtpuFlags",
-    CODE_BAD_SIG_FLAGS: "BadSigFlags",
-}
-
-
 class Open5GError(Exception):
     """Base for all protocol errors with a wire-reportable code."""
 
     code = 0
-
-    def __init__(self, message: str = ""):
-        super().__init__(message or CODE_NAMES.get(self.code, "error"))
-        self.message = message
 
 
 class WireDecodeError(Open5GError):

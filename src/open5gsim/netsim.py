@@ -48,13 +48,12 @@ from .messages import (
     rrc_to_bytes,
 )
 from .node import DataPlaneNode, Rat
-from .wire import GtpTunnel, RadioBearer, SigTunnel
+from .wire import MATCH_FIELDS, GtpTunnel, MatchType, RadioBearer, SigTunnel
 from .trace import EventTrace, TraceRecord, fnv1a64
 
 UPF_IP = "10.9.0.1"
 
 _SRB_CHANNEL = {0: "SRB0", 3: "SRB1", 4: "SRB2"}
-_CHANNEL_BEARER = {v: k for k, v in _SRB_CHANNEL.items()}
 
 
 def srb_channel(bearer_id: int) -> str:
@@ -209,7 +208,6 @@ class _Delivery:
     payload: bytes
     crnti: int | None = None
     bearer_id: int | None = None
-    ue_tmp_id: int | None = None
 
 
 class Simulator:
@@ -466,8 +464,7 @@ class Simulator:
         if d.channel == "RADIO_DATA":
             ue.on_data(d.bearer_id, d.payload)
             return
-        bearer = _CHANNEL_BEARER[d.channel]
-        for reply_bearer, msg in ue.on_rrc(bearer, rrc_from_bytes(d.payload)):
+        for reply_bearer, msg in ue.on_rrc(d.bearer_id, rrc_from_bytes(d.payload)):
             self._send_ue_rrc(ue, reply_bearer, msg)
         if ue.crnti is not None:
             # should two UEs on a node share a C-RNTI, the first-declared one wins
@@ -506,21 +503,11 @@ def render_flow_table(node: DataPlaneNode, cache: dict | None = None) -> list[st
 
 
 def _match_str(entry) -> str:
-    m = entry.match
-    parts = []
-    if m.in_port is not None:
-        parts.append(f"in_port={m.in_port}")
-    if m.crnti is not None:
-        parts.append(f"crnti={m.crnti}")
-    if m.bearer_id is not None:
-        parts.append(f"bearer={m.bearer_id}")
-    if m.ip_dst is not None:
-        parts.append(f"ip_dst={wire.ip_str(m.ip_dst)}")
-    if m.ip_proto is not None:
-        parts.append(f"proto={m.ip_proto}")
-    if m.l4_dst is not None:
-        parts.append(f"l4_dst={m.l4_dst}")
-    return ",".join(parts)
+    return ",".join([
+        f"{f.label}={wire.ip_str(value) if f.mtype == MatchType.IP_DST else value}"
+        for f in MATCH_FIELDS
+        if (value := getattr(entry.match, f.name)) is not None
+    ])
 
 
 def _action_str(entry, spec) -> str:

@@ -128,7 +128,7 @@ class DataPlaneNode:
         return [Emission("radio", payload, crnti=spec.crnti, bearer_id=spec.bearer_id)]
 
     def ingress_radio(self, crnti: int, bearer_id: int, payload: bytes) -> list[Emission]:
-        ctx = PacketContext(crnti=crnti, bearer_id=bearer_id, payload=payload)
+        ctx = PacketContext(crnti=crnti, bearer_id=bearer_id)
         port = self.registry.radio_port(crnti, bearer_id)
         if port is not None:
             ctx.in_port = port.port_id
@@ -145,7 +145,7 @@ class DataPlaneNode:
         except WireDecodeError:
             self.drop_count += 1
             return []
-        ctx = PacketContext(ip_dst=ip_dst, ip_proto=ip_proto, l4_dst=l4_dst, payload=packet)
+        ctx = PacketContext(ip_dst=ip_dst, ip_proto=ip_proto, l4_dst=l4_dst)
         port = self.registry.gtp_port(teid)
         if port is not None:
             ctx.in_port = port.port_id
@@ -165,7 +165,7 @@ class DataPlaneNode:
         if port is None:
             self.drop_count += 1
             return []
-        ctx = PacketContext(in_port=port.port_id, payload=payload)
+        ctx = PacketContext(in_port=port.port_id)
         action = self.table.match(ctx)
         if action is None:
             self.drop_count += 1

@@ -3,8 +3,8 @@
 Sections start with a bracketed header. [node], [ue], and [session] may
 repeat; key lines are `key = value`. The [script] section holds one stimulus
 per line: `<tick> <stimulus> <args...>`. Unknown sections, keys, or values,
-references to unknown UEs and repeated node or UE names are rejected with
-the offending line number.
+references to unknown nodes or UEs and repeated node or UE names are
+rejected with the offending line number.
 
 Example:
 
@@ -115,13 +115,14 @@ def _parse_ip(token: str, lineno: int) -> str:
 class _SectionAccumulator:
     def __init__(self):
         self.nodes: list[NodeSpec] = []
-        self.ues: list[UeSpec] = []
+        self.ues: list[tuple[UeSpec, int]] = []  # (spec, its attach line)
         self.sessions: list[tuple[str, int, SessionSpec]] = []  # (ue name, its line, spec)
         self.session_ids: set[tuple[str, int]] = set()  # (ue name, session id)
         self.drbs: set[tuple[str, int]] = set()  # (ue name, drb), over all its sessions
         self.names: set[tuple[str, str]] = set()  # (section, name) of every [node] and [ue]
         self.settings_kv: dict[str, int] = {}
         self.script: list[Stimulus] = []
+        self.script_ues: dict[str, int] = {}  # UE name -> the first script line naming it
 
     def finish_section(self, name: str, start_line: int, pairs: list[tuple[int, str, str]]) -> None:
         got = {k for _, k, _ in pairs}
@@ -147,7 +148,7 @@ class _SectionAccumulator:
             kv = _unique_pairs(pairs)
             _require(got, {"name", "attach"}, start_line, "ue")
             self.add_name("ue", kv["name"])
-            self.ues.append(UeSpec(kv["name"][1], kv["attach"][1]))
+            self.ues.append((UeSpec(kv["name"][1], kv["attach"][1]), kv["attach"][0]))
             return
         # session
         kv = _unique_pairs(pairs, repeatable={"flow"})
@@ -213,6 +214,7 @@ class _SectionAccumulator:
                 _parse_hex(args[4], lineno),
             )
         self.script.append(Stimulus(tick, kind, parsed))
+        self.script_ues.setdefault(args[0], lineno)
 
 
 def _parse_hex(token: str, lineno: int) -> bytes:
@@ -275,14 +277,21 @@ def parse_scenario(text: str) -> Scenario:
         pairs.append((lineno, key, value))
     flush()
 
-    ue_names = {u.name for u in acc.ues}
+    node_names = {n.name for n in acc.nodes}
+    for ue, attach_line in acc.ues:
+        if ue.attach not in node_names:
+            raise ParseError(attach_line, f"ue {ue.name} attaches to unknown node {ue.attach!r}")
+    ue_names = {u.name for u, _ in acc.ues}
     sessions_by_ue: dict[str, list[SessionSpec]] = {name: [] for name in ue_names}
     for ue_name, ue_line, spec in acc.sessions:
         if ue_name not in ue_names:
             raise ParseError(ue_line, f"session references unknown UE {ue_name!r}")
         sessions_by_ue[ue_name].append(spec)
+    for ue_name, lineno in acc.script_ues.items():  # in line order
+        if ue_name not in ue_names:
+            raise ParseError(lineno, f"stimulus references unknown UE {ue_name!r}")
     ues = tuple(
-        UeSpec(u.name, u.attach, tuple(sessions_by_ue[u.name])) for u in acc.ues
+        UeSpec(u.name, u.attach, tuple(sessions_by_ue[u.name])) for u, _ in acc.ues
     )
 
     settings = Settings(

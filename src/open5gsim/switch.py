@@ -21,6 +21,7 @@ from .errors import (
     UnknownPortError,
 )
 from .wire import (
+    MATCH_FIELDS,
     FlowAction,
     FlowMatch,
     FlowModBody,
@@ -58,7 +59,6 @@ class PacketContext:
     ip_dst: bytes | None = None
     ip_proto: int | None = None
     l4_dst: int | None = None
-    payload: bytes = b""
 
 
 class PortRegistry:
@@ -160,9 +160,6 @@ def entry_references_port(entry: FlowEntry, port: LogicalPort) -> bool:
     return False
 
 
-_MATCH_FIELDS = ("in_port", "crnti", "bearer_id", "ip_dst", "ip_proto", "l4_dst")
-
-
 @cache
 def _getter(shape: tuple[str, ...]) -> Callable:
     """Reads the fields of a match shape from a FlowMatch or a PacketContext.
@@ -172,7 +169,7 @@ def _getter(shape: tuple[str, ...]) -> Callable:
 
 def _slot(match: FlowMatch) -> tuple[Callable, object]:
     """The getter of the match's shape (its populated fields), and its key."""
-    key_of = _getter(tuple(name for name in _MATCH_FIELDS if getattr(match, name) is not None))
+    key_of = _getter(tuple(f.name for f in MATCH_FIELDS if getattr(match, f.name) is not None))
     return key_of, key_of(match)
 
 
@@ -221,12 +218,9 @@ class FlowTable:
                 )
             self._insert(FlowEntry(self._next_entry_id, body.priority, body.match, body.action))
             self._next_entry_id += 1
-        elif buckets.pop(key, None):
+        elif key in buckets:
             # exact-match delete: drop every entry whose match equals exactly
-            if not buckets:
-                del self._shapes[key_of]
-            self._entries = [e for e in self._entries if e.match != body.match]
-            self._ordered = [e for e in self._ordered if e.match != body.match]
+            self.entries = [e for e in self._entries if e.match != body.match]
 
     def drop_port_references(self, port: LogicalPort) -> int:
         """Cascade after a port DELETE; returns the number of entries removed."""

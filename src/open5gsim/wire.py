@@ -144,6 +144,28 @@ class PortModBody:
 
 
 @dataclass(frozen=True)
+class MatchField:
+    mtype: MatchType
+    name: str  # the FlowMatch and PacketContext attribute
+    fmt: str  # struct format of the TLV value
+    label: str  # in a rendered flow-table row
+
+
+# One row per match field, in TLV-type order, as in OpenFlow's OXM registry.
+MATCH_FIELDS = (
+    MatchField(MatchType.IN_PORT, "in_port", ">I", "in_port"),
+    MatchField(MatchType.CRNTI, "crnti", ">H", "crnti"),
+    MatchField(MatchType.BEARER_ID, "bearer_id", ">B", "bearer"),
+    MatchField(MatchType.IP_DST, "ip_dst", ">4s", "ip_dst"),
+    MatchField(MatchType.IP_PROTO, "ip_proto", ">B", "proto"),
+    MatchField(MatchType.L4_DST, "l4_dst", ">H", "l4_dst"),
+)
+
+# MatchType -> (its field, the byte width of its TLV value)
+_MATCH_BY_TYPE = {f.mtype: (f, struct.calcsize(f.fmt)) for f in MATCH_FIELDS}
+
+
+@dataclass(frozen=True)
 class FlowMatch:
     in_port: int | None = None
     crnti: int | None = None
@@ -153,20 +175,8 @@ class FlowMatch:
     l4_dst: int | None = None
 
     def populated(self) -> list[tuple[MatchType, object]]:
-        out = []
-        if self.in_port is not None:
-            out.append((MatchType.IN_PORT, self.in_port))
-        if self.crnti is not None:
-            out.append((MatchType.CRNTI, self.crnti))
-        if self.bearer_id is not None:
-            out.append((MatchType.BEARER_ID, self.bearer_id))
-        if self.ip_dst is not None:
-            out.append((MatchType.IP_DST, self.ip_dst))
-        if self.ip_proto is not None:
-            out.append((MatchType.IP_PROTO, self.ip_proto))
-        if self.l4_dst is not None:
-            out.append((MatchType.L4_DST, self.l4_dst))
-        return out
+        """The fields that are set, with their values, in TLV-type order."""
+        return [(f.mtype, value) for f in MATCH_FIELDS if (value := getattr(self, f.name)) is not None]
 
 
 @dataclass(frozen=True)
@@ -219,7 +229,8 @@ def _check(cond: bool, why: str) -> None:
 
 
 def _u(value: int, bits: int, name: str) -> None:
-    _check(isinstance(value, int) and 0 <= value < (1 << bits), f"{name} out of range")
+    if not (isinstance(value, int) and 0 <= value < (1 << bits)):
+        raise InvalidMessageError(f"{name} out of range")  # formatted only on failure
 
 
 def validate_port_spec(spec: PortSpec) -> None:
@@ -255,19 +266,14 @@ def validate_match(match: FlowMatch) -> None:
         (match.crnti is None) == (match.bearer_id is None),
         "crnti and bearer_id must appear together",
     )
-    if match.in_port is not None:
-        _u(match.in_port, 32, "in_port")
-    if match.crnti is not None:
-        _u(match.crnti, 16, "crnti")
-        _check(match.crnti <= CRNTI_MAX, "crnti above reserved range")
-    if match.bearer_id is not None:
-        _u(match.bearer_id, 8, "bearer_id")
-    if match.ip_dst is not None:
-        _check(len(match.ip_dst) == 4, "bad ip_dst length")
-    if match.ip_proto is not None:
-        _u(match.ip_proto, 8, "ip_proto")
-    if match.l4_dst is not None:
-        _u(match.l4_dst, 16, "l4_dst")
+    for mtype, value in fields:
+        field, width = _MATCH_BY_TYPE[mtype]
+        if field.fmt[-1] == "s":  # a byte string of fixed width
+            _check(len(value) == width, f"bad {field.name} length")
+        else:
+            _u(value, 8 * width, field.name)
+        if mtype == MatchType.CRNTI:
+            _check(value <= CRNTI_MAX, "crnti above reserved range")
 
 
 def validate_message(msg: Open5GMessage) -> None:
@@ -322,16 +328,6 @@ def _encode_port_spec(spec: PortSpec) -> tuple[int, bytes]:
     return PortClass.SIG, struct.pack(">4sI", spec.controller_ip, spec.tunnel_id)
 
 
-_MATCH_PACK = {
-    MatchType.IN_PORT: (">I", 4),
-    MatchType.CRNTI: (">H", 2),
-    MatchType.BEARER_ID: (">B", 1),
-    MatchType.IP_DST: (">4s", 4),
-    MatchType.IP_PROTO: (">B", 1),
-    MatchType.L4_DST: (">H", 2),
-}
-
-
 def _encode_body(msg: Open5GMessage) -> tuple[MsgType, bytes]:
     if isinstance(msg, Hello):
         return MsgType.HELLO, b""
@@ -347,10 +343,11 @@ def _encode_body(msg: Open5GMessage) -> tuple[MsgType, bytes]:
             struct.pack(">BBI", int(body.command), port_class, body.port_id) + spec_bytes
         )
     body = msg.body
-    parts = [struct.pack(">BHB", int(body.command), body.priority, len(body.match.populated()))]
-    for mtype, value in body.match.populated():
-        fmt, width = _MATCH_PACK[mtype]
-        parts.append(struct.pack(">HH", int(mtype), width) + struct.pack(fmt, value))
+    fields = body.match.populated()
+    parts = [struct.pack(">BHB", int(body.command), body.priority, len(fields))]
+    for mtype, value in fields:
+        field, width = _MATCH_BY_TYPE[mtype]
+        parts.append(struct.pack(">HH", int(mtype), width) + struct.pack(field.fmt, value))
     parts.append(struct.pack(">BI", 1, body.action.out_port))
     return MsgType.FLOW_MOD, b"".join(parts)
 
@@ -410,32 +407,19 @@ def _decode_port_spec(port_class: int, r: _Reader) -> PortSpec:
     raise MalformedTlvError(f"unknown port class {port_class}")
 
 
-_MATCH_FIELD = {
-    MatchType.IN_PORT: "in_port",
-    MatchType.CRNTI: "crnti",
-    MatchType.BEARER_ID: "bearer_id",
-    MatchType.IP_DST: "ip_dst",
-    MatchType.IP_PROTO: "ip_proto",
-    MatchType.L4_DST: "l4_dst",
-}
-
-
 def _decode_match_tlvs(count: int, r: _Reader) -> FlowMatch:
     fields: dict[str, object] = {}
     for _ in range(count):
         mtype, mlen = r.unpack(">HH")
         raw = r.take(mlen)
-        try:
-            mt = MatchType(mtype)
-        except ValueError:
-            raise MalformedTlvError(f"unknown match type {mtype}") from None
-        fmt, width = _MATCH_PACK[mt]
+        if mtype not in _MATCH_BY_TYPE:
+            raise MalformedTlvError(f"unknown match type {mtype}")
+        field, width = _MATCH_BY_TYPE[mtype]
         if mlen != width:
-            raise MalformedTlvError(f"match {mt.name} has length {mlen}, want {width}")
-        name = _MATCH_FIELD[mt]
-        if name in fields:
-            raise MalformedTlvError(f"duplicate match field {mt.name}")
-        fields[name] = struct.unpack(fmt, raw)[0]
+            raise MalformedTlvError(f"match {field.mtype.name} has length {mlen}, want {width}")
+        if field.name in fields:
+            raise MalformedTlvError(f"duplicate match field {field.mtype.name}")
+        fields[field.name] = struct.unpack(field.fmt, raw)[0]
     return FlowMatch(**fields)
 
 

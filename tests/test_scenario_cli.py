@@ -105,6 +105,25 @@ def test_duplicate_names_rejected(tmp_path, capsys, text, lineno, fragment):
     assert capsys.readouterr().err == f"parse error: line {lineno}: {fragment}\n"
 
 
+@pytest.mark.parametrize(
+    "text, lineno, fragment",
+    [
+        (NODE + UE.replace("gnb1", "nowhere") + "[script]\n0 ue_power_on ue1\n", 7,
+         "ue ue1 attaches to unknown node 'nowhere'"),
+        (NODE + UE + "[script]\n0 ue_power_on ue1\n5 ue_power_on ghost\n", 10,
+         "stimulus references unknown UE 'ghost'"),
+    ],
+    ids=["attach", "script"],
+)
+def test_unknown_node_or_ue_reference_rejected(tmp_path, capsys, text, lineno, fragment):
+    """The simulator would raise ScriptError without a line; the parser names it."""
+    expect_parse_error(text, lineno, fragment)
+    scn = tmp_path / "unknown.scn"
+    scn.write_text(text)
+    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == f"parse error: line {lineno}: {fragment}\n"
+
+
 # -- CLI ------------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -419,3 +420,12 @@ def test_indexed_data_plane_agrees_with_linear_scan(commands, contexts):
             assert registry.sig_port(key) == ref_registry.sig_port(key)
             for bearer in (0, 1, 3):
                 assert registry.radio_port(key, bearer) == ref_registry.radio_port(key, bearer)
+
+
+def test_match_fields_name_every_match_attribute():
+    """One MATCH_FIELDS row per FlowMatch field and PacketContext field, in
+    TLV-type order: the codec, the classifier and the table rows agree."""
+    names = [f.name for f in wire.MATCH_FIELDS]
+    assert names == [f.name for f in dataclasses.fields(FlowMatch)]
+    assert names == [f.name for f in dataclasses.fields(PacketContext)]
+    assert [f.mtype for f in wire.MATCH_FIELDS] == list(wire.MatchType)
