@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import pytest
 
@@ -160,7 +161,8 @@ def test_downlink_sig_frame_reaches_srb1(node):
     assert out[0].payload == b"rrc-dl"
 
 
-def test_srb0_downlink_addressed_by_envelope():
+def srb0_node() -> DataPlaneNode:
+    """A node with only the common SRB0 pair: sig tunnel 1 <-> radio (0, 0)."""
     n = DataPlaneNode("gnb1", Rat.NR, NODE_IP)
     batch = b"".join(
         encode_message(m)
@@ -172,6 +174,11 @@ def test_srb0_downlink_addressed_by_envelope():
         )
     )
     assert n.handle_open5g(batch) == []
+    return n
+
+
+def test_srb0_downlink_addressed_by_envelope():
+    n = srb0_node()
     frame = wire.encap_sig(wire.pack_envelope(42, b"setup"), tunnel_id=1)
     out = n.ingress_sigtunnel(frame)
     assert len(out) == 1 and out[0].kind == "radio"
@@ -219,3 +226,48 @@ def test_port_delete_cascade_via_commands(node):
     assert len(node.table) == 4
     assert node.ingress_radio(1, 1, b"x") == []  # uplink row is gone too
     assert node.drop_count == 1
+
+
+# -- drop paths ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "frame", [b"\x20\x00", b"\x00\x00\x00\x00\x00\x00\x00\x02rrc"], ids=["truncated", "bad_flags"]
+)
+def test_bad_sig_frame_drops(node, frame):
+    assert node.ingress_sigtunnel(frame) == []
+    assert node.drop_count == 1
+
+
+@pytest.mark.parametrize(
+    "envelope", [b"\x00\x00", wire.pack_envelope(42, b"setup")[:-1]], ids=["short", "length_mismatch"]
+)
+def test_bad_srb0_envelope_on_sig_ingress_drops(envelope):
+    n = srb0_node()
+    assert n.ingress_sigtunnel(wire.encap_sig(envelope, tunnel_id=1)) == []
+    assert n.drop_count == 1
+
+
+def test_entry_whose_out_port_is_gone_drops(node):
+    """An entry can outlive its out-port only through `table.entries = [...]`;
+    every ingress then drops what it matches."""
+    node.table.entries = [
+        dataclasses.replace(e, action=FlowAction(77)) for e in node.table.entries
+    ]
+    packet = wire.pack_ip_packet(IP2, TCP, 34, b"web")
+    assert node.ingress_radio(1, 1, b"data") == []
+    assert node.ingress_ngu(wire.encap_gtpu(packet, teid=1)) == []
+    assert node.ingress_sigtunnel(wire.encap_sig(b"rrc-dl", tunnel_id=2)) == []
+    assert node.drop_count == 3
+
+
+def test_batch_with_undecodable_second_frame():
+    """The ERROR for a frame that never decoded carries xid 0, even though
+    the batch's first command decoded and stays applied."""
+    n = DataPlaneNode("gnb1", Rat.NR, NODE_IP)
+    good = encode_message(PortMod(5, PortModBody(PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 1))))
+    out = n.handle_open5g(good + b"\x01\x04\x00\x0b\x00\x00\x00\x06junk")
+    assert len(out) == 1 and out[0].kind == "open5g"
+    err = decode_message(out[0].payload)
+    assert (err.xid, err.code) == (0, CODE_TRUNCATED)
+    assert 1 in n.registry
