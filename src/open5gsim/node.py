@@ -13,12 +13,11 @@ from enum import Enum
 
 from . import wire
 from .errors import Open5GError, UnsupportedLayerError, WireDecodeError
-from .switch import FlowTable, PacketContext, PortRegistry
+from .switch import FlowTable, LogicalPort, PacketContext, PortRegistry
 from .wire import (
     ErrorMsg,
     FlowMod,
     GtpTunnel,
-    Hello,
     LayerTlv,
     PortMod,
     PortModCommand,
@@ -46,7 +45,6 @@ class Emission:
     crnti: int | None = None
     bearer_id: int | None = None
     ue_tmp_id: int | None = None
-    tunnel_id: int | None = None
 
 
 @dataclass
@@ -61,10 +59,7 @@ class DataPlaneNode:
     # -- controller channel ------------------------------------------------
 
     def _apply(self, msg) -> None:
-        if isinstance(msg, Hello):
-            return
-        if isinstance(msg, ErrorMsg):
-            return  # nodes never act on controller-side errors
+        # HELLO and ERROR change nothing; nodes never act on controller-side errors
         if isinstance(msg, PortMod):
             body = msg.body
             if (
@@ -93,50 +88,39 @@ class DataPlaneNode:
             for msg in wire.iter_messages(data):
                 self._apply(msg)
         except Open5GError as exc:
-            xid = 0
-            if not isinstance(exc, WireDecodeError):
-                # the offending message decoded fine; echo its xid
-                xid = getattr(msg, "xid", 0)
+            # echo the xid of the offending message, unless it never decoded
+            xid = 0 if isinstance(exc, WireDecodeError) else msg.xid
             err = ErrorMsg(xid=xid, code=exc.code, detail=str(exc).encode()[:64])
             return [Emission("open5g", wire.encode_message(err))]
         return []
 
     # -- packet paths --------------------------------------------------------
 
-    def _forward(self, action_port_id: int, payload: bytes, ingress_bearer: int | None) -> list[Emission]:
-        port = self.registry.get(action_port_id)
-        if port is None:
-            self.drop_count += 1
-            return []
-        spec = port.spec
+    def _forward(self, ctx: PacketContext, payload: bytes, ingress_bearer: int | None) -> list[Emission]:
+        """Send the packet out of the best-matching entry's port. The packet is
+        dropped if no entry matches, the out-port is gone or, on the common
+        SRB0 port, its envelope does not decode."""
+        action = self.table.match(ctx)
+        port = self.registry.get(action.out_port) if action is not None else None
+        spec = port.spec if port is not None else None
         if isinstance(spec, GtpTunnel):
             return [Emission("ngu", wire.encap_gtpu(payload, spec.teid))]
         if isinstance(spec, SigTunnel):
-            return [
-                Emission(
-                    "sig",
-                    wire.encap_sig(payload, spec.tunnel_id),
-                    tunnel_id=spec.tunnel_id,
-                    bearer_id=ingress_bearer,
-                )
-            ]
-        # radio egress
-        if spec.crnti == 0:
-            # common SRB0 port: target UE rides in the payload envelope
-            ue_tmp_id, msg = wire.unpack_envelope(payload)
-            return [Emission("radio", msg, bearer_id=spec.bearer_id, ue_tmp_id=ue_tmp_id)]
-        return [Emission("radio", payload, crnti=spec.crnti, bearer_id=spec.bearer_id)]
+            return [Emission("sig", wire.encap_sig(payload, spec.tunnel_id), bearer_id=ingress_bearer)]
+        if isinstance(spec, RadioBearer):
+            if spec.crnti != 0:
+                return [Emission("radio", payload, crnti=spec.crnti, bearer_id=spec.bearer_id)]
+            try:  # common SRB0 port: target UE rides in the payload envelope
+                ue_tmp_id, msg = wire.unpack_envelope(payload)
+                return [Emission("radio", msg, bearer_id=spec.bearer_id, ue_tmp_id=ue_tmp_id)]
+            except WireDecodeError:
+                pass  # dropped below
+        self.drop_count += 1
+        return []
 
     def ingress_radio(self, crnti: int, bearer_id: int, payload: bytes) -> list[Emission]:
-        ctx = PacketContext(crnti=crnti, bearer_id=bearer_id)
-        port = self.registry.radio_port(crnti, bearer_id)
-        if port is not None:
-            ctx.in_port = port.port_id
-        action = self.table.match(ctx)
-        if action is None:
-            self.drop_count += 1
-            return []
-        return self._forward(action.out_port, payload, bearer_id)
+        in_port = _port_id(self.registry.radio_port(crnti, bearer_id))
+        return self._forward(PacketContext(in_port, crnti=crnti, bearer_id=bearer_id), payload, bearer_id)
 
     def ingress_ngu(self, frame: bytes) -> list[Emission]:
         try:
@@ -145,15 +129,9 @@ class DataPlaneNode:
         except WireDecodeError:
             self.drop_count += 1
             return []
-        ctx = PacketContext(ip_dst=ip_dst, ip_proto=ip_proto, l4_dst=l4_dst)
-        port = self.registry.gtp_port(teid)
-        if port is not None:
-            ctx.in_port = port.port_id
-        action = self.table.match(ctx)
-        if action is None:
-            self.drop_count += 1
-            return []
-        return self._forward(action.out_port, packet, None)
+        in_port = _port_id(self.registry.gtp_port(teid))
+        ctx = PacketContext(in_port, ip_dst=ip_dst, ip_proto=ip_proto, l4_dst=l4_dst)
+        return self._forward(ctx, packet, None)
 
     def ingress_sigtunnel(self, frame: bytes) -> list[Emission]:
         try:
@@ -161,18 +139,9 @@ class DataPlaneNode:
         except WireDecodeError:
             self.drop_count += 1
             return []
-        port = self.registry.sig_port(tunnel_id)
-        if port is None:
-            self.drop_count += 1
-            return []
-        ctx = PacketContext(in_port=port.port_id)
-        action = self.table.match(ctx)
-        if action is None:
-            self.drop_count += 1
-            return []
-        try:
-            return self._forward(action.out_port, payload, None)
-        except WireDecodeError:
-            # bad SRB0 envelope
-            self.drop_count += 1
-            return []
+        # an unknown tunnel leaves the context empty, and no entry has an empty match
+        return self._forward(PacketContext(_port_id(self.registry.sig_port(tunnel_id))), payload, None)
+
+
+def _port_id(port: LogicalPort | None) -> int | None:
+    return port.port_id if port is not None else None

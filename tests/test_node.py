@@ -142,7 +142,6 @@ def test_uplink_drb_data_goes_to_ngu_tunnel(node):
 def test_uplink_srb1_goes_to_sig_tunnel(node):
     out = node.ingress_radio(crnti=1, bearer_id=3, payload=b"rrc")
     assert len(out) == 1 and out[0].kind == "sig"
-    assert out[0].tunnel_id == 2
     assert wire.decap_sig(out[0].payload) == (2, b"rrc")
 
 
@@ -246,6 +245,20 @@ def test_bad_srb0_envelope_on_sig_ingress_drops(envelope):
     n = srb0_node()
     assert n.ingress_sigtunnel(wire.encap_sig(envelope, tunnel_id=1)) == []
     assert n.drop_count == 1
+
+
+def test_bad_srb0_envelope_drops_on_every_ingress():
+    """Radio and NG-U traffic steered to the common SRB0 port carries no
+    envelope; like a bad envelope from the signaling tunnel, it is dropped."""
+    n = srb0_node()
+    steer = (
+        FlowMod(5, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(crnti=7, bearer_id=1), FlowAction(2))),
+        FlowMod(6, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(ip_dst=IP1, ip_proto=TCP, l4_dst=43), FlowAction(2))),
+    )
+    assert n.handle_open5g(b"".join(encode_message(m) for m in steer)) == []
+    assert n.ingress_radio(7, 1, b"\x00") == []
+    assert n.ingress_ngu(wire.encap_gtpu(wire.pack_ip_packet(IP1, TCP, 43, b"x"), teid=1)) == []
+    assert n.drop_count == 2
 
 
 def test_entry_whose_out_port_is_gone_drops(node):
