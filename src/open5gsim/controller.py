@@ -35,6 +35,9 @@ from .messages import (
 )
 from .node import Rat
 from .wire import (
+    SRB0_BEARER,
+    SRB1_BEARER,
+    SRB2_BEARER,
     BearerKind,
     ConfigTlv,
     FlowAction,
@@ -52,11 +55,6 @@ from .wire import (
     RadioBearer,
     SigTunnel,
 )
-
-# Signaling bearer numbering follows the flow table's literal labels
-SRB0_BEARER = 0
-SRB1_BEARER = 3
-SRB2_BEARER = 4
 
 # Flow priorities chosen so a table dump lists dedicated data entries first,
 # matching the reference table's row order.

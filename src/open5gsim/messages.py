@@ -73,13 +73,23 @@ def _canonical(kind: str, fields: dict) -> bytes:
     return json.dumps({"kind": kind, "fields": fields}, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _decode(data: bytes) -> tuple[str, dict]:
+    """The kind and fields of a canonical document; InvalidMessageError if malformed."""
+    try:
+        doc = json.loads(data.decode())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, nesting too deep
+        raise InvalidMessageError(f"undecodable message: {type(exc).__name__}") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("kind"), str) and isinstance(doc.get("fields"), dict)):
+        raise InvalidMessageError("message is not an object with a string kind and object fields")
+    return doc["kind"], doc["fields"]
+
+
 def rrc_to_bytes(msg: RrcMessage) -> bytes:
     return _canonical(msg.kind, msg.fields)
 
 
 def rrc_from_bytes(data: bytes) -> RrcMessage:
-    doc = json.loads(data.decode())
-    return RrcMessage(doc["kind"], doc["fields"])
+    return RrcMessage(*_decode(data))
 
 
 def ngap_to_bytes(msg: NgapMessage) -> bytes:
@@ -87,5 +97,4 @@ def ngap_to_bytes(msg: NgapMessage) -> bytes:
 
 
 def ngap_from_bytes(data: bytes) -> NgapMessage:
-    doc = json.loads(data.decode())
-    return NgapMessage(doc["kind"], doc["fields"])
+    return NgapMessage(*_decode(data))

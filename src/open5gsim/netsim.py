@@ -19,7 +19,6 @@ from .controller import (
     NgapOut,
     RrcDownlink,
     SessionSpec,
-    SRB1_BEARER,
     session_spec_to_doc,
 )
 from .errors import (
@@ -53,7 +52,7 @@ from .trace import EventTrace, TraceRecord, fnv1a64
 
 UPF_IP = "10.9.0.1"
 
-_SRB_CHANNEL = {0: "SRB0", 3: "SRB1", 4: "SRB2"}
+_SRB_CHANNEL = {wire.SRB0_BEARER: "SRB0", wire.SRB1_BEARER: "SRB1", wire.SRB2_BEARER: "SRB2"}
 
 
 def srb_channel(bearer_id: int) -> str:
@@ -124,7 +123,7 @@ class UeSim:
             self.crnti = msg.fields["crnti"]
             self.state = "AWAIT_SECURITY"
             nas = f"nas-registration:{self.name}".encode().hex()
-            srb1 = msg.fields.get("srb1_bearer", SRB1_BEARER)
+            srb1 = msg.fields.get("srb1_bearer", wire.SRB1_BEARER)
             return [(srb1, RrcMessage(RRC_SETUP_COMPLETE, {"nas": nas}))]
         if msg.kind == RRC_SECURITY_MODE_COMMAND and self.state == "AWAIT_SECURITY":
             self.state = "AWAIT_RECONFIG"

@@ -77,7 +77,7 @@ def _parse_proto(token: str, lineno: int) -> int:
         proto = int(token)
     except ValueError:
         raise ParseError(lineno, f"unknown protocol {token!r}") from None
-    return _check_uint(proto, 8, lineno, "protocol")
+    return _check_range(proto, 0, 255, lineno, "protocol")
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -87,9 +87,9 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise ParseError(lineno, f"bad {what} {token!r}") from None
 
 
-def _check_uint(value: int, bits: int, lineno: int, what: str) -> int:
-    if not 0 <= value < 1 << bits:
-        raise ParseError(lineno, f"{what} {value} out of range 0..{(1 << bits) - 1}")
+def _check_range(value: int, lo: int, hi: int, lineno: int, what: str) -> int:
+    if not lo <= value <= hi:
+        raise ParseError(lineno, f"{what} {value} out of range {lo}..{hi}")
     return value
 
 
@@ -97,11 +97,11 @@ def _parse_drb(token: str, lineno: int) -> int:
     drb = _parse_int(token, lineno, "drb")
     if drb in SRB_BEARER_IDS:
         raise ParseError(lineno, f"drb {drb} is an SRB bearer id (0, 3 or 4)")
-    return _check_uint(drb, 5, lineno, "drb")
+    return _check_range(drb, 0, 31, lineno, "drb")
 
 
 def _parse_l4_port(token: str, lineno: int) -> int:
-    return _check_uint(_parse_int(token, lineno, "l4 port"), 16, lineno, "l4 port")
+    return _check_range(_parse_int(token, lineno, "l4 port"), 0, 65535, lineno, "l4 port")
 
 
 def _parse_ip(token: str, lineno: int) -> str:
@@ -155,7 +155,8 @@ class _SectionAccumulator:
         _require(got, {"ue", "id", "drbs"}, start_line, "session")
         ue_line, ue_name = kv["ue"]
         id_line, id_value = kv["id"]
-        session_id = _parse_int(id_value, id_line, "session id")
+        # 3GPP bounds PDU session ids to 1..15 and QoS flow ids (QFIs) to 0..63
+        session_id = _check_range(_parse_int(id_value, id_line, "session id"), 1, 15, id_line, "session id")
         if (ue_name, session_id) in self.session_ids:
             raise ParseError(id_line, f"ue {ue_name} already has session {session_id}")
         self.session_ids.add((ue_name, session_id))
@@ -173,7 +174,7 @@ class _SectionAccumulator:
             if len(tokens) != 5 or not tokens[4].startswith("drb="):
                 raise ParseError(lineno, "flow wants: <id> <ip_dst> <proto> <l4_dst> drb=<n>")
             flow = QosFlowSpec(
-                flow_id=_parse_int(tokens[0], lineno, "flow id"),
+                flow_id=_check_range(_parse_int(tokens[0], lineno, "flow id"), 0, 63, lineno, "flow id"),
                 ip_dst=ip_bytes(_parse_ip(tokens[1], lineno)),
                 ip_proto=_parse_proto(tokens[2], lineno),
                 l4_dst=_parse_l4_port(tokens[3], lineno),
@@ -294,11 +295,7 @@ def parse_scenario(text: str) -> Scenario:
         UeSpec(u.name, u.attach, tuple(sessions_by_ue[u.name])) for u, _ in acc.ues
     )
 
-    settings = Settings(
-        seed=acc.settings_kv.get("seed", 0),
-        admission_cap=acc.settings_kv.get("admission_cap", 8),
-        max_events=acc.settings_kv.get("max_events", 10000),
-    )
+    settings = Settings(**acc.settings_kv)
     topology = Topology(tuple(acc.nodes), ues, seed=settings.seed)
     return Scenario(topology, tuple(acc.script), settings)
 

@@ -87,9 +87,11 @@ class MatchType(IntEnum):
 # C-RNTI values above 0xFFF3 are reserved; zero is the common SRB0 port.
 CRNTI_MAX = 65523
 
-# Signaling bearers follow the flow table's literal numbering:
-# SRB0 = bearer 0, SRB1 = bearer 3, SRB2 = bearer 4.
-SRB_BEARER_IDS = frozenset({0, 3, 4})
+# Signaling bearers follow the flow table's literal numbering
+SRB0_BEARER = 0
+SRB1_BEARER = 3
+SRB2_BEARER = 4
+SRB_BEARER_IDS = frozenset({SRB0_BEARER, SRB1_BEARER, SRB2_BEARER})
 
 
 def ip_bytes(addr: str) -> bytes:

@@ -1,6 +1,11 @@
+import contextlib
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from open5gsim.cli import (
     EXIT_MISMATCH,
@@ -19,6 +24,7 @@ from open5gsim.scenario import (
     serialize_scenario,
 )
 from open5gsim.trace import read_trace, write_trace
+from open5gsim.wire import pack_envelope
 
 INITIAL_ACCESS = "scenarios/initial_access.scn"
 MULTI_RAT = "scenarios/multi_rat.scn"
@@ -152,8 +158,11 @@ BAD_FLOW_SCENARIO = (
     [
         ("1 10.0.1.1 tcp 99999 drb=1", "line 12: l4 port 99999 out of range 0..65535"),
         ("1 10.0.1.1 tcp 43 drb=7", "line 12: flow 1 maps to absent DRB 7"),
+        ("-5 10.0.1.1 tcp 43 drb=1", "line 12: flow id -5 out of range 0..63"),
+        ("64 10.0.1.1 tcp 43 drb=1", "line 12: flow id 64 out of range 0..63"),
+        ("99999999999999999999 10.0.1.1 tcp 43 drb=1", "line 12: flow id 99999999999999999999 out of range 0..63"),
     ],
-    ids=["l4_dst_out_of_range", "drb_not_in_session"],
+    ids=["l4_dst_out_of_range", "drb_not_in_session", "flow_id_negative", "flow_id_above_63", "flow_id_huge"],
 )
 def test_run_rejects_bad_flow_at_parse_time(tmp_path, capsys, flow, fragment):
     scn = tmp_path / "bad_flow.scn"
@@ -181,8 +190,15 @@ TWO_SESSIONS_SCENARIO = (
         ("1,1", 2, "5", "line 11: ue ue1 already uses drb 1"),
         ("1,2", 2, "5,2", "line 15: ue ue1 already uses drb 2"),
         ("1", 1, "2", "line 14: ue ue1 already has session 1"),
+        ("1", 0, "2", "line 14: session id 0 out of range 1..15"),
+        ("1", 16, "2", "line 14: session id 16 out of range 1..15"),
+        ("1", -1, "2", "line 14: session id -1 out of range 1..15"),
+        ("1", 99999999999, "2", "line 14: session id 99999999999 out of range 1..15"),
     ],
-    ids=["srb0", "srb1", "srb2", "above_31", "twice_in_session", "twice_across_sessions", "session_id_twice"],
+    ids=[
+        "srb0", "srb1", "srb2", "above_31", "twice_in_session", "twice_across_sessions", "session_id_twice",
+        "session_id_0", "session_id_16", "session_id_negative", "session_id_huge",
+    ],
 )
 def test_run_rejects_bad_session_and_drb_ids_at_parse_time(
     tmp_path, capsys, drbs, second_id, second_drbs, fragment
@@ -253,6 +269,46 @@ def test_controller_and_protocol_errors_are_sim_errors(
     assert main(argv) == EXIT_SIM_ERROR
     err = capsys.readouterr().err
     assert err == f"simulation error: {error.__name__}: injected\n"
+
+
+def test_undecodable_rrc_is_a_sim_error(tmp_path, capsys):
+    scn = tmp_path / "bad_rrc.scn"
+    scn.write_text(Path(INITIAL_ACCESS).read_text() + "30 send_uplink_data ue1 3 ff\n")
+    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_SIM_ERROR
+    err = capsys.readouterr().err
+    assert err == "simulation error: InvalidMessageError: undecodable message: UnicodeDecodeError\n"
+
+
+# UE1 powers on at tick 0 and its attach ends at tick 17, so these ticks
+# reach SRB0 before attach and SRB1/SRB2 during and after it.
+_MALFORMED_DOCS = st.sampled_from(
+    [b"{}", b"[]", b"{", b"[[[[", b'{"kind":[],"fields":{}}', b'{"kind":"RrcSetupComplete","fields":[]}']
+)
+_RRC_PAYLOAD = st.one_of(st.binary(min_size=1, max_size=48), _MALFORMED_DOCS)
+_SIGNALING_SEND = st.tuples(
+    st.integers(0, 30),
+    st.sampled_from([0, 3, 4]),
+    st.one_of(
+        _RRC_PAYLOAD,
+        # an SRB0 payload inside a valid envelope reaches the RRC decoder
+        st.builds(pack_envelope, st.sampled_from([1, 2, 0xFFFFFFFF]), _RRC_PAYLOAD),
+    ),
+)
+
+
+@given(st.lists(_SIGNALING_SEND, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_signaling_payloads_never_crash_the_cli(sends):
+    """Any payload on an SRB bearer either runs or is a simulation error."""
+    script = "".join(f"{tick} send_uplink_data ue1 {bearer} {payload.hex()}\n" for tick, bearer, payload in sends)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        scn = Path(tmp) / "fuzz.scn"
+        scn.write_text(Path(INITIAL_ACCESS).read_text() + script)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(scn), "-o", str(Path(tmp) / "o.trace")])
+    assert code in (EXIT_OK, EXIT_SIM_ERROR)
+    assert (code == EXIT_SIM_ERROR) == err.getvalue().startswith("simulation error: ")
 
 
 def test_run_reports_budget_exhaustion(tmp_path):
