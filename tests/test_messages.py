@@ -1,23 +1,7 @@
 import pytest
 
 from open5gsim.errors import InvalidMessageError
-from open5gsim.messages import (
-    NGAP_INITIAL_UE_MESSAGE,
-    RRC_SETUP_REQUEST,
-    NgapMessage,
-    RrcMessage,
-    ngap_from_bytes,
-    ngap_to_bytes,
-    rrc_from_bytes,
-    rrc_to_bytes,
-)
-
-
-def test_round_trip():
-    rrc = RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1})
-    ngap = NgapMessage(NGAP_INITIAL_UE_MESSAGE, {"ue_tmp_id": 1, "nas": "00"})
-    assert rrc_from_bytes(rrc_to_bytes(rrc)) == rrc
-    assert ngap_from_bytes(ngap_to_bytes(ngap)) == ngap
+from open5gsim.messages import ngap_from_bytes, rrc_from_bytes
 
 
 @pytest.mark.parametrize(
