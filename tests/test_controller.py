@@ -1,4 +1,6 @@
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +211,36 @@ def test_uplink_for_unknown_ue_rejected():
         )
 
 
+def controller_state(c: Controller):
+    """Everything the controller holds: nodes, UEs, tunnels and counters."""
+    return copy.deepcopy(vars(c))
+
+
+def test_setup_request_on_own_srb1_tunnel_is_violation():
+    c = bootstrapped()
+    attach_ue(c)
+    ue = c.ue_contexts[1]
+    before = controller_state(c)
+    with pytest.raises(ProtocolViolationError, match="already in procedure"):
+        c.on_rrc_uplink(
+            "gnb1", ue.srb_tunnels[SRB1_BEARER], None, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1})
+        )
+    assert controller_state(c) == before
+
+
+def test_tunnel_of_another_node_rejected():
+    c = make_controller()
+    c.register_node("enb1", Rat.LTE, "10.0.0.2", UPF_IP)
+    c.bootstrap_node("gnb1")
+    c.bootstrap_node("enb1")
+    before = controller_state(c)
+    with pytest.raises(UnknownTunnelError):
+        c.on_rrc_uplink(
+            "enb1", c.nodes["gnb1"].srb0_tunnel_id, 1, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1})
+        )
+    assert controller_state(c) == before
+
+
 # -- session configuration --------------------------------------------------------
 
 
@@ -283,6 +315,16 @@ def test_ics_request_with_a_bad_session_changes_no_state():
     # the UE can still be configured by a valid request
     batch, _ = c.on_ngap(ics_request())
     assert [m.xid for m in batch.messages] == list(range(9, 19))
+
+
+def test_second_ics_request_is_violation_and_allocates_nothing():
+    c = bootstrapped()
+    attach_ue(c)
+    c.on_ngap(ics_request())
+    before = controller_state(c)
+    with pytest.raises(ProtocolViolationError):
+        c.on_ngap(ics_request())
+    assert controller_state(c) == before
 
 
 def test_ics_request_before_setup_complete_is_violation():

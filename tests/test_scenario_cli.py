@@ -279,6 +279,19 @@ def test_undecodable_rrc_is_a_sim_error(tmp_path, capsys):
     assert err == "simulation error: InvalidMessageError: undecodable message: UnicodeDecodeError\n"
 
 
+def test_short_srb0_payload_before_power_on_is_a_sim_error(tmp_path, capsys):
+    """A one-byte SRB0 payload reaches the controller, whose envelope check
+    rejects it."""
+    scn = tmp_path / "short_srb0.scn"
+    scn.write_text(
+        "[node]\nname = gnb1\nrat = NR\nngu_ip = 10.0.0.1\n"
+        "[ue]\nname = ue1\nattach = gnb1\n"
+        "[script]\n0 send_uplink_data ue1 0 ff\n0 ue_power_on ue1\n"
+    )
+    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_SIM_ERROR
+    assert capsys.readouterr().err == "simulation error: TruncatedError: envelope of 1 bytes\n"
+
+
 # UE1 powers on at tick 0 and its attach ends at tick 17, so these ticks
 # reach SRB0 before attach and SRB1/SRB2 during and after it.
 _MALFORMED_DOCS = st.sampled_from(
