@@ -32,6 +32,8 @@ from .messages import (
     RRC_SETUP_REQUEST,
     NgapMessage,
     RrcMessage,
+    rrc_from_bytes,
+    rrc_to_bytes,
 )
 from .node import Rat
 from .wire import (
@@ -79,6 +81,7 @@ def default_layer_config(rat: Rat) -> tuple[ConfigTlv, ...]:
 class RrcState(Enum):
     SETUP_REQUESTED = "SETUP_REQUESTED"
     CONNECTED = "CONNECTED"
+    SECURITY_MODE_SENT = "SECURITY_MODE_SENT"
     SECURED = "SECURED"
     CONFIGURED = "CONFIGURED"
     FAILED = "FAILED"
@@ -114,9 +117,8 @@ class UeContext:
     crnti: int
     rrc_state: RrcState = RrcState.SETUP_REQUESTED
     srb1_sig_port: int = 0  # SRB2's uplink flow shares SRB1's tunnel port
-    srb_tunnels: dict[int, int] = field(default_factory=dict)  # bearer -> tunnel id
+    srb_tunnel: int = 0  # SRB1's tunnel id, which SRB2 rides too
     pdu_sessions: list[PduSessionCtx] = field(default_factory=list)
-    security_mode_sent: bool = False
 
 
 @dataclass
@@ -131,12 +133,11 @@ class _NodeState:
     rat: Rat
     ngu_ip: bytes
     upf_ip: bytes
-    bootstrapped: bool = False
     next_port_id: int = 1
     next_crnti: int = CRNTI_FIRST
     next_xid: int = 1
     ue_count: int = 0
-    srb0_tunnel_id: int = 0
+    srb0_tunnel_id: int = 0  # 0 until bootstrapped; tunnel ids start at 1
 
 
 # Controller emissions (mapped onto links by the harness)
@@ -159,6 +160,12 @@ class RrcDownlink:
     srb_bearer: int
     ue_tmp_id: int | None  # set only for SRB0 (envelope demux)
     msg: RrcMessage
+
+    def to_bytes(self) -> bytes:
+        payload = rrc_to_bytes(self.msg)
+        if self.ue_tmp_id is not None:
+            payload = wire.pack_envelope(self.ue_tmp_id, payload)
+        return wire.encap_sig(payload, self.tunnel_id)
 
 
 @dataclass
@@ -215,9 +222,8 @@ class Controller:
 
     def bootstrap_node(self, node_id: str) -> list[ControllerOutput]:
         node = self.nodes[node_id]
-        if node.bootstrapped:
+        if node.srb0_tunnel_id:
             raise AlreadyBootstrappedError(node_id)
-        node.bootstrapped = True
         # SRB0 is the SRB pair of C-RNTI 0, shared by every UE's setup request
         node.srb0_tunnel_id, _, commands = self._srb_pair(node, 0, SRB0_BEARER, None)
         return [ConfigBatch(node_id, "CreatePortsSrb0", commands)]
@@ -241,20 +247,17 @@ class Controller:
             self._add_flow(node, PRIO_SIGNALING, FlowMatch(in_port=sig_port), radio_port),
         ]
 
-    # -- uplink RRC ------------------------------------------------------------
+    # -- uplink RRC: the controller's end of every signaling tunnel -------------
 
-    def on_rrc_uplink(
-        self,
-        node_id: str,
-        tunnel_id: int,
-        ue_tmp_id: int | None,
-        rrc: RrcMessage,
-    ) -> list[ControllerOutput]:
+    def on_rrc_uplink(self, node_id: str, frame: bytes) -> list[ControllerOutput]:
+        tunnel_id, payload = wire.decap_sig(frame)
         info = self.tunnel_info.get(tunnel_id)
         if info is None or info.node_id != node_id:
             raise UnknownTunnelError(f"tunnel {tunnel_id} at {node_id}")
-        if info.ue_tmp_id is not None:
-            ue_tmp_id = info.ue_tmp_id
+        ue_tmp_id = info.ue_tmp_id
+        if ue_tmp_id is None:  # a node's SRB0 tunnel: the envelope names the UE
+            ue_tmp_id, payload = wire.unpack_envelope(payload)
+        rrc = rrc_from_bytes(payload)
 
         if rrc.kind == RRC_SETUP_REQUEST:
             return self._on_setup_request(node_id, ue_tmp_id)
@@ -277,7 +280,7 @@ class Controller:
             ]
 
         if rrc.kind == RRC_SECURITY_MODE_COMPLETE:
-            if ue.rrc_state != RrcState.CONNECTED or not ue.security_mode_sent:
+            if ue.rrc_state != RrcState.SECURITY_MODE_SENT:
                 raise ProtocolViolationError(f"{rrc.kind} in {ue.rrc_state.value}")
             ue.rrc_state = RrcState.SECURED
             reconfig = RrcMessage(
@@ -285,7 +288,7 @@ class Controller:
                 {"sessions": [{"session_id": s.session_id, "drbs": sorted(s.drbs)} for s in ue.pdu_sessions]},
             )
             return [
-                RrcDownlink(node_id, ue.srb_tunnels[SRB1_BEARER], SRB1_BEARER, None, reconfig)
+                RrcDownlink(node_id, ue.srb_tunnel, SRB1_BEARER, None, reconfig)
             ]
 
         if rrc.kind == RRC_RECONFIGURATION_COMPLETE:
@@ -303,9 +306,7 @@ class Controller:
 
         raise ProtocolViolationError(f"unexpected uplink {rrc.kind}")
 
-    def _on_setup_request(self, node_id: str, ue_tmp_id: int | None) -> list[ControllerOutput]:
-        if ue_tmp_id is None:
-            raise ProtocolViolationError("RrcSetupRequest without UE identity")
+    def _on_setup_request(self, node_id: str, ue_tmp_id: int) -> list[ControllerOutput]:
         if ue_tmp_id in self.ue_contexts:
             raise ProtocolViolationError(f"ue_tmp_id {ue_tmp_id} already in procedure")
         node = self.nodes[node_id]
@@ -317,7 +318,7 @@ class Controller:
         ue = UeContext(ue_tmp_id, node_id, crnti)
         self.ue_contexts[ue_tmp_id] = ue
 
-        ue.srb_tunnels[SRB1_BEARER], ue.srb1_sig_port, commands = self._srb_pair(
+        ue.srb_tunnel, ue.srb1_sig_port, commands = self._srb_pair(
             node, crnti, SRB1_BEARER, ue_tmp_id
         )
         setup = RrcMessage(RRC_SETUP, {"crnti": crnti, "srb1_bearer": SRB1_BEARER})
@@ -367,7 +368,7 @@ class Controller:
         ue = self.ue_contexts.get(msg.fields.get("ue_tmp_id"))
         if ue is None:
             raise UnknownUeError(f"ue_tmp_id {msg.fields.get('ue_tmp_id')}")
-        if ue.rrc_state != RrcState.CONNECTED or ue.security_mode_sent:
+        if ue.rrc_state != RrcState.CONNECTED:
             raise ProtocolViolationError(f"{msg.kind} in {ue.rrc_state.value}")
         # every session is checked before any id is allocated, so a bad one
         # leaves the controller as it was
@@ -380,7 +381,6 @@ class Controller:
         _, create_srb2 = self._create_port(
             node, RadioBearer(ue.crnti, SRB2_BEARER, BearerKind.SRB, default_layer_config(node.rat))
         )
-        ue.srb_tunnels[SRB2_BEARER] = ue.srb_tunnels[SRB1_BEARER]
         commands = [
             create_srb2,
             self._add_flow(node, PRIO_SIGNALING, FlowMatch(crnti=ue.crnti, bearer_id=SRB2_BEARER), ue.srb1_sig_port),
@@ -388,11 +388,11 @@ class Controller:
         for session in sessions:
             commands += self.build_session_config(ue, session)
 
-        ue.security_mode_sent = True
+        ue.rrc_state = RrcState.SECURITY_MODE_SENT
         command = RrcMessage(RRC_SECURITY_MODE_COMMAND, {"security_info": msg.fields.get("security_info", "")})
         return [
             ConfigBatch(ue.node_id, "CreatePortsSrb2Drbs", commands),
-            RrcDownlink(ue.node_id, ue.srb_tunnels[SRB1_BEARER], SRB1_BEARER, None, command),
+            RrcDownlink(ue.node_id, ue.srb_tunnel, SRB1_BEARER, None, command),
         ]
 
     # -- node errors -------------------------------------------------------------

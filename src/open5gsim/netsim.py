@@ -359,12 +359,8 @@ class Simulator:
             if isinstance(em, ConfigBatch):
                 self._send(_Delivery("src", em.node_id, "OPEN5G", em.label, em.to_bytes()))
             elif isinstance(em, RrcDownlink):
-                payload = rrc_to_bytes(em.msg)
-                if em.srb_bearer == 0:
-                    payload = wire.pack_envelope(em.ue_tmp_id, payload)
-                frame = wire.encap_sig(payload, em.tunnel_id)
                 self._send(
-                    _Delivery("src", em.node_id, srb_channel(em.srb_bearer), em.msg.kind, frame)
+                    _Delivery("src", em.node_id, srb_channel(em.srb_bearer), em.msg.kind, em.to_bytes())
                 )
             elif isinstance(em, NgapOut):
                 self._send(_Delivery("src", "amf", "NGAP", em.msg.kind, ngap_to_bytes(em.msg)))
@@ -450,14 +446,7 @@ class Simulator:
                 self.upf.register_session(ue.ue_tmp_id, session.session_id, ue.node_id, session.teid)
             return
         # signaling tunnel uplink
-        tunnel_id, payload = wire.decap_sig(d.payload)
-        info = self.controller.tunnel_info.get(tunnel_id)
-        ue_tmp_id = None
-        if info is not None and info.ue_tmp_id is None:
-            ue_tmp_id, payload = wire.unpack_envelope(payload)
-        rrc = rrc_from_bytes(payload)
-        emissions = self.controller.on_rrc_uplink(d.src, tunnel_id, ue_tmp_id, rrc)
-        self._emit_controller(emissions)
+        self._emit_controller(self.controller.on_rrc_uplink(d.src, d.payload))
 
     def _ue_receive(self, ue: UeSim, d: _Delivery) -> None:
         if d.channel == "RADIO_DATA":

@@ -13,6 +13,7 @@ from open5gsim.errors import (
     UnknownOutPortError,
     UnknownPortError,
 )
+from open5gsim.messages import RrcMessage, rrc_to_bytes
 from open5gsim.netsim import (
     NodeSpec,
     Settings,
@@ -41,6 +42,15 @@ from open5gsim.wire import (
     RadioBearer,
     SigTunnel,
 )
+
+
+def sig_frame(tunnel_id: int, rrc: RrcMessage, ue_tmp_id: int | None = None) -> bytes:
+    """The signaling-tunnel frame a node delivers to the controller for an
+    uplink RRC message; on a node's SRB0 tunnel the envelope names the UE."""
+    payload = rrc_to_bytes(rrc)
+    if ue_tmp_id is not None:
+        payload = wire.pack_envelope(ue_tmp_id, payload)
+    return wire.encap_sig(payload, tunnel_id)
 
 
 def random_ip(rng: random.Random) -> bytes:

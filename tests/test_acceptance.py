@@ -8,7 +8,7 @@ criterion FAILED in the -v listing.
 import random
 import time
 
-from helpers import oracle_match, random_context, random_entries, random_message
+from helpers import oracle_match, random_context, random_entries, random_message, sig_frame
 from open5gsim import wire
 from open5gsim.controller import Controller
 from open5gsim.errors import WireDecodeError
@@ -207,17 +207,11 @@ def test_criterion_6_uniform_command_grammar_across_rats():
         batches = []
         batches += [e for e in c.bootstrap_node(ue.attach)]
         node_state = c.nodes[ue.attach]
-        out = c.on_rrc_uplink(
-            ue.attach,
-            node_state.srb0_tunnel_id,
-            i + 1,
-            RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": i + 1}),
-        )
+        request = RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": i + 1})
+        out = c.on_rrc_uplink(ue.attach, sig_frame(node_state.srb0_tunnel_id, request, i + 1))
         batches += [e for e in out if hasattr(e, "messages")]
         ue_ctx = c.ue_contexts[i + 1]
-        c.on_rrc_uplink(
-            ue.attach, ue_ctx.srb_tunnels[3], None, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"})
-        )
+        c.on_rrc_uplink(ue.attach, sig_frame(ue_ctx.srb_tunnel, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"})))
         from open5gsim.controller import session_spec_to_doc
 
         ics = NgapMessage(

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import sig_frame
+
 from open5gsim import wire
 from open5gsim.controller import (
     CRNTI_FIRST,
@@ -40,6 +42,8 @@ from open5gsim.messages import (
     RRC_SETUP_REQUEST,
     NgapMessage,
     RrcMessage,
+    rrc_from_bytes,
+    rrc_to_bytes,
 )
 from open5gsim.node import DataPlaneNode, Rat
 from open5gsim.wire import FlowMod, PortMod
@@ -69,19 +73,17 @@ def bootstrapped() -> Controller:
     return c
 
 
+def request_setup(c: Controller, ue_tmp_id: int = 1, node_id: str = "gnb1") -> list:
+    """Deliver the UE's RrcSetupRequest on the node's SRB0 tunnel."""
+    msg = RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": ue_tmp_id})
+    return c.on_rrc_uplink(node_id, sig_frame(c.nodes[node_id].srb0_tunnel_id, msg, ue_tmp_id))
+
+
 def attach_ue(c: Controller, ue_tmp_id: int = 1, node_id: str = "gnb1") -> list:
     """Drive one UE to CONNECTED; returns setup-request emissions."""
-    node = c.nodes[node_id]
-    out = c.on_rrc_uplink(
-        node_id, node.srb0_tunnel_id, ue_tmp_id, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": ue_tmp_id})
-    )
+    out = request_setup(c, ue_tmp_id, node_id)
     ue = c.ue_contexts[ue_tmp_id]
-    c.on_rrc_uplink(
-        node_id,
-        ue.srb_tunnels[SRB1_BEARER],
-        None,
-        RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"}),
-    )
+    c.on_rrc_uplink(node_id, sig_frame(ue.srb_tunnel, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"})))
     return out
 
 
@@ -136,10 +138,7 @@ def test_bootstrap_applies_cleanly_to_node():
 
 def test_setup_request_emits_srb1_batch_then_rrc_setup():
     c = bootstrapped()
-    node = c.nodes["gnb1"]
-    out = c.on_rrc_uplink(
-        "gnb1", node.srb0_tunnel_id, 1, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1})
-    )
+    out = request_setup(c)
     assert len(out) == 2
     batch, downlink = out
     assert batch.label == "CreatePortsSrb1"
@@ -151,25 +150,36 @@ def test_setup_request_emits_srb1_batch_then_rrc_setup():
     assert downlink.ue_tmp_id == 1  # SRB0 downlink carries the envelope id
 
 
+def test_srb0_downlink_frame_carries_the_envelope():
+    c = bootstrapped()
+    _, downlink = request_setup(c, ue_tmp_id=7)
+    tunnel_id, payload = wire.decap_sig(downlink.to_bytes())
+    assert tunnel_id == c.nodes["gnb1"].srb0_tunnel_id
+    assert wire.unpack_envelope(payload) == (7, rrc_to_bytes(downlink.msg))
+
+
+def test_srb1_downlink_frame_has_no_envelope():
+    c = bootstrapped()
+    attach_ue(c)
+    _, downlink = c.on_ngap(ics_request())
+    tunnel_id, payload = wire.decap_sig(downlink.to_bytes())
+    assert tunnel_id == c.ue_contexts[1].srb_tunnel
+    assert rrc_from_bytes(payload) == downlink.msg
+
+
 def test_admission_denied_emits_nothing():
     c = make_controller(admission_cap=0)
     c.bootstrap_node("gnb1")
-    node = c.nodes["gnb1"]
-    out = c.on_rrc_uplink(
-        "gnb1", node.srb0_tunnel_id, 1, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1})
-    )
+    out = request_setup(c)
     assert out == []
     assert 1 not in c.ue_contexts
 
 
 def test_setup_complete_emits_initial_ue_message():
     c = bootstrapped()
-    node = c.nodes["gnb1"]
-    c.on_rrc_uplink("gnb1", node.srb0_tunnel_id, 1, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1}))
+    request_setup(c)
     ue = c.ue_contexts[1]
-    out = c.on_rrc_uplink(
-        "gnb1", ue.srb_tunnels[SRB1_BEARER], None, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "aa"})
-    )
+    out = c.on_rrc_uplink("gnb1", sig_frame(ue.srb_tunnel, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "aa"})))
     assert len(out) == 1 and isinstance(out[0], NgapOut)
     assert out[0].msg.kind == NGAP_INITIAL_UE_MESSAGE
     assert out[0].msg.fields == {"ue_tmp_id": 1, "nas": "aa"}
@@ -179,7 +189,7 @@ def test_setup_complete_emits_initial_ue_message():
 def test_unknown_tunnel_rejected():
     c = bootstrapped()
     with pytest.raises(UnknownTunnelError):
-        c.on_rrc_uplink("gnb1", 99, 1, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1}))
+        c.on_rrc_uplink("gnb1", sig_frame(99, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1}), 1))
 
 
 def test_security_mode_complete_before_command_is_violation():
@@ -187,9 +197,7 @@ def test_security_mode_complete_before_command_is_violation():
     attach_ue(c)
     ue = c.ue_contexts[1]
     with pytest.raises(ProtocolViolationError):
-        c.on_rrc_uplink(
-            "gnb1", ue.srb_tunnels[SRB1_BEARER], None, RrcMessage(RRC_SECURITY_MODE_COMPLETE, {})
-        )
+        c.on_rrc_uplink("gnb1", sig_frame(ue.srb_tunnel, RrcMessage(RRC_SECURITY_MODE_COMPLETE, {})))
 
 
 def test_setup_complete_twice_is_violation():
@@ -197,18 +205,14 @@ def test_setup_complete_twice_is_violation():
     attach_ue(c)
     ue = c.ue_contexts[1]
     with pytest.raises(ProtocolViolationError):
-        c.on_rrc_uplink(
-            "gnb1", ue.srb_tunnels[SRB1_BEARER], None, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"})
-        )
+        c.on_rrc_uplink("gnb1", sig_frame(ue.srb_tunnel, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"})))
 
 
 def test_uplink_for_unknown_ue_rejected():
     c = bootstrapped()
     node = c.nodes["gnb1"]
     with pytest.raises(UnknownUeError):
-        c.on_rrc_uplink(
-            "gnb1", node.srb0_tunnel_id, 5, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"})
-        )
+        c.on_rrc_uplink("gnb1", sig_frame(node.srb0_tunnel_id, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"}), 5))
 
 
 def controller_state(c: Controller):
@@ -222,9 +226,7 @@ def test_setup_request_on_own_srb1_tunnel_is_violation():
     ue = c.ue_contexts[1]
     before = controller_state(c)
     with pytest.raises(ProtocolViolationError, match="already in procedure"):
-        c.on_rrc_uplink(
-            "gnb1", ue.srb_tunnels[SRB1_BEARER], None, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1})
-        )
+        c.on_rrc_uplink("gnb1", sig_frame(ue.srb_tunnel, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1})))
     assert controller_state(c) == before
 
 
@@ -235,9 +237,8 @@ def test_tunnel_of_another_node_rejected():
     c.bootstrap_node("enb1")
     before = controller_state(c)
     with pytest.raises(UnknownTunnelError):
-        c.on_rrc_uplink(
-            "enb1", c.nodes["gnb1"].srb0_tunnel_id, 1, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1})
-        )
+        request = RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1})
+        c.on_rrc_uplink("enb1", sig_frame(c.nodes["gnb1"].srb0_tunnel_id, request, 1))
     assert controller_state(c) == before
 
 
@@ -303,8 +304,7 @@ def test_ics_request_with_a_bad_session_changes_no_state():
     def state():
         return (
             node.next_port_id, node.next_xid, c._next_teid, c._next_udp_port, c._next_tunnel_id,
-            dict(c.tunnel_info), dict(ue.srb_tunnels), list(ue.pdu_sessions), ue.rrc_state,
-            ue.security_mode_sent,
+            dict(c.tunnel_info), ue.srb_tunnel, list(ue.pdu_sessions), ue.rrc_state,
         )
 
     before = state()
@@ -329,8 +329,7 @@ def test_second_ics_request_is_violation_and_allocates_nothing():
 
 def test_ics_request_before_setup_complete_is_violation():
     c = bootstrapped()
-    node = c.nodes["gnb1"]
-    c.on_rrc_uplink("gnb1", node.srb0_tunnel_id, 1, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1}))
+    request_setup(c)
     with pytest.raises(ProtocolViolationError):
         c.on_ngap(ics_request())
 
@@ -344,14 +343,13 @@ def test_ics_request_for_unknown_ue_rejected():
 def test_full_attach_emission_sequence():
     """The controller side of the complete initial-access exchange."""
     c = bootstrapped()
-    node = c.nodes["gnb1"]
-    e1 = c.on_rrc_uplink("gnb1", node.srb0_tunnel_id, 1, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1}))
+    e1 = request_setup(c)
     ue = c.ue_contexts[1]
-    srb1 = ue.srb_tunnels[SRB1_BEARER]
-    e2 = c.on_rrc_uplink("gnb1", srb1, None, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"}))
+    srb1 = ue.srb_tunnel
+    e2 = c.on_rrc_uplink("gnb1", sig_frame(srb1, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"})))
     e3 = c.on_ngap(ics_request())
-    e4 = c.on_rrc_uplink("gnb1", srb1, None, RrcMessage(RRC_SECURITY_MODE_COMPLETE, {}))
-    e5 = c.on_rrc_uplink("gnb1", srb1, None, RrcMessage(RRC_RECONFIGURATION_COMPLETE, {}))
+    e4 = c.on_rrc_uplink("gnb1", sig_frame(srb1, RrcMessage(RRC_SECURITY_MODE_COMPLETE, {})))
+    e5 = c.on_rrc_uplink("gnb1", sig_frame(srb1, RrcMessage(RRC_RECONFIGURATION_COMPLETE, {})))
 
     kinds = [type(e).__name__ for e in e1 + e2 + e3 + e4 + e5]
     assert kinds == [
@@ -366,7 +364,10 @@ def test_full_attach_emission_sequence():
     assert e5[0].msg.fields["sessions"] == [1]
     assert ue.rrc_state == RrcState.CONFIGURED
     # SRB2 rides the SRB1 tunnel; no tunnel of its own
-    assert ue.srb_tunnels[SRB2_BEARER] == srb1
+    (srb2_uplink,) = [
+        m for m in e3[0].messages if isinstance(m, FlowMod) and m.body.match.bearer_id == SRB2_BEARER
+    ]
+    assert srb2_uplink.body.action.out_port == ue.srb1_sig_port
 
 
 def test_emitted_config_matches_node_state():
@@ -378,11 +379,10 @@ def test_emitted_config_matches_node_state():
     c2 = make_controller()
     for emission in c2.bootstrap_node("gnb1"):
         assert node.handle_open5g(emission.to_bytes()) == []
-    srv = c2.nodes["gnb1"]
-    out = c2.on_rrc_uplink("gnb1", srv.srb0_tunnel_id, 1, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1}))
+    out = request_setup(c2)
     assert node.handle_open5g(out[0].to_bytes()) == []
     ue = c2.ue_contexts[1]
-    c2.on_rrc_uplink("gnb1", ue.srb_tunnels[SRB1_BEARER], None, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"}))
+    c2.on_rrc_uplink("gnb1", sig_frame(ue.srb_tunnel, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"})))
     batch = c2.on_ngap(ics_request())[0]
     assert node.handle_open5g(batch.to_bytes()) == []
 
@@ -408,19 +408,22 @@ def test_node_error_fails_in_flight_ues():
 def test_out_of_order_uplinks_never_corrupt_state(kinds):
     """Arbitrary uplink orderings either progress the state machine or raise
     a protocol violation; they never crash or skip states."""
-    order = [RrcState.SETUP_REQUESTED, RrcState.CONNECTED, RrcState.SECURED, RrcState.CONFIGURED]
+    order = [
+        RrcState.SETUP_REQUESTED, RrcState.CONNECTED, RrcState.SECURITY_MODE_SENT,
+        RrcState.SECURED, RrcState.CONFIGURED,
+    ]
     c = bootstrapped()
-    node = c.nodes["gnb1"]
-    c.on_rrc_uplink("gnb1", node.srb0_tunnel_id, 1, RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1}))
+    request_setup(c)
     ue = c.ue_contexts[1]
     for kind in kinds:
-        before = order.index(ue.rrc_state)
+        before, state = order.index(ue.rrc_state), controller_state(c)
         fields = {"nas": "00"} if kind == RRC_SETUP_COMPLETE else {}
         try:
-            c.on_rrc_uplink("gnb1", ue.srb_tunnels[SRB1_BEARER], None, RrcMessage(kind, fields))
+            c.on_rrc_uplink("gnb1", sig_frame(ue.srb_tunnel, RrcMessage(kind, fields)))
         except ProtocolViolationError:
-            assert order.index(ue.rrc_state) == before
+            assert controller_state(c) == state
             continue
-        if kind == RRC_SETUP_COMPLETE and not ue.security_mode_sent:
-            c.on_ngap(ics_request())  # AMF answers the InitialUeMessage
         assert order.index(ue.rrc_state) == before + 1
+        if kind == RRC_SETUP_COMPLETE:
+            c.on_ngap(ics_request())  # AMF answers the InitialUeMessage
+            assert order.index(ue.rrc_state) == before + 2
