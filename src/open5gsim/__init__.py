@@ -1,7 +1,7 @@
 """Open5G southbound protocol and multi-RAT RAN control-plane simulator."""
 
 from .controller import Controller, QosFlowSpec, SessionSpec
-from .netsim import NodeSpec, Settings, Simulator, Stimulus, Topology, UeSpec, run_scenario
+from .netsim import NodeSpec, Settings, Simulator, Stimulus, Topology, UeSpec
 from .node import DataPlaneNode, Rat
 from .scenario import Scenario, load_scenario, parse_scenario, serialize_scenario
 from .switch import FlowTable, PacketContext, PortRegistry
@@ -30,7 +30,6 @@ __all__ = [
     "encode_message",
     "load_scenario",
     "parse_scenario",
-    "run_scenario",
     "serialize_scenario",
 ]
 

@@ -217,9 +217,7 @@ class Simulator:
 
         self.controller = Controller(admission_cap=self.settings.admission_cap)
         self.nodes: dict[str, DataPlaneNode] = {}
-        node_names = set()
         for spec in topology.nodes:
-            node_names.add(spec.name)
             self.nodes[spec.name] = DataPlaneNode(spec.name, spec.rat, wire.ip_bytes(spec.ngu_ip))
             self.controller.register_node(spec.name, spec.rat, spec.ngu_ip, UPF_IP)
 
@@ -229,7 +227,7 @@ class Simulator:
         self.ue_by_crnti: dict[tuple[str, int], UeSim] = {}
         session_specs: dict[int, tuple[SessionSpec, ...]] = {}
         for i, spec in enumerate(topology.ues):
-            if spec.attach not in node_names:
+            if spec.attach not in self.nodes:
                 raise ScriptError(f"ue {spec.name} attaches to unknown node {spec.attach}")
             ue = UeSim(spec.name, i + 1, spec.attach)
             self.ues[spec.name] = ue
@@ -255,7 +253,6 @@ class Simulator:
         self.downlink_injected = 0
         self._heap: list = []
         self._seq = 0
-        self._step = 0
         self._now = 0
 
     # -- plumbing -----------------------------------------------------------
@@ -265,10 +262,9 @@ class Simulator:
         self._seq += 1
 
     def _send(self, delivery: _Delivery) -> None:
-        self._step += 1
         self.records.append(
             TraceRecord(
-                self._step,
+                len(self.records) + 1,
                 self._now,
                 delivery.src,
                 delivery.dst,
@@ -400,7 +396,7 @@ class Simulator:
                     _Delivery(
                         node.node_id,
                         "src",
-                        srb_channel(em.bearer_id) if em.bearer_id is not None else "SRB0",
+                        srb_channel(d.bearer_id) if d.bearer_id is not None else "SRB0",
                         kind,
                         em.payload,
                     )
@@ -506,7 +502,3 @@ def _action_str(entry, spec) -> str:
     if isinstance(spec, SigTunnel):
         return f"output sig(tunnel={spec.tunnel_id})"
     return f"output port={entry.action.out_port}"  # no such port
-
-
-def run_scenario(topology: Topology, script: list[Stimulus], settings: Settings | None = None) -> EventTrace:
-    return Simulator(topology, script, settings).run()

@@ -96,7 +96,7 @@ class DataPlaneNode:
 
     # -- packet paths --------------------------------------------------------
 
-    def _forward(self, ctx: PacketContext, payload: bytes, ingress_bearer: int | None) -> list[Emission]:
+    def _forward(self, ctx: PacketContext, payload: bytes) -> list[Emission]:
         """Send the packet out of the best-matching entry's port. The packet is
         dropped if no entry matches, the out-port is gone or, on the common
         SRB0 port, its envelope does not decode."""
@@ -106,7 +106,7 @@ class DataPlaneNode:
         if isinstance(spec, GtpTunnel):
             return [Emission("ngu", wire.encap_gtpu(payload, spec.teid))]
         if isinstance(spec, SigTunnel):
-            return [Emission("sig", wire.encap_sig(payload, spec.tunnel_id), bearer_id=ingress_bearer)]
+            return [Emission("sig", wire.encap_sig(payload, spec.tunnel_id))]
         if isinstance(spec, RadioBearer):
             if spec.crnti != 0:
                 return [Emission("radio", payload, crnti=spec.crnti, bearer_id=spec.bearer_id)]
@@ -120,7 +120,7 @@ class DataPlaneNode:
 
     def ingress_radio(self, crnti: int, bearer_id: int, payload: bytes) -> list[Emission]:
         in_port = _port_id(self.registry.radio_port(crnti, bearer_id))
-        return self._forward(PacketContext(in_port, crnti=crnti, bearer_id=bearer_id), payload, bearer_id)
+        return self._forward(PacketContext(in_port, crnti=crnti, bearer_id=bearer_id), payload)
 
     def ingress_ngu(self, frame: bytes) -> list[Emission]:
         try:
@@ -131,7 +131,7 @@ class DataPlaneNode:
             return []
         in_port = _port_id(self.registry.gtp_port(teid))
         ctx = PacketContext(in_port, ip_dst=ip_dst, ip_proto=ip_proto, l4_dst=l4_dst)
-        return self._forward(ctx, packet, None)
+        return self._forward(ctx, packet)
 
     def ingress_sigtunnel(self, frame: bytes) -> list[Emission]:
         try:
@@ -140,7 +140,7 @@ class DataPlaneNode:
             self.drop_count += 1
             return []
         # an unknown tunnel leaves the context empty, and no entry has an empty match
-        return self._forward(PacketContext(_port_id(self.registry.sig_port(tunnel_id))), payload, None)
+        return self._forward(PacketContext(_port_id(self.registry.sig_port(tunnel_id))), payload)
 
 
 def _port_id(port: LogicalPort | None) -> int | None:
