@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import sig_frame
-
 from open5gsim import wire
 from open5gsim.controller import (
     CRNTI_FIRST,
@@ -163,7 +162,7 @@ def test_srb1_downlink_frame_has_no_envelope():
     attach_ue(c)
     _, downlink = c.on_ngap(ics_request())
     tunnel_id, payload = wire.decap_sig(downlink.to_bytes())
-    assert tunnel_id == c.ue_contexts[1].srb_tunnel
+    assert downlink.srb_bearer == SRB1_BEARER and tunnel_id == c.ue_contexts[1].srb_tunnel
     assert rrc_from_bytes(payload) == downlink.msg
 
 
