@@ -137,7 +137,7 @@ class _NodeState:
     next_crnti: int = CRNTI_FIRST
     next_xid: int = 1
     ue_count: int = 0
-    srb0_tunnel_id: int = 0  # 0 until bootstrapped; tunnel ids start at 1
+    srb0_tunnel_id: int = 0  # 0 until bootstrap_node; tunnel ids start at 1
 
 
 # Controller emissions (mapped onto links by the harness)
