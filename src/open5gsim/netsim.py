@@ -52,6 +52,8 @@ from .trace import EventTrace, TraceRecord, fnv1a64
 
 UPF_IP = "10.9.0.1"
 
+_DIGEST_CHUNK = 512  # sends per fnv1a64 call: few calls, a bounded payload buffer
+
 _SRB_CHANNEL = {wire.SRB0_BEARER: "SRB0", wire.SRB1_BEARER: "SRB1", wire.SRB2_BEARER: "SRB2"}
 
 
@@ -244,6 +246,10 @@ class Simulator:
                 raise ScriptError(f"stimulus references unknown UE {stim.args[0]!r}")
 
         self.records: list[TraceRecord] = []
+        # sends not yet in `records`: their fields, payloads and end offsets
+        self._pending: list[tuple] = []
+        self._payloads = bytearray()
+        self._ends: list[int] = []
         # node -> [(step, rendered table)] after each Open5G batch the node
         # received; no other delivery changes its ports or flows
         self.table_history: dict[str, list[tuple[int, list[str]]]] = {n: [] for n in self.nodes}
@@ -262,43 +268,50 @@ class Simulator:
         self._seq += 1
 
     def _send(self, delivery: _Delivery) -> None:
-        self.records.append(
-            TraceRecord(
-                len(self.records) + 1,
-                self._now,
-                delivery.src,
-                delivery.dst,
-                delivery.channel,
-                delivery.kind,
-                fnv1a64(delivery.payload),
-            )
-        )
+        self._pending.append((self._now, delivery.src, delivery.dst, delivery.channel, delivery.kind))
+        self._payloads += delivery.payload
+        self._ends.append(len(self._payloads))
+        if len(self._pending) == _DIGEST_CHUNK:
+            self._digest_pending()
         self._push(self._now + 1, delivery)
+
+    def _digest_pending(self) -> None:
+        """Turn the sends since the last call into trace records."""
+        digests = fnv1a64(self._payloads, self._ends)
+        for step, (fields, digest) in enumerate(zip(self._pending, digests), len(self.records) + 1):
+            self.records.append(TraceRecord(step, *fields, digest))
+        self._pending.clear()
+        self._payloads.clear()
+        self._ends.clear()
 
     # -- run ------------------------------------------------------------------
 
     def run(self) -> EventTrace:
-        for spec in self.topology.nodes:
-            self._emit_controller(self.controller.bootstrap_node(spec.name))
-        for stim in self.script:
-            self._push(stim.tick, stim)
+        try:
+            for spec in self.topology.nodes:
+                self._emit_controller(self.controller.bootstrap_node(spec.name))
+            for stim in self.script:
+                self._push(stim.tick, stim)
 
-        processed = 0
-        while self._heap:
-            processed += 1
-            if processed > self.settings.max_events:
-                raise BudgetExceededError(f"exceeded {self.settings.max_events} events")
-            time, _seq, item = heapq.heappop(self._heap)
-            self._now = time
-            if isinstance(item, Stimulus):
-                self._process_stimulus(item)
-            else:
-                # deliveries arrive in send order, so this counter is the step
-                self.deliveries += 1
-                self._process_delivery(item)
-                if item.channel == "OPEN5G" and item.dst in self.nodes:
-                    rows = render_flow_table(self.nodes[item.dst], self._row_cache[item.dst])
-                    self.table_history[item.dst].append((self.deliveries, rows))
+            processed = 0
+            while self._heap:
+                processed += 1
+                if processed > self.settings.max_events:
+                    raise BudgetExceededError(f"exceeded {self.settings.max_events} events")
+                time, _seq, item = heapq.heappop(self._heap)
+                self._now = time
+                if isinstance(item, Stimulus):
+                    self._process_stimulus(item)
+                else:
+                    # deliveries arrive in send order, so this counter is the step
+                    self.deliveries += 1
+                    self._process_delivery(item)
+                    if item.channel == "OPEN5G" and item.dst in self.nodes:
+                        rows = render_flow_table(self.nodes[item.dst], self._row_cache[item.dst])
+                        self.table_history[item.dst].append((self.deliveries, rows))
+        finally:
+            # on an exception too, so that `records` holds every send made
+            self._digest_pending()
         return EventTrace(list(self.records))
 
     # -- stimuli ----------------------------------------------------------------

@@ -53,6 +53,19 @@ def sig_frame(tunnel_id: int, rrc: RrcMessage, ue_tmp_id: int | None = None) -> 
     return wire.encap_sig(payload, tunnel_id)
 
 
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+
+
+def reference_fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a one byte at a time: the oracle for `trace.fnv1a64`."""
+    h = _FNV_OFFSET
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 def random_ip(rng: random.Random) -> bytes:
     return bytes(rng.randrange(256) for _ in range(4))
 

@@ -1,0 +1,220 @@
+"""The batched trace digest, and the trace line format that reading accepts."""
+
+import dataclasses
+import random
+from itertools import accumulate
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import generated_scenario, reference_fnv1a64
+
+from open5gsim import netsim
+from open5gsim.cli import EXIT_OK, EXIT_PARSE_ERROR, main
+from open5gsim.errors import BudgetExceededError
+from open5gsim.netsim import Simulator
+from open5gsim.trace import CHANNELS, EventTrace, TraceParseError, TraceRecord, fnv1a64
+
+GOLDEN = "goldens/fig6_initial_access.trace"
+
+
+def digest_each(payloads: list[bytes], container=bytes) -> list[int]:
+    return fnv1a64(container(b"".join(payloads)), list(accumulate(map(len, payloads))))
+
+
+def random_payloads(lengths: list[int], seed: int) -> list[bytes]:
+    rng = random.Random(seed)
+    return [rng.randbytes(n) for n in lengths]
+
+
+# -- the batched digest against the byte-at-a-time reference ---------------------
+
+
+def test_digest_of_no_records():
+    assert fnv1a64(b"", []) == []
+    assert fnv1a64(bytearray(), []) == []
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 512])
+def test_digest_when_every_record_is_empty(count):
+    assert digest_each([b""] * count) == [reference_fnv1a64(b"")] * count
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x00", b"a", b"foobar", bytes(range(256)) * 6])
+def test_digest_of_one_record(payload):
+    assert digest_each([payload]) == [reference_fnv1a64(payload)]
+
+
+@given(st.integers(0, 64), st.integers(1, 40), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_digest_at_equal_lengths(length, count, seed):
+    payloads = random_payloads([length] * count, seed)
+    assert digest_each(payloads) == [reference_fnv1a64(p) for p in payloads]
+
+
+@given(
+    st.lists(st.one_of(st.integers(0, 1500), st.sampled_from([0, 1, 2, 64, 576, 1400])), max_size=40),
+    st.integers(0, 2**32),
+    st.sampled_from([bytes, bytearray]),
+)
+@settings(max_examples=150, deadline=None)
+def test_digest_at_mixed_lengths(lengths, seed, container):
+    payloads = random_payloads(lengths, seed)
+    assert digest_each(payloads, container) == [reference_fnv1a64(p) for p in payloads]
+
+
+class PayloadLog(Simulator):
+    """Keeps a copy of every payload sent, in send order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.payloads: list[bytes] = []
+
+    def _send(self, delivery) -> None:
+        self.payloads.append(bytes(delivery.payload))
+        super()._send(delivery)
+
+
+def test_simulator_digests_across_chunk_boundaries():
+    sim = PayloadLog(*generated_scenario(100))
+    records = sim.run().records
+    assert len(records) == len(sim.payloads) == 2504
+    assert len(records) > 2 * netsim._DIGEST_CHUNK
+    assert [r.step_no for r in records] == list(range(1, len(records) + 1))
+    assert [r.digest for r in records] == [reference_fnv1a64(p) for p in sim.payloads]
+
+
+def test_records_hold_every_send_when_run_raises():
+    topology, script, settings = generated_scenario(100)
+    sim = PayloadLog(topology, script, dataclasses.replace(settings, max_events=1500))
+    with pytest.raises(BudgetExceededError):
+        sim.run()
+    assert len(sim.records) == len(sim.payloads) > netsim._DIGEST_CHUNK
+    assert [r.step_no for r in sim.records] == list(range(1, len(sim.records) + 1))
+    assert [r.digest for r in sim.records] == [reference_fnv1a64(p) for p in sim.payloads]
+
+
+# -- reading accepts only what writing writes ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (6, "0x1f"),
+        (6, "-1"),
+        (6, "1_2"),
+        (6, "0123456789abcdef0123"),  # 20 hex digits
+        (6, "0123456789ABCDEF"),
+        (6, "+123456789abcdef"),
+        (0, "1_0"),
+        (0, "+5"),
+        (0, "05"),
+        (0, "-5"),
+        (1, "+0"),
+        (1, "1_0"),
+        (1, "٣"),  # ARABIC-INDIC DIGIT THREE, a decimal digit that int() reads
+    ],
+)
+def test_verify_rejects_a_field_write_trace_never_writes(tmp_path, capsys, field, value):
+    lines = Path(GOLDEN).read_text().splitlines(keepends=True)
+    parts = lines[4].split(" ")
+    parts[field] = value + ("\n" if field == 6 else "")
+    lines[4] = " ".join(parts)
+    bad = tmp_path / "bad.trace"
+    bad.write_text("".join(lines))
+    assert main(["verify", str(bad), "--golden", GOLDEN]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err.startswith("parse error: line 5: ")
+
+
+@pytest.mark.parametrize(
+    "layout, bad_line",
+    [("1  2", 1), (" 1 2", 1), ("1 2 ", 1), ("1\t2", 1), ("1 2\n ", 2), ("1 2\n\n1 2", 2)],
+)
+def test_verify_rejects_other_separators_and_empty_lines(tmp_path, capsys, layout, bad_line):
+    text = layout.replace("1", "1 0 src gnb1").replace("2", "OPEN5G Batch 0000000000000000")
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(f"{text}\n".encode())
+    assert main(["verify", str(bad), "--golden", GOLDEN]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err.startswith(f"parse error: line {bad_line}: ")
+
+
+@pytest.mark.parametrize("path", sorted(Path("goldens").glob("*.trace")), ids=lambda p: p.name)
+def test_golden_traces_read_back_to_the_same_text(path):
+    text = path.read_text()
+    assert EventTrace.from_text(text).to_text() == text
+    assert main(["verify", str(path), "--golden", str(path)]) == EXIT_OK
+
+
+_NUMBER = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["+5", "-1", "05", "1_0", "", "٣"]))
+_NAME = st.one_of(
+    st.sampled_from(["src", "gnb1", "ue1", "amf", "upf", "Data", "RrcSetup"]),
+    st.text(max_size=6),
+)
+_CHANNEL = st.one_of(st.sampled_from(CHANNELS), st.text(max_size=6))
+_DIGEST = st.one_of(
+    st.integers(0, 2**64 - 1).map("{:016x}".format),
+    st.integers(-1, 2**80).map(hex),
+    st.text(alphabet="0123456789abcdefABCDEF_+- ", min_size=15, max_size=17),
+)
+_SEPARATOR = st.sampled_from([" ", " ", " ", "  ", "\t"])
+
+
+@given(
+    st.tuples(_NUMBER, _NUMBER, _NAME, _NAME, _CHANNEL, _NAME, _DIGEST),
+    st.lists(_SEPARATOR, min_size=6, max_size=6),
+    st.sampled_from(["", " ", "\t"]),
+)
+@settings(max_examples=300)
+def test_every_accepted_line_is_written_back_unchanged(fields, separators, edge):
+    line = edge + "".join(f + s for f, s in zip(fields, [*separators, ""])) + edge
+    try:
+        record = TraceRecord.from_line(line)
+    except TraceParseError:
+        return
+    assert record.to_line() == line
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.just(""),
+            st.tuples(_NUMBER, _NUMBER, _NAME, _NAME, _CHANNEL, _NAME, _DIGEST).map(" ".join),
+        ),
+        max_size=8,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_a_trace_reads_as_its_lines_do(lines, final_newline):
+    text = "".join(line + "\n" for line in lines)
+    if lines and lines[-1] and not final_newline:
+        text = text[:-1]
+    try:
+        records = [TraceRecord.from_line(line) for line in lines]
+    except TraceParseError:
+        with pytest.raises(TraceParseError):
+            EventTrace.from_text(text)
+        return
+    assert EventTrace.from_text(text).records == records
+
+
+_TOKEN = st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True)
+
+
+@given(
+    st.builds(
+        TraceRecord,
+        st.integers(0, 10**9),
+        st.integers(0, 10**9),
+        _TOKEN,
+        _TOKEN,
+        st.sampled_from(CHANNELS),
+        _TOKEN,
+        st.integers(0, 2**64 - 1),
+    )
+)
+@settings(max_examples=100)
+def test_every_written_record_reads_back(record):
+    assert TraceRecord.from_line(record.to_line()) == record
