@@ -343,26 +343,22 @@ def test_verify_is_reflexive(tmp_path, capsys):
 
 
 def test_verify_flags_single_mutation(tmp_path, capsys):
-    import dataclasses
-
     out = tmp_path / "out.trace"
     main(["run", INITIAL_ACCESS, "-o", str(out)])
     trace = read_trace(str(out))
-    trace.records[6] = dataclasses.replace(trace.records[6], kind="Bogus")
+    trace.records[6] = trace.records[6]._replace(kind="Bogus")
     write_trace(str(out), trace)
     assert main(["verify", str(out), "--golden", GOLDEN]) == EXIT_MISMATCH
     assert "divergence at step 7" in capsys.readouterr().out
 
 
 def test_verify_flags_swapped_records(tmp_path, capsys):
-    import dataclasses
-
     out = tmp_path / "out.trace"
     main(["run", INITIAL_ACCESS, "-o", str(out)])
     trace = read_trace(str(out))
     a, b = trace.records[11], trace.records[12]
-    trace.records[11] = dataclasses.replace(b, step_no=a.step_no)
-    trace.records[12] = dataclasses.replace(a, step_no=b.step_no)
+    trace.records[11] = b._replace(step_no=a.step_no)
+    trace.records[12] = a._replace(step_no=b.step_no)
     write_trace(str(out), trace)
     assert main(["verify", str(out), "--golden", GOLDEN]) == EXIT_MISMATCH
     assert "divergence at step 12" in capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 import dataclasses
 import random
-from itertools import accumulate
+from itertools import accumulate, permutations, product
 from pathlib import Path
 
 import pytest
@@ -63,6 +63,67 @@ def test_digest_at_equal_lengths(length, count, seed):
 def test_digest_at_mixed_lengths(lengths, seed, container):
     payloads = random_payloads(lengths, seed)
     assert digest_each(payloads, container) == [reference_fnv1a64(p) for p in payloads]
+
+
+# -- window and epoch edges: 16-byte windows, epochs that end in their last window
+
+
+def test_digest_at_every_length_up_to_three_windows_alone_and_in_pairs():
+    for lengths in [*product(range(49), repeat=1), *product(range(49), repeat=2)]:
+        payloads = random_payloads(lengths, sum(lengths))
+        assert digest_each(payloads) == [reference_fnv1a64(p) for p in payloads], lengths
+
+
+def test_digest_at_every_length_up_to_three_windows_in_triples():
+    rng = random.Random(3)
+    for length in range(49):
+        others = [rng.randrange(49), rng.randrange(49)]
+        for lengths in set(permutations([length, *others])):
+            payloads = random_payloads(lengths, length)
+            assert digest_each(payloads) == [reference_fnv1a64(p) for p in payloads], lengths
+
+
+@pytest.mark.parametrize("lengths", [[15], [16], [17], [32], [15, 16, 17, 32]], ids=str)
+def test_digest_of_512_records_each_of_a_length(lengths):
+    sizes = [n for n in lengths for _ in range(512)]
+    random.Random(len(sizes)).shuffle(sizes)
+    payloads = random_payloads(sizes, 512)
+    assert digest_each(payloads) == [reference_fnv1a64(p) for p in payloads]
+
+
+def test_digest_when_many_records_end_in_the_same_column():
+    # shortest 17, so one 32-byte epoch: every record ends in its second
+    # window, 72 of them at column 5 and 72 at column 16
+    sizes = [21] * 64 + [32] * 64 + list(range(17, 33)) * 8
+    random.Random(7).shuffle(sizes)
+    payloads = random_payloads(sizes, 21)
+    assert digest_each(payloads) == [reference_fnv1a64(p) for p in payloads]
+
+
+@pytest.mark.parametrize("lengths", [[40, 3], [5, 37], [64, 17, 1], [1, 1, 33]], ids=str)
+@pytest.mark.parametrize("container", [bytes, bytearray])
+def test_digest_when_the_last_record_in_data_ends_mid_window(lengths, container):
+    # the last record's window, rounded up to 16 bytes, reads past the end of data
+    assert lengths[-1] % 16
+    payloads = random_payloads(lengths, 9)
+    assert digest_each(payloads, container) == [reference_fnv1a64(p) for p in payloads]
+
+
+@given(st.lists(st.binary(max_size=80), max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_digest_leaves_a_bytearray_unchanged(payloads):
+    data = bytearray(b"".join(payloads))
+    fnv1a64(data, list(accumulate(map(len, payloads))))
+    assert data == b"".join(payloads)
+
+
+@given(st.lists(st.binary(max_size=80), max_size=30), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_digests_of_a_shuffled_chunk_are_the_shuffled_digests(payloads, rng):
+    digests = digest_each(payloads)
+    order = list(range(len(payloads)))
+    rng.shuffle(order)
+    assert digest_each([payloads[i] for i in order]) == [digests[i] for i in order]
 
 
 class PayloadLog(Simulator):
@@ -218,3 +279,11 @@ _TOKEN = st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True)
 @settings(max_examples=100)
 def test_every_written_record_reads_back(record):
     assert TraceRecord.from_line(record.to_line()) == record
+
+
+def test_a_record_is_immutable_and_hashable():
+    record = TraceRecord(1, 0, "ue1", "gnb1", "SRB0", "RrcSetupRequest", 0x1F)
+    with pytest.raises(AttributeError):
+        record.kind = "Bogus"
+    assert record._replace(kind="Bogus").to_line() == "1 0 ue1 gnb1 SRB0 Bogus 000000000000001f"
+    assert len({record, record._replace(digest=0x1F)}) == 1
