@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 from . import wire
 from .errors import (
@@ -74,6 +75,7 @@ _RAT_LAYERS = {
 }
 
 
+@cache  # one tuple per RAT, shared by every radio port on its nodes
 def default_layer_config(rat: Rat) -> tuple[ConfigTlv, ...]:
     return tuple(ConfigTlv(int(t), f"{rat.value.lower()}-{t.name.lower()}-default".encode()) for t in _RAT_LAYERS[rat])
 

@@ -69,8 +69,12 @@ class NgapMessage:
             raise InvalidMessageError(f"unknown NGAP kind {self.kind!r}")
 
 
+# json.dumps with these arguments builds the same encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(kind: str, fields: dict) -> bytes:
-    return json.dumps({"kind": kind, "fields": fields}, sort_keys=True, separators=(",", ":")).encode()
+    return _ENCODER.encode({"kind": kind, "fields": fields}).encode()
 
 
 def _decode(data: bytes) -> tuple[str, dict]:

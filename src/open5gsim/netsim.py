@@ -239,11 +239,21 @@ class Simulator:
         self.amf = AmfStub(session_specs)
         self.upf = UpfStub()
 
+        # each downlink destination address, parsed once
+        self._downlink_dst: dict[str, bytes] = {}
         for stim in self.script:
             if stim.kind not in ("ue_power_on", "send_uplink_data", "inject_downlink_data"):
                 raise ScriptError(f"unknown stimulus {stim.kind!r}")
             if stim.args[0] not in self.ues:
                 raise ScriptError(f"stimulus references unknown UE {stim.args[0]!r}")
+            if stim.kind == "inject_downlink_data" and stim.args[1] not in self._downlink_dst:
+                try:
+                    self._downlink_dst[stim.args[1]] = wire.ip_bytes(stim.args[1])
+                except ValueError:
+                    raise ScriptError(
+                        f"inject_downlink_data at tick {stim.tick} for {stim.args[0]!r} "
+                        f"has a bad destination {stim.args[1]!r}"
+                    ) from None
 
         self.records: list[TraceRecord] = []
         # sends not yet in `records`: their fields, payloads and end offsets
@@ -337,7 +347,7 @@ class Simulator:
             )
         else:  # inject_downlink_data
             _, ip_dst, ip_proto, l4_dst, payload = stim.args
-            packet = wire.pack_ip_packet(wire.ip_bytes(ip_dst), ip_proto, l4_dst, payload)
+            packet = wire.pack_ip_packet(self._downlink_dst[ip_dst], ip_proto, l4_dst, payload)
             node_id, frame = self.upf.downlink(ue.ue_tmp_id, packet)
             self.downlink_injected += 1
             self._send(_Delivery("upf", node_id, "NGU", "GPDU", frame))

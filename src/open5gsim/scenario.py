@@ -123,6 +123,7 @@ class _SectionAccumulator:
         self.settings_kv: dict[str, int] = {}
         self.script: list[Stimulus] = []
         self.script_ues: dict[str, int] = {}  # UE name -> the first script line naming it
+        self.ips: set[str] = set()  # flow and downlink addresses already checked
 
     def finish_section(self, name: str, start_line: int, pairs: list[tuple[int, str, str]]) -> None:
         got = {k for _, k, _ in pairs}
@@ -175,7 +176,7 @@ class _SectionAccumulator:
                 raise ParseError(lineno, "flow wants: <id> <ip_dst> <proto> <l4_dst> drb=<n>")
             flow = QosFlowSpec(
                 flow_id=_check_range(_parse_int(tokens[0], lineno, "flow id"), 0, 63, lineno, "flow id"),
-                ip_dst=ip_bytes(_parse_ip(tokens[1], lineno)),
+                ip_dst=ip_bytes(self.parse_ip(tokens[1], lineno)),
                 ip_proto=_parse_proto(tokens[2], lineno),
                 l4_dst=_parse_l4_port(tokens[3], lineno),
                 drb=_parse_int(tokens[4][4:], lineno, "drb"),
@@ -184,6 +185,12 @@ class _SectionAccumulator:
                 raise ParseError(lineno, f"flow {flow.flow_id} maps to absent DRB {flow.drb}")
             flows.append(flow)
         self.sessions.append((ue_name, ue_line, SessionSpec(session_id, drbs, tuple(flows))))
+
+    def parse_ip(self, token: str, lineno: int) -> str:
+        """`_parse_ip`, run once per distinct address in the file."""
+        if token not in self.ips:
+            self.ips.add(_parse_ip(token, lineno))
+        return token
 
     def add_name(self, section: str, name_pair: tuple[int, str]) -> None:
         lineno, name = name_pair
@@ -209,7 +216,7 @@ class _SectionAccumulator:
         else:
             parsed = (
                 args[0],
-                _parse_ip(args[1], lineno),
+                self.parse_ip(args[1], lineno),
                 _parse_proto(args[2], lineno),
                 _parse_l4_port(args[3], lineno),
                 _parse_hex(args[4], lineno),

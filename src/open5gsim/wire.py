@@ -14,6 +14,11 @@ FLOW_MOD body: command u8, priority u16, match-TLV count u8, match TLVs
 (type u16, len u16, value), then the action (kind u8=1 OUTPUT, out_port u32).
 
 ERROR body: code u16, detail-length u16, detail bytes.
+
+Each layout, and each match field's TLV, is a `struct.Struct` compiled once;
+decoding is one `unpack_from` pass at a running offset. One validator,
+`validate_message`, raises at the first broken rule, on encode before packing
+and on decode after parsing, where its text becomes a MalformedTlvError's.
 """
 
 from __future__ import annotations
@@ -163,10 +168,6 @@ MATCH_FIELDS = (
     MatchField(MatchType.L4_DST, "l4_dst", ">H", "l4_dst"),
 )
 
-# MatchType -> (its field, the byte width of its TLV value)
-_MATCH_BY_TYPE = {f.mtype: (f, struct.calcsize(f.fmt)) for f in MATCH_FIELDS}
-
-
 @dataclass(frozen=True)
 class FlowMatch:
     in_port: int | None = None
@@ -222,254 +223,307 @@ Open5GMessage = Hello | ErrorMsg | PortMod | FlowMod
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Layouts, compiled once
+
+_HEADER = struct.Struct(">BBHI")  # version, msg_type, length, xid
+_ERROR_HEAD = struct.Struct(">HH")  # code, detail length
+_PORT_MOD_HEAD = struct.Struct(">BBI")  # command, port_class, port_id
+_RADIO = struct.Struct(">HBB")  # crnti, bearer_id, bearer_kind
+_TLV_HEAD = struct.Struct(">HH")  # type, length
+_GTP = struct.Struct(">4s4sHI")  # local_ip, remote_ip, udp_port, teid
+_SIG = struct.Struct(">4sI")  # controller_ip, tunnel_id
+_FLOW_MOD_HEAD = struct.Struct(">BHB")  # command, priority, match-TLV count
+_ACTION = struct.Struct(">BI")  # kind (1 = OUTPUT), out_port
+
+_U16 = 0xFFFF
+_U32 = 0xFFFFFFFF
+_HELLO, _ERROR, _PORT_MOD, _FLOW_MOD = (int(t) for t in MsgType)
+_RADIO_CLASS, _GTP_CLASS, _SIG_CLASS = (int(c) for c in PortClass)
+_DELETE = int(PortModCommand.DELETE)
+# Member values run 0..n-1, so a decoded value indexes these. Validation tests
+# membership with ==, so a plain int equal to a member passes.
+_PORT_MOD_COMMANDS = tuple(PortModCommand)
+_FLOW_MOD_COMMANDS = tuple(FlowModCommand)
+_BEARER_KINDS = tuple(BearerKind)
 
 
-def _check(cond: bool, why: str) -> None:
-    if not cond:
-        raise InvalidMessageError(why)
+def _match_codec(f: MatchField) -> tuple:
+    """The field; its value's width; the largest value of an integer field
+    (None for a byte string, whose length is checked instead); the largest
+    value the field allows; the structs of its value and of its whole TLV."""
+    value = struct.Struct(f.fmt)
+    limit = None if f.fmt[-1] == "s" else (1 << 8 * value.size) - 1
+    top = CRNTI_MAX if f.mtype == MatchType.CRNTI else limit
+    return f, value.size, limit, top, value, struct.Struct(">HH" + f.fmt[1:])
 
 
-def _u(value: int, bits: int, name: str) -> None:
-    if not (isinstance(value, int) and 0 <= value < (1 << bits)):
-        raise InvalidMessageError(f"{name} out of range")  # formatted only on failure
+_MATCH_CODEC = tuple(_match_codec(f) for f in MATCH_FIELDS)  # in MATCH_FIELDS order
+_MATCH_BY_TYPE = {int(row[0].mtype): row for row in _MATCH_CODEC}
+
+
+# ---------------------------------------------------------------------------
+# Validation: the rules run in a fixed order and the first one broken raises,
+# so a message that breaks several always reports the same one.
 
 
 def validate_port_spec(spec: PortSpec) -> None:
     if isinstance(spec, RadioBearer):
-        _u(spec.crnti, 16, "crnti")
-        _check(spec.crnti <= CRNTI_MAX, "crnti above reserved range")
-        _u(spec.bearer_id, 8, "bearer_id")
-        _check(spec.bearer_id <= 31, "bearer_id above 31")
-        _check(spec.bearer_kind in (BearerKind.SRB, BearerKind.DRB), "bad bearer_kind")
-        if spec.bearer_kind == BearerKind.SRB:
-            _check(spec.bearer_id in SRB_BEARER_IDS, "SRB bearer_id not in {0,3,4}")
+        crnti, bearer_id, kind = spec.crnti, spec.bearer_id, spec.bearer_kind
+        if not (isinstance(crnti, int) and 0 <= crnti <= _U16):
+            raise InvalidMessageError("crnti out of range")
+        if crnti > CRNTI_MAX:
+            raise InvalidMessageError("crnti above reserved range")
+        if not (isinstance(bearer_id, int) and 0 <= bearer_id <= 0xFF):
+            raise InvalidMessageError("bearer_id out of range")
+        if bearer_id > 31:
+            raise InvalidMessageError("bearer_id above 31")
+        if kind not in _BEARER_KINDS:
+            raise InvalidMessageError("bad bearer_kind")
+        srb = kind == BearerKind.SRB
+        if srb and bearer_id not in SRB_BEARER_IDS:
+            raise InvalidMessageError("SRB bearer_id not in {0,3,4}")
         # crnti 0 is reserved for the common SRB0 port
-        if not (spec.bearer_kind == BearerKind.SRB and spec.bearer_id == 0):
-            _check(spec.crnti != 0, "crnti zero on dedicated bearer")
+        if crnti == 0 and not (srb and bearer_id == 0):
+            raise InvalidMessageError("crnti zero on dedicated bearer")
         for tlv in spec.layer_config:
-            _u(tlv.tlv_type, 16, "tlv_type")
-            _check(len(tlv.value) <= 0xFFFF, "tlv value too long")
+            tlv_type = tlv.tlv_type
+            if not (isinstance(tlv_type, int) and 0 <= tlv_type <= _U16):
+                raise InvalidMessageError("tlv_type out of range")
+            if len(tlv.value) > _U16:
+                raise InvalidMessageError("tlv value too long")
     elif isinstance(spec, GtpTunnel):
-        _check(len(spec.local_ip) == 4 and len(spec.remote_ip) == 4, "bad ip length")
-        _u(spec.udp_port, 16, "udp_port")
-        _u(spec.teid, 32, "teid")
+        if len(spec.local_ip) != 4 or len(spec.remote_ip) != 4:
+            raise InvalidMessageError("bad ip length")
+        if not (isinstance(spec.udp_port, int) and 0 <= spec.udp_port <= _U16):
+            raise InvalidMessageError("udp_port out of range")
+        if not (isinstance(spec.teid, int) and 0 <= spec.teid <= _U32):
+            raise InvalidMessageError("teid out of range")
     elif isinstance(spec, SigTunnel):
-        _check(len(spec.controller_ip) == 4, "bad ip length")
-        _u(spec.tunnel_id, 32, "tunnel_id")
+        if len(spec.controller_ip) != 4:
+            raise InvalidMessageError("bad ip length")
+        if not (isinstance(spec.tunnel_id, int) and 0 <= spec.tunnel_id <= _U32):
+            raise InvalidMessageError("tunnel_id out of range")
     else:
         raise InvalidMessageError("unknown port spec variant")
 
 
 def validate_match(match: FlowMatch) -> None:
-    fields = match.populated()
-    _check(len(fields) >= 1, "empty match")
-    _check(
-        (match.crnti is None) == (match.bearer_id is None),
-        "crnti and bearer_id must appear together",
-    )
-    for mtype, value in fields:
-        field, width = _MATCH_BY_TYPE[mtype]
-        if field.fmt[-1] == "s":  # a byte string of fixed width
-            _check(len(value) == width, f"bad {field.name} length")
-        else:
-            _u(value, 8 * width, field.name)
-        if mtype == MatchType.CRNTI:
-            _check(value <= CRNTI_MAX, "crnti above reserved range")
+    # An empty match passes the pairing check and every field check, so
+    # "empty match" comes last here and is still the only fault it reports.
+    if (match.crnti is None) != (match.bearer_id is None):
+        raise InvalidMessageError("crnti and bearer_id must appear together")
+    empty = True
+    for f, width, limit, top, _, _ in _MATCH_CODEC:
+        value = getattr(match, f.name)
+        if value is None:
+            continue
+        empty = False
+        if limit is None:
+            if len(value) != width:
+                raise InvalidMessageError(f"bad {f.name} length")
+        elif not (isinstance(value, int) and 0 <= value <= limit):
+            raise InvalidMessageError(f"{f.name} out of range")
+        elif value > top:
+            raise InvalidMessageError(f"{f.name} above reserved range")
+    if empty:
+        raise InvalidMessageError("empty match")
 
 
 def validate_message(msg: Open5GMessage) -> None:
-    if isinstance(msg, Hello):
-        _u(msg.xid, 32, "xid")
-    elif isinstance(msg, ErrorMsg):
-        _u(msg.xid, 32, "xid")
-        _u(msg.code, 16, "code")
-        _check(len(msg.detail) <= 0xFFFF, "detail too long")
-    elif isinstance(msg, PortMod):
-        _u(msg.xid, 32, "xid")
+    if not isinstance(msg, (PortMod, FlowMod, Hello, ErrorMsg)):
+        raise InvalidMessageError("unknown message class")
+    if not (isinstance(msg.xid, int) and 0 <= msg.xid <= _U32):
+        raise InvalidMessageError("xid out of range")
+    if isinstance(msg, PortMod):
         body = msg.body
-        _check(body.command in PortModCommand.__members__.values(), "bad command")
-        _u(body.port_id, 32, "port_id")
-        if body.command == PortModCommand.DELETE:
-            _check(body.port_spec is None, "DELETE carries no port spec")
+        if body.command not in _PORT_MOD_COMMANDS:
+            raise InvalidMessageError("bad command")
+        if not (isinstance(body.port_id, int) and 0 <= body.port_id <= _U32):
+            raise InvalidMessageError("port_id out of range")
+        if body.command == _DELETE:
+            if body.port_spec is not None:
+                raise InvalidMessageError("DELETE carries no port spec")
+        elif body.port_spec is None:
+            raise InvalidMessageError("missing port spec")
         else:
-            _check(body.port_spec is not None, "missing port spec")
             validate_port_spec(body.port_spec)
     elif isinstance(msg, FlowMod):
-        _u(msg.xid, 32, "xid")
         body = msg.body
-        _check(body.command in FlowModCommand.__members__.values(), "bad command")
-        _u(body.priority, 16, "priority")
+        if body.command not in _FLOW_MOD_COMMANDS:
+            raise InvalidMessageError("bad command")
+        if not (isinstance(body.priority, int) and 0 <= body.priority <= _U16):
+            raise InvalidMessageError("priority out of range")
         validate_match(body.match)
-        _u(body.action.out_port, 32, "out_port")
-    else:
-        raise InvalidMessageError("unknown message class")
+        out_port = body.action.out_port
+        if not (isinstance(out_port, int) and 0 <= out_port <= _U32):
+            raise InvalidMessageError("out_port out of range")
+    elif isinstance(msg, ErrorMsg):
+        if not (isinstance(msg.code, int) and 0 <= msg.code <= _U16):
+            raise InvalidMessageError("code out of range")
+        if len(msg.detail) > _U16:
+            raise InvalidMessageError("detail too long")
 
 
 # ---------------------------------------------------------------------------
 # Encoding
 
 
-def _encode_tlvs(tlvs: tuple[ConfigTlv, ...]) -> bytes:
-    parts = []
-    for tlv in tlvs:
-        parts.append(struct.pack(">HH", tlv.tlv_type, len(tlv.value)) + tlv.value)
-    return b"".join(parts)
-
-
-def _encode_port_spec(spec: PortSpec) -> tuple[int, bytes]:
-    if isinstance(spec, RadioBearer):
-        body = struct.pack(
-            ">HBB", spec.crnti, spec.bearer_id, int(spec.bearer_kind)
-        ) + _encode_tlvs(spec.layer_config)
-        return PortClass.RADIO, body
-    if isinstance(spec, GtpTunnel):
-        return PortClass.GTP, struct.pack(
-            ">4s4sHI", spec.local_ip, spec.remote_ip, spec.udp_port, spec.teid
-        )
-    return PortClass.SIG, struct.pack(">4sI", spec.controller_ip, spec.tunnel_id)
-
-
-def _encode_body(msg: Open5GMessage) -> tuple[MsgType, bytes]:
-    if isinstance(msg, Hello):
-        return MsgType.HELLO, b""
-    if isinstance(msg, ErrorMsg):
-        return MsgType.ERROR, struct.pack(">HH", msg.code, len(msg.detail)) + msg.detail
-    if isinstance(msg, PortMod):
-        body = msg.body
-        if body.command == PortModCommand.DELETE:
-            port_class, spec_bytes = 0, b""
-        else:
-            port_class, spec_bytes = _encode_port_spec(body.port_spec)
-        return MsgType.PORT_MOD, (
-            struct.pack(">BBI", int(body.command), port_class, body.port_id) + spec_bytes
-        )
-    body = msg.body
-    fields = body.match.populated()
-    parts = [struct.pack(">BHB", int(body.command), body.priority, len(fields))]
-    for mtype, value in fields:
-        field, width = _MATCH_BY_TYPE[mtype]
-        parts.append(struct.pack(">HH", int(mtype), width) + struct.pack(field.fmt, value))
-    parts.append(struct.pack(">BI", 1, body.action.out_port))
-    return MsgType.FLOW_MOD, b"".join(parts)
-
-
 def encode_message(msg: Open5GMessage) -> bytes:
     """Encode a validated message; raises InvalidMessageError otherwise."""
     validate_message(msg)
-    msg_type, body = _encode_body(msg)
-    total = HEADER_LEN + len(body)
-    _check(total <= 0xFFFF, "message too long")
-    return struct.pack(">BBHI", VERSION, int(msg_type), total, msg.xid) + body
+    if isinstance(msg, PortMod):
+        body = msg.body
+        spec = body.port_spec  # None exactly when the command is DELETE
+        if isinstance(spec, RadioBearer):
+            port_class = _RADIO_CLASS
+            fields = _RADIO.pack(spec.crnti, spec.bearer_id, int(spec.bearer_kind)) + b"".join(
+                [_TLV_HEAD.pack(t.tlv_type, len(t.value)) + t.value for t in spec.layer_config]
+            )
+        elif isinstance(spec, GtpTunnel):
+            port_class, fields = _GTP_CLASS, _GTP.pack(spec.local_ip, spec.remote_ip, spec.udp_port, spec.teid)
+        elif isinstance(spec, SigTunnel):
+            port_class, fields = _SIG_CLASS, _SIG.pack(spec.controller_ip, spec.tunnel_id)
+        else:  # a DELETE writes port_class zero and no class fields
+            port_class, fields = 0, b""
+        msg_type = _PORT_MOD
+        payload = _PORT_MOD_HEAD.pack(int(body.command), port_class, body.port_id) + fields
+    elif isinstance(msg, FlowMod):
+        body = msg.body
+        match = body.match
+        tlvs = [
+            tlv.pack(f.mtype, width, value)
+            for f, width, _, _, _, tlv in _MATCH_CODEC
+            if (value := getattr(match, f.name)) is not None
+        ]
+        msg_type = _FLOW_MOD
+        head = _FLOW_MOD_HEAD.pack(int(body.command), body.priority, len(tlvs))
+        payload = head + b"".join(tlvs) + _ACTION.pack(1, body.action.out_port)
+    elif isinstance(msg, Hello):
+        msg_type, payload = _HELLO, b""
+    else:
+        msg_type, payload = _ERROR, _ERROR_HEAD.pack(msg.code, len(msg.detail)) + msg.detail
+    total = HEADER_LEN + len(payload)
+    if total > _U16:
+        raise InvalidMessageError("message too long")
+    return _HEADER.pack(VERSION, msg_type, total, msg.xid) + payload
 
 
 # ---------------------------------------------------------------------------
-# Decoding
+# Decoding: one pass over the frame with a running offset from its first byte.
+# The body starts at 8, a FLOW_MOD's match TLVs at 12 and a PORT_MOD's class
+# fields at 14. Offsets in a TruncatedError count from the start of the body.
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedError(f"need {n} bytes at offset {self.pos}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-    def expect_end(self) -> None:
-        if self.remaining():
-            raise MalformedTlvError(f"{self.remaining()} trailing bytes in body")
+def _truncated(need: int, offset: int) -> TruncatedError:
+    return TruncatedError(f"need {need} bytes at offset {offset - HEADER_LEN}")
 
 
-def _decode_port_spec(port_class: int, r: _Reader) -> PortSpec:
-    if port_class == PortClass.RADIO:
-        crnti, bearer_id, kind = r.unpack(">HBB")
-        if kind not in (0, 1):
-            raise MalformedTlvError("bad bearer_kind")
-        tlvs = []
-        while r.remaining():
-            tlv_type, tlv_len = r.unpack(">HH")
-            tlvs.append(ConfigTlv(tlv_type, r.take(tlv_len)))
-        return RadioBearer(crnti, bearer_id, BearerKind(kind), tuple(tlvs))
-    if port_class == PortClass.GTP:
-        local_ip, remote_ip, udp_port, teid = r.unpack(">4s4sHI")
-        return GtpTunnel(local_ip, remote_ip, udp_port, teid)
-    if port_class == PortClass.SIG:
-        controller_ip, tunnel_id = r.unpack(">4sI")
-        return SigTunnel(controller_ip, tunnel_id)
-    raise MalformedTlvError(f"unknown port class {port_class}")
-
-
-def _decode_match_tlvs(count: int, r: _Reader) -> FlowMatch:
-    fields: dict[str, object] = {}
-    for _ in range(count):
-        mtype, mlen = r.unpack(">HH")
-        raw = r.take(mlen)
-        if mtype not in _MATCH_BY_TYPE:
-            raise MalformedTlvError(f"unknown match type {mtype}")
-        field, width = _MATCH_BY_TYPE[mtype]
-        if mlen != width:
-            raise MalformedTlvError(f"match {field.mtype.name} has length {mlen}, want {width}")
-        if field.name in fields:
-            raise MalformedTlvError(f"duplicate match field {field.mtype.name}")
-        fields[field.name] = struct.unpack(field.fmt, raw)[0]
-    return FlowMatch(**fields)
+def _trailing(count: int) -> MalformedTlvError:
+    return MalformedTlvError(f"{count} trailing bytes in body")
 
 
 def decode_message(data: bytes) -> Open5GMessage:
     """Decode one complete Open5G message; total over arbitrary input."""
-    if len(data) < HEADER_LEN:
-        raise TruncatedError(f"{len(data)} bytes, header needs {HEADER_LEN}")
-    version, msg_type, length, xid = struct.unpack(">BBHI", data[:HEADER_LEN])
+    size = len(data)
+    if size < HEADER_LEN:
+        raise TruncatedError(f"{size} bytes, header needs {HEADER_LEN}")
+    version, msg_type, length, xid = _HEADER.unpack_from(data)
     if version != VERSION:
         raise BadVersionError(f"version {version:#04x}")
     if length < HEADER_LEN:
         raise MalformedTlvError(f"length field {length} below header size")
-    if len(data) < length:
-        raise TruncatedError(f"{len(data)} bytes, length field says {length}")
-    if len(data) > length:
-        raise MalformedTlvError(f"{len(data) - length} bytes beyond declared length")
-    r = _Reader(data[HEADER_LEN:length])
+    if size < length:
+        raise TruncatedError(f"{size} bytes, length field says {length}")
+    if size > length:
+        raise MalformedTlvError(f"{size - length} bytes beyond declared length")
 
-    if msg_type == MsgType.HELLO:
-        r.expect_end()
-        return Hello(xid)
-    if msg_type == MsgType.ERROR:
-        code, detail_len = r.unpack(">HH")
-        detail = r.take(detail_len)
-        r.expect_end()
-        return ErrorMsg(xid, code, detail)
-    if msg_type == MsgType.PORT_MOD:
-        command, port_class, port_id = r.unpack(">BBI")
-        if command not in (0, 1, 2):
+    if msg_type == _PORT_MOD:
+        if size < 14:
+            raise _truncated(6, 8)
+        command, port_class, port_id = _PORT_MOD_HEAD.unpack_from(data, 8)
+        if command > 2:
             raise MalformedTlvError(f"bad port_mod command {command}")
-        command = PortModCommand(command)
-        if command == PortModCommand.DELETE:
-            r.expect_end()
-            msg: Open5GMessage = PortMod(xid, PortModBody(command, port_id, None))
+        off = 14
+        if command == _DELETE:
+            spec = None
+        elif port_class == _RADIO_CLASS:
+            if size < 18:
+                raise _truncated(4, 14)
+            crnti, bearer_id, kind = _RADIO.unpack_from(data, 14)
+            if kind > 1:
+                raise MalformedTlvError("bad bearer_kind")
+            tlvs = []
+            off = 18
+            while off < size:
+                if off + 4 > size:
+                    raise _truncated(4, off)
+                tlv_type, tlv_len = _TLV_HEAD.unpack_from(data, off)
+                off += 4
+                if off + tlv_len > size:
+                    raise _truncated(tlv_len, off)
+                tlvs.append(ConfigTlv(tlv_type, data[off : off + tlv_len]))
+                off += tlv_len
+            spec = RadioBearer(crnti, bearer_id, _BEARER_KINDS[kind], tuple(tlvs))
+        elif port_class == _GTP_CLASS:
+            if size < 28:
+                raise _truncated(14, 14)
+            spec, off = GtpTunnel(*_GTP.unpack_from(data, 14)), 28
+        elif port_class == _SIG_CLASS:
+            if size < 22:
+                raise _truncated(8, 14)
+            spec, off = SigTunnel(*_SIG.unpack_from(data, 14)), 22
         else:
-            spec = _decode_port_spec(port_class, r)
-            r.expect_end()
-            msg = PortMod(xid, PortModBody(command, port_id, spec))
-    elif msg_type == MsgType.FLOW_MOD:
-        command, priority, count = r.unpack(">BHB")
-        if command not in (0, 1):
+            raise MalformedTlvError(f"unknown port class {port_class}")
+        if off < size:
+            raise _trailing(size - off)
+        msg: Open5GMessage = PortMod(xid, PortModBody(_PORT_MOD_COMMANDS[command], port_id, spec))
+    elif msg_type == _FLOW_MOD:
+        if size < 12:
+            raise _truncated(4, 8)
+        command, priority, count = _FLOW_MOD_HEAD.unpack_from(data, 8)
+        if command > 1:
             raise MalformedTlvError(f"bad flow_mod command {command}")
-        match = _decode_match_tlvs(count, r)
-        kind, out_port = r.unpack(">BI")
+        fields: dict[str, object] = {}
+        off = 12
+        for _ in range(count):
+            if off + 4 > size:
+                raise _truncated(4, off)
+            mtype, mlen = _TLV_HEAD.unpack_from(data, off)
+            off += 4
+            if off + mlen > size:
+                raise _truncated(mlen, off)
+            row = _MATCH_BY_TYPE.get(mtype)
+            if row is None:
+                raise MalformedTlvError(f"unknown match type {mtype}")
+            f, width, _, _, value, _ = row
+            if mlen != width:
+                raise MalformedTlvError(f"match {f.mtype.name} has length {mlen}, want {width}")
+            if f.name in fields:
+                raise MalformedTlvError(f"duplicate match field {f.mtype.name}")
+            (fields[f.name],) = value.unpack_from(data, off)
+            off += mlen
+        if off + 5 > size:
+            raise _truncated(5, off)
+        kind, out_port = _ACTION.unpack_from(data, off)
         if kind != 1:
             raise MalformedTlvError(f"unknown action kind {kind}")
-        r.expect_end()
-        msg = FlowMod(xid, FlowModBody(FlowModCommand(command), priority, match, FlowAction(out_port)))
+        if off + 5 < size:
+            raise _trailing(size - off - 5)
+        body = FlowModBody(_FLOW_MOD_COMMANDS[command], priority, FlowMatch(**fields), FlowAction(out_port))
+        msg = FlowMod(xid, body)
+    elif msg_type == _HELLO:
+        if size > HEADER_LEN:
+            raise _trailing(size - HEADER_LEN)
+        return Hello(xid)
+    elif msg_type == _ERROR:
+        if size < 12:
+            raise _truncated(4, 8)
+        code, detail_len = _ERROR_HEAD.unpack_from(data, 8)
+        if 12 + detail_len > size:
+            raise _truncated(detail_len, 12)
+        if 12 + detail_len < size:
+            raise _trailing(size - 12 - detail_len)
+        return ErrorMsg(xid, code, data[12:size])
     else:
         raise UnknownTypeError(f"message type {msg_type}")
 

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import random
+import struct
 
 from open5gsim import wire
 from open5gsim.controller import QosFlowSpec, SessionSpec
 from open5gsim.errors import (
+    BadVersionError,
     DuplicateBearerError,
     DuplicateEntryError,
     DuplicatePortError,
+    InvalidMessageError,
+    MalformedTlvError,
+    TruncatedError,
     UnknownOutPortError,
     UnknownPortError,
+    UnknownTypeError,
 )
 from open5gsim.messages import RrcMessage, rrc_to_bytes
 from open5gsim.netsim import (
@@ -25,6 +31,7 @@ from open5gsim.netsim import (
 from open5gsim.node import DataPlaneNode, Rat
 from open5gsim.switch import FlowEntry, LogicalPort, PacketContext, entry_references_port
 from open5gsim.wire import (
+    MATCH_FIELDS,
     BearerKind,
     ConfigTlv,
     ErrorMsg,
@@ -35,6 +42,9 @@ from open5gsim.wire import (
     FlowModCommand,
     GtpTunnel,
     Hello,
+    MatchType,
+    MsgType,
+    PortClass,
     PortMod,
     PortModBody,
     PortModCommand,
@@ -415,3 +425,244 @@ def _action_str(entry, node: DataPlaneNode) -> str:
     if isinstance(spec, SigTunnel):
         return f"output sig(tunnel={spec.tunnel_id})"
     return f"output port={entry.action.out_port}"
+
+
+# -- reference Open5G codec -------------------------------------------------------
+# The message codec as it was before `wire` moved to precompiled structs: a
+# reader object that slices the body, a `_check`/`_u` call per validated field
+# and Enum calls for decoded values. The differential properties in
+# test_wire.py hold wire.encode_message and wire.decode_message to it, down to
+# the exception class and its text.
+
+
+def _ref_check(cond: bool, why: str) -> None:
+    if not cond:
+        raise InvalidMessageError(why)
+
+
+def _ref_u(value: int, bits: int, name: str) -> None:
+    if not (isinstance(value, int) and 0 <= value < (1 << bits)):
+        raise InvalidMessageError(f"{name} out of range")
+
+
+def reference_validate_port_spec(spec: PortSpec) -> None:
+    if isinstance(spec, RadioBearer):
+        _ref_u(spec.crnti, 16, "crnti")
+        _ref_check(spec.crnti <= wire.CRNTI_MAX, "crnti above reserved range")
+        _ref_u(spec.bearer_id, 8, "bearer_id")
+        _ref_check(spec.bearer_id <= 31, "bearer_id above 31")
+        _ref_check(spec.bearer_kind in (BearerKind.SRB, BearerKind.DRB), "bad bearer_kind")
+        if spec.bearer_kind == BearerKind.SRB:
+            _ref_check(spec.bearer_id in wire.SRB_BEARER_IDS, "SRB bearer_id not in {0,3,4}")
+        if not (spec.bearer_kind == BearerKind.SRB and spec.bearer_id == 0):
+            _ref_check(spec.crnti != 0, "crnti zero on dedicated bearer")
+        for tlv in spec.layer_config:
+            _ref_u(tlv.tlv_type, 16, "tlv_type")
+            _ref_check(len(tlv.value) <= 0xFFFF, "tlv value too long")
+    elif isinstance(spec, GtpTunnel):
+        _ref_check(len(spec.local_ip) == 4 and len(spec.remote_ip) == 4, "bad ip length")
+        _ref_u(spec.udp_port, 16, "udp_port")
+        _ref_u(spec.teid, 32, "teid")
+    elif isinstance(spec, SigTunnel):
+        _ref_check(len(spec.controller_ip) == 4, "bad ip length")
+        _ref_u(spec.tunnel_id, 32, "tunnel_id")
+    else:
+        raise InvalidMessageError("unknown port spec variant")
+
+
+# MatchType -> (its field, the byte width of its TLV value)
+_REF_MATCH_BY_TYPE = {f.mtype: (f, struct.calcsize(f.fmt)) for f in MATCH_FIELDS}
+
+
+def reference_validate_match(match: FlowMatch) -> None:
+    fields = match.populated()
+    _ref_check(len(fields) >= 1, "empty match")
+    _ref_check(
+        (match.crnti is None) == (match.bearer_id is None),
+        "crnti and bearer_id must appear together",
+    )
+    for mtype, value in fields:
+        field, width = _REF_MATCH_BY_TYPE[mtype]
+        if field.fmt[-1] == "s":
+            _ref_check(len(value) == width, f"bad {field.name} length")
+        else:
+            _ref_u(value, 8 * width, field.name)
+        if mtype == MatchType.CRNTI:
+            _ref_check(value <= wire.CRNTI_MAX, "crnti above reserved range")
+
+
+def reference_validate_message(msg) -> None:
+    if isinstance(msg, Hello):
+        _ref_u(msg.xid, 32, "xid")
+    elif isinstance(msg, ErrorMsg):
+        _ref_u(msg.xid, 32, "xid")
+        _ref_u(msg.code, 16, "code")
+        _ref_check(len(msg.detail) <= 0xFFFF, "detail too long")
+    elif isinstance(msg, PortMod):
+        _ref_u(msg.xid, 32, "xid")
+        body = msg.body
+        _ref_check(body.command in PortModCommand.__members__.values(), "bad command")
+        _ref_u(body.port_id, 32, "port_id")
+        if body.command == PortModCommand.DELETE:
+            _ref_check(body.port_spec is None, "DELETE carries no port spec")
+        else:
+            _ref_check(body.port_spec is not None, "missing port spec")
+            reference_validate_port_spec(body.port_spec)
+    elif isinstance(msg, FlowMod):
+        _ref_u(msg.xid, 32, "xid")
+        body = msg.body
+        _ref_check(body.command in FlowModCommand.__members__.values(), "bad command")
+        _ref_u(body.priority, 16, "priority")
+        reference_validate_match(body.match)
+        _ref_u(body.action.out_port, 32, "out_port")
+    else:
+        raise InvalidMessageError("unknown message class")
+
+
+def _ref_encode_port_spec(spec: PortSpec) -> tuple[int, bytes]:
+    if isinstance(spec, RadioBearer):
+        tlvs = b"".join(struct.pack(">HH", t.tlv_type, len(t.value)) + t.value for t in spec.layer_config)
+        return PortClass.RADIO, struct.pack(">HBB", spec.crnti, spec.bearer_id, int(spec.bearer_kind)) + tlvs
+    if isinstance(spec, GtpTunnel):
+        return PortClass.GTP, struct.pack(">4s4sHI", spec.local_ip, spec.remote_ip, spec.udp_port, spec.teid)
+    return PortClass.SIG, struct.pack(">4sI", spec.controller_ip, spec.tunnel_id)
+
+
+def _ref_encode_body(msg) -> tuple[MsgType, bytes]:
+    if isinstance(msg, Hello):
+        return MsgType.HELLO, b""
+    if isinstance(msg, ErrorMsg):
+        return MsgType.ERROR, struct.pack(">HH", msg.code, len(msg.detail)) + msg.detail
+    if isinstance(msg, PortMod):
+        body = msg.body
+        if body.command == PortModCommand.DELETE:
+            port_class, spec_bytes = 0, b""
+        else:
+            port_class, spec_bytes = _ref_encode_port_spec(body.port_spec)
+        return MsgType.PORT_MOD, struct.pack(">BBI", int(body.command), port_class, body.port_id) + spec_bytes
+    body = msg.body
+    fields = body.match.populated()
+    parts = [struct.pack(">BHB", int(body.command), body.priority, len(fields))]
+    for mtype, value in fields:
+        field, width = _REF_MATCH_BY_TYPE[mtype]
+        parts.append(struct.pack(">HH", int(mtype), width) + struct.pack(field.fmt, value))
+    parts.append(struct.pack(">BI", 1, body.action.out_port))
+    return MsgType.FLOW_MOD, b"".join(parts)
+
+
+def reference_encode_message(msg) -> bytes:
+    reference_validate_message(msg)
+    msg_type, body = _ref_encode_body(msg)
+    total = wire.HEADER_LEN + len(body)
+    _ref_check(total <= 0xFFFF, "message too long")
+    return struct.pack(">BBHI", wire.VERSION, int(msg_type), total, msg.xid) + body
+
+
+class _RefReader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise TruncatedError(f"need {n} bytes at offset {self.pos}")
+        out = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def remaining(self) -> int:
+        return len(self.data) - self.pos
+
+    def expect_end(self) -> None:
+        if self.remaining():
+            raise MalformedTlvError(f"{self.remaining()} trailing bytes in body")
+
+
+def _ref_decode_port_spec(port_class: int, r: _RefReader) -> PortSpec:
+    if port_class == PortClass.RADIO:
+        crnti, bearer_id, kind = r.unpack(">HBB")
+        if kind not in (0, 1):
+            raise MalformedTlvError("bad bearer_kind")
+        tlvs = []
+        while r.remaining():
+            tlv_type, tlv_len = r.unpack(">HH")
+            tlvs.append(ConfigTlv(tlv_type, r.take(tlv_len)))
+        return RadioBearer(crnti, bearer_id, BearerKind(kind), tuple(tlvs))
+    if port_class == PortClass.GTP:
+        return GtpTunnel(*r.unpack(">4s4sHI"))
+    if port_class == PortClass.SIG:
+        return SigTunnel(*r.unpack(">4sI"))
+    raise MalformedTlvError(f"unknown port class {port_class}")
+
+
+def _ref_decode_match_tlvs(count: int, r: _RefReader) -> FlowMatch:
+    fields: dict[str, object] = {}
+    for _ in range(count):
+        mtype, mlen = r.unpack(">HH")
+        raw = r.take(mlen)
+        if mtype not in _REF_MATCH_BY_TYPE:
+            raise MalformedTlvError(f"unknown match type {mtype}")
+        field, width = _REF_MATCH_BY_TYPE[mtype]
+        if mlen != width:
+            raise MalformedTlvError(f"match {field.mtype.name} has length {mlen}, want {width}")
+        if field.name in fields:
+            raise MalformedTlvError(f"duplicate match field {field.mtype.name}")
+        fields[field.name] = struct.unpack(field.fmt, raw)[0]
+    return FlowMatch(**fields)
+
+
+def reference_decode_message(data: bytes):
+    if len(data) < wire.HEADER_LEN:
+        raise TruncatedError(f"{len(data)} bytes, header needs {wire.HEADER_LEN}")
+    version, msg_type, length, xid = struct.unpack(">BBHI", data[: wire.HEADER_LEN])
+    if version != wire.VERSION:
+        raise BadVersionError(f"version {version:#04x}")
+    if length < wire.HEADER_LEN:
+        raise MalformedTlvError(f"length field {length} below header size")
+    if len(data) < length:
+        raise TruncatedError(f"{len(data)} bytes, length field says {length}")
+    if len(data) > length:
+        raise MalformedTlvError(f"{len(data) - length} bytes beyond declared length")
+    r = _RefReader(data[wire.HEADER_LEN : length])
+
+    if msg_type == MsgType.HELLO:
+        r.expect_end()
+        return Hello(xid)
+    if msg_type == MsgType.ERROR:
+        code, detail_len = r.unpack(">HH")
+        detail = r.take(detail_len)
+        r.expect_end()
+        return ErrorMsg(xid, code, detail)
+    if msg_type == MsgType.PORT_MOD:
+        command, port_class, port_id = r.unpack(">BBI")
+        if command not in (0, 1, 2):
+            raise MalformedTlvError(f"bad port_mod command {command}")
+        command = PortModCommand(command)
+        if command == PortModCommand.DELETE:
+            r.expect_end()
+            msg = PortMod(xid, PortModBody(command, port_id, None))
+        else:
+            spec = _ref_decode_port_spec(port_class, r)
+            r.expect_end()
+            msg = PortMod(xid, PortModBody(command, port_id, spec))
+    elif msg_type == MsgType.FLOW_MOD:
+        command, priority, count = r.unpack(">BHB")
+        if command not in (0, 1):
+            raise MalformedTlvError(f"bad flow_mod command {command}")
+        match = _ref_decode_match_tlvs(count, r)
+        kind, out_port = r.unpack(">BI")
+        if kind != 1:
+            raise MalformedTlvError(f"unknown action kind {kind}")
+        r.expect_end()
+        msg = FlowMod(xid, FlowModBody(FlowModCommand(command), priority, match, FlowAction(out_port)))
+    else:
+        raise UnknownTypeError(f"message type {msg_type}")
+
+    try:
+        reference_validate_message(msg)
+    except InvalidMessageError as exc:
+        raise MalformedTlvError(str(exc)) from None
+    return msg

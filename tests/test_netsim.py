@@ -164,6 +164,13 @@ def test_unmatched_downlink_tuple_is_dropped():
     assert sim.nodes["gnb1"].drop_count == 1
 
 
+def test_bad_downlink_destination_is_script_error_at_build():
+    script = POWER_ON + [Stimulus(41, "inject_downlink_data", ("ue1", "10.0.0.999", 6, 34, b"x"))]
+    with pytest.raises(ScriptError) as exc:
+        make_sim(script=script)
+    assert str(exc.value) == "inject_downlink_data at tick 41 for 'ue1' has a bad destination '10.0.0.999'"
+
+
 def test_downlink_before_session_setup_is_script_error():
     script = [Stimulus(0, "inject_downlink_data", ("ue1", "10.0.1.1", 6, 43, b"x"))]
     with pytest.raises(ScriptError):

@@ -130,6 +130,20 @@ def test_unknown_node_or_ue_reference_rejected(tmp_path, capsys, text, lineno, f
     assert capsys.readouterr().err == f"parse error: line {lineno}: {fragment}\n"
 
 
+def test_each_bad_downlink_address_is_reported_at_its_line():
+    """The parser checks each distinct address once; a bad one never passes."""
+    head = NODE + UE + "[script]\n0 ue_power_on ue1\n"  # 9 lines
+
+    def downlink(tick, addr):
+        return f"{tick} inject_downlink_data ue1 {addr} tcp 34 00\n"
+
+    good = head + downlink(30, "10.0.1.2") + downlink(31, "10.0.1.2")
+    assert [stim.args[1] for stim in parse_scenario(good).script[1:]] == ["10.0.1.2", "10.0.1.2"]
+    expect_parse_error(head + downlink(30, "10.0.0.999"), 10, "bad IPv4 address '10.0.0.999'")
+    twice = head + downlink(30, "10.0.1.2") + downlink(31, "10.0.0.999") + downlink(32, "10.0.0.999")
+    expect_parse_error(twice, 11, "bad IPv4 address '10.0.0.999'")
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
