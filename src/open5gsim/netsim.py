@@ -47,7 +47,6 @@ from .messages import (
     rrc_to_bytes,
 )
 from .node import DataPlaneNode, Rat
-from .wire import MATCH_FIELDS, GtpTunnel, MatchType, RadioBearer, SigTunnel
 from .trace import EventTrace, TraceRecord, fnv1a64
 
 UPF_IP = "10.9.0.1"
@@ -91,6 +90,10 @@ class Stimulus:
     tick: int
     kind: str  # ue_power_on | send_uplink_data | inject_downlink_data
     args: tuple
+
+
+# stimulus kind -> its number of arguments, checked by the scenario parser too
+STIMULI_ARITY = {"ue_power_on": 1, "send_uplink_data": 3, "inject_downlink_data": 5}
 
 
 @dataclass(frozen=True)
@@ -242,8 +245,13 @@ class Simulator:
         # each downlink destination address, parsed once
         self._downlink_dst: dict[str, bytes] = {}
         for stim in self.script:
-            if stim.kind not in ("ue_power_on", "send_uplink_data", "inject_downlink_data"):
+            arity = STIMULI_ARITY.get(stim.kind)
+            if arity is None:
                 raise ScriptError(f"unknown stimulus {stim.kind!r}")
+            if len(stim.args) != arity:
+                raise ScriptError(
+                    f"{stim.kind} at tick {stim.tick} wants {arity} arguments, got {len(stim.args)}"
+                )
             if stim.args[0] not in self.ues:
                 raise ScriptError(f"stimulus references unknown UE {stim.args[0]!r}")
             if stim.kind == "inject_downlink_data" and stim.args[1] not in self._downlink_dst:
@@ -263,7 +271,6 @@ class Simulator:
         # node -> [(step, rendered table)] after each Open5G batch the node
         # received; no other delivery changes its ports or flows
         self.table_history: dict[str, list[tuple[int, list[str]]]] = {n: [] for n in self.nodes}
-        self._row_cache: dict[str, dict] = {n: {} for n in self.nodes}  # see render_flow_table
         self.deliveries = 0
         self.uplink_injected = 0
         self.downlink_injected = 0
@@ -317,7 +324,7 @@ class Simulator:
                     self.deliveries += 1
                     self._process_delivery(item)
                     if item.channel == "OPEN5G" and item.dst in self.nodes:
-                        rows = render_flow_table(self.nodes[item.dst], self._row_cache[item.dst])
+                        rows = render_flow_table(self.nodes[item.dst])
                         self.table_history[item.dst].append((self.deliveries, rows))
         finally:
             # on an exception too, so that `records` holds every send made
@@ -487,41 +494,8 @@ class Simulator:
         return history[i - 1][1] if i else []
 
 
-def render_flow_table(node: DataPlaneNode, cache: dict | None = None) -> list[str]:
-    """Render (match, action) rows in priority then installation order.
-
-    `cache` (entry_id -> (entry, out-port spec, row)) carries rows from one
-    call on the node to the next. A row is reused only while the entry and
-    its out-port's spec are the very objects it was rendered from; PORT_MOD
-    MODIFY replaces a port's spec, so it re-renders the rows that output there.
-    """
-    cache = {} if cache is None else cache
-    ports = node.registry.ports
-    rows = []
-    for entry in node.table.ordered_entries():
-        port = ports.get(entry.action.out_port)
-        spec = port.spec if port is not None else None
-        cached = cache.get(entry.entry_id)
-        if cached is None or cached[0] is not entry or cached[1] is not spec:
-            row = f"{entry.priority} [{_match_str(entry)}] -> [{_action_str(entry, spec)}]"
-            cached = cache[entry.entry_id] = (entry, spec, row)
-        rows.append(cached[2])
-    return rows
-
-
-def _match_str(entry) -> str:
-    return ",".join([
-        f"{f.label}={wire.ip_str(value) if f.mtype == MatchType.IP_DST else value}"
-        for f in MATCH_FIELDS
-        if (value := getattr(entry.match, f.name)) is not None
-    ])
-
-
-def _action_str(entry, spec) -> str:
-    if isinstance(spec, RadioBearer):
-        return f"output radio(crnti={spec.crnti},bearer={spec.bearer_id})"
-    if isinstance(spec, GtpTunnel):
-        return f"output gtp(udp={spec.udp_port},teid={spec.teid})"
-    if isinstance(spec, SigTunnel):
-        return f"output sig(tunnel={spec.tunnel_id})"
-    return f"output port={entry.action.out_port}"  # no such port
+def render_flow_table(node: DataPlaneNode) -> list[str]:
+    """Render (match, action) rows in priority then installation order. The
+    node's table keeps its rows, so this copies them unless a change other
+    than a FLOW_MOD ADD made them stale."""
+    return node.table.rows(node.registry)

@@ -75,6 +75,8 @@ class DataPlaneNode:
             port = self.registry.apply_port_mod(body)
             if body.command == PortModCommand.DELETE:
                 self.table.drop_port_references(port)
+            else:
+                self.table.note_port_mod(body)
         elif isinstance(msg, FlowMod):
             self.table.apply_flow_mod(msg.body, self.registry)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .controller import QosFlowSpec, SessionSpec
 from .errors import SimulationError
-from .netsim import NodeSpec, Settings, Stimulus, Topology, UeSpec
+from .netsim import STIMULI_ARITY, NodeSpec, Settings, Stimulus, Topology, UeSpec
 from .node import Rat
 from .wire import SRB_BEARER_IDS, ip_bytes, ip_str
 
@@ -66,9 +66,6 @@ _SECTION_KEYS = {
     "ue": {"name", "attach"},
     "session": {"ue", "id", "drbs", "flow"},
 }
-
-_STIMULI_ARITY = {"ue_power_on": 1, "send_uplink_data": 3, "inject_downlink_data": 5}
-
 
 def _parse_proto(token: str, lineno: int) -> int:
     if token in _PROTO_NAMES:
@@ -205,10 +202,10 @@ class _SectionAccumulator:
             raise ParseError(lineno, "script line wants: <tick> <stimulus> <args...>")
         kind = tokens[1]
         args = tokens[2:]
-        if kind not in _STIMULI_ARITY:
+        if kind not in STIMULI_ARITY:
             raise ParseError(lineno, f"unknown stimulus {kind!r}")
-        if len(args) != _STIMULI_ARITY[kind]:
-            raise ParseError(lineno, f"{kind} wants {_STIMULI_ARITY[kind]} arguments")
+        if len(args) != STIMULI_ARITY[kind]:
+            raise ParseError(lineno, f"{kind} wants {STIMULI_ARITY[kind]} arguments")
         if kind == "ue_power_on":
             parsed = (args[0],)
         elif kind == "send_uplink_data":

@@ -2,12 +2,12 @@
 
 A node owns one registry plus one table. Lookups are pure; mutation happens
 only through apply_port_mod / apply_flow_mod so command streams replay
-deterministically.
+deterministically. The table also keeps its rows rendered for display.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect, insort
 from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter
@@ -27,11 +27,13 @@ from .wire import (
     FlowModBody,
     FlowModCommand,
     GtpTunnel,
+    MatchType,
     PortModBody,
     PortModCommand,
     PortSpec,
     RadioBearer,
     SigTunnel,
+    ip_str,
 )
 
 
@@ -177,8 +179,37 @@ def _rank(entry: FlowEntry) -> tuple[int, int]:
     return -entry.priority, entry.entry_id
 
 
+def _match_str(match: FlowMatch) -> str:
+    return ",".join([
+        f"{f.label}={ip_str(value) if f.mtype == MatchType.IP_DST else value}"
+        for f in MATCH_FIELDS
+        if (value := getattr(match, f.name)) is not None
+    ])
+
+
+def _action_str(out_port: int, port: LogicalPort | None) -> str:
+    spec = port.spec if port is not None else None
+    if isinstance(spec, RadioBearer):
+        return f"output radio(crnti={spec.crnti},bearer={spec.bearer_id})"
+    if isinstance(spec, GtpTunnel):
+        return f"output gtp(udp={spec.udp_port},teid={spec.teid})"
+    if isinstance(spec, SigTunnel):
+        return f"output sig(tunnel={spec.tunnel_id})"
+    return f"output port={out_port}"  # no such port
+
+
+def _row(entry: FlowEntry, port: LogicalPort | None) -> str:
+    """One displayed row: priority, match, and the out-port's spec."""
+    return f"{entry.priority} [{_match_str(entry.match)}] -> [{_action_str(entry.action.out_port, port)}]"
+
+
 class FlowTable:
-    """Tuple-space classifier (Srinivasan, Suri & Varghese, SIGCOMM 1999)."""
+    """Tuple-space classifier (Srinivasan, Suri & Varghese, SIGCOMM 1999).
+
+    The table keeps its rows rendered in display order. An ADD renders and
+    inserts its one row; any other change to what the rows show marks them
+    stale, and the next `rows` call renders them all again.
+    """
 
     def __init__(self):
         self.entries: list[FlowEntry] = []
@@ -192,35 +223,53 @@ class FlowTable:
     def entries(self, entries: list[FlowEntry]) -> None:
         self._entries: list[FlowEntry] = []
         self._ordered: list[FlowEntry] = []  # in display order, by _rank
+        self._ranks: list[tuple[int, int]] = []  # the _rank of each of _ordered
         # shape getter -> field values -> the entries with exactly that match, by _rank
         self._shapes: dict[Callable, dict[object, list[FlowEntry]]] = {}
         for entry in entries:
-            self._insert(entry)
+            self._insert(entry, *_slot(entry.match))
+        self._rows: list[str] | None = None  # the rows of _ordered; None while stale
+        self._unresolved: set[int] = set()  # out-port ids the rows show as missing
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _insert(self, entry: FlowEntry) -> None:
+    def _insert(self, entry: FlowEntry, key_of: Callable, key: object) -> int:
+        """Index the entry under its slot; returns its display index."""
         self._entries.append(entry)
-        insort(self._ordered, entry, key=_rank)
-        key_of, key = _slot(entry.match)
+        rank = -entry.priority, entry.entry_id
+        i = bisect(self._ranks, rank)
+        self._ranks.insert(i, rank)
+        self._ordered.insert(i, entry)
         insort(self._shapes.setdefault(key_of, {}).setdefault(key, []), entry, key=_rank)
+        return i
 
     def apply_flow_mod(self, body: FlowModBody, registry: PortRegistry) -> None:
         key_of, key = _slot(body.match)
         buckets = self._shapes.get(key_of, {})
         if body.command == FlowModCommand.ADD:
-            if body.action.out_port not in registry:
+            port = registry.get(body.action.out_port)
+            if port is None:
                 raise UnknownOutPortError(f"out_port {body.action.out_port}")
             if any(entry.priority == body.priority for entry in buckets.get(key, ())):
                 raise DuplicateEntryError(
                     f"entry (priority {body.priority}, {body.match}) already present"
                 )
-            self._insert(FlowEntry(self._next_entry_id, body.priority, body.match, body.action))
+            entry = FlowEntry(self._next_entry_id, body.priority, body.match, body.action)
             self._next_entry_id += 1
+            i = self._insert(entry, key_of, key)
+            if self._rows is not None:
+                self._rows.insert(i, _row(entry, port))
         elif key in buckets:
             # exact-match delete: drop every entry whose match equals exactly
             self.entries = [e for e in self._entries if e.match != body.match]
+
+    def note_port_mod(self, body: PortModBody) -> None:
+        """Mark the rows stale if an applied PORT_MOD changes how one renders:
+        a MODIFY, or a CREATE of an out-port that a row shows as missing. A
+        DELETE reaches the rows through drop_port_references."""
+        if body.command == PortModCommand.MODIFY or body.port_id in self._unresolved:
+            self._rows = None
 
     def drop_port_references(self, port: LogicalPort) -> int:
         """Cascade after a port DELETE; returns the number of entries removed."""
@@ -240,3 +289,11 @@ class FlowTable:
     def ordered_entries(self) -> list[FlowEntry]:
         """Entries in display order: priority descending, then installation order."""
         return list(self._ordered)
+
+    def rows(self, registry: PortRegistry) -> list[str]:
+        """The rendered rows in display order, as a new list."""
+        if self._rows is None:
+            ports = registry.ports
+            self._unresolved = {e.action.out_port for e in self._ordered if e.action.out_port not in ports}
+            self._rows = [_row(e, ports.get(e.action.out_port)) for e in self._ordered]
+        return self._rows.copy()

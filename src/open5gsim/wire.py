@@ -105,7 +105,10 @@ def ip_bytes(addr: str) -> bytes:
 
 
 def ip_str(packed: bytes) -> str:
-    return str(ipaddress.IPv4Address(packed))
+    """Format 4 packed bytes as a dotted quad; any other length is a ValueError."""
+    if len(packed) != 4:
+        raise ValueError(f"{packed!r} is not a packed IPv4 address")
+    return "%d.%d.%d.%d" % tuple(packed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import EveryDeliveryTables, generated_scenario, reference_render_flow_table
@@ -171,6 +171,21 @@ def test_bad_downlink_destination_is_script_error_at_build():
     assert str(exc.value) == "inject_downlink_data at tick 41 for 'ue1' has a bad destination '10.0.0.999'"
 
 
+@pytest.mark.parametrize(
+    "stim",
+    [
+        Stimulus(30, "send_uplink_data", ("ue1",)),
+        Stimulus(30, "ue_power_on", ()),
+        Stimulus(30, "inject_downlink_data", ("ue1",)),
+    ],
+    ids=["short_uplink", "bare_power_on", "short_downlink"],
+)
+def test_stimulus_with_wrong_arity_is_script_error_at_build(stim):
+    with pytest.raises(ScriptError) as exc:
+        make_sim(script=POWER_ON + [stim])
+    assert str(exc.value).startswith(f"{stim.kind} at tick 30 wants ")
+
+
 def test_downlink_before_session_setup_is_script_error():
     script = [Stimulus(0, "inject_downlink_data", ("ue1", "10.0.1.1", 6, 43, b"x"))]
     with pytest.raises(ScriptError):
@@ -254,7 +269,7 @@ def test_table_history_matches_every_delivery_oracle(make):
     assert injected == delivered + dropped
 
 
-# -- the row cache of render_flow_table -----------------------------------------------
+# -- the rows a flow table keeps rendered ----------------------------------------------
 
 _IP = wire.ip_bytes("10.0.1.1")
 _PORT_IDS = st.integers(1, 4)
@@ -295,28 +310,44 @@ _FLOW_MOD = st.builds(
     _flow_mod, st.sampled_from([FlowModCommand.ADD] * 3 + [FlowModCommand.DELETE]), _PRIORITIES, _MATCHES, _PORT_IDS
 )
 # `table.entries = [...]`: the indexes of current entries to keep, then new
-# entries whose ids collide with cached ones and whose out-port may not exist
+# entries whose ids may collide with current ones and whose out-port may not exist
 _NEW_ENTRY = st.builds(FlowEntry, st.integers(1, 8), _PRIORITIES, _MATCHES, st.builds(FlowAction, st.integers(1, 5)))
 _ASSIGN = st.tuples(st.lists(st.integers(0, 20), max_size=8), st.lists(_NEW_ENTRY, max_size=3))
-_STEPS = st.one_of(_PORT_MOD, _PORT_MOD, _FLOW_MOD, _FLOW_MOD, _FLOW_MOD, _ASSIGN)
+# several commands in one batch, so that an ADD can follow a change that made
+# the rows stale before they are rendered again
+_BATCH = st.lists(st.one_of(_PORT_MOD, _FLOW_MOD), min_size=2, max_size=4)
+_STEPS = st.one_of(_PORT_MOD, _PORT_MOD, _FLOW_MOD, _FLOW_MOD, _FLOW_MOD, _ASSIGN, _BATCH)
 
 
 @given(st.lists(_STEPS, min_size=5, max_size=50))
+@example(
+    [
+        ([], [FlowEntry(1, 100, FlowMatch(in_port=1), FlowAction(3))]),  # out-port 3 does not exist
+        _port_mod(PortModCommand.CREATE, 3, SigTunnel(_IP, 1)),
+    ]
+)
 @settings(max_examples=200, deadline=None)
 def test_cached_render_matches_reference_render(steps):
     node = DataPlaneNode("gnb1", Rat.NR, wire.ip_bytes("10.0.0.1"))
-    cache: dict = {}
     for step in steps:
         if isinstance(step, tuple):
             keep, extra = step
             entries = node.table.entries
             node.table.entries = [entries[i] for i in keep if i < len(entries)] + extra
+        elif isinstance(step, list):
+            node.handle_open5g(b"".join(map(wire.encode_message, step)))
         else:
             node.handle_open5g(wire.encode_message(step))  # an ERROR stops the batch; go on
         assert node.table.ordered_entries() == sorted(node.table.entries, key=lambda e: (-e.priority, e.entry_id))
-        want = reference_render_flow_table(node)
-        assert render_flow_table(node, cache) == want
-        assert render_flow_table(node) == want
+        assert render_flow_table(node) == reference_render_flow_table(node)
+
+
+def test_creating_a_missing_out_port_re_renders_its_row():
+    node = DataPlaneNode("gnb1", Rat.NR, wire.ip_bytes("10.0.0.1"))
+    node.table.entries = [FlowEntry(1, 100, FlowMatch(in_port=1), FlowAction(3))]
+    assert render_flow_table(node) == ["100 [in_port=1] -> [output port=3]"]
+    node.handle_open5g(wire.encode_message(_port_mod(PortModCommand.CREATE, 3, SigTunnel(_IP, 7))))
+    assert render_flow_table(node) == ["100 [in_port=1] -> [output sig(tunnel=7)]"]
 
 
 # -- stubs in isolation ----------------------------------------------------------------

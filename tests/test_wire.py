@@ -1,4 +1,5 @@
 import dataclasses
+import ipaddress
 import random
 import struct
 
@@ -327,6 +328,17 @@ def test_envelope_round_trip():
 def test_ip_packet_round_trip():
     packet = wire.pack_ip_packet(wire.ip_bytes("10.0.1.2"), 6, 34, b"payload")
     assert wire.unpack_ip_packet(packet) == (wire.ip_bytes("10.0.1.2"), 6, 34, b"payload")
+
+
+@given(st.one_of(st.binary(min_size=4, max_size=4), st.binary(max_size=8)))
+def test_ip_str_formats_as_ipaddress_does(packed):
+    if len(packed) == 4:
+        assert wire.ip_str(packed) == str(ipaddress.IPv4Address(packed))
+    else:
+        with pytest.raises(ValueError):
+            ipaddress.IPv4Address(packed)
+        with pytest.raises(ValueError):
+            wire.ip_str(packed)
 
 
 # -- match-field error messages ---------------------------------------------------
