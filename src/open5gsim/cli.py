@@ -15,7 +15,7 @@ import sys
 from .errors import ControllerError, Open5GError, SimulationError
 from .netsim import Simulator
 from .scenario import ParseError, load_scenario
-from .trace import TraceParseError, read_trace, write_trace
+from .trace import CHANNELS, TraceParseError, read_trace, write_trace
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -43,6 +43,10 @@ def cmd_run(scenario_path: str, out_path: str) -> int:
 
 
 def cmd_verify(trace_path: str, golden_path: str, channels: set[str] | None = None) -> int:
+    unknown = sorted(set(channels or ()) - set(CHANNELS))
+    if unknown:
+        print(f"parse error: unknown channel {unknown[0]!r}; channels are {', '.join(CHANNELS)}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     try:
         trace = read_trace(trace_path)
         golden = read_trace(golden_path)

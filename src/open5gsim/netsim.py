@@ -223,7 +223,7 @@ class Simulator:
         self.controller = Controller(admission_cap=self.settings.admission_cap)
         self.nodes: dict[str, DataPlaneNode] = {}
         for spec in topology.nodes:
-            self.nodes[spec.name] = DataPlaneNode(spec.name, spec.rat, wire.ip_bytes(spec.ngu_ip))
+            self.nodes[spec.name] = DataPlaneNode(spec.name, spec.rat)
             self.controller.register_node(spec.name, spec.rat, spec.ngu_ip, UPF_IP)
 
         self.ues: dict[str, UeSim] = {}
@@ -252,6 +252,8 @@ class Simulator:
                 raise ScriptError(
                     f"{stim.kind} at tick {stim.tick} wants {arity} arguments, got {len(stim.args)}"
                 )
+            if stim.tick < 0:
+                raise ScriptError(f"{stim.kind} at negative tick {stim.tick}")
             if stim.args[0] not in self.ues:
                 raise ScriptError(f"stimulus references unknown UE {stim.args[0]!r}")
             if stim.kind == "inject_downlink_data" and stim.args[1] not in self._downlink_dst:

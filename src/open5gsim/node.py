@@ -13,7 +13,7 @@ from enum import Enum
 
 from . import wire
 from .errors import Open5GError, UnsupportedLayerError, WireDecodeError
-from .switch import FlowTable, LogicalPort, PacketContext, PortRegistry
+from .switch import FlowTable, PacketContext, PortRegistry
 from .wire import (
     ErrorMsg,
     FlowMod,
@@ -51,10 +51,9 @@ class Emission:
 class DataPlaneNode:
     node_id: str
     rat: Rat
-    ngu_ip: bytes
-    drop_count: int = 0
-    registry: PortRegistry = field(default_factory=PortRegistry)
-    table: FlowTable = field(default_factory=FlowTable)
+    drop_count: int = field(default=0, init=False)
+    registry: PortRegistry = field(default_factory=PortRegistry, init=False)
+    table: FlowTable = field(default_factory=FlowTable, init=False)
 
     # -- controller channel ------------------------------------------------
 
@@ -72,9 +71,9 @@ class DataPlaneNode:
                         raise UnsupportedLayerError(
                             f"tlv {tlv.tlv_type} not supported on WLAN radio stack"
                         )
-            port = self.registry.apply_port_mod(body)
+            spec = self.registry.apply_port_mod(body)
             if body.command == PortModCommand.DELETE:
-                self.table.drop_port_references(port)
+                self.table.drop_port_references(body.port_id, spec)
             else:
                 self.table.note_port_mod(body)
         elif isinstance(msg, FlowMod):
@@ -103,8 +102,7 @@ class DataPlaneNode:
         dropped if no entry matches, the out-port is gone or, on the common
         SRB0 port, its envelope does not decode."""
         action = self.table.match(ctx)
-        port = self.registry.get(action.out_port) if action is not None else None
-        spec = port.spec if port is not None else None
+        spec = self.registry.get(action.out_port) if action is not None else None
         if isinstance(spec, GtpTunnel):
             return [Emission("ngu", wire.encap_gtpu(payload, spec.teid))]
         if isinstance(spec, SigTunnel):
@@ -121,7 +119,7 @@ class DataPlaneNode:
         return []
 
     def ingress_radio(self, crnti: int, bearer_id: int, payload: bytes) -> list[Emission]:
-        in_port = _port_id(self.registry.radio_port(crnti, bearer_id))
+        in_port = self.registry.radio_port(crnti, bearer_id)
         return self._forward(PacketContext(in_port, crnti=crnti, bearer_id=bearer_id), payload)
 
     def ingress_ngu(self, frame: bytes) -> list[Emission]:
@@ -131,8 +129,7 @@ class DataPlaneNode:
         except WireDecodeError:
             self.drop_count += 1
             return []
-        in_port = _port_id(self.registry.gtp_port(teid))
-        ctx = PacketContext(in_port, ip_dst=ip_dst, ip_proto=ip_proto, l4_dst=l4_dst)
+        ctx = PacketContext(self.registry.gtp_port(teid), ip_dst=ip_dst, ip_proto=ip_proto, l4_dst=l4_dst)
         return self._forward(ctx, packet)
 
     def ingress_sigtunnel(self, frame: bytes) -> list[Emission]:
@@ -142,8 +139,4 @@ class DataPlaneNode:
             self.drop_count += 1
             return []
         # an unknown tunnel leaves the context empty, and no entry has an empty match
-        return self._forward(PacketContext(_port_id(self.registry.sig_port(tunnel_id))), payload)
-
-
-def _port_id(port: LogicalPort | None) -> int | None:
-    return port.port_id if port is not None else None
+        return self._forward(PacketContext(self.registry.sig_port(tunnel_id)), payload)

@@ -198,6 +198,8 @@ class _SectionAccumulator:
     def add_script_line(self, lineno: int, line: str) -> None:
         tokens = line.split()
         tick = _parse_int(tokens[0], lineno, "tick")
+        if tick < 0:
+            raise ParseError(lineno, f"negative tick {tick}")
         if len(tokens) < 2:
             raise ParseError(lineno, "script line wants: <tick> <stimulus> <args...>")
         kind = tokens[1]

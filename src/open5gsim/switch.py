@@ -37,12 +37,6 @@ from .wire import (
 )
 
 
-@dataclass
-class LogicalPort:
-    port_id: int
-    spec: PortSpec
-
-
 @dataclass(frozen=True)
 class FlowEntry:
     entry_id: int
@@ -64,10 +58,10 @@ class PacketContext:
 
 
 class PortRegistry:
-    """Ports by id, plus one exact-match index per port class."""
+    """Port specs by id, plus one exact-match index of port ids per port class."""
 
     def __init__(self):
-        self.ports: dict[int, LogicalPort] = {}  # in creation order
+        self.ports: dict[int, PortSpec] = {}  # in creation order
         self._reindex()
 
     def __len__(self) -> int:
@@ -76,17 +70,17 @@ class PortRegistry:
     def __contains__(self, port_id: int) -> bool:
         return port_id in self.ports
 
-    def get(self, port_id: int) -> LogicalPort | None:
+    def get(self, port_id: int) -> PortSpec | None:
         return self.ports.get(port_id)
 
-    def radio_port(self, crnti: int, bearer_id: int) -> LogicalPort | None:
+    def radio_port(self, crnti: int, bearer_id: int) -> int | None:
         return self._radio.get((crnti, bearer_id))
 
-    def gtp_port(self, teid: int) -> LogicalPort | None:
-        ports = self._teid.get(teid)
-        return ports[0] if ports else None  # the earliest created
+    def gtp_port(self, teid: int) -> int | None:
+        port_ids = self._teid.get(teid)
+        return port_ids[0] if port_ids else None  # the earliest created
 
-    def sig_port(self, tunnel_id: int) -> LogicalPort | None:
+    def sig_port(self, tunnel_id: int) -> int | None:
         return self._sig.get(tunnel_id)
 
     def _index(self, spec: PortSpec) -> tuple[dict, tuple[int, int] | int]:
@@ -97,65 +91,63 @@ class PortRegistry:
             return self._gtp, (spec.udp_port, spec.teid)
         return self._sig, spec.tunnel_id
 
-    def _link(self, port: LogicalPort) -> None:
-        index, key = self._index(port.spec)
-        index[key] = port
-        if isinstance(port.spec, GtpTunnel):
-            self._teid.setdefault(port.spec.teid, []).append(port)
+    def _link(self, port_id: int, spec: PortSpec) -> None:
+        index, key = self._index(spec)
+        index[key] = port_id
+        if isinstance(spec, GtpTunnel):
+            self._teid.setdefault(spec.teid, []).append(port_id)
 
     def _reindex(self) -> None:
-        self._radio: dict[tuple[int, int], LogicalPort] = {}  # (crnti, bearer_id)
-        self._gtp: dict[tuple[int, int], LogicalPort] = {}  # (udp_port, teid)
-        self._sig: dict[int, LogicalPort] = {}  # tunnel_id
-        self._teid: dict[int, list[LogicalPort]] = {}  # teid -> GTP ports, earliest created first
-        for port in self.ports.values():
-            self._link(port)
+        self._radio: dict[tuple[int, int], int] = {}  # (crnti, bearer_id)
+        self._gtp: dict[tuple[int, int], int] = {}  # (udp_port, teid)
+        self._sig: dict[int, int] = {}  # tunnel_id
+        self._teid: dict[int, list[int]] = {}  # teid -> GTP port ids, earliest created first
+        for port_id, spec in self.ports.items():
+            self._link(port_id, spec)
 
     def _check_uniqueness(self, port_id: int, spec: PortSpec) -> None:
         index, key = self._index(spec)
         other = index.get(key)
-        if other is None or other.port_id == port_id:
+        if other is None or other == port_id:
             return
         if isinstance(spec, RadioBearer):
-            raise DuplicateBearerError(f"crnti {spec.crnti} bearer {spec.bearer_id} already on port {other.port_id}")
+            raise DuplicateBearerError(f"crnti {spec.crnti} bearer {spec.bearer_id} already on port {other}")
         if isinstance(spec, GtpTunnel):
             raise DuplicatePortError(f"gtp tunnel (port {spec.udp_port}, teid {spec.teid}) already exists")
         raise DuplicatePortError(f"sig tunnel {spec.tunnel_id} already exists")
 
-    def apply_port_mod(self, body: PortModBody) -> LogicalPort:
-        """Apply one PORT_MOD; returns the affected port (DELETE: the removed one).
+    def apply_port_mod(self, body: PortModBody) -> PortSpec:
+        """Apply one PORT_MOD; returns the port's spec (DELETE: the removed one).
         MODIFY and DELETE, which the controller never sends, rebuild the indexes."""
+        port_id, spec = body.port_id, body.port_spec
         if body.command == PortModCommand.CREATE:
-            if body.port_id in self.ports:
-                raise DuplicatePortError(f"port {body.port_id} already exists")
-            self._check_uniqueness(body.port_id, body.port_spec)
-            port = LogicalPort(body.port_id, body.port_spec)
-            self.ports[body.port_id] = port
-            self._link(port)
-            return port
+            if port_id in self.ports:
+                raise DuplicatePortError(f"port {port_id} already exists")
+            self._check_uniqueness(port_id, spec)
+            self.ports[port_id] = spec
+            self._link(port_id, spec)
+            return spec
         if body.command == PortModCommand.MODIFY:
-            port = self.ports.get(body.port_id)
-            if port is None:
-                raise UnknownPortError(f"port {body.port_id}")
-            self._check_uniqueness(body.port_id, body.port_spec)
-            port.spec = body.port_spec
+            if port_id not in self.ports:
+                raise UnknownPortError(f"port {port_id}")
+            self._check_uniqueness(port_id, spec)
+            self.ports[port_id] = spec  # keeps the port's creation-order slot
             self._reindex()  # drops the old key, which may be of another class
-            return port
-        port = self.ports.pop(body.port_id, None)
-        if port is None:
-            raise UnknownPortError(f"port {body.port_id}")
+            return spec
+        spec = self.ports.pop(port_id, None)
+        if spec is None:
+            raise UnknownPortError(f"port {port_id}")
         self._reindex()
-        return port
+        return spec
 
 
-def entry_references_port(entry: FlowEntry, port: LogicalPort) -> bool:
+def entry_references_port(entry: FlowEntry, port_id: int, spec: PortSpec) -> bool:
     """A flow entry references a port through its action, in_port match, or
     a (crnti, bearer_id) match equal to a radio port's key."""
-    if entry.action.out_port == port.port_id:
+    if entry.action.out_port == port_id:
         return True
-    if entry.match.in_port == port.port_id:
+    if entry.match.in_port == port_id:
         return True
-    spec = port.spec
     if isinstance(spec, RadioBearer):
         if entry.match.crnti == spec.crnti and entry.match.bearer_id == spec.bearer_id:
             return True
@@ -187,8 +179,7 @@ def _match_str(match: FlowMatch) -> str:
     ])
 
 
-def _action_str(out_port: int, port: LogicalPort | None) -> str:
-    spec = port.spec if port is not None else None
+def _action_str(out_port: int, spec: PortSpec | None) -> str:
     if isinstance(spec, RadioBearer):
         return f"output radio(crnti={spec.crnti},bearer={spec.bearer_id})"
     if isinstance(spec, GtpTunnel):
@@ -198,9 +189,9 @@ def _action_str(out_port: int, port: LogicalPort | None) -> str:
     return f"output port={out_port}"  # no such port
 
 
-def _row(entry: FlowEntry, port: LogicalPort | None) -> str:
+def _row(entry: FlowEntry, spec: PortSpec | None) -> str:
     """One displayed row: priority, match, and the out-port's spec."""
-    return f"{entry.priority} [{_match_str(entry.match)}] -> [{_action_str(entry.action.out_port, port)}]"
+    return f"{entry.priority} [{_match_str(entry.match)}] -> [{_action_str(entry.action.out_port, spec)}]"
 
 
 class FlowTable:
@@ -248,8 +239,8 @@ class FlowTable:
         key_of, key = _slot(body.match)
         buckets = self._shapes.get(key_of, {})
         if body.command == FlowModCommand.ADD:
-            port = registry.get(body.action.out_port)
-            if port is None:
+            spec = registry.get(body.action.out_port)
+            if spec is None:
                 raise UnknownOutPortError(f"out_port {body.action.out_port}")
             if any(entry.priority == body.priority for entry in buckets.get(key, ())):
                 raise DuplicateEntryError(
@@ -259,7 +250,7 @@ class FlowTable:
             self._next_entry_id += 1
             i = self._insert(entry, key_of, key)
             if self._rows is not None:
-                self._rows.insert(i, _row(entry, port))
+                self._rows.insert(i, _row(entry, spec))
         elif key in buckets:
             # exact-match delete: drop every entry whose match equals exactly
             self.entries = [e for e in self._entries if e.match != body.match]
@@ -271,10 +262,10 @@ class FlowTable:
         if body.command == PortModCommand.MODIFY or body.port_id in self._unresolved:
             self._rows = None
 
-    def drop_port_references(self, port: LogicalPort) -> int:
+    def drop_port_references(self, port_id: int, spec: PortSpec) -> int:
         """Cascade after a port DELETE; returns the number of entries removed."""
         before = len(self._entries)
-        self.entries = [e for e in self._entries if not entry_references_port(e, port)]
+        self.entries = [e for e in self._entries if not entry_references_port(e, port_id, spec)]
         return before - len(self._entries)
 
     def match(self, ctx: PacketContext) -> FlowAction | None:

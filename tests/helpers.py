@@ -29,7 +29,7 @@ from open5gsim.netsim import (
     UeSpec,
 )
 from open5gsim.node import DataPlaneNode, Rat
-from open5gsim.switch import FlowEntry, LogicalPort, PacketContext, entry_references_port
+from open5gsim.switch import FlowEntry, PacketContext, entry_references_port
 from open5gsim.wire import (
     MATCH_FIELDS,
     BearerKind,
@@ -265,7 +265,7 @@ def generated_scenario(ues: int = 50) -> tuple[Topology, list[Stimulus], Setting
 
 class ScanPortRegistry:
     def __init__(self):
-        self.ports: dict[int, LogicalPort] = {}
+        self.ports: dict[int, PortSpec] = {}
 
     def __len__(self) -> int:
         return len(self.ports)
@@ -273,66 +273,63 @@ class ScanPortRegistry:
     def __contains__(self, port_id: int) -> bool:
         return port_id in self.ports
 
-    def get(self, port_id: int) -> LogicalPort | None:
+    def get(self, port_id: int) -> PortSpec | None:
         return self.ports.get(port_id)
 
-    def radio_port(self, crnti: int, bearer_id: int) -> LogicalPort | None:
-        for port in self.ports.values():
-            spec = port.spec
+    def radio_port(self, crnti: int, bearer_id: int) -> int | None:
+        for port_id, spec in self.ports.items():
             if isinstance(spec, RadioBearer) and spec.crnti == crnti and spec.bearer_id == bearer_id:
-                return port
+                return port_id
         return None
 
-    def gtp_port(self, teid: int) -> LogicalPort | None:
-        for port in self.ports.values():
-            if isinstance(port.spec, GtpTunnel) and port.spec.teid == teid:
-                return port
+    def gtp_port(self, teid: int) -> int | None:
+        for port_id, spec in self.ports.items():
+            if isinstance(spec, GtpTunnel) and spec.teid == teid:
+                return port_id
         return None
 
-    def sig_port(self, tunnel_id: int) -> LogicalPort | None:
-        for port in self.ports.values():
-            if isinstance(port.spec, SigTunnel) and port.spec.tunnel_id == tunnel_id:
-                return port
+    def sig_port(self, tunnel_id: int) -> int | None:
+        for port_id, spec in self.ports.items():
+            if isinstance(spec, SigTunnel) and spec.tunnel_id == tunnel_id:
+                return port_id
         return None
 
     def _check_uniqueness(self, port_id: int, spec: PortSpec) -> None:
-        for other in self.ports.values():
-            if other.port_id == port_id:
+        for other_id, other in self.ports.items():
+            if other_id == port_id:
                 continue
-            if isinstance(spec, RadioBearer) and isinstance(other.spec, RadioBearer):
-                if (spec.crnti, spec.bearer_id) == (other.spec.crnti, other.spec.bearer_id):
+            if isinstance(spec, RadioBearer) and isinstance(other, RadioBearer):
+                if (spec.crnti, spec.bearer_id) == (other.crnti, other.bearer_id):
                     raise DuplicateBearerError(
-                        f"crnti {spec.crnti} bearer {spec.bearer_id} already on port {other.port_id}"
+                        f"crnti {spec.crnti} bearer {spec.bearer_id} already on port {other_id}"
                     )
-            elif isinstance(spec, GtpTunnel) and isinstance(other.spec, GtpTunnel):
-                if (spec.udp_port, spec.teid) == (other.spec.udp_port, other.spec.teid):
+            elif isinstance(spec, GtpTunnel) and isinstance(other, GtpTunnel):
+                if (spec.udp_port, spec.teid) == (other.udp_port, other.teid):
                     raise DuplicatePortError(
                         f"gtp tunnel (port {spec.udp_port}, teid {spec.teid}) already exists"
                     )
-            elif isinstance(spec, SigTunnel) and isinstance(other.spec, SigTunnel):
-                if spec.tunnel_id == other.spec.tunnel_id:
+            elif isinstance(spec, SigTunnel) and isinstance(other, SigTunnel):
+                if spec.tunnel_id == other.tunnel_id:
                     raise DuplicatePortError(f"sig tunnel {spec.tunnel_id} already exists")
 
-    def apply_port_mod(self, body: PortModBody) -> LogicalPort:
-        """Apply one PORT_MOD; returns the affected port (DELETE: the removed one)."""
+    def apply_port_mod(self, body: PortModBody) -> PortSpec:
+        """Apply one PORT_MOD; returns the port's spec (DELETE: the removed one)."""
         if body.command == PortModCommand.CREATE:
             if body.port_id in self.ports:
                 raise DuplicatePortError(f"port {body.port_id} already exists")
             self._check_uniqueness(body.port_id, body.port_spec)
-            port = LogicalPort(body.port_id, body.port_spec)
-            self.ports[body.port_id] = port
-            return port
+            self.ports[body.port_id] = body.port_spec
+            return body.port_spec
         if body.command == PortModCommand.MODIFY:
-            port = self.ports.get(body.port_id)
-            if port is None:
+            if body.port_id not in self.ports:
                 raise UnknownPortError(f"port {body.port_id}")
             self._check_uniqueness(body.port_id, body.port_spec)
-            port.spec = body.port_spec
-            return port
-        port = self.ports.pop(body.port_id, None)
-        if port is None:
+            self.ports[body.port_id] = body.port_spec
+            return body.port_spec
+        spec = self.ports.pop(body.port_id, None)
+        if spec is None:
             raise UnknownPortError(f"port {body.port_id}")
-        return port
+        return spec
 
 
 class ScanFlowTable:
@@ -360,10 +357,10 @@ class ScanFlowTable:
             # exact-match delete: drop every entry whose match equals exactly
             self.entries = [e for e in self.entries if e.match != body.match]
 
-    def drop_port_references(self, port: LogicalPort) -> int:
+    def drop_port_references(self, port_id: int, spec: PortSpec) -> int:
         """Cascade after a port DELETE; returns the number of entries removed."""
         before = len(self.entries)
-        self.entries = [e for e in self.entries if not entry_references_port(e, port)]
+        self.entries = [e for e in self.entries if not entry_references_port(e, port_id, spec)]
         return before - len(self.entries)
 
     def match(self, ctx: PacketContext) -> FlowAction | None:
@@ -414,10 +411,9 @@ def _match_str(entry) -> str:
 
 
 def _action_str(entry, node: DataPlaneNode) -> str:
-    port = node.registry.get(entry.action.out_port)
-    if port is None:
+    spec = node.registry.get(entry.action.out_port)
+    if spec is None:
         return f"output port={entry.action.out_port}"
-    spec = port.spec
     if isinstance(spec, RadioBearer):
         return f"output radio(crnti={spec.crnti},bearer={spec.bearer_id})"
     if isinstance(spec, GtpTunnel):

@@ -92,7 +92,7 @@ def test_criterion_3_flow_table_contents_and_semantics():
     def action_spec(ctx):
         action = node.table.match(ctx)
         assert action is not None
-        return node.registry.get(action.out_port).spec
+        return node.registry.get(action.out_port)
 
     for bearer in (1, 2):
         spec = action_spec(PacketContext(crnti=crnti, bearer_id=bearer))
@@ -102,7 +102,8 @@ def test_criterion_3_flow_table_contents_and_semantics():
         assert isinstance(spec, RadioBearer) and (spec.crnti, spec.bearer_id) == (crnti, drb)
     spec = action_spec(PacketContext(crnti=crnti, bearer_id=3))
     assert isinstance(spec, SigTunnel) and spec.tunnel_id == 2
-    srb1_sig = node.registry.sig_port(2).port_id
+    srb1_sig = node.registry.sig_port(2)
+    assert srb1_sig is not None
     spec = action_spec(PacketContext(in_port=srb1_sig))
     assert isinstance(spec, RadioBearer) and (spec.crnti, spec.bearer_id) == (crnti, 3)
 

@@ -126,7 +126,7 @@ def test_bootstrap_three_nodes_is_linear():
 
 def test_bootstrap_applies_cleanly_to_node():
     c = make_controller()
-    node = DataPlaneNode("gnb1", Rat.NR, wire.ip_bytes("10.0.0.1"))
+    node = DataPlaneNode("gnb1", Rat.NR)
     (batch,) = c.bootstrap_node("gnb1")
     assert node.handle_open5g(batch.to_bytes()) == []
     assert len(node.registry) == 2 and len(node.table) == 2
@@ -373,7 +373,7 @@ def test_emitted_config_matches_node_state():
     """Every command the controller emits must apply cleanly, and the node's
     final table must contain exactly the rows the controller intended."""
     c = bootstrapped()
-    node = DataPlaneNode("gnb1", Rat.NR, wire.ip_bytes("10.0.0.1"))
+    node = DataPlaneNode("gnb1", Rat.NR)
     # replay bootstrap (already emitted before node creation in this test)
     c2 = make_controller()
     for emission in c2.bootstrap_node("gnb1"):

@@ -64,7 +64,7 @@ def reference_batch() -> bytes:
 
 @pytest.fixture
 def node() -> DataPlaneNode:
-    n = DataPlaneNode("gnb1", Rat.NR, NODE_IP)
+    n = DataPlaneNode("gnb1", Rat.NR)
     assert n.handle_open5g(reference_batch()) == []
     return n
 
@@ -78,12 +78,12 @@ def test_valid_commands_produce_no_response(node):
 
 
 def test_hello_is_silent():
-    n = DataPlaneNode("gnb1", Rat.NR, NODE_IP)
+    n = DataPlaneNode("gnb1", Rat.NR)
     assert n.handle_open5g(encode_message(Hello(1))) == []
 
 
 def test_malformed_bytes_produce_single_error():
-    n = DataPlaneNode("gnb1", Rat.NR, NODE_IP)
+    n = DataPlaneNode("gnb1", Rat.NR)
     out = n.handle_open5g(b"\x01\x04\x00\x0b\x00\x00\x00\x01junk")
     assert len(out) == 1
     err = decode_message(out[0].payload)
@@ -103,7 +103,7 @@ def test_flow_mod_to_unknown_port_errors_and_preserves_table(node):
 
 
 def test_batch_stops_at_first_failure():
-    n = DataPlaneNode("gnb1", Rat.NR, NODE_IP)
+    n = DataPlaneNode("gnb1", Rat.NR)
     good = PortMod(1, PortModBody(PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 1)))
     bad = PortMod(2, PortModBody(PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 9)))
     tail = PortMod(3, PortModBody(PortModCommand.CREATE, 7, SigTunnel(SRC_IP, 7)))
@@ -114,7 +114,7 @@ def test_batch_stops_at_first_failure():
 
 
 def test_wlan_rejects_sdap_and_pdcp_layers():
-    n = DataPlaneNode("wt1", Rat.WLAN, NODE_IP)
+    n = DataPlaneNode("wt1", Rat.WLAN)
     spec = RadioBearer(1, 1, BearerKind.DRB, (ConfigTlv(int(LayerTlv.PDCP), b""),))
     out = n.handle_open5g(encode_message(PortMod(1, PortModBody(PortModCommand.CREATE, 1, spec))))
     assert decode_message(out[0].payload).code == CODE_UNSUPPORTED_LAYER
@@ -122,7 +122,7 @@ def test_wlan_rejects_sdap_and_pdcp_layers():
 
 
 def test_wlan_accepts_mac_phy_layers():
-    n = DataPlaneNode("wt1", Rat.WLAN, NODE_IP)
+    n = DataPlaneNode("wt1", Rat.WLAN)
     spec = RadioBearer(
         1, 1, BearerKind.DRB,
         (ConfigTlv(int(LayerTlv.MAC), b""), ConfigTlv(int(LayerTlv.PHY), b"")),
@@ -162,7 +162,7 @@ def test_downlink_sig_frame_reaches_srb1(node):
 
 def srb0_node() -> DataPlaneNode:
     """A node with only the common SRB0 pair: sig tunnel 1 <-> radio (0, 0)."""
-    n = DataPlaneNode("gnb1", Rat.NR, NODE_IP)
+    n = DataPlaneNode("gnb1", Rat.NR)
     batch = b"".join(
         encode_message(m)
         for m in (
@@ -277,7 +277,7 @@ def test_entry_whose_out_port_is_gone_drops(node):
 def test_batch_with_undecodable_second_frame():
     """The ERROR for a frame that never decoded carries xid 0, even though
     the batch's first command decoded and stays applied."""
-    n = DataPlaneNode("gnb1", Rat.NR, NODE_IP)
+    n = DataPlaneNode("gnb1", Rat.NR)
     good = encode_message(PortMod(5, PortModBody(PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 1))))
     out = n.handle_open5g(good + b"\x01\x04\x00\x0b\x00\x00\x00\x06junk")
     assert len(out) == 1 and out[0].kind == "open5g"

@@ -80,6 +80,7 @@ def test_missing_node_key_rejected():
 
 def test_bad_script_stimulus_rejected():
     expect_parse_error("[script]\n0 explode ue1\n", 2, "unknown stimulus")
+    expect_parse_error("[script]\n-5 ue_power_on ue1\n", 2, "negative tick -5")
 
 
 def test_bad_hex_payload_rejected():
@@ -313,7 +314,7 @@ _MALFORMED_DOCS = st.sampled_from(
 )
 _RRC_PAYLOAD = st.one_of(st.binary(min_size=1, max_size=48), _MALFORMED_DOCS)
 _SIGNALING_SEND = st.tuples(
-    st.integers(0, 30),
+    st.integers(-5, 30),
     st.sampled_from([0, 3, 4]),
     st.one_of(
         _RRC_PAYLOAD,
@@ -326,16 +327,20 @@ _SIGNALING_SEND = st.tuples(
 @given(st.lists(_SIGNALING_SEND, min_size=1, max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_arbitrary_signaling_payloads_never_crash_the_cli(sends):
-    """Any payload on an SRB bearer either runs or is a simulation error."""
+    """Any payload on an SRB bearer either runs or is a simulation error; a
+    negative tick is a parse error, and every trace written reads back."""
     script = "".join(f"{tick} send_uplink_data ue1 {bearer} {payload.hex()}\n" for tick, bearer, payload in sends)
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        scn = Path(tmp) / "fuzz.scn"
+        scn, out = Path(tmp) / "fuzz.scn", str(Path(tmp) / "o.trace")
         scn.write_text(Path(INITIAL_ACCESS).read_text() + script)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main(["run", str(scn), "-o", str(Path(tmp) / "o.trace")])
-    assert code in (EXIT_OK, EXIT_SIM_ERROR)
+            code = main(["run", str(scn), "-o", out])
+            verified = main(["verify", out, "--golden", out]) if code == EXIT_OK else None
+    assert code in (EXIT_OK, EXIT_PARSE_ERROR, EXIT_SIM_ERROR)
+    assert (code == EXIT_PARSE_ERROR) == any(tick < 0 for tick, _, _ in sends)
     assert (code == EXIT_SIM_ERROR) == err.getvalue().startswith("simulation error: ")
+    assert verified in (None, EXIT_OK)
 
 
 def test_run_reports_budget_exhaustion(tmp_path):
@@ -390,6 +395,14 @@ def test_verify_channel_filter(tmp_path, capsys):
     main(["run", INITIAL_ACCESS, "-o", str(out)])
     assert main(["verify", str(out), "--golden", GOLDEN, "--channels", "ngap"]) == EXIT_OK
     assert "traces match (3 records)" in capsys.readouterr().out
+
+
+def test_verify_rejects_an_unknown_channel(capsys):
+    """A filter naming no channel would match nothing, and vacuously pass."""
+    assert main(["verify", GOLDEN, "--golden", GOLDEN, "--channels", "ngap,srb9"]) == EXIT_PARSE_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "parse error: unknown channel 'SRB9'; channels are OPEN5G, SRB0, SRB1, SRB2, NGAP, NGU, RADIO_DATA\n"
 
 
 def test_table_at_step_zero_is_empty(capsys):

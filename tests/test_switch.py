@@ -112,8 +112,8 @@ def test_delete_unknown_port_rejected():
 
 def test_delete_cascades_to_referencing_entries(reference_state):
     registry, table = reference_state
-    port = registry.apply_port_mod(PortModBody(PortModCommand.DELETE, LP4, None))
-    removed = table.drop_port_references(port)
+    spec = registry.apply_port_mod(PortModBody(PortModCommand.DELETE, LP4, None))
+    removed = table.drop_port_references(LP4, spec)
     # rows 1, 3, 4 reference DRB-1: its uplink match and both downlink outputs
     assert removed == 3
     assert len(table) == 4
@@ -131,9 +131,9 @@ def test_cascade_matches_brute_force_scan(reference_state):
         table2 = FlowTable()
         for body in reference_rows():
             table2.apply_flow_mod(body, registry2)
-        port = registry2.apply_port_mod(PortModBody(PortModCommand.DELETE, victim, None))
-        expected = [e for e in table2.entries if not entry_references_port(e, port)]
-        table2.drop_port_references(port)
+        spec = registry2.apply_port_mod(PortModBody(PortModCommand.DELETE, victim, None))
+        expected = [e for e in table2.entries if not entry_references_port(e, victim, spec)]
+        table2.drop_port_references(victim, spec)
         assert table2.entries == expected
 
 
@@ -249,9 +249,7 @@ def test_determinism_of_command_replay():
 
     r1, t1 = build()
     r2, t2 = build()
-    assert [(p.port_id, p.spec) for p in r1.ports.values()] == [
-        (p.port_id, p.spec) for p in r2.ports.values()
-    ]
+    assert list(r1.ports.items()) == list(r2.ports.items())
     assert t1.entries == t2.entries
 
 
@@ -270,9 +268,9 @@ def test_shared_teid_resolves_to_earliest_created_port():
     registry = PortRegistry()
     _create(registry, 7, _gtp(2152, 9))
     _create(registry, 3, _gtp(2153, 9))
-    assert registry.gtp_port(9).port_id == 7
+    assert registry.gtp_port(9) == 7
     registry.apply_port_mod(PortModBody(PortModCommand.DELETE, 7, None))
-    assert registry.gtp_port(9).port_id == 3
+    assert registry.gtp_port(9) == 3
     registry.apply_port_mod(PortModBody(PortModCommand.DELETE, 3, None))
     assert registry.gtp_port(9) is None
 
@@ -282,7 +280,7 @@ def test_modify_into_shared_teid_keeps_creation_order():
     _create(registry, 1, RadioBearer(1, 1, BearerKind.DRB))
     _create(registry, 2, _gtp(2152, 9))
     registry.apply_port_mod(PortModBody(PortModCommand.MODIFY, 1, _gtp(2153, 9)))
-    assert registry.gtp_port(9).port_id == 1  # created first, though modified last
+    assert registry.gtp_port(9) == 1  # created first, though modified last
 
 
 def test_modify_frees_the_old_key():
@@ -290,9 +288,9 @@ def test_modify_frees_the_old_key():
     _create(registry, 1, RadioBearer(1, 1, BearerKind.DRB))
     registry.apply_port_mod(PortModBody(PortModCommand.MODIFY, 1, RadioBearer(1, 2, BearerKind.DRB)))
     assert registry.radio_port(1, 1) is None
-    assert registry.radio_port(1, 2).port_id == 1
+    assert registry.radio_port(1, 2) == 1
     _create(registry, 2, RadioBearer(1, 1, BearerKind.DRB))
-    assert registry.radio_port(1, 1).port_id == 2
+    assert registry.radio_port(1, 1) == 2
     with pytest.raises(DuplicateBearerError):
         _create(registry, 3, RadioBearer(1, 2, BearerKind.DRB))
 
@@ -302,9 +300,9 @@ def test_modify_across_classes_frees_the_old_key():
     _create(registry, 1, _gtp(2152, 9))
     registry.apply_port_mod(PortModBody(PortModCommand.MODIFY, 1, SigTunnel(IP1, 4)))
     assert registry.gtp_port(9) is None
-    assert registry.sig_port(4).port_id == 1
+    assert registry.sig_port(4) == 1
     _create(registry, 2, _gtp(2152, 9))
-    assert registry.gtp_port(9).port_id == 2
+    assert registry.gtp_port(9) == 2
     with pytest.raises(DuplicatePortError):
         _create(registry, 3, SigTunnel(IP2, 4))
 
@@ -316,9 +314,9 @@ def test_delete_removes_the_port_from_its_index():
     assert registry.gtp_port(1) is None
     assert registry.sig_port(2) is None
     assert registry.radio_port(1, 1) is None
-    assert registry.radio_port(1, 2).port_id == LP5
+    assert registry.radio_port(1, 2) == LP5
     _create(registry, 9, RadioBearer(1, 1, BearerKind.DRB))
-    assert registry.radio_port(1, 1).port_id == 9
+    assert registry.radio_port(1, 1) == 9
 
 
 def test_assigning_entries_rebuilds_the_classifier(reference_state):
@@ -382,9 +380,9 @@ def _apply(registry, table, body) -> tuple[type, str] | None:
     """Apply one command as a node does; returns the error raised, if any."""
     try:
         if isinstance(body, PortModBody):
-            port = registry.apply_port_mod(body)
+            spec = registry.apply_port_mod(body)
             if body.command == PortModCommand.DELETE:
-                table.drop_port_references(port)
+                table.drop_port_references(body.port_id, spec)
         else:
             table.apply_flow_mod(body, registry)
     except Open5GError as exc:
@@ -407,6 +405,7 @@ def test_indexed_data_plane_agrees_with_linear_scan(commands, contexts):
     ref_registry, ref_table = ScanPortRegistry(), ScanFlowTable()
     for body in _FIXED_PORTS + commands:
         assert _apply(registry, table, body) == _apply(ref_registry, ref_table, body)
+        assert list(registry.ports.items()) == list(ref_registry.ports.items())
         assert table.entries == ref_table.entries
         assert table.ordered_entries() == ref_table.ordered_entries()
         # packets that hit each entry, and each pair of successive entries

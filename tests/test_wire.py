@@ -372,7 +372,7 @@ def _flow_mod_frame(tlvs: list[tuple[int, bytes]]) -> bytes:
 
 def _error_detail(frame: bytes) -> bytes:
     """The detail of the ERROR a node answers the frame with."""
-    (em,) = DataPlaneNode("n", Rat.NR, wire.ip_bytes("10.0.0.1")).handle_open5g(frame)
+    (em,) = DataPlaneNode("n", Rat.NR).handle_open5g(frame)
     err = decode_message(em.payload)
     assert (err.xid, err.code) == (0, MalformedTlvError.code)
     return err.detail
