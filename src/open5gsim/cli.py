@@ -37,7 +37,11 @@ def cmd_run(scenario_path: str, out_path: str) -> int:
     except RUN_ERRORS as exc:
         print(f"simulation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SIM_ERROR
-    write_trace(out_path, trace)
+    try:
+        write_trace(out_path, trace)
+    except OSError as exc:
+        print(f"cannot write trace: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     print(f"wrote {len(trace.records)} trace records to {out_path}")
     return EXIT_OK
 

@@ -4,13 +4,19 @@ Topology = controller + data-plane nodes + UEs + AMF/UPF stubs. Every link
 has a fixed one-tick delay and FIFO ordering, so a given (topology, script,
 seed) always produces the same trace. Each send becomes one trace record;
 an Open5G configuration batch counts as a single record.
+
+The event queue is a calendar with one-tick buckets: tick -> the stimuli and
+deliveries due then, in the order they were scheduled. The bootstrap batches
+come first, then each tick's stimuli in script order, then the sends made one
+tick earlier. Every send names the handler that receives it, so node, UE and
+stub names never decide where a delivery goes.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import wire
 from .controller import (
@@ -203,13 +209,13 @@ class UpfStub:
 # Simulator
 
 
-@dataclass
-class _Delivery:
+class _Delivery(NamedTuple):
     src: str
     dst: str
     channel: str
     kind: str
     payload: bytes
+    receive: Callable[[_Delivery], None]  # picked by the sender
     crnti: int | None = None
     bearer_id: int | None = None
 
@@ -276,15 +282,10 @@ class Simulator:
         self.deliveries = 0
         self.uplink_injected = 0
         self.downlink_injected = 0
-        self._heap: list = []
-        self._seq = 0
+        self._calendar: dict[int, list] = {}  # tick -> stimuli and deliveries due
         self._now = 0
 
     # -- plumbing -----------------------------------------------------------
-
-    def _push(self, time: int, item) -> None:
-        heapq.heappush(self._heap, (time, self._seq, item))
-        self._seq += 1
 
     def _send(self, delivery: _Delivery) -> None:
         self._pending.append((self._now, delivery.src, delivery.dst, delivery.channel, delivery.kind))
@@ -292,7 +293,7 @@ class Simulator:
         self._ends.append(len(self._payloads))
         if len(self._pending) == _DIGEST_CHUNK:
             self._digest_pending()
-        self._push(self._now + 1, delivery)
+        self._calendar.setdefault(self._now + 1, []).append(delivery)
 
     def _digest_pending(self) -> None:
         """Turn the sends since the last call into trace records."""
@@ -306,28 +307,28 @@ class Simulator:
     # -- run ------------------------------------------------------------------
 
     def run(self) -> EventTrace:
+        calendar = self._calendar
         try:
             for spec in self.topology.nodes:
                 self._emit_controller(self.controller.bootstrap_node(spec.name))
             for stim in self.script:
-                self._push(stim.tick, stim)
+                calendar.setdefault(stim.tick, []).append(stim)
 
-            processed = 0
-            while self._heap:
-                processed += 1
-                if processed > self.settings.max_events:
-                    raise BudgetExceededError(f"exceeded {self.settings.max_events} events")
-                time, _seq, item = heapq.heappop(self._heap)
-                self._now = time
-                if isinstance(item, Stimulus):
-                    self._process_stimulus(item)
-                else:
-                    # deliveries arrive in send order, so this counter is the step
-                    self.deliveries += 1
-                    self._process_delivery(item)
-                    if item.channel == "OPEN5G" and item.dst in self.nodes:
-                        rows = render_flow_table(self.nodes[item.dst])
-                        self.table_history[item.dst].append((self.deliveries, rows))
+            processed, now = 0, -1
+            while calendar:
+                now = now + 1 if now + 1 in calendar else min(calendar)
+                self._now = now
+                # a tick's sends go to the next tick, so its own list is complete
+                for item in calendar.pop(now):
+                    processed += 1
+                    if processed > self.settings.max_events:
+                        raise BudgetExceededError(f"exceeded {self.settings.max_events} events")
+                    if isinstance(item, Stimulus):
+                        self._process_stimulus(item)
+                    else:
+                        # deliveries arrive in send order, so this counter is the step
+                        self.deliveries += 1
+                        self._process_delivery(item)
         finally:
             # on an exception too, so that `records` holds every send made
             self._digest_pending()
@@ -343,23 +344,16 @@ class Simulator:
         elif stim.kind == "send_uplink_data":
             _, bearer_id, payload = stim.args
             self.uplink_injected += 1
+            crnti = ue.crnti if ue.crnti is not None else 0
             self._send(
-                _Delivery(
-                    ue.name,
-                    ue.attach,
-                    "RADIO_DATA",
-                    "Data",
-                    payload,
-                    crnti=ue.crnti if ue.crnti is not None else 0,
-                    bearer_id=bearer_id,
-                )
+                _Delivery(ue.name, ue.attach, "RADIO_DATA", "Data", payload, self._node_radio, crnti, bearer_id)
             )
         else:  # inject_downlink_data
             _, ip_dst, ip_proto, l4_dst, payload = stim.args
             packet = wire.pack_ip_packet(self._downlink_dst[ip_dst], ip_proto, l4_dst, payload)
             node_id, frame = self.upf.downlink(ue.ue_tmp_id, packet)
             self.downlink_injected += 1
-            self._send(_Delivery("upf", node_id, "NGU", "GPDU", frame))
+            self._send(_Delivery("upf", node_id, "NGU", "GPDU", frame, self._node_ngu))
 
     def _send_ue_rrc(self, ue: UeSim, bearer: int, msg: RrcMessage) -> None:
         payload = rrc_to_bytes(msg)
@@ -368,89 +362,65 @@ class Simulator:
             crnti = 0
         else:
             crnti = ue.crnti
-        self._send(
-            _Delivery(
-                ue.name,
-                ue.attach,
-                srb_channel(bearer),
-                msg.kind,
-                payload,
-                crnti=crnti,
-                bearer_id=bearer,
-            )
-        )
+        channel = srb_channel(bearer)
+        self._send(_Delivery(ue.name, ue.attach, channel, msg.kind, payload, self._node_radio, crnti, bearer))
 
     # -- controller emissions -----------------------------------------------------
 
     def _emit_controller(self, emissions) -> None:
         for em in emissions:
             if isinstance(em, ConfigBatch):
-                self._send(_Delivery("src", em.node_id, "OPEN5G", em.label, em.to_bytes()))
+                self._send(_Delivery("src", em.node_id, "OPEN5G", em.label, em.to_bytes(), self._node_config))
             elif isinstance(em, RrcDownlink):
-                self._send(
-                    _Delivery("src", em.node_id, srb_channel(em.srb_bearer), em.msg.kind, em.to_bytes())
-                )
+                channel = srb_channel(em.srb_bearer)
+                self._send(_Delivery("src", em.node_id, channel, em.msg.kind, em.to_bytes(), self._node_sig))
             elif isinstance(em, NgapOut):
-                self._send(_Delivery("src", "amf", "NGAP", em.msg.kind, ngap_to_bytes(em.msg)))
+                self._send(
+                    _Delivery("src", "amf", "NGAP", em.msg.kind, ngap_to_bytes(em.msg), self._amf_receive)
+                )
 
-    # -- deliveries -----------------------------------------------------------------
+    # -- deliveries: each goes to the handler its sender named --------------------
 
     def _process_delivery(self, d: _Delivery) -> None:
-        if d.dst in self.nodes:
-            self._node_receive(self.nodes[d.dst], d)
-        elif d.dst == "src":
-            self._src_receive(d)
-        elif d.dst == "amf":
-            reply = self.amf.handle(ngap_from_bytes(d.payload))
-            if reply is not None:
-                self._send(_Delivery("amf", "src", "NGAP", reply.kind, ngap_to_bytes(reply)))
-        elif d.dst == "upf":
-            self.upf.on_uplink(d.payload)
-        elif d.dst in self.ues:
-            self._ue_receive(self.ues[d.dst], d)
+        d.receive(d)
 
-    def _node_receive(self, node: DataPlaneNode, d: _Delivery) -> None:
-        if d.channel == "OPEN5G":
-            emissions = node.handle_open5g(d.payload)
-        elif d.channel == "NGU":
-            emissions = node.ingress_ngu(d.payload)
-        elif d.src == "src":
-            emissions = node.ingress_sigtunnel(d.payload)
-        else:  # radio ingress from a UE
-            emissions = node.ingress_radio(d.crnti, d.bearer_id, d.payload)
+    def _node_config(self, d: _Delivery) -> None:
+        node = self.nodes[d.dst]
+        self._node_egress(d, node.handle_open5g(d.payload))
+        # no other delivery changes a node's ports or flows
+        self.table_history[d.dst].append((self.deliveries, render_flow_table(node)))
 
+    def _node_sig(self, d: _Delivery) -> None:
+        self._node_egress(d, self.nodes[d.dst].ingress_sigtunnel(d.payload))
+
+    def _node_radio(self, d: _Delivery) -> None:
+        self._node_egress(d, self.nodes[d.dst].ingress_radio(d.crnti, d.bearer_id, d.payload))
+
+    def _node_ngu(self, d: _Delivery) -> None:
+        self._node_egress(d, self.nodes[d.dst].ingress_ngu(d.payload))
+
+    def _node_egress(self, d: _Delivery, emissions) -> None:
+        node_id = d.dst
         for em in emissions:
             if em.kind == "open5g":
-                self._send(_Delivery(node.node_id, "src", "OPEN5G", "Error", em.payload))
-            elif em.kind == "sig":
-                kind = d.kind  # the node forwards the message unmodified
                 self._send(
-                    _Delivery(
-                        node.node_id,
-                        "src",
-                        srb_channel(d.bearer_id) if d.bearer_id is not None else "SRB0",
-                        kind,
-                        em.payload,
-                    )
+                    _Delivery(node_id, "src", "OPEN5G", "Error", em.payload, self._controller_node_error)
                 )
+            elif em.kind == "sig":
+                # the node forwards the message unmodified
+                channel = srb_channel(d.bearer_id) if d.bearer_id is not None else "SRB0"
+                self._send(_Delivery(node_id, "src", channel, d.kind, em.payload, self._controller_rrc))
             elif em.kind == "ngu":
-                self._send(_Delivery(node.node_id, "upf", "NGU", "GPDU", em.payload))
+                self._send(_Delivery(node_id, "upf", "NGU", "GPDU", em.payload, self._upf_receive))
             elif em.kind == "radio":
-                ue = self._resolve_ue(node.node_id, em.crnti, em.ue_tmp_id)
+                ue = self._resolve_ue(node_id, em.crnti, em.ue_tmp_id)
                 if ue is None:
-                    node.drop_count += 1
+                    self.nodes[node_id].drop_count += 1
                     continue
                 channel = srb_channel(em.bearer_id)
                 kind = d.kind if channel != "RADIO_DATA" else "Data"
                 self._send(
-                    _Delivery(
-                        node.node_id,
-                        ue.name,
-                        channel,
-                        kind,
-                        em.payload,
-                        bearer_id=em.bearer_id,
-                    )
+                    _Delivery(node_id, ue.name, channel, kind, em.payload, self._ue_receive, bearer_id=em.bearer_id)
                 )
 
     def _resolve_ue(self, node_id: str, crnti: int | None, ue_tmp_id: int | None) -> UeSim | None:
@@ -459,24 +429,33 @@ class Simulator:
             return ue if ue is not None and ue.attach == node_id else None
         return self.ue_by_crnti.get((node_id, crnti))
 
-    def _src_receive(self, d: _Delivery) -> None:
-        if d.channel == "OPEN5G":
-            msg = wire.decode_message(d.payload)
-            self.controller.on_node_error(d.src, msg.code, msg.detail)
-            return
-        if d.channel == "NGAP":
-            msg = ngap_from_bytes(d.payload)
-            emissions = self.controller.on_ngap(msg)
-            self._emit_controller(emissions)
-            # only the UE named in the message gained sessions
-            ue = self.controller.ue_contexts[msg.fields["ue_tmp_id"]]
-            for session in ue.pdu_sessions:
-                self.upf.register_session(ue.ue_tmp_id, session.session_id, ue.node_id, session.teid)
-            return
-        # signaling tunnel uplink
+    def _controller_node_error(self, d: _Delivery) -> None:
+        msg = wire.decode_message(d.payload)
+        self.controller.on_node_error(d.src, msg.code, msg.detail)
+
+    def _controller_rrc(self, d: _Delivery) -> None:
         self._emit_controller(self.controller.on_rrc_uplink(d.src, d.payload))
 
-    def _ue_receive(self, ue: UeSim, d: _Delivery) -> None:
+    def _controller_ngap(self, d: _Delivery) -> None:
+        msg = ngap_from_bytes(d.payload)
+        self._emit_controller(self.controller.on_ngap(msg))
+        # only the UE named in the message gained sessions
+        ue = self.controller.ue_contexts[msg.fields["ue_tmp_id"]]
+        for session in ue.pdu_sessions:
+            self.upf.register_session(ue.ue_tmp_id, session.session_id, ue.node_id, session.teid)
+
+    def _amf_receive(self, d: _Delivery) -> None:
+        reply = self.amf.handle(ngap_from_bytes(d.payload))
+        if reply is not None:
+            self._send(
+                _Delivery("amf", "src", "NGAP", reply.kind, ngap_to_bytes(reply), self._controller_ngap)
+            )
+
+    def _upf_receive(self, d: _Delivery) -> None:
+        self.upf.on_uplink(d.payload)
+
+    def _ue_receive(self, d: _Delivery) -> None:
+        ue = self.ues[d.dst]
         if d.channel == "RADIO_DATA":
             ue.on_data(d.bearer_id, d.payload)
             return

@@ -45,8 +45,8 @@ from .wire import SRB_BEARER_IDS, ip_bytes, ip_str
 
 
 class ParseError(SimulationError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int | None, message: str):  # None: the file as a whole
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -128,7 +128,9 @@ class _SectionAccumulator:
             for lineno, key, value in pairs:
                 if key in self.settings_kv:
                     raise ParseError(lineno, f"duplicate settings key {key!r}")
-                self.settings_kv[key] = _parse_int(value, lineno, key)
+                number = self.settings_kv[key] = _parse_int(value, lineno, key)
+                if key == "admission_cap" and number < 1:
+                    raise ParseError(lineno, f"admission_cap {number} is below 1")
             return
         if name == "node":
             kv = _unique_pairs(pairs)
@@ -351,5 +353,12 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
-        return parse_scenario(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError(None, f"cannot read scenario: {exc}") from None
+    try:
+        return parse_scenario(data.decode())
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason}") from None

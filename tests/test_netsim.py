@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -129,6 +130,42 @@ def test_ue_attached_to_unknown_node_rejected():
 def test_event_budget_enforced():
     with pytest.raises(BudgetExceededError):
         make_sim(settings=Settings(max_events=5)).run()
+
+
+def test_event_budget_counts_each_stimulus_and_each_delivery():
+    topology, script, sim_settings = generated_scenario(8)
+    sim = Simulator(topology, script, sim_settings)
+    trace = sim.run()
+    events = len(script) + sim.deliveries
+    exact = Simulator(topology, script, dataclasses.replace(sim_settings, max_events=events))
+    assert exact.run().to_text() == trace.to_text()
+    with pytest.raises(BudgetExceededError):
+        Simulator(topology, script, dataclasses.replace(sim_settings, max_events=events - 1)).run()
+
+
+def test_stimuli_of_one_tick_run_in_script_order():
+    script = POWER_ON + [Stimulus(30, "send_uplink_data", ("ue1", 1, p)) for p in (b"first", b"second")]
+    sim = make_sim(script=script)
+    sim.run()
+    assert [payload for _teid, payload in sim.upf.received] == [b"first", b"second"]
+
+
+_EIGHT_UES = generated_scenario(8)
+_EIGHT_UES_TRACE = Simulator(*_EIGHT_UES).run().to_text()
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_script_order_across_ticks_does_not_change_the_trace(rng):
+    """Only the order of the stimuli within a tick is part of the script."""
+    topology, script, sim_settings = _EIGHT_UES
+    by_tick: dict[int, list[Stimulus]] = {}
+    for stim in script:
+        by_tick.setdefault(stim.tick, []).append(stim)
+    shuffled = rng.sample(script, len(script))
+    # each tick keeps its slots in the shuffle, filled in script order
+    reordered = [by_tick[stim.tick].pop(0) for stim in shuffled]
+    assert Simulator(topology, reordered, sim_settings).run().to_text() == _EIGHT_UES_TRACE
 
 
 # -- user-plane traffic ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from open5gsim.cli import (
     EXIT_SIM_ERROR,
     main,
 )
-from open5gsim.controller import Controller
+from open5gsim.controller import Controller, RrcState
 from open5gsim.errors import InvalidMessageError, ProtocolViolationError
 from open5gsim.netsim import Simulator
 from open5gsim.scenario import (
@@ -81,6 +82,17 @@ def test_missing_node_key_rejected():
 def test_bad_script_stimulus_rejected():
     expect_parse_error("[script]\n0 explode ue1\n", 2, "unknown stimulus")
     expect_parse_error("[script]\n-5 ue_power_on ue1\n", 2, "negative tick -5")
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_admission_cap_below_one_rejected(tmp_path, capsys, cap):
+    """A cap of 0 would admit no UE and report nothing."""
+    text = f"[settings]\nadmission_cap = {cap}\n" + NODE + UE + "[script]\n0 ue_power_on ue1\n"
+    expect_parse_error(text, 2, f"admission_cap {cap} is below 1")
+    scn = tmp_path / "cap.scn"
+    scn.write_text(text)
+    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == f"parse error: line 2: admission_cap {cap} is below 1\n"
 
 
 def test_bad_hex_payload_rejected():
@@ -157,7 +169,79 @@ def test_run_writes_trace(tmp_path):
 def test_run_rejects_malformed_scenario(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text("[node]\nname = n1\n")
-    assert main(["run", str(bad), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
+    out = tmp_path / "o.trace"
+    out.write_text("an earlier trace\n")
+    assert main(["run", str(bad), "-o", str(out)]) == EXIT_PARSE_ERROR
+    assert out.read_text() == "an earlier trace\n"
+
+
+def _missing(tmp_path):
+    return tmp_path / "nope.scn"
+
+
+def _directory(tmp_path):
+    return tmp_path
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(NODE.encode() + "[ue]\nname = ué1\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "table"])
+@pytest.mark.parametrize(
+    "make, err",
+    [
+        (_missing, "parse error: cannot read scenario: [Errno 2] No such file or directory: "),
+        (_directory, "parse error: cannot read scenario: [Errno 21] Is a directory: "),
+        (_not_utf8, "parse error: line 6: not UTF-8: invalid continuation byte\n"),
+    ],
+    ids=["missing", "directory", "not_utf8"],
+)
+def test_unreadable_scenario_is_a_parse_error(tmp_path, capsys, command, make, err):
+    path = str(make(tmp_path))
+    argv = ["-o", str(tmp_path / "o.trace")] if command == "run" else ["--node", "gnb1", "--at", "3"]
+    assert main([command, path, *argv]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err.startswith(err)
+    assert not (tmp_path / "o.trace").exists()
+
+
+@pytest.mark.parametrize(
+    "out, err",
+    [
+        ("no_such_dir/o.trace", "cannot write trace: [Errno 2] No such file or directory: "),
+        (".", "cannot write trace: [Errno 21] Is a directory: "),
+    ],
+    ids=["missing_dir", "directory"],
+)
+def test_unwritable_trace_is_a_parse_error(tmp_path, capsys, out, err):
+    assert main(["run", INITIAL_ACCESS, "-o", str(tmp_path / out)]) == EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("ue1", "gnb1"), ("ue1", "src"), ("ue1", "amf"), ("ue1", "upf"), ("gnb1", "src"), ("gnb1", "amf")],
+    ids=["ue_gnb1", "ue_src", "ue_amf", "ue_upf", "node_src", "node_amf"],
+)
+def test_names_never_decide_where_a_delivery_goes(tmp_path, old, new):
+    """A UE may share its name with a node, the controller (`src`) or a core
+    stub, and a node with the controller or a stub: each send names its handler."""
+    text = re.sub(rf"\b{old}\b", new, Path(INITIAL_ACCESS).read_text())
+    scn = tmp_path / "renamed.scn"
+    scn.write_text(text)
+    out = tmp_path / "renamed.trace"
+    assert main(["run", str(scn), "-o", str(out)]) == EXIT_OK
+    records = read_trace(str(out)).records
+    assert len(records) == 20
+    assert [(r.channel, r.kind) for r in records] == [(r.channel, r.kind) for r in read_trace(GOLDEN).records]
+    scenario = load_scenario(str(scn))
+    sim = Simulator(scenario.topology, list(scenario.script), scenario.settings)
+    sim.run()
+    assert sim.controller.ue_contexts[1].rrc_state == RrcState.CONFIGURED
 
 
 BAD_FLOW_SCENARIO = (
@@ -351,7 +435,10 @@ def test_run_reports_budget_exhaustion(tmp_path):
         "[ue]\nname = ue1\nattach = gnb1\n"
         "[script]\n0 ue_power_on ue1\n"
     )
-    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_SIM_ERROR
+    out = tmp_path / "o.trace"
+    out.write_text("an earlier trace\n")
+    assert main(["run", str(scn), "-o", str(out)]) == EXIT_SIM_ERROR
+    assert out.read_text() == "an earlier trace\n"
 
 
 def test_verify_is_reflexive(tmp_path, capsys):
