@@ -54,6 +54,7 @@ from .messages import (
 )
 from .node import DataPlaneNode, Rat
 from .trace import EventTrace, TraceRecord, fnv1a64
+from .wire import GtpTunnel, PortSpec, SigTunnel
 
 UPF_IP = "10.9.0.1"
 
@@ -386,7 +387,9 @@ class Simulator:
 
     def _node_config(self, d: _Delivery) -> None:
         node = self.nodes[d.dst]
-        self._node_egress(d, node.handle_open5g(d.payload))
+        error = node.handle_open5g(d.payload)
+        if error is not None:
+            self._send(_Delivery(d.dst, "src", "OPEN5G", "Error", error, self._controller_node_error))
         # no other delivery changes a node's ports or flows
         self.table_history[d.dst].append((self.deliveries, render_flow_table(node)))
 
@@ -399,35 +402,42 @@ class Simulator:
     def _node_ngu(self, d: _Delivery) -> None:
         self._node_egress(d, self.nodes[d.dst].ingress_ngu(d.payload))
 
-    def _node_egress(self, d: _Delivery, emissions) -> None:
+    def _node_egress(self, d: _Delivery, out: tuple[PortSpec, bytes] | None) -> None:
+        """Send a node's frame over the link its out-port stands for."""
+        if out is None:
+            return
+        spec, frame = out
         node_id = d.dst
-        for em in emissions:
-            if em.kind == "open5g":
-                self._send(
-                    _Delivery(node_id, "src", "OPEN5G", "Error", em.payload, self._controller_node_error)
-                )
-            elif em.kind == "sig":
-                # the node forwards the message unmodified
-                channel = srb_channel(d.bearer_id) if d.bearer_id is not None else "SRB0"
-                self._send(_Delivery(node_id, "src", channel, d.kind, em.payload, self._controller_rrc))
-            elif em.kind == "ngu":
-                self._send(_Delivery(node_id, "upf", "NGU", "GPDU", em.payload, self._upf_receive))
-            elif em.kind == "radio":
-                ue = self._resolve_ue(node_id, em.crnti, em.ue_tmp_id)
-                if ue is None:
-                    self.nodes[node_id].drop_count += 1
-                    continue
-                channel = srb_channel(em.bearer_id)
-                kind = d.kind if channel != "RADIO_DATA" else "Data"
-                self._send(
-                    _Delivery(node_id, ue.name, channel, kind, em.payload, self._ue_receive, bearer_id=em.bearer_id)
-                )
+        if isinstance(spec, GtpTunnel):
+            self._send(_Delivery(node_id, "upf", "NGU", "GPDU", frame, self._upf_receive))
+        elif isinstance(spec, SigTunnel):
+            # the node forwards the message unmodified
+            channel = srb_channel(d.bearer_id) if d.bearer_id is not None else "SRB0"
+            self._send(_Delivery(node_id, "src", channel, d.kind, frame, self._controller_rrc))
+        else:
+            resolved = self._resolve_ue(node_id, spec.crnti, frame)
+            if resolved is None:
+                self.nodes[node_id].drop_count += 1
+                return
+            ue, payload = resolved
+            channel = srb_channel(spec.bearer_id)
+            kind = d.kind if channel != "RADIO_DATA" else "Data"
+            self._send(
+                _Delivery(node_id, ue.name, channel, kind, payload, self._ue_receive, bearer_id=spec.bearer_id)
+            )
 
-    def _resolve_ue(self, node_id: str, crnti: int | None, ue_tmp_id: int | None) -> UeSim | None:
-        if ue_tmp_id is not None:
-            ue = self.ue_by_tmp_id.get(ue_tmp_id)
-            return ue if ue is not None and ue.attach == node_id else None
-        return self.ue_by_crnti.get((node_id, crnti))
+    def _resolve_ue(self, node_id: str, crnti: int, frame: bytes) -> tuple[UeSim, bytes] | None:
+        """The UE on the node a radio frame is for, and the bytes it receives; on
+        the common SRB0 port (C-RNTI 0) the frame's envelope names the UE."""
+        if crnti != 0:
+            ue = self.ue_by_crnti.get((node_id, crnti))
+            return (ue, frame) if ue is not None else None
+        try:
+            ue_tmp_id, payload = wire.unpack_envelope(frame)
+        except WireDecodeError:
+            return None
+        ue = self.ue_by_tmp_id.get(ue_tmp_id)
+        return (ue, payload) if ue is not None and ue.attach == node_id else None
 
     def _controller_node_error(self, d: _Delivery) -> None:
         msg = wire.decode_message(d.payload)

@@ -1,9 +1,11 @@
 """Emulated data-plane nodes (d-gNB, d-eNB, d-WT).
 
 A node consumes Open5G commands and moves packets between its radio side,
-NG-U side, and controller signaling tunnels. It never sends Open5G traffic
-back to the controller except a single ERROR per failed command; radio-layer
-processing is a no-op annotated by each port's configuration TLVs.
+NG-U side, and controller signaling tunnels. Like an OpenFlow switch, it
+matches a packet and sends it out of one port: an ingress returns that
+out-port's spec and the frame leaving on it, or None for a drop. It answers
+the controller only with one ERROR per failed batch; radio-layer processing
+is a no-op annotated by each port's configuration TLVs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .wire import (
     LayerTlv,
     PortMod,
     PortModCommand,
+    PortSpec,
     RadioBearer,
     SigTunnel,
 )
@@ -34,17 +37,6 @@ class Rat(Enum):
 
 # d-WT has no SDAP/PDCP; its radio stack is MAC/PHY (plus GRE toward the UE)
 _WLAN_FORBIDDEN_TLVS = {int(LayerTlv.SDAP), int(LayerTlv.PDCP)}
-
-
-@dataclass
-class Emission:
-    """One egress produced while handling an ingress event or command."""
-
-    kind: str  # "open5g" | "sig" | "ngu" | "radio"
-    payload: bytes
-    crnti: int | None = None
-    bearer_id: int | None = None
-    ue_tmp_id: int | None = None
 
 
 @dataclass
@@ -79,11 +71,11 @@ class DataPlaneNode:
         elif isinstance(msg, FlowMod):
             self.table.apply_flow_mod(msg.body, self.registry)
 
-    def handle_open5g(self, data: bytes) -> list[Emission]:
+    def handle_open5g(self, data: bytes) -> bytes | None:
         """Apply a (possibly batched) command byte stream.
 
-        Valid commands produce no response at all; the first failure produces
-        exactly one ERROR message and stops processing of the batch.
+        Valid commands produce no response at all; the first failure returns
+        the encoded ERROR for it and stops processing of the batch.
         """
         try:
             for msg in wire.iter_messages(data):
@@ -92,51 +84,44 @@ class DataPlaneNode:
             # echo the xid of the offending message, unless it never decoded
             xid = 0 if isinstance(exc, WireDecodeError) else msg.xid
             err = ErrorMsg(xid=xid, code=exc.code, detail=str(exc).encode()[:64])
-            return [Emission("open5g", wire.encode_message(err))]
-        return []
+            return wire.encode_message(err)
+        return None
 
     # -- packet paths --------------------------------------------------------
 
-    def _forward(self, ctx: PacketContext, payload: bytes) -> list[Emission]:
-        """Send the packet out of the best-matching entry's port. The packet is
-        dropped if no entry matches, the out-port is gone or, on the common
-        SRB0 port, its envelope does not decode."""
+    def _forward(self, ctx: PacketContext, payload: bytes) -> tuple[PortSpec, bytes] | None:
+        """The best-matching entry's out-port and the frame that leaves on it,
+        or None, counted as a drop, if no entry matches or its out-port is gone."""
         action = self.table.match(ctx)
         spec = self.registry.get(action.out_port) if action is not None else None
+        if spec is None:
+            self.drop_count += 1
+            return None
         if isinstance(spec, GtpTunnel):
-            return [Emission("ngu", wire.encap_gtpu(payload, spec.teid))]
+            return spec, wire.encap_gtpu(payload, spec.teid)
         if isinstance(spec, SigTunnel):
-            return [Emission("sig", wire.encap_sig(payload, spec.tunnel_id))]
-        if isinstance(spec, RadioBearer):
-            if spec.crnti != 0:
-                return [Emission("radio", payload, crnti=spec.crnti, bearer_id=spec.bearer_id)]
-            try:  # common SRB0 port: target UE rides in the payload envelope
-                ue_tmp_id, msg = wire.unpack_envelope(payload)
-                return [Emission("radio", msg, bearer_id=spec.bearer_id, ue_tmp_id=ue_tmp_id)]
-            except WireDecodeError:
-                pass  # dropped below
-        self.drop_count += 1
-        return []
+            return spec, wire.encap_sig(payload, spec.tunnel_id)
+        return spec, payload
 
-    def ingress_radio(self, crnti: int, bearer_id: int, payload: bytes) -> list[Emission]:
+    def ingress_radio(self, crnti: int, bearer_id: int, payload: bytes) -> tuple[PortSpec, bytes] | None:
         in_port = self.registry.radio_port(crnti, bearer_id)
         return self._forward(PacketContext(in_port, crnti=crnti, bearer_id=bearer_id), payload)
 
-    def ingress_ngu(self, frame: bytes) -> list[Emission]:
+    def ingress_ngu(self, frame: bytes) -> tuple[PortSpec, bytes] | None:
         try:
             teid, packet = wire.decap_gtpu(frame)
             ip_dst, ip_proto, l4_dst, _ = wire.unpack_ip_packet(packet)
         except WireDecodeError:
             self.drop_count += 1
-            return []
+            return None
         ctx = PacketContext(self.registry.gtp_port(teid), ip_dst=ip_dst, ip_proto=ip_proto, l4_dst=l4_dst)
         return self._forward(ctx, packet)
 
-    def ingress_sigtunnel(self, frame: bytes) -> list[Emission]:
+    def ingress_sigtunnel(self, frame: bytes) -> tuple[PortSpec, bytes] | None:
         try:
             tunnel_id, payload = wire.decap_sig(frame)
         except WireDecodeError:
             self.drop_count += 1
-            return []
+            return None
         # an unknown tunnel leaves the context empty, and no entry has an empty match
         return self._forward(PacketContext(self.registry.sig_port(tunnel_id)), payload)

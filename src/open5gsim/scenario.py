@@ -193,6 +193,8 @@ class _SectionAccumulator:
 
     def add_name(self, section: str, name_pair: tuple[int, str]) -> None:
         lineno, name = name_pair
+        if name.split() != [name]:  # a trace line holds each name as one field
+            raise ParseError(lineno, f"{section} name {name!r} is not one word")
         if (section, name) in self.names:
             raise ParseError(lineno, f"duplicate {section} name {name!r}")
         self.names.add((section, name))

@@ -128,7 +128,7 @@ def test_bootstrap_applies_cleanly_to_node():
     c = make_controller()
     node = DataPlaneNode("gnb1", Rat.NR)
     (batch,) = c.bootstrap_node("gnb1")
-    assert node.handle_open5g(batch.to_bytes()) == []
+    assert node.handle_open5g(batch.to_bytes()) is None
     assert len(node.registry) == 2 and len(node.table) == 2
 
 
@@ -377,13 +377,13 @@ def test_emitted_config_matches_node_state():
     # replay bootstrap (already emitted before node creation in this test)
     c2 = make_controller()
     for emission in c2.bootstrap_node("gnb1"):
-        assert node.handle_open5g(emission.to_bytes()) == []
+        assert node.handle_open5g(emission.to_bytes()) is None
     out = request_setup(c2)
-    assert node.handle_open5g(out[0].to_bytes()) == []
+    assert node.handle_open5g(out[0].to_bytes()) is None
     ue = c2.ue_contexts[1]
     c2.on_rrc_uplink("gnb1", sig_frame(ue.srb_tunnel, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "00"})))
     batch = c2.on_ngap(ics_request())[0]
-    assert node.handle_open5g(batch.to_bytes()) == []
+    assert node.handle_open5g(batch.to_bytes()) is None
 
     # 2 bootstrap + 2 SRB1 + 1 SRB2 + 2 DRB + 1 NG-U = 8 ports
     assert len(node.registry) == 8

@@ -29,6 +29,7 @@ from open5gsim.netsim import (
     Topology,
     UeSpec,
     UpfStub,
+    _Delivery,
     render_flow_table,
 )
 from open5gsim.node import DataPlaneNode, Rat
@@ -428,9 +429,88 @@ def test_upf_downlink_uses_lowest_session_id_whatever_the_order():
 
 def test_ue_resolved_by_crnti_once_learned():
     sim = make_sim()
-    assert sim._resolve_ue("gnb1", 1, None) is None
+    assert sim._resolve_ue("gnb1", 1, b"x") is None
     sim.run()
     ue = sim.ues["ue1"]
-    assert sim._resolve_ue("gnb1", ue.crnti, None) is ue
-    assert sim._resolve_ue("gnb2", ue.crnti, None) is None
-    assert sim._resolve_ue("gnb1", ue.crnti + 1, None) is None
+    assert sim._resolve_ue("gnb1", ue.crnti, b"x") == (ue, b"x")
+    assert sim._resolve_ue("gnb2", ue.crnti, b"x") is None
+    assert sim._resolve_ue("gnb1", ue.crnti + 1, b"x") is None
+
+
+def test_ue_resolved_on_srb0_by_its_envelope_which_is_stripped():
+    sim = make_sim()
+    ue = sim.ues["ue1"]
+    assert sim._resolve_ue("gnb1", 0, wire.pack_envelope(ue.ue_tmp_id, b"setup")) == (ue, b"setup")
+    assert sim._resolve_ue("gnb2", 0, wire.pack_envelope(ue.ue_tmp_id, b"setup")) is None
+    assert sim._resolve_ue("gnb1", 0, wire.pack_envelope(ue.ue_tmp_id + 1, b"setup")) is None
+    assert sim._resolve_ue("gnb1", 0, b"setup") is None
+
+
+# -- the SRB0 envelope, read at the air side ----------------------------------------------
+
+TWO_NODES = Topology(
+    nodes=(NodeSpec("gnb1", Rat.NR, "10.0.0.1"), NodeSpec("gnb2", Rat.NR, "10.0.0.2")),
+    ues=(UeSpec("ue1", "gnb1", (SESSION,)),),
+)
+
+
+def bootstrapped(topology=TOPOLOGY) -> Simulator:
+    """A finished run of an empty script: each node holds only its SRB0 pair."""
+    sim = make_sim(script=[], topology=topology)
+    sim.run()
+    return sim
+
+
+def srb0_downlink(sim: Simulator, node_id: str, payload: bytes) -> None:
+    """Deliver `payload` to the node on its SRB0 tunnel, as the controller would."""
+    tunnel_id = sim.controller.nodes[node_id].srb0_tunnel_id
+    frame = wire.encap_sig(payload, tunnel_id)
+    sim._node_sig(_Delivery("src", node_id, "SRB0", "RrcSetup", frame, sim._node_sig))
+
+
+def assert_dropped_unsent(sim: Simulator, node_id: str, deliver) -> None:
+    """`deliver` adds 1 to the node's drops, sends nothing and writes no record."""
+    before, records = sim.nodes[node_id].drop_count, len(sim.records)
+    deliver()
+    sim._digest_pending()
+    assert sim.nodes[node_id].drop_count == before + 1
+    assert sim._calendar == {}
+    assert len(sim.records) == records
+
+
+@pytest.mark.parametrize(
+    "envelope", [b"\x00\x00", wire.pack_envelope(1, b"setup")[:-1]], ids=["short", "length_mismatch"]
+)
+def test_bad_srb0_envelope_on_sig_ingress_drops(envelope):
+    sim = bootstrapped()
+    assert_dropped_unsent(sim, "gnb1", lambda: srb0_downlink(sim, "gnb1", envelope))
+
+
+def test_bad_srb0_envelope_drops_on_every_ingress():
+    """Radio and NG-U traffic steered to the common SRB0 port carries no
+    envelope; like a bad envelope from the signaling tunnel, it is dropped."""
+    sim = bootstrapped()
+    node = sim.nodes["gnb1"]
+    srb0_port = node.registry.radio_port(0, wire.SRB0_BEARER)
+    ip1 = wire.ip_bytes("10.0.1.1")
+    steer = (
+        FlowMod(90, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(crnti=7, bearer_id=1), FlowAction(srb0_port))),
+        FlowMod(91, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(ip_dst=ip1, ip_proto=6, l4_dst=43), FlowAction(srb0_port))),
+    )
+    assert node.handle_open5g(b"".join(map(wire.encode_message, steer))) is None
+    radio = _Delivery("ue1", "gnb1", "RADIO_DATA", "Data", b"\x00", sim._node_radio, 7, 1)
+    assert_dropped_unsent(sim, "gnb1", lambda: sim._node_radio(radio))
+    frame = wire.encap_gtpu(wire.pack_ip_packet(ip1, 6, 43, b"x"), teid=1)
+    ngu = _Delivery("upf", "gnb1", "NGU", "GPDU", frame, sim._node_ngu)
+    assert_dropped_unsent(sim, "gnb1", lambda: sim._node_ngu(ngu))
+
+
+def test_srb0_envelope_naming_a_ue_on_another_node_drops():
+    sim = bootstrapped(TWO_NODES)
+    envelope = wire.pack_envelope(sim.ues["ue1"].ue_tmp_id, b"setup")
+    assert_dropped_unsent(sim, "gnb2", lambda: srb0_downlink(sim, "gnb2", envelope))
+    # on the node the UE attaches to, the same envelope reaches it, opened
+    srb0_downlink(sim, "gnb1", envelope)
+    (sent,) = sim._calendar[sim._now + 1]
+    assert (sent.src, sent.dst, sent.channel, sent.payload) == ("gnb1", "ue1", "SRB0", b"setup")
+    assert sim.nodes["gnb1"].drop_count == 0

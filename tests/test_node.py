@@ -2,6 +2,8 @@ import copy
 import dataclasses
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from open5gsim import wire
 from open5gsim.errors import (
@@ -62,11 +64,15 @@ def reference_batch() -> bytes:
     return b"".join(encode_message(m) for m in port_mods + flow_mods)
 
 
+def reference_node() -> DataPlaneNode:
+    n = DataPlaneNode("gnb1", Rat.NR)
+    assert n.handle_open5g(reference_batch()) is None
+    return n
+
+
 @pytest.fixture
 def node() -> DataPlaneNode:
-    n = DataPlaneNode("gnb1", Rat.NR)
-    assert n.handle_open5g(reference_batch()) == []
-    return n
+    return reference_node()
 
 
 # -- command handling ----------------------------------------------------------
@@ -79,14 +85,12 @@ def test_valid_commands_produce_no_response(node):
 
 def test_hello_is_silent():
     n = DataPlaneNode("gnb1", Rat.NR)
-    assert n.handle_open5g(encode_message(Hello(1))) == []
+    assert n.handle_open5g(encode_message(Hello(1))) is None
 
 
 def test_malformed_bytes_produce_single_error():
     n = DataPlaneNode("gnb1", Rat.NR)
-    out = n.handle_open5g(b"\x01\x04\x00\x0b\x00\x00\x00\x01junk")
-    assert len(out) == 1
-    err = decode_message(out[0].payload)
+    err = decode_message(n.handle_open5g(b"\x01\x04\x00\x0b\x00\x00\x00\x01junk"))
     assert err.code == CODE_TRUNCATED  # flow-mod body shorter than its header claims
     assert err.xid == 0  # offending message never decoded; no xid to echo
 
@@ -94,9 +98,7 @@ def test_malformed_bytes_produce_single_error():
 def test_flow_mod_to_unknown_port_errors_and_preserves_table(node):
     before = copy.deepcopy(node.table.entries)
     bad = FlowMod(99, FlowModBody(FlowModCommand.ADD, 50, FlowMatch(in_port=1), FlowAction(77)))
-    out = node.handle_open5g(encode_message(bad))
-    assert len(out) == 1
-    err = decode_message(out[0].payload)
+    err = decode_message(node.handle_open5g(encode_message(bad)))
     assert err.code == CODE_UNKNOWN_OUT_PORT
     assert err.xid == 99
     assert node.table.entries == before
@@ -108,8 +110,7 @@ def test_batch_stops_at_first_failure():
     bad = PortMod(2, PortModBody(PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 9)))
     tail = PortMod(3, PortModBody(PortModCommand.CREATE, 7, SigTunnel(SRC_IP, 7)))
     out = n.handle_open5g(b"".join(encode_message(m) for m in (good, bad, tail)))
-    assert len(out) == 1
-    assert decode_message(out[0].payload).xid == 2
+    assert decode_message(out).xid == 2
     assert 1 in n.registry and 7 not in n.registry
 
 
@@ -117,7 +118,7 @@ def test_wlan_rejects_sdap_and_pdcp_layers():
     n = DataPlaneNode("wt1", Rat.WLAN)
     spec = RadioBearer(1, 1, BearerKind.DRB, (ConfigTlv(int(LayerTlv.PDCP), b""),))
     out = n.handle_open5g(encode_message(PortMod(1, PortModBody(PortModCommand.CREATE, 1, spec))))
-    assert decode_message(out[0].payload).code == CODE_UNSUPPORTED_LAYER
+    assert decode_message(out).code == CODE_UNSUPPORTED_LAYER
     assert len(n.registry) == 0
 
 
@@ -127,37 +128,37 @@ def test_wlan_accepts_mac_phy_layers():
         1, 1, BearerKind.DRB,
         (ConfigTlv(int(LayerTlv.MAC), b""), ConfigTlv(int(LayerTlv.PHY), b"")),
     )
-    assert n.handle_open5g(encode_message(PortMod(1, PortModBody(PortModCommand.CREATE, 1, spec)))) == []
+    assert n.handle_open5g(encode_message(PortMod(1, PortModBody(PortModCommand.CREATE, 1, spec)))) is None
 
 
 # -- packet paths --------------------------------------------------------------
 
 
 def test_uplink_drb_data_goes_to_ngu_tunnel(node):
-    out = node.ingress_radio(crnti=1, bearer_id=1, payload=b"data")
-    assert len(out) == 1 and out[0].kind == "ngu"
-    assert wire.decap_gtpu(out[0].payload) == (1, b"data")
+    spec, frame = node.ingress_radio(crnti=1, bearer_id=1, payload=b"data")
+    assert spec is node.registry.get(LP_NGU) and isinstance(spec, GtpTunnel)
+    assert wire.decap_gtpu(frame) == (1, b"data")
 
 
 def test_uplink_srb1_goes_to_sig_tunnel(node):
-    out = node.ingress_radio(crnti=1, bearer_id=3, payload=b"rrc")
-    assert len(out) == 1 and out[0].kind == "sig"
-    assert wire.decap_sig(out[0].payload) == (2, b"rrc")
+    spec, frame = node.ingress_radio(crnti=1, bearer_id=3, payload=b"rrc")
+    assert spec is node.registry.get(LP_SIG) and isinstance(spec, SigTunnel)
+    assert wire.decap_sig(frame) == (2, b"rrc")
 
 
 def test_downlink_ngu_frame_reaches_matching_drb(node):
     packet = wire.pack_ip_packet(IP2, TCP, 34, b"web")
-    out = node.ingress_ngu(wire.encap_gtpu(packet, teid=1))
-    assert len(out) == 1 and out[0].kind == "radio"
-    assert (out[0].crnti, out[0].bearer_id) == (1, 2)
-    assert out[0].payload == packet
+    spec, frame = node.ingress_ngu(wire.encap_gtpu(packet, teid=1))
+    assert isinstance(spec, RadioBearer)
+    assert (spec.crnti, spec.bearer_id) == (1, 2)
+    assert frame == packet
 
 
 def test_downlink_sig_frame_reaches_srb1(node):
-    out = node.ingress_sigtunnel(wire.encap_sig(b"rrc-dl", tunnel_id=2))
-    assert len(out) == 1 and out[0].kind == "radio"
-    assert (out[0].crnti, out[0].bearer_id) == (1, 3)
-    assert out[0].payload == b"rrc-dl"
+    spec, frame = node.ingress_sigtunnel(wire.encap_sig(b"rrc-dl", tunnel_id=2))
+    assert isinstance(spec, RadioBearer)
+    assert (spec.crnti, spec.bearer_id) == (1, 3)
+    assert frame == b"rrc-dl"
 
 
 def srb0_node() -> DataPlaneNode:
@@ -172,37 +173,39 @@ def srb0_node() -> DataPlaneNode:
             FlowMod(4, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(in_port=1), FlowAction(2))),
         )
     )
-    assert n.handle_open5g(batch) == []
+    assert n.handle_open5g(batch) is None
     return n
 
 
 def test_srb0_downlink_addressed_by_envelope():
+    """The node passes the envelope on unopened: the air side reads the address."""
     n = srb0_node()
-    frame = wire.encap_sig(wire.pack_envelope(42, b"setup"), tunnel_id=1)
-    out = n.ingress_sigtunnel(frame)
-    assert len(out) == 1 and out[0].kind == "radio"
-    assert out[0].ue_tmp_id == 42 and out[0].crnti is None
-    assert out[0].payload == b"setup"
+    envelope = wire.pack_envelope(42, b"setup")
+    spec, frame = n.ingress_sigtunnel(wire.encap_sig(envelope, tunnel_id=1))
+    assert spec is n.registry.get(2)
+    assert (spec.crnti, spec.bearer_id) == (0, 0)
+    assert frame == envelope
+    assert n.drop_count == 0
 
 
 def test_unknown_crnti_drops(node):
-    assert node.ingress_radio(9, 1, b"x") == []
+    assert node.ingress_radio(9, 1, b"x") is None
     assert node.drop_count == 1
 
 
 def test_unknown_sig_tunnel_drops(node):
-    assert node.ingress_sigtunnel(wire.encap_sig(b"x", tunnel_id=99)) == []
+    assert node.ingress_sigtunnel(wire.encap_sig(b"x", tunnel_id=99)) is None
     assert node.drop_count == 1
 
 
 def test_unmatched_downlink_tuple_drops(node):
     packet = wire.pack_ip_packet(IP1, 17, 9999, b"x")
-    assert node.ingress_ngu(wire.encap_gtpu(packet, 1)) == []
+    assert node.ingress_ngu(wire.encap_gtpu(packet, 1)) is None
     assert node.drop_count == 1
 
 
 def test_bad_gtpu_frame_drops(node):
-    assert node.ingress_ngu(b"\xff\x00") == []
+    assert node.ingress_ngu(b"\xff\x00") is None
     assert node.drop_count == 1
 
 
@@ -211,19 +214,19 @@ def test_conservation_over_mixed_traffic(node):
     delivered = 0
     for crnti, bearer in [(1, 1), (1, 2), (1, 3), (9, 1), (1, 7)]:
         sent += 1
-        delivered += len(node.ingress_radio(crnti, bearer, b"p"))
+        delivered += node.ingress_radio(crnti, bearer, b"p") is not None
     for dst, l4 in [(IP1, 43), (IP1, 23), (IP2, 34), (IP2, 99)]:
         sent += 1
         packet = wire.pack_ip_packet(dst, TCP, l4, b"p")
-        delivered += len(node.ingress_ngu(wire.encap_gtpu(packet, 1)))
+        delivered += node.ingress_ngu(wire.encap_gtpu(packet, 1)) is not None
     assert sent == delivered + node.drop_count
 
 
 def test_port_delete_cascade_via_commands(node):
     delete = PortMod(20, PortModBody(PortModCommand.DELETE, LP_DRB1, None))
-    assert node.handle_open5g(encode_message(delete)) == []
+    assert node.handle_open5g(encode_message(delete)) is None
     assert len(node.table) == 4
-    assert node.ingress_radio(1, 1, b"x") == []  # uplink row is gone too
+    assert node.ingress_radio(1, 1, b"x") is None  # uplink row is gone too
     assert node.drop_count == 1
 
 
@@ -234,31 +237,8 @@ def test_port_delete_cascade_via_commands(node):
     "frame", [b"\x20\x00", b"\x00\x00\x00\x00\x00\x00\x00\x02rrc"], ids=["truncated", "bad_flags"]
 )
 def test_bad_sig_frame_drops(node, frame):
-    assert node.ingress_sigtunnel(frame) == []
+    assert node.ingress_sigtunnel(frame) is None
     assert node.drop_count == 1
-
-
-@pytest.mark.parametrize(
-    "envelope", [b"\x00\x00", wire.pack_envelope(42, b"setup")[:-1]], ids=["short", "length_mismatch"]
-)
-def test_bad_srb0_envelope_on_sig_ingress_drops(envelope):
-    n = srb0_node()
-    assert n.ingress_sigtunnel(wire.encap_sig(envelope, tunnel_id=1)) == []
-    assert n.drop_count == 1
-
-
-def test_bad_srb0_envelope_drops_on_every_ingress():
-    """Radio and NG-U traffic steered to the common SRB0 port carries no
-    envelope; like a bad envelope from the signaling tunnel, it is dropped."""
-    n = srb0_node()
-    steer = (
-        FlowMod(5, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(crnti=7, bearer_id=1), FlowAction(2))),
-        FlowMod(6, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(ip_dst=IP1, ip_proto=TCP, l4_dst=43), FlowAction(2))),
-    )
-    assert n.handle_open5g(b"".join(encode_message(m) for m in steer)) == []
-    assert n.ingress_radio(7, 1, b"\x00") == []
-    assert n.ingress_ngu(wire.encap_gtpu(wire.pack_ip_packet(IP1, TCP, 43, b"x"), teid=1)) == []
-    assert n.drop_count == 2
 
 
 def test_entry_whose_out_port_is_gone_drops(node):
@@ -268,10 +248,52 @@ def test_entry_whose_out_port_is_gone_drops(node):
         dataclasses.replace(e, action=FlowAction(77)) for e in node.table.entries
     ]
     packet = wire.pack_ip_packet(IP2, TCP, 34, b"web")
-    assert node.ingress_radio(1, 1, b"data") == []
-    assert node.ingress_ngu(wire.encap_gtpu(packet, teid=1)) == []
-    assert node.ingress_sigtunnel(wire.encap_sig(b"rrc-dl", tunnel_id=2)) == []
+    assert node.ingress_radio(1, 1, b"data") is None
+    assert node.ingress_ngu(wire.encap_gtpu(packet, teid=1)) is None
+    assert node.ingress_sigtunnel(wire.encap_sig(b"rrc-dl", tunnel_id=2)) is None
     assert node.drop_count == 3
+
+
+_PACKETS = st.one_of(
+    st.binary(max_size=48),
+    st.builds(
+        wire.pack_ip_packet,
+        st.sampled_from([IP1, IP2]),
+        st.sampled_from([TCP, 17]),
+        st.sampled_from([23, 34, 43, 9999]),
+        st.binary(max_size=16),
+    ),
+)
+
+
+@given(
+    data=_PACKETS,
+    crnti=st.sampled_from([0, 1, 9]) | st.integers(0, 0xFFFF),
+    bearer_id=st.integers(0, 7),
+    tunnel=st.integers(0, 3),
+)
+@example(data=b"\x30\xff", crnti=1, bearer_id=1, tunnel=1)  # a short GTP-U frame
+@example(data=b"rrc", crnti=1, bearer_id=3, tunnel=99)  # an unknown tunnel
+@example(data=wire.pack_envelope(42, b"setup"), crnti=0, bearer_id=0, tunnel=1)  # an envelope on SRB0
+def test_one_packet_in_at_most_one_out_every_drop_counted(data, crnti, bearer_id, tunnel):
+    """Each ingress returns None exactly when it counts a drop, and otherwise
+    one of the node's own port specs with the frame leaving on it."""
+    for n in (reference_node(), srb0_node()):
+        calls = (
+            (n.ingress_radio, (crnti, bearer_id, data)),
+            (n.ingress_ngu, (data,)),
+            (n.ingress_ngu, (wire.encap_gtpu(data, tunnel),)),
+            (n.ingress_sigtunnel, (data,)),
+            (n.ingress_sigtunnel, (wire.encap_sig(data, tunnel),)),
+        )
+        for ingress, args in calls:
+            before = n.drop_count
+            out = ingress(*args)
+            assert n.drop_count == before + (out is None)
+            if out is not None:
+                spec, frame = out
+                assert isinstance(frame, bytes)
+                assert any(spec is n.registry.get(p) for p in n.registry.ports)
 
 
 def test_batch_with_undecodable_second_frame():
@@ -279,8 +301,6 @@ def test_batch_with_undecodable_second_frame():
     the batch's first command decoded and stays applied."""
     n = DataPlaneNode("gnb1", Rat.NR)
     good = encode_message(PortMod(5, PortModBody(PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 1))))
-    out = n.handle_open5g(good + b"\x01\x04\x00\x0b\x00\x00\x00\x06junk")
-    assert len(out) == 1 and out[0].kind == "open5g"
-    err = decode_message(out[0].payload)
+    err = decode_message(n.handle_open5g(good + b"\x01\x04\x00\x0b\x00\x00\x00\x06junk"))
     assert (err.xid, err.code) == (0, CODE_TRUNCATED)
     assert 1 in n.registry

@@ -124,6 +124,22 @@ def test_duplicate_names_rejected(tmp_path, capsys, text, lineno, fragment):
     assert capsys.readouterr().err == f"parse error: line {lineno}: {fragment}\n"
 
 
+@pytest.mark.parametrize("name", ["", "gnb 1", "gnb\t1"], ids=["empty", "space", "tab"])
+@pytest.mark.parametrize("section, lineno", [("node", 2), ("ue", 6)])
+def test_names_a_trace_line_cannot_hold_rejected(tmp_path, capsys, section, lineno, name):
+    """A trace record holds each name as one space-separated field, so a
+    trace naming such a node or UE would not read back."""
+    old = "name = gnb1" if section == "node" else "name = ue1"
+    text = (NODE + UE).replace(old, f"name = {name}")
+    fragment = f"{section} name {name!r} is not one word"
+    expect_parse_error(text, lineno, fragment)
+    scn = tmp_path / "names.scn"
+    scn.write_text(text + "[script]\n0 ue_power_on ue1\n")
+    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == f"parse error: line {lineno}: {fragment}\n"
+    assert not (tmp_path / "o.trace").exists()
+
+
 @pytest.mark.parametrize(
     "text, lineno, fragment",
     [

@@ -372,8 +372,7 @@ def _flow_mod_frame(tlvs: list[tuple[int, bytes]]) -> bytes:
 
 def _error_detail(frame: bytes) -> bytes:
     """The detail of the ERROR a node answers the frame with."""
-    (em,) = DataPlaneNode("n", Rat.NR).handle_open5g(frame)
-    err = decode_message(em.payload)
+    err = decode_message(DataPlaneNode("n", Rat.NR).handle_open5g(frame))
     assert (err.xid, err.code) == (0, MalformedTlvError.code)
     return err.detail
 
