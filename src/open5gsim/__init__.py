@@ -4,17 +4,17 @@ from .controller import Controller, QosFlowSpec, SessionSpec
 from .netsim import NodeSpec, Settings, Simulator, Stimulus, Topology, UeSpec
 from .node import DataPlaneNode, Rat
 from .scenario import Scenario, load_scenario, parse_scenario, serialize_scenario
-from .switch import FlowTable, PacketContext, PortRegistry
+from .switch import FlowTable, PortRegistry
 from .trace import EventTrace, TraceRecord
-from .wire import decode_message, encode_message
+from .wire import FlowMatch, decode_message, encode_message
 
 __all__ = [
     "Controller",
     "DataPlaneNode",
     "EventTrace",
+    "FlowMatch",
     "FlowTable",
     "NodeSpec",
-    "PacketContext",
     "PortRegistry",
     "QosFlowSpec",
     "Rat",

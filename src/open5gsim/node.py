@@ -15,9 +15,10 @@ from enum import Enum
 
 from . import wire
 from .errors import Open5GError, UnsupportedLayerError, WireDecodeError
-from .switch import FlowTable, PacketContext, PortRegistry
+from .switch import FlowTable, PortRegistry
 from .wire import (
     ErrorMsg,
+    FlowMatch,
     FlowMod,
     GtpTunnel,
     LayerTlv,
@@ -89,10 +90,10 @@ class DataPlaneNode:
 
     # -- packet paths --------------------------------------------------------
 
-    def _forward(self, ctx: PacketContext, payload: bytes) -> tuple[PortSpec, bytes] | None:
+    def _forward(self, packet: FlowMatch, payload: bytes) -> tuple[PortSpec, bytes] | None:
         """The best-matching entry's out-port and the frame that leaves on it,
         or None, counted as a drop, if no entry matches or its out-port is gone."""
-        action = self.table.match(ctx)
+        action = self.table.match(packet)
         spec = self.registry.get(action.out_port) if action is not None else None
         if spec is None:
             self.drop_count += 1
@@ -105,7 +106,7 @@ class DataPlaneNode:
 
     def ingress_radio(self, crnti: int, bearer_id: int, payload: bytes) -> tuple[PortSpec, bytes] | None:
         in_port = self.registry.radio_port(crnti, bearer_id)
-        return self._forward(PacketContext(in_port, crnti=crnti, bearer_id=bearer_id), payload)
+        return self._forward(FlowMatch(in_port, crnti, bearer_id), payload)
 
     def ingress_ngu(self, frame: bytes) -> tuple[PortSpec, bytes] | None:
         try:
@@ -114,8 +115,8 @@ class DataPlaneNode:
         except WireDecodeError:
             self.drop_count += 1
             return None
-        ctx = PacketContext(self.registry.gtp_port(teid), ip_dst=ip_dst, ip_proto=ip_proto, l4_dst=l4_dst)
-        return self._forward(ctx, packet)
+        fields = FlowMatch(self.registry.gtp_port(teid), None, None, ip_dst, ip_proto, l4_dst)
+        return self._forward(fields, packet)
 
     def ingress_sigtunnel(self, frame: bytes) -> tuple[PortSpec, bytes] | None:
         try:
@@ -123,5 +124,5 @@ class DataPlaneNode:
         except WireDecodeError:
             self.drop_count += 1
             return None
-        # an unknown tunnel leaves the context empty, and no entry has an empty match
-        return self._forward(PacketContext(self.registry.sig_port(tunnel_id)), payload)
+        # an unknown tunnel leaves the fields empty, and no entry has an empty match
+        return self._forward(FlowMatch(self.registry.sig_port(tunnel_id)), payload)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect, insort
 from dataclasses import dataclass
 from functools import cache
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable
 
 from .errors import (
@@ -43,18 +43,6 @@ class FlowEntry:
     priority: int
     match: FlowMatch
     action: FlowAction
-
-
-@dataclass
-class PacketContext:
-    """Ingress context matched against the flow table."""
-
-    in_port: int | None = None
-    crnti: int | None = None
-    bearer_id: int | None = None
-    ip_dst: bytes | None = None
-    ip_proto: int | None = None
-    l4_dst: int | None = None
 
 
 class PortRegistry:
@@ -155,15 +143,15 @@ def entry_references_port(entry: FlowEntry, port_id: int, spec: PortSpec) -> boo
 
 
 @cache
-def _getter(shape: tuple[str, ...]) -> Callable:
-    """Reads the fields of a match shape from a FlowMatch or a PacketContext.
-    There is one getter per shape, so a getter also names its shape."""
-    return attrgetter(*shape) if shape else lambda _: ()
+def _getter(shape: tuple[int, ...]) -> Callable:
+    """Reads the fields at a match shape's indexes from a FlowMatch. There
+    is one getter per shape, so a getter also names its shape."""
+    return itemgetter(*shape) if shape else lambda _: ()
 
 
 def _slot(match: FlowMatch) -> tuple[Callable, object]:
-    """The getter of the match's shape (its populated fields), and its key."""
-    key_of = _getter(tuple(f.name for f in MATCH_FIELDS if getattr(match, f.name) is not None))
+    """The getter of the match's shape (the indexes of its set fields), and its key."""
+    key_of = _getter(tuple([i for i, value in enumerate(match) if value is not None]))
     return key_of, key_of(match)
 
 
@@ -174,8 +162,8 @@ def _rank(entry: FlowEntry) -> tuple[int, int]:
 def _match_str(match: FlowMatch) -> str:
     return ",".join([
         f"{f.label}={ip_str(value) if f.mtype == MatchType.IP_DST else value}"
-        for f in MATCH_FIELDS
-        if (value := getattr(match, f.name)) is not None
+        for f, value in zip(MATCH_FIELDS, match)
+        if value is not None
     ])
 
 
@@ -268,11 +256,11 @@ class FlowTable:
         self.entries = [e for e in self._entries if not entry_references_port(e, port_id, spec)]
         return before - len(self._entries)
 
-    def match(self, ctx: PacketContext) -> FlowAction | None:
-        """Highest priority wins; earliest installed wins among equals."""
+    def match(self, packet: FlowMatch) -> FlowAction | None:
+        """Classify a packet's fields: highest priority wins; earliest installed wins among equals."""
         best: FlowEntry | None = None
         for key_of, buckets in self._shapes.items():
-            bucket = buckets.get(key_of(ctx))
+            bucket = buckets.get(key_of(packet))
             if bucket and (best is None or _rank(bucket[0]) < _rank(best)):
                 best = bucket[0]
         return best.action if best else None

@@ -177,10 +177,16 @@ class EventTrace:
 
 
 def write_trace(path: str, trace: EventTrace) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(trace.to_text())
 
 
 def read_trace(path: str) -> EventTrace:
-    with open(path) as fh:
-        return EventTrace.from_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.object holds all its bytes
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise TraceParseError(f"line {line}: not UTF-8: {exc.reason}") from None
+    return EventTrace.from_text(text)

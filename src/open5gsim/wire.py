@@ -12,6 +12,9 @@ and its port_class byte is written as zero.
 
 FLOW_MOD body: command u8, priority u16, match-TLV count u8, match TLVs
 (type u16, len u16, value), then the action (kind u8=1 OUTPUT, out_port u32).
+Like OpenFlow's OXM fields, one `FlowMatch` tuple, in `MATCH_FIELDS` order,
+is both an entry's match and the header fields of a packet to classify; the
+codec, the validator and the flow table read it by position.
 
 ERROR body: code u16, detail-length u16, detail bytes.
 
@@ -27,6 +30,7 @@ import ipaddress
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .errors import (
     BadGtpuFlagsError,
@@ -156,7 +160,7 @@ class PortModBody:
 @dataclass(frozen=True)
 class MatchField:
     mtype: MatchType
-    name: str  # the FlowMatch and PacketContext attribute
+    name: str  # the FlowMatch field at this row's index
     fmt: str  # struct format of the TLV value
     label: str  # in a rendered flow-table row
 
@@ -171,18 +175,17 @@ MATCH_FIELDS = (
     MatchField(MatchType.L4_DST, "l4_dst", ">H", "l4_dst"),
 )
 
-@dataclass(frozen=True)
-class FlowMatch:
+
+class FlowMatch(NamedTuple):
+    """A flow entry's match, or the fields of a packet that the flow table
+    classifies; None is a wildcard, or a field the packet does not carry."""
+
     in_port: int | None = None
     crnti: int | None = None
     bearer_id: int | None = None
     ip_dst: bytes | None = None
     ip_proto: int | None = None
     l4_dst: int | None = None
-
-    def populated(self) -> list[tuple[MatchType, object]]:
-        """The fields that are set, with their values, in TLV-type order."""
-        return [(f.mtype, value) for f in MATCH_FIELDS if (value := getattr(self, f.name)) is not None]
 
 
 @dataclass(frozen=True)
@@ -261,6 +264,8 @@ def _match_codec(f: MatchField) -> tuple:
 
 
 _MATCH_CODEC = tuple(_match_codec(f) for f in MATCH_FIELDS)  # in MATCH_FIELDS order
+# MatchType values run 1..n in MATCH_FIELDS order, so a match TLV's value
+# goes to FlowMatch index mtype - 1
 _MATCH_BY_TYPE = {int(row[0].mtype): row for row in _MATCH_CODEC}
 
 
@@ -313,11 +318,12 @@ def validate_port_spec(spec: PortSpec) -> None:
 def validate_match(match: FlowMatch) -> None:
     # An empty match passes the pairing check and every field check, so
     # "empty match" comes last here and is still the only fault it reports.
+    if not isinstance(match, FlowMatch):
+        raise InvalidMessageError("match is not a FlowMatch")
     if (match.crnti is None) != (match.bearer_id is None):
         raise InvalidMessageError("crnti and bearer_id must appear together")
     empty = True
-    for f, width, limit, top, _, _ in _MATCH_CODEC:
-        value = getattr(match, f.name)
+    for (f, width, limit, top, _, _), value in zip(_MATCH_CODEC, match):
         if value is None:
             continue
         empty = False
@@ -392,11 +398,10 @@ def encode_message(msg: Open5GMessage) -> bytes:
         payload = _PORT_MOD_HEAD.pack(int(body.command), port_class, body.port_id) + fields
     elif isinstance(msg, FlowMod):
         body = msg.body
-        match = body.match
         tlvs = [
             tlv.pack(f.mtype, width, value)
-            for f, width, _, _, _, tlv in _MATCH_CODEC
-            if (value := getattr(match, f.name)) is not None
+            for (f, width, _, _, _, tlv), value in zip(_MATCH_CODEC, body.match)
+            if value is not None
         ]
         msg_type = _FLOW_MOD
         head = _FLOW_MOD_HEAD.pack(int(body.command), body.priority, len(tlvs))
@@ -486,7 +491,7 @@ def decode_message(data: bytes) -> Open5GMessage:
         command, priority, count = _FLOW_MOD_HEAD.unpack_from(data, 8)
         if command > 1:
             raise MalformedTlvError(f"bad flow_mod command {command}")
-        fields: dict[str, object] = {}
+        values: list = [None] * len(MATCH_FIELDS)  # a decoded value is never None
         off = 12
         for _ in range(count):
             if off + 4 > size:
@@ -501,9 +506,9 @@ def decode_message(data: bytes) -> Open5GMessage:
             f, width, _, _, value, _ = row
             if mlen != width:
                 raise MalformedTlvError(f"match {f.mtype.name} has length {mlen}, want {width}")
-            if f.name in fields:
+            if values[mtype - 1] is not None:
                 raise MalformedTlvError(f"duplicate match field {f.mtype.name}")
-            (fields[f.name],) = value.unpack_from(data, off)
+            (values[mtype - 1],) = value.unpack_from(data, off)
             off += mlen
         if off + 5 > size:
             raise _truncated(5, off)
@@ -512,7 +517,7 @@ def decode_message(data: bytes) -> Open5GMessage:
             raise MalformedTlvError(f"unknown action kind {kind}")
         if off + 5 < size:
             raise _trailing(size - off - 5)
-        body = FlowModBody(_FLOW_MOD_COMMANDS[command], priority, FlowMatch(**fields), FlowAction(out_port))
+        body = FlowModBody(_FLOW_MOD_COMMANDS[command], priority, FlowMatch._make(values), FlowAction(out_port))
         msg = FlowMod(xid, body)
     elif msg_type == _HELLO:
         if size > HEADER_LEN:

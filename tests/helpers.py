@@ -29,7 +29,7 @@ from open5gsim.netsim import (
     UeSpec,
 )
 from open5gsim.node import DataPlaneNode, Rat
-from open5gsim.switch import FlowEntry, PacketContext, entry_references_port
+from open5gsim.switch import FlowEntry, entry_references_port
 from open5gsim.wire import (
     MATCH_FIELDS,
     BearerKind,
@@ -144,7 +144,7 @@ def random_message(rng: random.Random, force_type: int | None = None):
     )
 
 
-def match_context(match: FlowMatch, ctx: PacketContext) -> bool:
+def match_context(match: FlowMatch, ctx: FlowMatch) -> bool:
     """True iff every populated match field equals the context field."""
     for name in ("in_port", "crnti", "bearer_id", "ip_dst", "ip_proto", "l4_dst"):
         want = getattr(match, name)
@@ -203,8 +203,8 @@ def random_entries(rng: random.Random, count: int) -> list[FlowEntry]:
     ]
 
 
-def random_context(rng: random.Random) -> PacketContext:
-    return PacketContext(
+def random_context(rng: random.Random) -> FlowMatch:
+    return FlowMatch(
         in_port=rng.choice(_PORTS + [None]),
         crnti=rng.choice(_CRNTIS + [None, 9]),
         bearer_id=rng.choice(_BEARERS + [None, 9]),
@@ -363,7 +363,7 @@ class ScanFlowTable:
         self.entries = [e for e in self.entries if not entry_references_port(e, port_id, spec)]
         return before - len(self.entries)
 
-    def match(self, ctx: PacketContext) -> FlowAction | None:
+    def match(self, ctx: FlowMatch) -> FlowAction | None:
         """Highest priority wins; earliest installed wins among equals."""
         best: FlowEntry | None = None
         for entry in self.entries:
@@ -470,8 +470,14 @@ def reference_validate_port_spec(spec: PortSpec) -> None:
 _REF_MATCH_BY_TYPE = {f.mtype: (f, struct.calcsize(f.fmt)) for f in MATCH_FIELDS}
 
 
+def populated(match: FlowMatch) -> list[tuple[MatchType, object]]:
+    """The fields of a match that are set, with their values, in TLV-type order."""
+    return [(f.mtype, value) for f in MATCH_FIELDS if (value := getattr(match, f.name)) is not None]
+
+
 def reference_validate_match(match: FlowMatch) -> None:
-    fields = match.populated()
+    _ref_check(isinstance(match, FlowMatch), "match is not a FlowMatch")
+    fields = populated(match)
     _ref_check(len(fields) >= 1, "empty match")
     _ref_check(
         (match.crnti is None) == (match.bearer_id is None),
@@ -537,7 +543,7 @@ def _ref_encode_body(msg) -> tuple[MsgType, bytes]:
             port_class, spec_bytes = _ref_encode_port_spec(body.port_spec)
         return MsgType.PORT_MOD, struct.pack(">BBI", int(body.command), port_class, body.port_id) + spec_bytes
     body = msg.body
-    fields = body.match.populated()
+    fields = populated(body.match)
     parts = [struct.pack(">BHB", int(body.command), body.priority, len(fields))]
     for mtype, value in fields:
         field, width = _REF_MATCH_BY_TYPE[mtype]

@@ -21,9 +21,9 @@ from open5gsim.messages import (
 )
 from open5gsim.netsim import Simulator, Stimulus
 from open5gsim.scenario import load_scenario
-from open5gsim.switch import FlowTable, PacketContext
+from open5gsim.switch import FlowTable
 from open5gsim.trace import read_trace
-from open5gsim.wire import FlowMod, GtpTunnel, PortMod, RadioBearer, SigTunnel
+from open5gsim.wire import FlowMatch, FlowMod, GtpTunnel, PortMod, RadioBearer, SigTunnel
 
 INITIAL_ACCESS = "scenarios/initial_access.scn"
 MULTI_RAT = "scenarios/multi_rat.scn"
@@ -95,16 +95,16 @@ def test_criterion_3_flow_table_contents_and_semantics():
         return node.registry.get(action.out_port)
 
     for bearer in (1, 2):
-        spec = action_spec(PacketContext(crnti=crnti, bearer_id=bearer))
+        spec = action_spec(FlowMatch(crnti=crnti, bearer_id=bearer))
         assert isinstance(spec, GtpTunnel) and spec.teid == 1
     for ip_dst, l4, drb in ((ip1, 43, 1), (ip1, 23, 1), (ip2, 34, 2)):
-        spec = action_spec(PacketContext(ip_dst=ip_dst, ip_proto=6, l4_dst=l4))
+        spec = action_spec(FlowMatch(ip_dst=ip_dst, ip_proto=6, l4_dst=l4))
         assert isinstance(spec, RadioBearer) and (spec.crnti, spec.bearer_id) == (crnti, drb)
-    spec = action_spec(PacketContext(crnti=crnti, bearer_id=3))
+    spec = action_spec(FlowMatch(crnti=crnti, bearer_id=3))
     assert isinstance(spec, SigTunnel) and spec.tunnel_id == 2
     srb1_sig = node.registry.sig_port(2)
     assert srb1_sig is not None
-    spec = action_spec(PacketContext(in_port=srb1_sig))
+    spec = action_spec(FlowMatch(in_port=srb1_sig))
     assert isinstance(spec, RadioBearer) and (spec.crnti, spec.bearer_id) == (crnti, 3)
 
     rng = random.Random(2024)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from open5gsim import wire
 from open5gsim.errors import (
+    CODE_DUPLICATE_ENTRY,
     CODE_TRUNCATED,
     CODE_UNKNOWN_OUT_PORT,
     CODE_UNSUPPORTED_LAYER,
@@ -102,6 +103,14 @@ def test_flow_mod_to_unknown_port_errors_and_preserves_table(node):
     assert err.code == CODE_UNKNOWN_OUT_PORT
     assert err.xid == 99
     assert node.table.entries == before
+
+
+def test_duplicate_flow_mod_add_error_detail_shows_the_match(node):
+    # the detail is the error text cut to 64 bytes; it reaches the trace digests
+    dup = FlowMod(99, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(crnti=1, bearer_id=3), FlowAction(LP_SIG)))
+    err = decode_message(node.handle_open5g(encode_message(dup)))
+    assert (err.xid, err.code) == (99, CODE_DUPLICATE_ENTRY)
+    assert err.detail == b"entry (priority 100, FlowMatch(in_port=None, crnti=1, bearer_id="
 
 
 def test_batch_stops_at_first_failure():

@@ -508,6 +508,20 @@ def test_verify_rejects_an_unknown_channel(capsys):
     assert err == "parse error: unknown channel 'SRB9'; channels are OPEN5G, SRB0, SRB1, SRB2, NGAP, NGU, RADIO_DATA\n"
 
 
+@pytest.mark.parametrize("side", ["trace", "golden"])
+@pytest.mark.parametrize("lines_before", [0, 2])
+def test_verify_of_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, side, lines_before):
+    """A traceback would exit 1, the code of a verification mismatch."""
+    bad = tmp_path / "bad.trace"
+    head = b"".join(Path(GOLDEN).read_bytes().splitlines(keepends=True)[:lines_before])
+    bad.write_bytes(head + b"\xff\xfe1 0 a b SRB0 X 0000000000000000\n")
+    trace, golden = (str(bad), GOLDEN) if side == "trace" else (GOLDEN, str(bad))
+    assert main(["verify", trace, "--golden", golden]) == EXIT_PARSE_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"parse error: line {lines_before + 1}: not UTF-8: invalid start byte\n"
+
+
 def test_table_at_step_zero_is_empty(capsys):
     assert main(["table", INITIAL_ACCESS, "--node", "gnb1", "--at", "0"]) == EXIT_OK
     assert capsys.readouterr().out == ""

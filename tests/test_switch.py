@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -15,7 +14,7 @@ from open5gsim.errors import (
     UnknownOutPortError,
     UnknownPortError,
 )
-from open5gsim.switch import FlowTable, PacketContext, PortRegistry
+from open5gsim.switch import FlowTable, PortRegistry
 from open5gsim.wire import (
     BearerKind,
     FlowAction,
@@ -157,6 +156,12 @@ def test_duplicate_entry_rejected(reference_state):
     registry, table = reference_state
     with pytest.raises(DuplicateEntryError):
         table.apply_flow_mod(reference_rows()[0], registry)
+    with pytest.raises(DuplicateEntryError) as exc:
+        table.apply_flow_mod(reference_rows()[2], registry)
+    assert str(exc.value) == (
+        "entry (priority 110, FlowMatch(in_port=None, crnti=None, bearer_id=None, "
+        "ip_dst=b'\\n\\x00\\x01\\x01', ip_proto=6, l4_dst=43)) already present"
+    )
 
 
 def test_exact_match_delete(reference_state):
@@ -166,7 +171,7 @@ def test_exact_match_delete(reference_state):
         FlowModBody(FlowModCommand.DELETE, 0, row3.match, row3.action), registry
     )
     assert len(table) == 6
-    ctx = PacketContext(ip_dst=IP1, ip_proto=TCP, l4_dst=43)
+    ctx = FlowMatch(ip_dst=IP1, ip_proto=TCP, l4_dst=43)
     assert table.match(ctx) is None
 
 
@@ -175,18 +180,18 @@ def test_exact_match_delete(reference_state):
 
 def test_uplink_drb1_maps_to_ngu_tunnel(reference_state):
     _, table = reference_state
-    assert table.match(PacketContext(crnti=1, bearer_id=1)) == FlowAction(LP1)
+    assert table.match(FlowMatch(crnti=1, bearer_id=1)) == FlowAction(LP1)
 
 
 def test_downlink_flow3_maps_to_drb2(reference_state):
     _, table = reference_state
-    ctx = PacketContext(ip_dst=IP2, ip_proto=TCP, l4_dst=34)
+    ctx = FlowMatch(ip_dst=IP2, ip_proto=TCP, l4_dst=34)
     assert table.match(ctx) == FlowAction(LP5)
 
 
 def test_unknown_ue_has_no_match(reference_state):
     _, table = reference_state
-    assert table.match(PacketContext(crnti=9, bearer_id=1)) is None
+    assert table.match(FlowMatch(crnti=9, bearer_id=1)) is None
 
 
 def test_reference_table_is_exactly_the_seven_pairs(reference_state):
@@ -200,10 +205,10 @@ def test_exhaustive_cross_product_matches_oracle(reference_state):
     _, table = reference_state
     tuples = [(IP1, TCP, 43), (IP1, TCP, 23), (IP2, TCP, 34)]
     contexts = [
-        PacketContext(crnti=crnti, bearer_id=bearer)
+        FlowMatch(crnti=crnti, bearer_id=bearer)
         for crnti in (1, 9)
         for bearer in (1, 2, 3)
-    ] + [PacketContext(ip_dst=d, ip_proto=p, l4_dst=l) for d, p, l in tuples]
+    ] + [FlowMatch(ip_dst=d, ip_proto=p, l4_dst=l) for d, p, l in tuples]
     for ctx in contexts:
         assert table.match(ctx) == oracle_match(table.entries, ctx)
 
@@ -215,7 +220,7 @@ def test_equal_priority_ties_break_by_install_order():
     second = FlowModBody(FlowModCommand.ADD, 50, FlowMatch(in_port=LP4), FlowAction(LP2))
     table.apply_flow_mod(first, registry)
     table.apply_flow_mod(second, registry)
-    ctx = PacketContext(crnti=1, bearer_id=1, in_port=LP4)
+    ctx = FlowMatch(crnti=1, bearer_id=1, in_port=LP4)
     assert table.match(ctx) == FlowAction(LP1)
 
 
@@ -227,7 +232,7 @@ def test_higher_priority_wins():
     # same match at different priorities is allowed; higher must win
     table.apply_flow_mod(low, registry)
     table.apply_flow_mod(high, registry)
-    assert table.match(PacketContext(crnti=1, bearer_id=1)) == FlowAction(LP2)
+    assert table.match(FlowMatch(crnti=1, bearer_id=1)) == FlowAction(LP2)
 
 
 def test_match_equals_oracle_on_large_random_table():
@@ -321,13 +326,13 @@ def test_delete_removes_the_port_from_its_index():
 
 def test_assigning_entries_rebuilds_the_classifier(reference_state):
     _, table = reference_state
-    ctx = PacketContext(crnti=1, bearer_id=1)
+    ctx = FlowMatch(crnti=1, bearer_id=1)
     assert table.match(ctx) == FlowAction(LP1)
     table.entries = [e for e in table.entries if e.match != FlowMatch(crnti=1, bearer_id=1)]
     assert table.match(ctx) is None
-    assert table.match(PacketContext(in_port=LP2)) == FlowAction(LP3)
+    assert table.match(FlowMatch(in_port=LP2)) == FlowAction(LP3)
     table.entries = []
-    assert table.match(PacketContext(in_port=LP2)) is None
+    assert table.match(FlowMatch(in_port=LP2)) is None
 
 
 # -- differential test against the linear-scan reference ----------------------
@@ -390,14 +395,14 @@ def _apply(registry, table, body) -> tuple[type, str] | None:
     return None
 
 
-def _overlay(ctx: PacketContext, match: FlowMatch) -> PacketContext:
+def _overlay(ctx: FlowMatch, match: FlowMatch) -> FlowMatch:
     """`ctx` with the populated fields of `match` written over it."""
-    return PacketContext(**{**vars(ctx), **{k: v for k, v in vars(match).items() if v is not None}})
+    return FlowMatch(**{**ctx._asdict(), **{k: v for k, v in match._asdict().items() if v is not None}})
 
 
 @given(
     st.lists(_COMMANDS, min_size=10, max_size=60),
-    st.lists(st.builds(PacketContext, **_FIELDS), min_size=2, max_size=6),
+    st.lists(st.builds(FlowMatch, **_FIELDS), min_size=2, max_size=6),
 )
 @settings(max_examples=200, deadline=None)
 def test_indexed_data_plane_agrees_with_linear_scan(commands, contexts):
@@ -422,9 +427,10 @@ def test_indexed_data_plane_agrees_with_linear_scan(commands, contexts):
 
 
 def test_match_fields_name_every_match_attribute():
-    """One MATCH_FIELDS row per FlowMatch field and PacketContext field, in
-    TLV-type order: the codec, the classifier and the table rows agree."""
+    """One MATCH_FIELDS row per FlowMatch field, in TLV-type order: the
+    codec, the classifier and the table rows agree."""
     names = [f.name for f in wire.MATCH_FIELDS]
-    assert names == [f.name for f in dataclasses.fields(FlowMatch)]
-    assert names == [f.name for f in dataclasses.fields(PacketContext)]
+    assert names == list(FlowMatch._fields)
     assert [f.mtype for f in wire.MATCH_FIELDS] == list(wire.MatchType)
+    # the decoder puts a TLV of type t at FlowMatch index t - 1
+    assert [int(t) for t in wire.MatchType] == list(range(1, len(names) + 1))

@@ -103,7 +103,10 @@ def test_drb_uplink_flow_mod_round_trips():
     )
     encoded = encode_message(msg)
     assert struct.unpack(">H", encoded[2:4])[0] == len(encoded)
-    assert decode_message(encoded) == msg
+    decoded = decode_message(encoded)
+    assert decoded == msg
+    # a plain tuple of the same values would compare equal
+    assert type(decoded.body.match) is FlowMatch
 
 
 def test_srb_bearer_id_outside_registry_is_invalid():
@@ -236,9 +239,12 @@ def test_decoder_agrees_with_reference_on_damaged_frames(msg):
 
 
 def _field_paths(obj, path=()):
-    """Every attribute path below a message, tuple indexes included."""
+    """Every attribute path below a message, tuple indexes included; a
+    NamedTuple's fields are walked by name."""
     if dataclasses.is_dataclass(obj):
         children = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    elif hasattr(obj, "_fields"):
+        children = list(zip(obj._fields, obj))
     elif isinstance(obj, tuple):
         children = list(enumerate(obj))
     else:
@@ -249,12 +255,18 @@ def _field_paths(obj, path=()):
 
 
 def _replaced(obj, path, value):
+    """`obj` with the field at `path` set to `value`, rebuilt as its own type."""
     if not path:
         return value
     key, rest = path[0], path[1:]
     if isinstance(key, int):
-        return obj[:key] + (_replaced(obj[key], rest, value),) + obj[key + 1 :]
-    return dataclasses.replace(obj, **{key: _replaced(getattr(obj, key), rest, value)})
+        out = obj[:key] + (_replaced(obj[key], rest, value),) + obj[key + 1 :]
+    elif hasattr(obj, "_fields"):
+        out = obj._replace(**{key: _replaced(getattr(obj, key), rest, value)})
+    else:
+        out = dataclasses.replace(obj, **{key: _replaced(getattr(obj, key), rest, value)})
+    assert type(out) is type(obj)
+    return out
 
 
 # boundary and out-of-range values of every kind a field holds, and a few of
@@ -382,7 +394,7 @@ def test_match_validation_reports_the_first_bad_field(index):
     """Every field from `index` on is out of range; the first one is named."""
     bad = {case[0]: case[4] for case in MATCH_FIELD_CASES[index:]}
     with pytest.raises(InvalidMessageError) as exc:
-        _encode_match(dataclasses.replace(_FULL_MATCH, **bad))
+        _encode_match(_FULL_MATCH._replace(**bad))
     assert str(exc.value) == MATCH_FIELD_CASES[index][5]
 
 
