@@ -43,16 +43,13 @@ from .wire import (
     SRB2_BEARER,
     BearerKind,
     ConfigTlv,
-    FlowAction,
     FlowMatch,
     FlowMod,
-    FlowModBody,
     FlowModCommand,
     GtpTunnel,
     LayerTlv,
     Open5GMessage,
     PortMod,
-    PortModBody,
     PortModCommand,
     PortSpec,
     RadioBearer,
@@ -203,11 +200,11 @@ class Controller:
         port_id = node.next_port_id
         node.next_port_id += 1
         node.next_xid += 1
-        return port_id, PortMod(node.next_xid - 1, PortModBody(PortModCommand.CREATE, port_id, spec))
+        return port_id, PortMod(node.next_xid - 1, PortModCommand.CREATE, port_id, spec)
 
     def _add_flow(self, node: _NodeState, priority: int, match: FlowMatch, out_port: int) -> FlowMod:
         node.next_xid += 1
-        return FlowMod(node.next_xid - 1, FlowModBody(FlowModCommand.ADD, priority, match, FlowAction(out_port)))
+        return FlowMod(node.next_xid - 1, FlowModCommand.ADD, priority, match, out_port)
 
     def _alloc_tunnel(self, node_id: str, ue_tmp_id: int | None) -> int:
         tunnel_id = self._next_tunnel_id

@@ -53,24 +53,23 @@ class DataPlaneNode:
     def _apply(self, msg) -> None:
         # HELLO and ERROR change nothing; nodes never act on controller-side errors
         if isinstance(msg, PortMod):
-            body = msg.body
             if (
                 self.rat == Rat.WLAN
-                and body.command != PortModCommand.DELETE
-                and isinstance(body.port_spec, RadioBearer)
+                and msg.command != PortModCommand.DELETE
+                and isinstance(msg.port_spec, RadioBearer)
             ):
-                for tlv in body.port_spec.layer_config:
+                for tlv in msg.port_spec.layer_config:
                     if tlv.tlv_type in _WLAN_FORBIDDEN_TLVS:
                         raise UnsupportedLayerError(
                             f"tlv {tlv.tlv_type} not supported on WLAN radio stack"
                         )
-            spec = self.registry.apply_port_mod(body)
-            if body.command == PortModCommand.DELETE:
-                self.table.drop_port_references(body.port_id, spec)
+            spec = self.registry.apply_port_mod(msg)
+            if msg.command == PortModCommand.DELETE:
+                self.table.drop_port_references(msg.port_id, spec)
             else:
-                self.table.note_port_mod(body)
+                self.table.note_port_mod(msg)
         elif isinstance(msg, FlowMod):
-            self.table.apply_flow_mod(msg.body, self.registry)
+            self.table.apply_flow_mod(msg, self.registry)
 
     def handle_open5g(self, data: bytes) -> bytes | None:
         """Apply a (possibly batched) command byte stream.
@@ -93,8 +92,8 @@ class DataPlaneNode:
     def _forward(self, packet: FlowMatch, payload: bytes) -> tuple[PortSpec, bytes] | None:
         """The best-matching entry's out-port and the frame that leaves on it,
         or None, counted as a drop, if no entry matches or its out-port is gone."""
-        action = self.table.match(packet)
-        spec = self.registry.get(action.out_port) if action is not None else None
+        out_port = self.table.match(packet)
+        spec = self.registry.get(out_port) if out_port is not None else None
         if spec is None:
             self.drop_count += 1
             return None

@@ -22,13 +22,12 @@ from .errors import (
 )
 from .wire import (
     MATCH_FIELDS,
-    FlowAction,
     FlowMatch,
-    FlowModBody,
+    FlowMod,
     FlowModCommand,
     GtpTunnel,
     MatchType,
-    PortModBody,
+    PortMod,
     PortModCommand,
     PortSpec,
     RadioBearer,
@@ -42,7 +41,7 @@ class FlowEntry:
     entry_id: int
     priority: int
     match: FlowMatch
-    action: FlowAction
+    out_port: int  # the action, which is always OUTPUT
 
 
 class PortRegistry:
@@ -104,18 +103,18 @@ class PortRegistry:
             raise DuplicatePortError(f"gtp tunnel (port {spec.udp_port}, teid {spec.teid}) already exists")
         raise DuplicatePortError(f"sig tunnel {spec.tunnel_id} already exists")
 
-    def apply_port_mod(self, body: PortModBody) -> PortSpec:
+    def apply_port_mod(self, msg: PortMod) -> PortSpec:
         """Apply one PORT_MOD; returns the port's spec (DELETE: the removed one).
         MODIFY and DELETE, which the controller never sends, rebuild the indexes."""
-        port_id, spec = body.port_id, body.port_spec
-        if body.command == PortModCommand.CREATE:
+        port_id, spec = msg.port_id, msg.port_spec
+        if msg.command == PortModCommand.CREATE:
             if port_id in self.ports:
                 raise DuplicatePortError(f"port {port_id} already exists")
             self._check_uniqueness(port_id, spec)
             self.ports[port_id] = spec
             self._link(port_id, spec)
             return spec
-        if body.command == PortModCommand.MODIFY:
+        if msg.command == PortModCommand.MODIFY:
             if port_id not in self.ports:
                 raise UnknownPortError(f"port {port_id}")
             self._check_uniqueness(port_id, spec)
@@ -130,9 +129,9 @@ class PortRegistry:
 
 
 def entry_references_port(entry: FlowEntry, port_id: int, spec: PortSpec) -> bool:
-    """A flow entry references a port through its action, in_port match, or
+    """A flow entry references a port through its out-port, in_port match, or
     a (crnti, bearer_id) match equal to a radio port's key."""
-    if entry.action.out_port == port_id:
+    if entry.out_port == port_id:
         return True
     if entry.match.in_port == port_id:
         return True
@@ -179,7 +178,7 @@ def _action_str(out_port: int, spec: PortSpec | None) -> str:
 
 def _row(entry: FlowEntry, spec: PortSpec | None) -> str:
     """One displayed row: priority, match, and the out-port's spec."""
-    return f"{entry.priority} [{_match_str(entry.match)}] -> [{_action_str(entry.action.out_port, spec)}]"
+    return f"{entry.priority} [{_match_str(entry.match)}] -> [{_action_str(entry.out_port, spec)}]"
 
 
 class FlowTable:
@@ -223,31 +222,31 @@ class FlowTable:
         insort(self._shapes.setdefault(key_of, {}).setdefault(key, []), entry, key=_rank)
         return i
 
-    def apply_flow_mod(self, body: FlowModBody, registry: PortRegistry) -> None:
-        key_of, key = _slot(body.match)
+    def apply_flow_mod(self, msg: FlowMod, registry: PortRegistry) -> None:
+        key_of, key = _slot(msg.match)
         buckets = self._shapes.get(key_of, {})
-        if body.command == FlowModCommand.ADD:
-            spec = registry.get(body.action.out_port)
+        if msg.command == FlowModCommand.ADD:
+            spec = registry.get(msg.out_port)
             if spec is None:
-                raise UnknownOutPortError(f"out_port {body.action.out_port}")
-            if any(entry.priority == body.priority for entry in buckets.get(key, ())):
+                raise UnknownOutPortError(f"out_port {msg.out_port}")
+            if any(entry.priority == msg.priority for entry in buckets.get(key, ())):
                 raise DuplicateEntryError(
-                    f"entry (priority {body.priority}, {body.match}) already present"
+                    f"entry (priority {msg.priority}, {msg.match}) already present"
                 )
-            entry = FlowEntry(self._next_entry_id, body.priority, body.match, body.action)
+            entry = FlowEntry(self._next_entry_id, msg.priority, msg.match, msg.out_port)
             self._next_entry_id += 1
             i = self._insert(entry, key_of, key)
             if self._rows is not None:
                 self._rows.insert(i, _row(entry, spec))
         elif key in buckets:
             # exact-match delete: drop every entry whose match equals exactly
-            self.entries = [e for e in self._entries if e.match != body.match]
+            self.entries = [e for e in self._entries if e.match != msg.match]
 
-    def note_port_mod(self, body: PortModBody) -> None:
+    def note_port_mod(self, msg: PortMod) -> None:
         """Mark the rows stale if an applied PORT_MOD changes how one renders:
         a MODIFY, or a CREATE of an out-port that a row shows as missing. A
         DELETE reaches the rows through drop_port_references."""
-        if body.command == PortModCommand.MODIFY or body.port_id in self._unresolved:
+        if msg.command == PortModCommand.MODIFY or msg.port_id in self._unresolved:
             self._rows = None
 
     def drop_port_references(self, port_id: int, spec: PortSpec) -> int:
@@ -256,14 +255,15 @@ class FlowTable:
         self.entries = [e for e in self._entries if not entry_references_port(e, port_id, spec)]
         return before - len(self._entries)
 
-    def match(self, packet: FlowMatch) -> FlowAction | None:
-        """Classify a packet's fields: highest priority wins; earliest installed wins among equals."""
+    def match(self, packet: FlowMatch) -> int | None:
+        """Classify a packet's fields: the out-port of the best entry, or None if
+        none matches. Highest priority wins; earliest installed wins among equals."""
         best: FlowEntry | None = None
         for key_of, buckets in self._shapes.items():
             bucket = buckets.get(key_of(packet))
             if bucket and (best is None or _rank(bucket[0]) < _rank(best)):
                 best = bucket[0]
-        return best.action if best else None
+        return best.out_port if best else None
 
     def ordered_entries(self) -> list[FlowEntry]:
         """Entries in display order: priority descending, then installation order."""
@@ -273,6 +273,6 @@ class FlowTable:
         """The rendered rows in display order, as a new list."""
         if self._rows is None:
             ports = registry.ports
-            self._unresolved = {e.action.out_port for e in self._ordered if e.action.out_port not in ports}
-            self._rows = [_row(e, ports.get(e.action.out_port)) for e in self._ordered]
+            self._unresolved = {e.out_port for e in self._ordered if e.out_port not in ports}
+            self._rows = [_row(e, ports.get(e.out_port)) for e in self._ordered]
         return self._rows.copy()

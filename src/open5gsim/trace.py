@@ -183,7 +183,7 @@ def write_trace(path: str, trace: EventTrace) -> None:
 
 def read_trace(path: str) -> EventTrace:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:  # a CR stays in its line, so it fails to parse
             text = fh.read()
     except UnicodeDecodeError as exc:
         # read() decodes the whole file in one call, so exc.object holds all its bytes

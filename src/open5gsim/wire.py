@@ -119,8 +119,7 @@ def ip_str(packed: bytes) -> str:
 # Domain types
 
 
-@dataclass(frozen=True)
-class ConfigTlv:
+class ConfigTlv(NamedTuple):
     tlv_type: int
     value: bytes
 
@@ -148,13 +147,6 @@ class SigTunnel:
 
 
 PortSpec = RadioBearer | GtpTunnel | SigTunnel
-
-
-@dataclass(frozen=True)
-class PortModBody:
-    command: PortModCommand
-    port_id: int
-    port_spec: PortSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -189,19 +181,6 @@ class FlowMatch(NamedTuple):
 
 
 @dataclass(frozen=True)
-class FlowAction:
-    out_port: int  # kind is always OUTPUT
-
-
-@dataclass(frozen=True)
-class FlowModBody:
-    command: FlowModCommand
-    priority: int
-    match: FlowMatch
-    action: FlowAction
-
-
-@dataclass(frozen=True)
 class Hello:
     xid: int
 
@@ -216,13 +195,18 @@ class ErrorMsg:
 @dataclass(frozen=True)
 class PortMod:
     xid: int
-    body: PortModBody
+    command: PortModCommand
+    port_id: int
+    port_spec: PortSpec | None = None  # None exactly when the command is DELETE
 
 
 @dataclass(frozen=True)
 class FlowMod:
     xid: int
-    body: FlowModBody
+    command: FlowModCommand
+    priority: int
+    match: FlowMatch
+    out_port: int  # the action, which is always OUTPUT
 
 
 Open5GMessage = Hello | ErrorMsg | PortMod | FlowMod
@@ -344,27 +328,24 @@ def validate_message(msg: Open5GMessage) -> None:
     if not (isinstance(msg.xid, int) and 0 <= msg.xid <= _U32):
         raise InvalidMessageError("xid out of range")
     if isinstance(msg, PortMod):
-        body = msg.body
-        if body.command not in _PORT_MOD_COMMANDS:
+        if msg.command not in _PORT_MOD_COMMANDS:
             raise InvalidMessageError("bad command")
-        if not (isinstance(body.port_id, int) and 0 <= body.port_id <= _U32):
+        if not (isinstance(msg.port_id, int) and 0 <= msg.port_id <= _U32):
             raise InvalidMessageError("port_id out of range")
-        if body.command == _DELETE:
-            if body.port_spec is not None:
+        if msg.command == _DELETE:
+            if msg.port_spec is not None:
                 raise InvalidMessageError("DELETE carries no port spec")
-        elif body.port_spec is None:
+        elif msg.port_spec is None:
             raise InvalidMessageError("missing port spec")
         else:
-            validate_port_spec(body.port_spec)
+            validate_port_spec(msg.port_spec)
     elif isinstance(msg, FlowMod):
-        body = msg.body
-        if body.command not in _FLOW_MOD_COMMANDS:
+        if msg.command not in _FLOW_MOD_COMMANDS:
             raise InvalidMessageError("bad command")
-        if not (isinstance(body.priority, int) and 0 <= body.priority <= _U16):
+        if not (isinstance(msg.priority, int) and 0 <= msg.priority <= _U16):
             raise InvalidMessageError("priority out of range")
-        validate_match(body.match)
-        out_port = body.action.out_port
-        if not (isinstance(out_port, int) and 0 <= out_port <= _U32):
+        validate_match(msg.match)
+        if not (isinstance(msg.out_port, int) and 0 <= msg.out_port <= _U32):
             raise InvalidMessageError("out_port out of range")
     elif isinstance(msg, ErrorMsg):
         if not (isinstance(msg.code, int) and 0 <= msg.code <= _U16):
@@ -381,8 +362,7 @@ def encode_message(msg: Open5GMessage) -> bytes:
     """Encode a validated message; raises InvalidMessageError otherwise."""
     validate_message(msg)
     if isinstance(msg, PortMod):
-        body = msg.body
-        spec = body.port_spec  # None exactly when the command is DELETE
+        spec = msg.port_spec
         if isinstance(spec, RadioBearer):
             port_class = _RADIO_CLASS
             fields = _RADIO.pack(spec.crnti, spec.bearer_id, int(spec.bearer_kind)) + b"".join(
@@ -395,17 +375,16 @@ def encode_message(msg: Open5GMessage) -> bytes:
         else:  # a DELETE writes port_class zero and no class fields
             port_class, fields = 0, b""
         msg_type = _PORT_MOD
-        payload = _PORT_MOD_HEAD.pack(int(body.command), port_class, body.port_id) + fields
+        payload = _PORT_MOD_HEAD.pack(int(msg.command), port_class, msg.port_id) + fields
     elif isinstance(msg, FlowMod):
-        body = msg.body
         tlvs = [
             tlv.pack(f.mtype, width, value)
-            for (f, width, _, _, _, tlv), value in zip(_MATCH_CODEC, body.match)
+            for (f, width, _, _, _, tlv), value in zip(_MATCH_CODEC, msg.match)
             if value is not None
         ]
         msg_type = _FLOW_MOD
-        head = _FLOW_MOD_HEAD.pack(int(body.command), body.priority, len(tlvs))
-        payload = head + b"".join(tlvs) + _ACTION.pack(1, body.action.out_port)
+        head = _FLOW_MOD_HEAD.pack(int(msg.command), msg.priority, len(tlvs))
+        payload = head + b"".join(tlvs) + _ACTION.pack(1, msg.out_port)
     elif isinstance(msg, Hello):
         msg_type, payload = _HELLO, b""
     else:
@@ -484,7 +463,7 @@ def decode_message(data: bytes) -> Open5GMessage:
             raise MalformedTlvError(f"unknown port class {port_class}")
         if off < size:
             raise _trailing(size - off)
-        msg: Open5GMessage = PortMod(xid, PortModBody(_PORT_MOD_COMMANDS[command], port_id, spec))
+        msg: Open5GMessage = PortMod(xid, _PORT_MOD_COMMANDS[command], port_id, spec)
     elif msg_type == _FLOW_MOD:
         if size < 12:
             raise _truncated(4, 8)
@@ -517,8 +496,7 @@ def decode_message(data: bytes) -> Open5GMessage:
             raise MalformedTlvError(f"unknown action kind {kind}")
         if off + 5 < size:
             raise _trailing(size - off - 5)
-        body = FlowModBody(_FLOW_MOD_COMMANDS[command], priority, FlowMatch._make(values), FlowAction(out_port))
-        msg = FlowMod(xid, body)
+        msg = FlowMod(xid, _FLOW_MOD_COMMANDS[command], priority, FlowMatch._make(values), out_port)
     elif msg_type == _HELLO:
         if size > HEADER_LEN:
             raise _trailing(size - HEADER_LEN)

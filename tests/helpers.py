@@ -35,10 +35,8 @@ from open5gsim.wire import (
     BearerKind,
     ConfigTlv,
     ErrorMsg,
-    FlowAction,
     FlowMatch,
     FlowMod,
-    FlowModBody,
     FlowModCommand,
     GtpTunnel,
     Hello,
@@ -46,7 +44,6 @@ from open5gsim.wire import (
     MsgType,
     PortClass,
     PortMod,
-    PortModBody,
     PortModCommand,
     PortSpec,
     RadioBearer,
@@ -131,17 +128,9 @@ def random_message(rng: random.Random, force_type: int | None = None):
     if choice == 2:
         command = rng.choice([PortModCommand.CREATE, PortModCommand.MODIFY, PortModCommand.DELETE])
         spec = None if command == PortModCommand.DELETE else random_port_spec(rng)
-        return PortMod(xid, PortModBody(command, rng.randrange(1 << 32), spec))
+        return PortMod(xid, command, rng.randrange(1 << 32), spec)
     command = rng.choice([FlowModCommand.ADD, FlowModCommand.DELETE])
-    return FlowMod(
-        xid,
-        FlowModBody(
-            command,
-            rng.randrange(1 << 16),
-            random_match(rng),
-            FlowAction(rng.randrange(1 << 32)),
-        ),
-    )
+    return FlowMod(xid, command, rng.randrange(1 << 16), random_match(rng), rng.randrange(1 << 32))
 
 
 def match_context(match: FlowMatch, ctx: FlowMatch) -> bool:
@@ -153,7 +142,7 @@ def match_context(match: FlowMatch, ctx: FlowMatch) -> bool:
     return True
 
 
-def oracle_match(entries: list[FlowEntry], ctx) -> FlowAction | None:
+def oracle_match(entries: list[FlowEntry], ctx) -> int | None:
     """Naive linear scan with the documented tie-break: highest priority,
     then earliest entry_id. Independent of FlowTable.match."""
     best = None
@@ -162,7 +151,7 @@ def oracle_match(entries: list[FlowEntry], ctx) -> FlowAction | None:
             continue
         if best is None or (entry.priority, -entry.entry_id) > (best.priority, -best.entry_id):
             best = entry
-    return best.action if best else None
+    return best.out_port if best else None
 
 
 # Small domains so random tables and contexts actually collide
@@ -197,7 +186,7 @@ def random_entries(rng: random.Random, count: int) -> list[FlowEntry]:
             entry_id=i + 1,
             priority=rng.choice([100, 110, 120]),
             match=random_collision_match(rng),
-            action=FlowAction(rng.choice(_PORTS)),
+            out_port=rng.choice(_PORTS),
         )
         for i in range(count)
     ]
@@ -312,23 +301,23 @@ class ScanPortRegistry:
                 if spec.tunnel_id == other.tunnel_id:
                     raise DuplicatePortError(f"sig tunnel {spec.tunnel_id} already exists")
 
-    def apply_port_mod(self, body: PortModBody) -> PortSpec:
+    def apply_port_mod(self, msg: PortMod) -> PortSpec:
         """Apply one PORT_MOD; returns the port's spec (DELETE: the removed one)."""
-        if body.command == PortModCommand.CREATE:
-            if body.port_id in self.ports:
-                raise DuplicatePortError(f"port {body.port_id} already exists")
-            self._check_uniqueness(body.port_id, body.port_spec)
-            self.ports[body.port_id] = body.port_spec
-            return body.port_spec
-        if body.command == PortModCommand.MODIFY:
-            if body.port_id not in self.ports:
-                raise UnknownPortError(f"port {body.port_id}")
-            self._check_uniqueness(body.port_id, body.port_spec)
-            self.ports[body.port_id] = body.port_spec
-            return body.port_spec
-        spec = self.ports.pop(body.port_id, None)
+        if msg.command == PortModCommand.CREATE:
+            if msg.port_id in self.ports:
+                raise DuplicatePortError(f"port {msg.port_id} already exists")
+            self._check_uniqueness(msg.port_id, msg.port_spec)
+            self.ports[msg.port_id] = msg.port_spec
+            return msg.port_spec
+        if msg.command == PortModCommand.MODIFY:
+            if msg.port_id not in self.ports:
+                raise UnknownPortError(f"port {msg.port_id}")
+            self._check_uniqueness(msg.port_id, msg.port_spec)
+            self.ports[msg.port_id] = msg.port_spec
+            return msg.port_spec
+        spec = self.ports.pop(msg.port_id, None)
         if spec is None:
-            raise UnknownPortError(f"port {body.port_id}")
+            raise UnknownPortError(f"port {msg.port_id}")
         return spec
 
 
@@ -340,22 +329,22 @@ class ScanFlowTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def apply_flow_mod(self, body: FlowModBody, registry) -> None:
-        if body.command == FlowModCommand.ADD:
-            if body.action.out_port not in registry:
-                raise UnknownOutPortError(f"out_port {body.action.out_port}")
+    def apply_flow_mod(self, msg: FlowMod, registry) -> None:
+        if msg.command == FlowModCommand.ADD:
+            if msg.out_port not in registry:
+                raise UnknownOutPortError(f"out_port {msg.out_port}")
             for entry in self.entries:
-                if entry.priority == body.priority and entry.match == body.match:
+                if entry.priority == msg.priority and entry.match == msg.match:
                     raise DuplicateEntryError(
-                        f"entry (priority {body.priority}, {body.match}) already present"
+                        f"entry (priority {msg.priority}, {msg.match}) already present"
                     )
             self.entries.append(
-                FlowEntry(self._next_entry_id, body.priority, body.match, body.action)
+                FlowEntry(self._next_entry_id, msg.priority, msg.match, msg.out_port)
             )
             self._next_entry_id += 1
         else:
             # exact-match delete: drop every entry whose match equals exactly
-            self.entries = [e for e in self.entries if e.match != body.match]
+            self.entries = [e for e in self.entries if e.match != msg.match]
 
     def drop_port_references(self, port_id: int, spec: PortSpec) -> int:
         """Cascade after a port DELETE; returns the number of entries removed."""
@@ -363,7 +352,7 @@ class ScanFlowTable:
         self.entries = [e for e in self.entries if not entry_references_port(e, port_id, spec)]
         return before - len(self.entries)
 
-    def match(self, ctx: FlowMatch) -> FlowAction | None:
+    def match(self, ctx: FlowMatch) -> int | None:
         """Highest priority wins; earliest installed wins among equals."""
         best: FlowEntry | None = None
         for entry in self.entries:
@@ -372,7 +361,7 @@ class ScanFlowTable:
             if best is None or entry.priority > best.priority:
                 best = entry
             # equal priority: keep the earlier entry_id (list is insertion-ordered)
-        return best.action if best else None
+        return best.out_port if best else None
 
     def ordered_entries(self) -> list[FlowEntry]:
         """Entries in display order: priority descending, then installation order."""
@@ -411,16 +400,16 @@ def _match_str(entry) -> str:
 
 
 def _action_str(entry, node: DataPlaneNode) -> str:
-    spec = node.registry.get(entry.action.out_port)
+    spec = node.registry.get(entry.out_port)
     if spec is None:
-        return f"output port={entry.action.out_port}"
+        return f"output port={entry.out_port}"
     if isinstance(spec, RadioBearer):
         return f"output radio(crnti={spec.crnti},bearer={spec.bearer_id})"
     if isinstance(spec, GtpTunnel):
         return f"output gtp(udp={spec.udp_port},teid={spec.teid})"
     if isinstance(spec, SigTunnel):
         return f"output sig(tunnel={spec.tunnel_id})"
-    return f"output port={entry.action.out_port}"
+    return f"output port={entry.out_port}"
 
 
 # -- reference Open5G codec -------------------------------------------------------
@@ -502,21 +491,19 @@ def reference_validate_message(msg) -> None:
         _ref_check(len(msg.detail) <= 0xFFFF, "detail too long")
     elif isinstance(msg, PortMod):
         _ref_u(msg.xid, 32, "xid")
-        body = msg.body
-        _ref_check(body.command in PortModCommand.__members__.values(), "bad command")
-        _ref_u(body.port_id, 32, "port_id")
-        if body.command == PortModCommand.DELETE:
-            _ref_check(body.port_spec is None, "DELETE carries no port spec")
+        _ref_check(msg.command in PortModCommand.__members__.values(), "bad command")
+        _ref_u(msg.port_id, 32, "port_id")
+        if msg.command == PortModCommand.DELETE:
+            _ref_check(msg.port_spec is None, "DELETE carries no port spec")
         else:
-            _ref_check(body.port_spec is not None, "missing port spec")
-            reference_validate_port_spec(body.port_spec)
+            _ref_check(msg.port_spec is not None, "missing port spec")
+            reference_validate_port_spec(msg.port_spec)
     elif isinstance(msg, FlowMod):
         _ref_u(msg.xid, 32, "xid")
-        body = msg.body
-        _ref_check(body.command in FlowModCommand.__members__.values(), "bad command")
-        _ref_u(body.priority, 16, "priority")
-        reference_validate_match(body.match)
-        _ref_u(body.action.out_port, 32, "out_port")
+        _ref_check(msg.command in FlowModCommand.__members__.values(), "bad command")
+        _ref_u(msg.priority, 16, "priority")
+        reference_validate_match(msg.match)
+        _ref_u(msg.out_port, 32, "out_port")
     else:
         raise InvalidMessageError("unknown message class")
 
@@ -536,19 +523,17 @@ def _ref_encode_body(msg) -> tuple[MsgType, bytes]:
     if isinstance(msg, ErrorMsg):
         return MsgType.ERROR, struct.pack(">HH", msg.code, len(msg.detail)) + msg.detail
     if isinstance(msg, PortMod):
-        body = msg.body
-        if body.command == PortModCommand.DELETE:
+        if msg.command == PortModCommand.DELETE:
             port_class, spec_bytes = 0, b""
         else:
-            port_class, spec_bytes = _ref_encode_port_spec(body.port_spec)
-        return MsgType.PORT_MOD, struct.pack(">BBI", int(body.command), port_class, body.port_id) + spec_bytes
-    body = msg.body
-    fields = populated(body.match)
-    parts = [struct.pack(">BHB", int(body.command), body.priority, len(fields))]
+            port_class, spec_bytes = _ref_encode_port_spec(msg.port_spec)
+        return MsgType.PORT_MOD, struct.pack(">BBI", int(msg.command), port_class, msg.port_id) + spec_bytes
+    fields = populated(msg.match)
+    parts = [struct.pack(">BHB", int(msg.command), msg.priority, len(fields))]
     for mtype, value in fields:
         field, width = _REF_MATCH_BY_TYPE[mtype]
         parts.append(struct.pack(">HH", int(mtype), width) + struct.pack(field.fmt, value))
-    parts.append(struct.pack(">BI", 1, body.action.out_port))
+    parts.append(struct.pack(">BI", 1, msg.out_port))
     return MsgType.FLOW_MOD, b"".join(parts)
 
 
@@ -645,11 +630,11 @@ def reference_decode_message(data: bytes):
         command = PortModCommand(command)
         if command == PortModCommand.DELETE:
             r.expect_end()
-            msg = PortMod(xid, PortModBody(command, port_id, None))
+            msg = PortMod(xid, command, port_id, None)
         else:
             spec = _ref_decode_port_spec(port_class, r)
             r.expect_end()
-            msg = PortMod(xid, PortModBody(command, port_id, spec))
+            msg = PortMod(xid, command, port_id, spec)
     elif msg_type == MsgType.FLOW_MOD:
         command, priority, count = r.unpack(">BHB")
         if command not in (0, 1):
@@ -659,7 +644,7 @@ def reference_decode_message(data: bytes):
         if kind != 1:
             raise MalformedTlvError(f"unknown action kind {kind}")
         r.expect_end()
-        msg = FlowMod(xid, FlowModBody(FlowModCommand(command), priority, match, FlowAction(out_port)))
+        msg = FlowMod(xid, FlowModCommand(command), priority, match, out_port)
     else:
         raise UnknownTypeError(f"message type {msg_type}")
 

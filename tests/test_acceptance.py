@@ -90,9 +90,9 @@ def test_criterion_3_flow_table_contents_and_semantics():
     ip1, ip2 = wire.ip_bytes("10.0.1.1"), wire.ip_bytes("10.0.1.2")
 
     def action_spec(ctx):
-        action = node.table.match(ctx)
-        assert action is not None
-        return node.registry.get(action.out_port)
+        out_port = node.table.match(ctx)
+        assert out_port is not None
+        return node.registry.get(out_port)
 
     for bearer in (1, 2):
         spec = action_spec(FlowMatch(crnti=crnti, bearer_id=bearer))
@@ -185,19 +185,19 @@ def test_criterion_6_uniform_command_grammar_across_rats():
 
     def skeleton(msg):
         if isinstance(msg, PortMod):
-            spec = msg.body.port_spec
+            spec = msg.port_spec
             if isinstance(spec, RadioBearer):
                 detail = ("RadioBearer", spec.bearer_id, spec.bearer_kind.name)
             else:
                 detail = (type(spec).__name__,)
-            return ("PORT_MOD", msg.body.command.name) + detail
+            return ("PORT_MOD", msg.command.name) + detail
         assert isinstance(msg, FlowMod)
         populated = tuple(
             name
             for name in ("in_port", "crnti", "bearer_id", "ip_dst", "ip_proto", "l4_dst")
-            if getattr(msg.body.match, name) is not None
+            if getattr(msg.match, name) is not None
         )
-        return ("FLOW_MOD", msg.body.command.name, msg.body.priority, populated)
+        return ("FLOW_MOD", msg.command.name, msg.priority, populated)
 
     scn = load_scenario(MULTI_RAT)
     per_node: dict[str, list] = {}

@@ -251,7 +251,7 @@ def test_session_config_counts():
     commands = c.build_session_config(ue, SESSION)
     # 2 DRB radio ports + 1 NG-U tunnel, then 2 uplink rows + 3 downlink rows
     assert [type(m) for m in commands] == [PortMod] * 3 + [FlowMod] * 5
-    assert [m.body.priority for m in commands[3:]] == [120, 120, 110, 110, 110]
+    assert [m.priority for m in commands[3:]] == [120, 120, 110, 110, 110]
 
 
 def test_session_with_no_flows():
@@ -260,7 +260,7 @@ def test_session_with_no_flows():
     ue = c.ue_contexts[1]
     commands = c.build_session_config(ue, SessionSpec(2, (5,), ()))
     assert [type(m) for m in commands] == [PortMod, PortMod, FlowMod]  # one DRB, one tunnel
-    assert commands[2].body.priority == 120
+    assert commands[2].priority == 120
 
 
 def test_flow_on_absent_drb_rejected():
@@ -364,9 +364,9 @@ def test_full_attach_emission_sequence():
     assert ue.rrc_state == RrcState.CONFIGURED
     # SRB2 rides the SRB1 tunnel; no tunnel of its own
     (srb2_uplink,) = [
-        m for m in e3[0].messages if isinstance(m, FlowMod) and m.body.match.bearer_id == SRB2_BEARER
+        m for m in e3[0].messages if isinstance(m, FlowMod) and m.match.bearer_id == SRB2_BEARER
     ]
-    assert srb2_uplink.body.action.out_port == ue.srb1_sig_port
+    assert srb2_uplink.out_port == ue.srb1_sig_port
 
 
 def test_emitted_config_matches_node_state():

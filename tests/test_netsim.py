@@ -38,14 +38,11 @@ from open5gsim.scenario import load_scenario
 from open5gsim.trace import read_trace
 from open5gsim.wire import (
     BearerKind,
-    FlowAction,
     FlowMatch,
     FlowMod,
-    FlowModBody,
     FlowModCommand,
     GtpTunnel,
     PortMod,
-    PortModBody,
     PortModCommand,
     RadioBearer,
     SigTunnel,
@@ -337,11 +334,11 @@ _PRIORITIES = st.sampled_from([100, 110])
 
 
 def _port_mod(command: PortModCommand, port_id: int, spec) -> PortMod:
-    return PortMod(1, PortModBody(command, port_id, None if command == PortModCommand.DELETE else spec))
+    return PortMod(1, command, port_id, None if command == PortModCommand.DELETE else spec)
 
 
 def _flow_mod(command: FlowModCommand, priority: int, match: FlowMatch, out_port: int) -> FlowMod:
-    return FlowMod(1, FlowModBody(command, priority, match, FlowAction(out_port)))
+    return FlowMod(1, command, priority, match, out_port)
 
 
 _PORT_MOD = st.builds(_port_mod, st.sampled_from(PortModCommand), _PORT_IDS, _SPECS)
@@ -350,7 +347,7 @@ _FLOW_MOD = st.builds(
 )
 # `table.entries = [...]`: the indexes of current entries to keep, then new
 # entries whose ids may collide with current ones and whose out-port may not exist
-_NEW_ENTRY = st.builds(FlowEntry, st.integers(1, 8), _PRIORITIES, _MATCHES, st.builds(FlowAction, st.integers(1, 5)))
+_NEW_ENTRY = st.builds(FlowEntry, st.integers(1, 8), _PRIORITIES, _MATCHES, st.integers(1, 5))
 _ASSIGN = st.tuples(st.lists(st.integers(0, 20), max_size=8), st.lists(_NEW_ENTRY, max_size=3))
 # several commands in one batch, so that an ADD can follow a change that made
 # the rows stale before they are rendered again
@@ -361,7 +358,7 @@ _STEPS = st.one_of(_PORT_MOD, _PORT_MOD, _FLOW_MOD, _FLOW_MOD, _FLOW_MOD, _ASSIG
 @given(st.lists(_STEPS, min_size=5, max_size=50))
 @example(
     [
-        ([], [FlowEntry(1, 100, FlowMatch(in_port=1), FlowAction(3))]),  # out-port 3 does not exist
+        ([], [FlowEntry(1, 100, FlowMatch(in_port=1), 3)]),  # out-port 3 does not exist
         _port_mod(PortModCommand.CREATE, 3, SigTunnel(_IP, 1)),
     ]
 )
@@ -383,7 +380,7 @@ def test_cached_render_matches_reference_render(steps):
 
 def test_creating_a_missing_out_port_re_renders_its_row():
     node = DataPlaneNode("gnb1", Rat.NR)
-    node.table.entries = [FlowEntry(1, 100, FlowMatch(in_port=1), FlowAction(3))]
+    node.table.entries = [FlowEntry(1, 100, FlowMatch(in_port=1), 3)]
     assert render_flow_table(node) == ["100 [in_port=1] -> [output port=3]"]
     node.handle_open5g(wire.encode_message(_port_mod(PortModCommand.CREATE, 3, SigTunnel(_IP, 7))))
     assert render_flow_table(node) == ["100 [in_port=1] -> [output sig(tunnel=7)]"]
@@ -494,8 +491,8 @@ def test_bad_srb0_envelope_drops_on_every_ingress():
     srb0_port = node.registry.radio_port(0, wire.SRB0_BEARER)
     ip1 = wire.ip_bytes("10.0.1.1")
     steer = (
-        FlowMod(90, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(crnti=7, bearer_id=1), FlowAction(srb0_port))),
-        FlowMod(91, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(ip_dst=ip1, ip_proto=6, l4_dst=43), FlowAction(srb0_port))),
+        FlowMod(90, FlowModCommand.ADD, 100, FlowMatch(crnti=7, bearer_id=1), srb0_port),
+        FlowMod(91, FlowModCommand.ADD, 100, FlowMatch(ip_dst=ip1, ip_proto=6, l4_dst=43), srb0_port),
     )
     assert node.handle_open5g(b"".join(map(wire.encode_message, steer))) is None
     radio = _Delivery("ue1", "gnb1", "RADIO_DATA", "Data", b"\x00", sim._node_radio, 7, 1)

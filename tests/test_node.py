@@ -16,16 +16,13 @@ from open5gsim.node import DataPlaneNode, Rat
 from open5gsim.wire import (
     BearerKind,
     ConfigTlv,
-    FlowAction,
     FlowMatch,
     FlowMod,
-    FlowModBody,
     FlowModCommand,
     GtpTunnel,
     Hello,
     LayerTlv,
     PortMod,
-    PortModBody,
     PortModCommand,
     RadioBearer,
     SigTunnel,
@@ -47,20 +44,20 @@ LP_NGU, LP_SIG, LP_SRB1, LP_DRB1, LP_DRB2 = 1, 2, 3, 4, 5
 def reference_batch() -> bytes:
     """One batched byte stream installing the full reference configuration."""
     port_mods = [
-        PortMod(1, PortModBody(PortModCommand.CREATE, LP_NGU, GtpTunnel(NODE_IP, UPF_IP, 2152, 1))),
-        PortMod(2, PortModBody(PortModCommand.CREATE, LP_SIG, SigTunnel(SRC_IP, 2))),
-        PortMod(3, PortModBody(PortModCommand.CREATE, LP_SRB1, RadioBearer(1, 3, BearerKind.SRB))),
-        PortMod(4, PortModBody(PortModCommand.CREATE, LP_DRB1, RadioBearer(1, 1, BearerKind.DRB))),
-        PortMod(5, PortModBody(PortModCommand.CREATE, LP_DRB2, RadioBearer(1, 2, BearerKind.DRB))),
+        PortMod(1, PortModCommand.CREATE, LP_NGU, GtpTunnel(NODE_IP, UPF_IP, 2152, 1)),
+        PortMod(2, PortModCommand.CREATE, LP_SIG, SigTunnel(SRC_IP, 2)),
+        PortMod(3, PortModCommand.CREATE, LP_SRB1, RadioBearer(1, 3, BearerKind.SRB)),
+        PortMod(4, PortModCommand.CREATE, LP_DRB1, RadioBearer(1, 1, BearerKind.DRB)),
+        PortMod(5, PortModCommand.CREATE, LP_DRB2, RadioBearer(1, 2, BearerKind.DRB)),
     ]
     flow_mods = [
-        FlowMod(6, FlowModBody(FlowModCommand.ADD, 120, FlowMatch(crnti=1, bearer_id=1), FlowAction(LP_NGU))),
-        FlowMod(7, FlowModBody(FlowModCommand.ADD, 120, FlowMatch(crnti=1, bearer_id=2), FlowAction(LP_NGU))),
-        FlowMod(8, FlowModBody(FlowModCommand.ADD, 110, FlowMatch(ip_dst=IP1, ip_proto=TCP, l4_dst=43), FlowAction(LP_DRB1))),
-        FlowMod(9, FlowModBody(FlowModCommand.ADD, 110, FlowMatch(ip_dst=IP1, ip_proto=TCP, l4_dst=23), FlowAction(LP_DRB1))),
-        FlowMod(10, FlowModBody(FlowModCommand.ADD, 110, FlowMatch(ip_dst=IP2, ip_proto=TCP, l4_dst=34), FlowAction(LP_DRB2))),
-        FlowMod(11, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(crnti=1, bearer_id=3), FlowAction(LP_SIG))),
-        FlowMod(12, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(in_port=LP_SIG), FlowAction(LP_SRB1))),
+        FlowMod(6, FlowModCommand.ADD, 120, FlowMatch(crnti=1, bearer_id=1), LP_NGU),
+        FlowMod(7, FlowModCommand.ADD, 120, FlowMatch(crnti=1, bearer_id=2), LP_NGU),
+        FlowMod(8, FlowModCommand.ADD, 110, FlowMatch(ip_dst=IP1, ip_proto=TCP, l4_dst=43), LP_DRB1),
+        FlowMod(9, FlowModCommand.ADD, 110, FlowMatch(ip_dst=IP1, ip_proto=TCP, l4_dst=23), LP_DRB1),
+        FlowMod(10, FlowModCommand.ADD, 110, FlowMatch(ip_dst=IP2, ip_proto=TCP, l4_dst=34), LP_DRB2),
+        FlowMod(11, FlowModCommand.ADD, 100, FlowMatch(crnti=1, bearer_id=3), LP_SIG),
+        FlowMod(12, FlowModCommand.ADD, 100, FlowMatch(in_port=LP_SIG), LP_SRB1),
     ]
     return b"".join(encode_message(m) for m in port_mods + flow_mods)
 
@@ -98,7 +95,7 @@ def test_malformed_bytes_produce_single_error():
 
 def test_flow_mod_to_unknown_port_errors_and_preserves_table(node):
     before = copy.deepcopy(node.table.entries)
-    bad = FlowMod(99, FlowModBody(FlowModCommand.ADD, 50, FlowMatch(in_port=1), FlowAction(77)))
+    bad = FlowMod(99, FlowModCommand.ADD, 50, FlowMatch(in_port=1), 77)
     err = decode_message(node.handle_open5g(encode_message(bad)))
     assert err.code == CODE_UNKNOWN_OUT_PORT
     assert err.xid == 99
@@ -107,7 +104,7 @@ def test_flow_mod_to_unknown_port_errors_and_preserves_table(node):
 
 def test_duplicate_flow_mod_add_error_detail_shows_the_match(node):
     # the detail is the error text cut to 64 bytes; it reaches the trace digests
-    dup = FlowMod(99, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(crnti=1, bearer_id=3), FlowAction(LP_SIG)))
+    dup = FlowMod(99, FlowModCommand.ADD, 100, FlowMatch(crnti=1, bearer_id=3), LP_SIG)
     err = decode_message(node.handle_open5g(encode_message(dup)))
     assert (err.xid, err.code) == (99, CODE_DUPLICATE_ENTRY)
     assert err.detail == b"entry (priority 100, FlowMatch(in_port=None, crnti=1, bearer_id="
@@ -115,9 +112,9 @@ def test_duplicate_flow_mod_add_error_detail_shows_the_match(node):
 
 def test_batch_stops_at_first_failure():
     n = DataPlaneNode("gnb1", Rat.NR)
-    good = PortMod(1, PortModBody(PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 1)))
-    bad = PortMod(2, PortModBody(PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 9)))
-    tail = PortMod(3, PortModBody(PortModCommand.CREATE, 7, SigTunnel(SRC_IP, 7)))
+    good = PortMod(1, PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 1))
+    bad = PortMod(2, PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 9))
+    tail = PortMod(3, PortModCommand.CREATE, 7, SigTunnel(SRC_IP, 7))
     out = n.handle_open5g(b"".join(encode_message(m) for m in (good, bad, tail)))
     assert decode_message(out).xid == 2
     assert 1 in n.registry and 7 not in n.registry
@@ -126,7 +123,7 @@ def test_batch_stops_at_first_failure():
 def test_wlan_rejects_sdap_and_pdcp_layers():
     n = DataPlaneNode("wt1", Rat.WLAN)
     spec = RadioBearer(1, 1, BearerKind.DRB, (ConfigTlv(int(LayerTlv.PDCP), b""),))
-    out = n.handle_open5g(encode_message(PortMod(1, PortModBody(PortModCommand.CREATE, 1, spec))))
+    out = n.handle_open5g(encode_message(PortMod(1, PortModCommand.CREATE, 1, spec)))
     assert decode_message(out).code == CODE_UNSUPPORTED_LAYER
     assert len(n.registry) == 0
 
@@ -137,7 +134,7 @@ def test_wlan_accepts_mac_phy_layers():
         1, 1, BearerKind.DRB,
         (ConfigTlv(int(LayerTlv.MAC), b""), ConfigTlv(int(LayerTlv.PHY), b"")),
     )
-    assert n.handle_open5g(encode_message(PortMod(1, PortModBody(PortModCommand.CREATE, 1, spec)))) is None
+    assert n.handle_open5g(encode_message(PortMod(1, PortModCommand.CREATE, 1, spec))) is None
 
 
 # -- packet paths --------------------------------------------------------------
@@ -176,10 +173,10 @@ def srb0_node() -> DataPlaneNode:
     batch = b"".join(
         encode_message(m)
         for m in (
-            PortMod(1, PortModBody(PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 1))),
-            PortMod(2, PortModBody(PortModCommand.CREATE, 2, RadioBearer(0, 0, BearerKind.SRB))),
-            FlowMod(3, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(crnti=0, bearer_id=0), FlowAction(1))),
-            FlowMod(4, FlowModBody(FlowModCommand.ADD, 100, FlowMatch(in_port=1), FlowAction(2))),
+            PortMod(1, PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 1)),
+            PortMod(2, PortModCommand.CREATE, 2, RadioBearer(0, 0, BearerKind.SRB)),
+            FlowMod(3, FlowModCommand.ADD, 100, FlowMatch(crnti=0, bearer_id=0), 1),
+            FlowMod(4, FlowModCommand.ADD, 100, FlowMatch(in_port=1), 2),
         )
     )
     assert n.handle_open5g(batch) is None
@@ -232,7 +229,7 @@ def test_conservation_over_mixed_traffic(node):
 
 
 def test_port_delete_cascade_via_commands(node):
-    delete = PortMod(20, PortModBody(PortModCommand.DELETE, LP_DRB1, None))
+    delete = PortMod(20, PortModCommand.DELETE, LP_DRB1, None)
     assert node.handle_open5g(encode_message(delete)) is None
     assert len(node.table) == 4
     assert node.ingress_radio(1, 1, b"x") is None  # uplink row is gone too
@@ -254,7 +251,7 @@ def test_entry_whose_out_port_is_gone_drops(node):
     """An entry can outlive its out-port only through `table.entries = [...]`;
     every ingress then drops what it matches."""
     node.table.entries = [
-        dataclasses.replace(e, action=FlowAction(77)) for e in node.table.entries
+        dataclasses.replace(e, out_port=77) for e in node.table.entries
     ]
     packet = wire.pack_ip_packet(IP2, TCP, 34, b"web")
     assert node.ingress_radio(1, 1, b"data") is None
@@ -309,7 +306,7 @@ def test_batch_with_undecodable_second_frame():
     """The ERROR for a frame that never decoded carries xid 0, even though
     the batch's first command decoded and stays applied."""
     n = DataPlaneNode("gnb1", Rat.NR)
-    good = encode_message(PortMod(5, PortModBody(PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 1))))
+    good = encode_message(PortMod(5, PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 1)))
     err = decode_message(n.handle_open5g(good + b"\x01\x04\x00\x0b\x00\x00\x00\x06junk"))
     assert (err.xid, err.code) == (0, CODE_TRUNCATED)
     assert 1 in n.registry

@@ -17,12 +17,11 @@ from open5gsim.errors import (
 from open5gsim.switch import FlowTable, PortRegistry
 from open5gsim.wire import (
     BearerKind,
-    FlowAction,
     FlowMatch,
-    FlowModBody,
+    FlowMod,
     FlowModCommand,
     GtpTunnel,
-    PortModBody,
+    PortMod,
     PortModCommand,
     RadioBearer,
     SigTunnel,
@@ -47,20 +46,20 @@ def reference_ports() -> PortRegistry:
         LP5: RadioBearer(1, 2, BearerKind.DRB),
     }
     for port_id, spec in specs.items():
-        registry.apply_port_mod(PortModBody(PortModCommand.CREATE, port_id, spec))
+        registry.apply_port_mod(PortMod(1, PortModCommand.CREATE, port_id, spec))
     return registry
 
 
-def reference_rows() -> list[FlowModBody]:
-    """The seven (match, action) rows of the reference flow table, in order."""
+def reference_rows() -> list[FlowMod]:
+    """The seven (match, out-port) rows of the reference flow table, in order."""
     return [
-        FlowModBody(FlowModCommand.ADD, 120, FlowMatch(crnti=1, bearer_id=1), FlowAction(LP1)),
-        FlowModBody(FlowModCommand.ADD, 120, FlowMatch(crnti=1, bearer_id=2), FlowAction(LP1)),
-        FlowModBody(FlowModCommand.ADD, 110, FlowMatch(ip_dst=IP1, ip_proto=TCP, l4_dst=43), FlowAction(LP4)),
-        FlowModBody(FlowModCommand.ADD, 110, FlowMatch(ip_dst=IP1, ip_proto=TCP, l4_dst=23), FlowAction(LP4)),
-        FlowModBody(FlowModCommand.ADD, 110, FlowMatch(ip_dst=IP2, ip_proto=TCP, l4_dst=34), FlowAction(LP5)),
-        FlowModBody(FlowModCommand.ADD, 100, FlowMatch(crnti=1, bearer_id=3), FlowAction(LP2)),
-        FlowModBody(FlowModCommand.ADD, 100, FlowMatch(in_port=LP2), FlowAction(LP3)),
+        FlowMod(1, FlowModCommand.ADD, 120, FlowMatch(crnti=1, bearer_id=1), LP1),
+        FlowMod(1, FlowModCommand.ADD, 120, FlowMatch(crnti=1, bearer_id=2), LP1),
+        FlowMod(1, FlowModCommand.ADD, 110, FlowMatch(ip_dst=IP1, ip_proto=TCP, l4_dst=43), LP4),
+        FlowMod(1, FlowModCommand.ADD, 110, FlowMatch(ip_dst=IP1, ip_proto=TCP, l4_dst=23), LP4),
+        FlowMod(1, FlowModCommand.ADD, 110, FlowMatch(ip_dst=IP2, ip_proto=TCP, l4_dst=34), LP5),
+        FlowMod(1, FlowModCommand.ADD, 100, FlowMatch(crnti=1, bearer_id=3), LP2),
+        FlowMod(1, FlowModCommand.ADD, 100, FlowMatch(in_port=LP2), LP3),
     ]
 
 
@@ -68,8 +67,8 @@ def reference_rows() -> list[FlowModBody]:
 def reference_state():
     registry = reference_ports()
     table = FlowTable()
-    for body in reference_rows():
-        table.apply_flow_mod(body, registry)
+    for msg in reference_rows():
+        table.apply_flow_mod(msg, registry)
     return registry, table
 
 
@@ -78,46 +77,46 @@ def reference_state():
 
 def test_create_sig_port_on_empty_registry():
     registry = PortRegistry()
-    body = PortModBody(PortModCommand.CREATE, 1, SigTunnel(wire.ip_bytes("10.255.0.1"), 1))
-    registry.apply_port_mod(body)
+    msg = PortMod(1, PortModCommand.CREATE, 1, SigTunnel(wire.ip_bytes("10.255.0.1"), 1))
+    registry.apply_port_mod(msg)
     assert len(registry) == 1
 
 
 def test_create_duplicate_port_id_rejected():
     registry = reference_ports()
-    body = PortModBody(PortModCommand.CREATE, LP1, SigTunnel(wire.ip_bytes("10.255.0.1"), 9))
+    msg = PortMod(1, PortModCommand.CREATE, LP1, SigTunnel(wire.ip_bytes("10.255.0.1"), 9))
     with pytest.raises(DuplicatePortError):
-        registry.apply_port_mod(body)
+        registry.apply_port_mod(msg)
 
 
 def test_duplicate_bearer_rejected():
     registry = reference_ports()
-    body = PortModBody(PortModCommand.CREATE, 9, RadioBearer(1, 1, BearerKind.DRB))
+    msg = PortMod(1, PortModCommand.CREATE, 9, RadioBearer(1, 1, BearerKind.DRB))
     with pytest.raises(DuplicateBearerError):
-        registry.apply_port_mod(body)
+        registry.apply_port_mod(msg)
 
 
 def test_modify_unknown_port_rejected():
     registry = PortRegistry()
-    body = PortModBody(PortModCommand.MODIFY, 4, RadioBearer(1, 1, BearerKind.DRB))
+    msg = PortMod(1, PortModCommand.MODIFY, 4, RadioBearer(1, 1, BearerKind.DRB))
     with pytest.raises(UnknownPortError):
-        registry.apply_port_mod(body)
+        registry.apply_port_mod(msg)
 
 
 def test_delete_unknown_port_rejected():
     with pytest.raises(UnknownPortError):
-        PortRegistry().apply_port_mod(PortModBody(PortModCommand.DELETE, 4, None))
+        PortRegistry().apply_port_mod(PortMod(1, PortModCommand.DELETE, 4, None))
 
 
 def test_delete_cascades_to_referencing_entries(reference_state):
     registry, table = reference_state
-    spec = registry.apply_port_mod(PortModBody(PortModCommand.DELETE, LP4, None))
+    spec = registry.apply_port_mod(PortMod(1, PortModCommand.DELETE, LP4, None))
     removed = table.drop_port_references(LP4, spec)
     # rows 1, 3, 4 reference DRB-1: its uplink match and both downlink outputs
     assert removed == 3
     assert len(table) == 4
     for entry in table.entries:
-        assert entry.action.out_port != LP4
+        assert entry.out_port != LP4
         assert not (entry.match.crnti == 1 and entry.match.bearer_id == 1)
 
 
@@ -128,9 +127,9 @@ def test_cascade_matches_brute_force_scan(reference_state):
     for victim in (LP1, LP2, LP3, LP4, LP5):
         registry2 = reference_ports()
         table2 = FlowTable()
-        for body in reference_rows():
-            table2.apply_flow_mod(body, registry2)
-        spec = registry2.apply_port_mod(PortModBody(PortModCommand.DELETE, victim, None))
+        for msg in reference_rows():
+            table2.apply_flow_mod(msg, registry2)
+        spec = registry2.apply_port_mod(PortMod(1, PortModCommand.DELETE, victim, None))
         expected = [e for e in table2.entries if not entry_references_port(e, victim, spec)]
         table2.drop_port_references(victim, spec)
         assert table2.entries == expected
@@ -147,9 +146,9 @@ def test_install_all_seven_rows(reference_state):
 def test_add_with_unknown_out_port_rejected():
     registry = PortRegistry()
     table = FlowTable()
-    body = FlowModBody(FlowModCommand.ADD, 1, FlowMatch(in_port=1), FlowAction(99))
+    msg = FlowMod(1, FlowModCommand.ADD, 1, FlowMatch(in_port=1), 99)
     with pytest.raises(UnknownOutPortError):
-        table.apply_flow_mod(body, registry)
+        table.apply_flow_mod(msg, registry)
 
 
 def test_duplicate_entry_rejected(reference_state):
@@ -168,7 +167,7 @@ def test_exact_match_delete(reference_state):
     registry, table = reference_state
     row3 = reference_rows()[2]
     table.apply_flow_mod(
-        FlowModBody(FlowModCommand.DELETE, 0, row3.match, row3.action), registry
+        FlowMod(1, FlowModCommand.DELETE, 0, row3.match, row3.out_port), registry
     )
     assert len(table) == 6
     ctx = FlowMatch(ip_dst=IP1, ip_proto=TCP, l4_dst=43)
@@ -180,13 +179,13 @@ def test_exact_match_delete(reference_state):
 
 def test_uplink_drb1_maps_to_ngu_tunnel(reference_state):
     _, table = reference_state
-    assert table.match(FlowMatch(crnti=1, bearer_id=1)) == FlowAction(LP1)
+    assert table.match(FlowMatch(crnti=1, bearer_id=1)) == LP1
 
 
 def test_downlink_flow3_maps_to_drb2(reference_state):
     _, table = reference_state
     ctx = FlowMatch(ip_dst=IP2, ip_proto=TCP, l4_dst=34)
-    assert table.match(ctx) == FlowAction(LP5)
+    assert table.match(ctx) == LP5
 
 
 def test_unknown_ue_has_no_match(reference_state):
@@ -196,8 +195,8 @@ def test_unknown_ue_has_no_match(reference_state):
 
 def test_reference_table_is_exactly_the_seven_pairs(reference_state):
     _, table = reference_state
-    got = [(e.match, e.action) for e in table.entries]
-    want = [(b.match, b.action) for b in reference_rows()]
+    got = [(e.match, e.out_port) for e in table.entries]
+    want = [(m.match, m.out_port) for m in reference_rows()]
     assert got == want
 
 
@@ -216,23 +215,23 @@ def test_exhaustive_cross_product_matches_oracle(reference_state):
 def test_equal_priority_ties_break_by_install_order():
     registry = reference_ports()
     table = FlowTable()
-    first = FlowModBody(FlowModCommand.ADD, 50, FlowMatch(crnti=1, bearer_id=1), FlowAction(LP1))
-    second = FlowModBody(FlowModCommand.ADD, 50, FlowMatch(in_port=LP4), FlowAction(LP2))
+    first = FlowMod(1, FlowModCommand.ADD, 50, FlowMatch(crnti=1, bearer_id=1), LP1)
+    second = FlowMod(1, FlowModCommand.ADD, 50, FlowMatch(in_port=LP4), LP2)
     table.apply_flow_mod(first, registry)
     table.apply_flow_mod(second, registry)
     ctx = FlowMatch(crnti=1, bearer_id=1, in_port=LP4)
-    assert table.match(ctx) == FlowAction(LP1)
+    assert table.match(ctx) == LP1
 
 
 def test_higher_priority_wins():
     registry = reference_ports()
     table = FlowTable()
-    low = FlowModBody(FlowModCommand.ADD, 10, FlowMatch(crnti=1, bearer_id=1), FlowAction(LP1))
-    high = FlowModBody(FlowModCommand.ADD, 90, FlowMatch(crnti=1, bearer_id=1), FlowAction(LP2))
+    low = FlowMod(1, FlowModCommand.ADD, 10, FlowMatch(crnti=1, bearer_id=1), LP1)
+    high = FlowMod(1, FlowModCommand.ADD, 90, FlowMatch(crnti=1, bearer_id=1), LP2)
     # same match at different priorities is allowed; higher must win
     table.apply_flow_mod(low, registry)
     table.apply_flow_mod(high, registry)
-    assert table.match(FlowMatch(crnti=1, bearer_id=1)) == FlowAction(LP2)
+    assert table.match(FlowMatch(crnti=1, bearer_id=1)) == LP2
 
 
 def test_match_equals_oracle_on_large_random_table():
@@ -248,8 +247,8 @@ def test_determinism_of_command_replay():
     def build():
         registry = reference_ports()
         table = FlowTable()
-        for body in reference_rows():
-            table.apply_flow_mod(body, registry)
+        for msg in reference_rows():
+            table.apply_flow_mod(msg, registry)
         return registry, table
 
     r1, t1 = build()
@@ -262,7 +261,7 @@ def test_determinism_of_command_replay():
 
 
 def _create(registry: PortRegistry, port_id: int, spec) -> None:
-    registry.apply_port_mod(PortModBody(PortModCommand.CREATE, port_id, spec))
+    registry.apply_port_mod(PortMod(1, PortModCommand.CREATE, port_id, spec))
 
 
 def _gtp(udp_port: int, teid: int) -> GtpTunnel:
@@ -274,9 +273,9 @@ def test_shared_teid_resolves_to_earliest_created_port():
     _create(registry, 7, _gtp(2152, 9))
     _create(registry, 3, _gtp(2153, 9))
     assert registry.gtp_port(9) == 7
-    registry.apply_port_mod(PortModBody(PortModCommand.DELETE, 7, None))
+    registry.apply_port_mod(PortMod(1, PortModCommand.DELETE, 7, None))
     assert registry.gtp_port(9) == 3
-    registry.apply_port_mod(PortModBody(PortModCommand.DELETE, 3, None))
+    registry.apply_port_mod(PortMod(1, PortModCommand.DELETE, 3, None))
     assert registry.gtp_port(9) is None
 
 
@@ -284,14 +283,14 @@ def test_modify_into_shared_teid_keeps_creation_order():
     registry = PortRegistry()
     _create(registry, 1, RadioBearer(1, 1, BearerKind.DRB))
     _create(registry, 2, _gtp(2152, 9))
-    registry.apply_port_mod(PortModBody(PortModCommand.MODIFY, 1, _gtp(2153, 9)))
+    registry.apply_port_mod(PortMod(1, PortModCommand.MODIFY, 1, _gtp(2153, 9)))
     assert registry.gtp_port(9) == 1  # created first, though modified last
 
 
 def test_modify_frees_the_old_key():
     registry = PortRegistry()
     _create(registry, 1, RadioBearer(1, 1, BearerKind.DRB))
-    registry.apply_port_mod(PortModBody(PortModCommand.MODIFY, 1, RadioBearer(1, 2, BearerKind.DRB)))
+    registry.apply_port_mod(PortMod(1, PortModCommand.MODIFY, 1, RadioBearer(1, 2, BearerKind.DRB)))
     assert registry.radio_port(1, 1) is None
     assert registry.radio_port(1, 2) == 1
     _create(registry, 2, RadioBearer(1, 1, BearerKind.DRB))
@@ -303,7 +302,7 @@ def test_modify_frees_the_old_key():
 def test_modify_across_classes_frees_the_old_key():
     registry = PortRegistry()
     _create(registry, 1, _gtp(2152, 9))
-    registry.apply_port_mod(PortModBody(PortModCommand.MODIFY, 1, SigTunnel(IP1, 4)))
+    registry.apply_port_mod(PortMod(1, PortModCommand.MODIFY, 1, SigTunnel(IP1, 4)))
     assert registry.gtp_port(9) is None
     assert registry.sig_port(4) == 1
     _create(registry, 2, _gtp(2152, 9))
@@ -315,7 +314,7 @@ def test_modify_across_classes_frees_the_old_key():
 def test_delete_removes_the_port_from_its_index():
     registry = reference_ports()
     for port_id in (LP1, LP2, LP4):
-        registry.apply_port_mod(PortModBody(PortModCommand.DELETE, port_id, None))
+        registry.apply_port_mod(PortMod(1, PortModCommand.DELETE, port_id, None))
     assert registry.gtp_port(1) is None
     assert registry.sig_port(2) is None
     assert registry.radio_port(1, 1) is None
@@ -327,25 +326,25 @@ def test_delete_removes_the_port_from_its_index():
 def test_assigning_entries_rebuilds_the_classifier(reference_state):
     _, table = reference_state
     ctx = FlowMatch(crnti=1, bearer_id=1)
-    assert table.match(ctx) == FlowAction(LP1)
+    assert table.match(ctx) == LP1
     table.entries = [e for e in table.entries if e.match != FlowMatch(crnti=1, bearer_id=1)]
     assert table.match(ctx) is None
-    assert table.match(FlowMatch(in_port=LP2)) == FlowAction(LP3)
+    assert table.match(FlowMatch(in_port=LP2)) == LP3
     table.entries = []
     assert table.match(FlowMatch(in_port=LP2)) is None
 
 
 # -- differential test against the linear-scan reference ----------------------
 
-_PORT_IDS = st.integers(1, 5)
+_PORT_IDS = st.integers(0, 5)
 _SPECS = st.one_of(
     st.builds(RadioBearer, st.integers(0, 2), st.sampled_from([0, 1, 3]), st.just(BearerKind.DRB)),
     st.builds(GtpTunnel, st.just(IP1), st.just(IP2), st.integers(1, 2), st.integers(1, 2)),
     st.builds(SigTunnel, st.just(IP1), st.integers(1, 2)),
 )
-_CREATE = st.builds(PortModBody, st.just(PortModCommand.CREATE), _PORT_IDS, _SPECS)
-_MODIFY = st.builds(PortModBody, st.just(PortModCommand.MODIFY), _PORT_IDS, _SPECS)
-_DELETE = st.builds(PortModBody, st.just(PortModCommand.DELETE), _PORT_IDS, st.none())
+_CREATE = st.builds(PortMod, st.just(1), st.just(PortModCommand.CREATE), _PORT_IDS, _SPECS)
+_MODIFY = st.builds(PortMod, st.just(1), st.just(PortModCommand.MODIFY), _PORT_IDS, _SPECS)
+_DELETE = st.builds(PortMod, st.just(1), st.just(PortModCommand.DELETE), _PORT_IDS, st.none())
 # field values; None leaves a match field unpopulated
 _FIELDS = {
     "in_port": st.none() | _PORT_IDS,
@@ -372,24 +371,25 @@ _MATCH_POOL = [
 ]
 _MATCHES = st.sampled_from(_MATCH_POOL) | st.builds(FlowMatch, **_FIELDS)
 _PRIORITIES = st.sampled_from([100, 110])
-# fixed sig ports 11-16 give entries distinct actions; port 6 is never created
-_FIXED_PORTS = [PortModBody(PortModCommand.CREATE, 10 + i, SigTunnel(IP2, 10 + i)) for i in range(1, 7)]
-_ACTIONS = st.builds(FlowAction, st.integers(1, 6) | st.integers(11, 16))
-_ADD = st.builds(FlowModBody, st.just(FlowModCommand.ADD), _PRIORITIES, _MATCHES, _ACTIONS)
-_REMOVE = st.builds(FlowModBody, st.just(FlowModCommand.DELETE), _PRIORITIES, _MATCHES, _ACTIONS)
+# fixed sig ports 11-16 give entries distinct out-ports; port 6 is never
+# created, and port 0 is a valid id that a miss (None) must not be taken for
+_FIXED_PORTS = [PortMod(1, PortModCommand.CREATE, 10 + i, SigTunnel(IP2, 10 + i)) for i in range(1, 7)]
+_OUT_PORTS = st.integers(0, 6) | st.integers(11, 16)
+_ADD = st.builds(FlowMod, st.just(1), st.just(FlowModCommand.ADD), _PRIORITIES, _MATCHES, _OUT_PORTS)
+_REMOVE = st.builds(FlowMod, st.just(1), st.just(FlowModCommand.DELETE), _PRIORITIES, _MATCHES, _OUT_PORTS)
 # weighted so that ports and entries accumulate
 _COMMANDS = st.sampled_from([_CREATE] * 3 + [_MODIFY, _DELETE] + [_ADD] * 6 + [_REMOVE]).flatmap(lambda s: s)
 
 
-def _apply(registry, table, body) -> tuple[type, str] | None:
+def _apply(registry, table, msg) -> tuple[type, str] | None:
     """Apply one command as a node does; returns the error raised, if any."""
     try:
-        if isinstance(body, PortModBody):
-            spec = registry.apply_port_mod(body)
-            if body.command == PortModCommand.DELETE:
-                table.drop_port_references(body.port_id, spec)
+        if isinstance(msg, PortMod):
+            spec = registry.apply_port_mod(msg)
+            if msg.command == PortModCommand.DELETE:
+                table.drop_port_references(msg.port_id, spec)
         else:
-            table.apply_flow_mod(body, registry)
+            table.apply_flow_mod(msg, registry)
     except Open5GError as exc:
         return type(exc), str(exc)
     return None
@@ -408,8 +408,8 @@ def _overlay(ctx: FlowMatch, match: FlowMatch) -> FlowMatch:
 def test_indexed_data_plane_agrees_with_linear_scan(commands, contexts):
     registry, table = PortRegistry(), FlowTable()
     ref_registry, ref_table = ScanPortRegistry(), ScanFlowTable()
-    for body in _FIXED_PORTS + commands:
-        assert _apply(registry, table, body) == _apply(ref_registry, ref_table, body)
+    for msg in _FIXED_PORTS + commands:
+        assert _apply(registry, table, msg) == _apply(ref_registry, ref_table, msg)
         assert list(registry.ports.items()) == list(ref_registry.ports.items())
         assert table.entries == ref_table.entries
         assert table.ordered_entries() == ref_table.ordered_entries()

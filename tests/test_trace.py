@@ -191,7 +191,16 @@ def test_verify_rejects_a_field_write_trace_never_writes(tmp_path, capsys, field
 
 @pytest.mark.parametrize(
     "layout, bad_line",
-    [("1  2", 1), (" 1 2", 1), ("1 2 ", 1), ("1\t2", 1), ("1 2\n ", 2), ("1 2\n\n1 2", 2)],
+    [
+        ("1  2", 1),
+        (" 1 2", 1),
+        ("1 2 ", 1),
+        ("1\t2", 1),
+        ("1 2\n ", 2),
+        ("1 2\n\n1 2", 2),
+        ("1 2\r", 1),
+        ("1 2\r1 2", 1),
+    ],
 )
 def test_verify_rejects_other_separators_and_empty_lines(tmp_path, capsys, layout, bad_line):
     text = layout.replace("1", "1 0 src gnb1").replace("2", "OPEN5G Batch 0000000000000000")

@@ -23,14 +23,11 @@ from open5gsim.errors import (
 from open5gsim.node import DataPlaneNode, Rat
 from open5gsim.wire import (
     BearerKind,
-    FlowAction,
     FlowMatch,
     FlowMod,
-    FlowModBody,
     FlowModCommand,
     Hello,
     PortMod,
-    PortModBody,
     PortModCommand,
     RadioBearer,
     SigTunnel,
@@ -81,11 +78,9 @@ def test_length_field_longer_than_input_is_truncated():
 def test_sig_port_mod_round_trips():
     msg = PortMod(
         xid=3,
-        body=PortModBody(
-            PortModCommand.CREATE,
-            port_id=2,
-            port_spec=SigTunnel(wire.ip_bytes("10.255.0.1"), tunnel_id=1),
-        ),
+        command=PortModCommand.CREATE,
+        port_id=2,
+        port_spec=SigTunnel(wire.ip_bytes("10.255.0.1"), tunnel_id=1),
     )
     assert decode_message(encode_message(msg)) == msg
 
@@ -94,24 +89,22 @@ def test_drb_uplink_flow_mod_round_trips():
     # the uplink DRB-1 row: match (C-RNTI-1, bearer-id-1), output the NG-U port
     msg = FlowMod(
         xid=9,
-        body=FlowModBody(
-            FlowModCommand.ADD,
-            priority=120,
-            match=FlowMatch(crnti=1, bearer_id=1),
-            action=FlowAction(out_port=6),
-        ),
+        command=FlowModCommand.ADD,
+        priority=120,
+        match=FlowMatch(crnti=1, bearer_id=1),
+        out_port=6,
     )
     encoded = encode_message(msg)
     assert struct.unpack(">H", encoded[2:4])[0] == len(encoded)
     decoded = decode_message(encoded)
     assert decoded == msg
     # a plain tuple of the same values would compare equal
-    assert type(decoded.body.match) is FlowMatch
+    assert type(decoded.match) is FlowMatch
 
 
 def test_srb_bearer_id_outside_registry_is_invalid():
     spec = RadioBearer(crnti=5, bearer_id=7, bearer_kind=BearerKind.SRB)
-    msg = PortMod(1, PortModBody(PortModCommand.CREATE, 1, spec))
+    msg = PortMod(1, PortModCommand.CREATE, 1, spec)
     with pytest.raises(InvalidMessageError):
         encode_message(msg)
 
@@ -119,23 +112,21 @@ def test_srb_bearer_id_outside_registry_is_invalid():
 def test_zero_crnti_on_dedicated_bearer_is_invalid():
     spec = RadioBearer(crnti=0, bearer_id=1, bearer_kind=BearerKind.DRB)
     with pytest.raises(InvalidMessageError):
-        encode_message(PortMod(1, PortModBody(PortModCommand.CREATE, 1, spec)))
+        encode_message(PortMod(1, PortModCommand.CREATE, 1, spec))
 
 
 def test_empty_match_is_invalid():
-    body = FlowModBody(FlowModCommand.ADD, 1, FlowMatch(), FlowAction(1))
     with pytest.raises(InvalidMessageError):
-        encode_message(FlowMod(1, body))
+        encode_message(FlowMod(1, FlowModCommand.ADD, 1, FlowMatch(), 1))
 
 
 def test_crnti_without_bearer_is_invalid():
-    body = FlowModBody(FlowModCommand.ADD, 1, FlowMatch(crnti=4), FlowAction(1))
     with pytest.raises(InvalidMessageError):
-        encode_message(FlowMod(1, body))
+        encode_message(FlowMod(1, FlowModCommand.ADD, 1, FlowMatch(crnti=4), 1))
 
 
 def test_delete_port_mod_carries_no_spec():
-    msg = PortMod(4, PortModBody(PortModCommand.DELETE, 17, None))
+    msg = PortMod(4, PortModCommand.DELETE, 17, None)
     encoded = encode_message(msg)
     assert len(encoded) == 8 + 6
     assert decode_message(encoded) == msg
@@ -371,7 +362,7 @@ _FULL_MATCH = FlowMatch(**{case[0]: case[3] for case in MATCH_FIELD_CASES})
 
 
 def _encode_match(match: FlowMatch) -> bytes:
-    return encode_message(FlowMod(1, FlowModBody(FlowModCommand.ADD, 100, match, FlowAction(1))))
+    return encode_message(FlowMod(1, FlowModCommand.ADD, 100, match, 1))
 
 
 def _flow_mod_frame(tlvs: list[tuple[int, bytes]]) -> bytes:
