@@ -264,6 +264,8 @@ class Controller:
         ue = self.ue_contexts.get(ue_tmp_id)
         if ue is None:
             raise UnknownUeError(f"ue_tmp_id {ue_tmp_id}")
+        if info.ue_tmp_id is None:  # TS 38.331: SRB0 carries only the setup request
+            raise ProtocolViolationError(f"{rrc.kind} on SRB0")
 
         if rrc.kind == RRC_SETUP_COMPLETE:
             if ue.rrc_state != RrcState.SETUP_REQUESTED:

@@ -64,39 +64,34 @@ class PortRegistry:
         return self._radio.get((crnti, bearer_id))
 
     def gtp_port(self, teid: int) -> int | None:
-        port_ids = self._teid.get(teid)
-        return port_ids[0] if port_ids else None  # the earliest created
+        ports = self._gtp.get(teid)
+        return next(iter(ports.values())) if ports else None  # the earliest created
 
     def sig_port(self, tunnel_id: int) -> int | None:
         return self._sig.get(tunnel_id)
 
     def _index(self, spec: PortSpec) -> tuple[dict, tuple[int, int] | int]:
-        """The index of the spec's port class and the spec's key in it."""
+        """The index that holds the spec's key (for GTP-U, its TEID's), and the key."""
         if isinstance(spec, RadioBearer):
             return self._radio, (spec.crnti, spec.bearer_id)
         if isinstance(spec, GtpTunnel):
-            return self._gtp, (spec.udp_port, spec.teid)
+            return self._gtp.setdefault(spec.teid, {}), spec.udp_port
         return self._sig, spec.tunnel_id
-
-    def _link(self, port_id: int, spec: PortSpec) -> None:
-        index, key = self._index(spec)
-        index[key] = port_id
-        if isinstance(spec, GtpTunnel):
-            self._teid.setdefault(spec.teid, []).append(port_id)
 
     def _reindex(self) -> None:
         self._radio: dict[tuple[int, int], int] = {}  # (crnti, bearer_id)
-        self._gtp: dict[tuple[int, int], int] = {}  # (udp_port, teid)
+        self._gtp: dict[int, dict[int, int]] = {}  # teid -> udp_port -> port id, in creation order
         self._sig: dict[int, int] = {}  # tunnel_id
-        self._teid: dict[int, list[int]] = {}  # teid -> GTP port ids, earliest created first
         for port_id, spec in self.ports.items():
-            self._link(port_id, spec)
+            index, key = self._index(spec)
+            index[key] = port_id
 
-    def _check_uniqueness(self, port_id: int, spec: PortSpec) -> None:
+    def _check_uniqueness(self, port_id: int, spec: PortSpec) -> tuple[dict, tuple[int, int] | int]:
+        """The spec's index and key, unless another port holds that key."""
         index, key = self._index(spec)
         other = index.get(key)
         if other is None or other == port_id:
-            return
+            return index, key
         if isinstance(spec, RadioBearer):
             raise DuplicateBearerError(f"crnti {spec.crnti} bearer {spec.bearer_id} already on port {other}")
         if isinstance(spec, GtpTunnel):
@@ -110,9 +105,9 @@ class PortRegistry:
         if msg.command == PortModCommand.CREATE:
             if port_id in self.ports:
                 raise DuplicatePortError(f"port {port_id} already exists")
-            self._check_uniqueness(port_id, spec)
+            index, key = self._check_uniqueness(port_id, spec)
             self.ports[port_id] = spec
-            self._link(port_id, spec)
+            index[key] = port_id
             return spec
         if msg.command == PortModCommand.MODIFY:
             if port_id not in self.ports:
@@ -195,32 +190,21 @@ class FlowTable:
 
     @property
     def entries(self) -> list[FlowEntry]:
-        return self._entries  # in installation order
+        """In display order: priority descending, then entry_id, which is installation order."""
+        return self._ordered
 
     @entries.setter
     def entries(self, entries: list[FlowEntry]) -> None:
-        self._entries: list[FlowEntry] = []
-        self._ordered: list[FlowEntry] = []  # in display order, by _rank
-        self._ranks: list[tuple[int, int]] = []  # the _rank of each of _ordered
+        self._ordered: list[FlowEntry] = sorted(entries, key=_rank)  # stable: equal ranks keep their order
         # shape getter -> field values -> the entries with exactly that match, by _rank
         self._shapes: dict[Callable, dict[object, list[FlowEntry]]] = {}
-        for entry in entries:
-            self._insert(entry, *_slot(entry.match))
+        for entry in self._ordered:
+            key_of, key = _slot(entry.match)
+            self._shapes.setdefault(key_of, {}).setdefault(key, []).append(entry)
         self._rows: list[str] | None = None  # the rows of _ordered; None while stale
-        self._unresolved: set[int] = set()  # out-port ids the rows show as missing
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def _insert(self, entry: FlowEntry, key_of: Callable, key: object) -> int:
-        """Index the entry under its slot; returns its display index."""
-        self._entries.append(entry)
-        rank = -entry.priority, entry.entry_id
-        i = bisect(self._ranks, rank)
-        self._ranks.insert(i, rank)
-        self._ordered.insert(i, entry)
-        insort(self._shapes.setdefault(key_of, {}).setdefault(key, []), entry, key=_rank)
-        return i
+        return len(self._ordered)
 
     def apply_flow_mod(self, msg: FlowMod, registry: PortRegistry) -> None:
         key_of, key = _slot(msg.match)
@@ -235,25 +219,26 @@ class FlowTable:
                 )
             entry = FlowEntry(self._next_entry_id, msg.priority, msg.match, msg.out_port)
             self._next_entry_id += 1
-            i = self._insert(entry, key_of, key)
+            i = bisect(self._ordered, _rank(entry), key=_rank)
+            self._ordered.insert(i, entry)
+            insort(self._shapes.setdefault(key_of, {}).setdefault(key, []), entry, key=_rank)
             if self._rows is not None:
                 self._rows.insert(i, _row(entry, spec))
         elif key in buckets:
             # exact-match delete: drop every entry whose match equals exactly
-            self.entries = [e for e in self._entries if e.match != msg.match]
+            self.entries = [e for e in self._ordered if e.match != msg.match]
 
     def note_port_mod(self, msg: PortMod) -> None:
-        """Mark the rows stale if an applied PORT_MOD changes how one renders:
-        a MODIFY, or a CREATE of an out-port that a row shows as missing. A
-        DELETE reaches the rows through drop_port_references."""
-        if msg.command == PortModCommand.MODIFY or msg.port_id in self._unresolved:
+        """Mark the rows stale on an applied MODIFY. A DELETE reaches the rows
+        through drop_port_references; a CREATE changes none of the kept rows."""
+        if msg.command == PortModCommand.MODIFY:
             self._rows = None
 
     def drop_port_references(self, port_id: int, spec: PortSpec) -> int:
         """Cascade after a port DELETE; returns the number of entries removed."""
-        before = len(self._entries)
-        self.entries = [e for e in self._entries if not entry_references_port(e, port_id, spec)]
-        return before - len(self._entries)
+        before = len(self._ordered)
+        self.entries = [e for e in self._ordered if not entry_references_port(e, port_id, spec)]
+        return before - len(self._ordered)
 
     def match(self, packet: FlowMatch) -> int | None:
         """Classify a packet's fields: the out-port of the best entry, or None if
@@ -265,14 +250,13 @@ class FlowTable:
                 best = bucket[0]
         return best.out_port if best else None
 
-    def ordered_entries(self) -> list[FlowEntry]:
-        """Entries in display order: priority descending, then installation order."""
-        return list(self._ordered)
-
     def rows(self, registry: PortRegistry) -> list[str]:
-        """The rendered rows in display order, as a new list."""
+        """The rendered rows in display order, as a new list. They are kept only
+        if every out-port exists, so no kept row shows a missing port."""
         if self._rows is None:
             ports = registry.ports
-            self._unresolved = {e.out_port for e in self._ordered if e.out_port not in ports}
-            self._rows = [_row(e, ports.get(e.out_port)) for e in self._ordered]
+            rows = [_row(e, ports.get(e.out_port)) for e in self._ordered]
+            if not all(e.out_port in ports for e in self._ordered):
+                return rows
+            self._rows = rows
         return self._rows.copy()

@@ -135,7 +135,8 @@ class TraceRecord(NamedTuple):
         """Parse a line in the form `to_line` writes, and no other."""
         fields = _LINE.fullmatch(line)
         if fields is None:
-            raise TraceParseError(f"not a trace record {line!r}: expected {_LINE_FORM}")
+            shown = repr(line) if len(line) <= 80 else f"{line[:80]!r}... ({len(line)} characters)"
+            raise TraceParseError(f"not a trace record {shown}: expected {_LINE_FORM}")
         return _record(*fields.groups())
 
 

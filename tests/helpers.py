@@ -376,7 +376,7 @@ class ScanFlowTable:
 def reference_render_flow_table(node: DataPlaneNode) -> list[str]:
     """Render (match, action) rows in priority then installation order."""
     rows = []
-    for entry in node.table.ordered_entries():
+    for entry in sorted(node.table.entries, key=lambda e: (-e.priority, e.entry_id)):
         rows.append(f"{entry.priority} [{_match_str(entry)}] -> [{_action_str(entry, node)}]")
     return rows
 

@@ -219,6 +219,21 @@ def controller_state(c: Controller):
     return copy.deepcopy(vars(c))
 
 
+@pytest.mark.parametrize(
+    "kind", [RRC_SETUP_COMPLETE, RRC_SECURITY_MODE_COMPLETE, RRC_RECONFIGURATION_COMPLETE]
+)
+def test_srb0_carries_only_the_setup_request(kind):
+    """A known UE's later RRC messages in an SRB0 envelope are violations,
+    whatever state the UE is in, and change nothing."""
+    c = bootstrapped()
+    request_setup(c)
+    before = controller_state(c)
+    srb0 = c.nodes["gnb1"].srb0_tunnel_id
+    with pytest.raises(ProtocolViolationError, match=f"^{kind} on SRB0$"):
+        c.on_rrc_uplink("gnb1", sig_frame(srb0, RrcMessage(kind, {"nas": "aa"}), 1))
+    assert controller_state(c) == before
+
+
 def test_setup_request_on_own_srb1_tunnel_is_violation():
     c = bootstrapped()
     attach_ue(c)

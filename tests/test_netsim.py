@@ -8,17 +8,21 @@ from hypothesis import strategies as st
 from helpers import EveryDeliveryTables, generated_scenario, reference_render_flow_table
 
 from open5gsim import wire
-from open5gsim.controller import QosFlowSpec, SessionSpec
+from open5gsim.controller import QosFlowSpec, RrcState, SessionSpec
 from open5gsim.errors import (
     BudgetExceededError,
     NotIdleError,
+    ProtocolViolationError,
     ScriptError,
     UnknownUeError,
 )
 from open5gsim.messages import (
     NGAP_INITIAL_CONTEXT_SETUP_REQUEST,
     NGAP_INITIAL_UE_MESSAGE,
+    RRC_SETUP_COMPLETE,
     NgapMessage,
+    RrcMessage,
+    rrc_to_bytes,
 )
 from open5gsim.netsim import (
     AmfStub,
@@ -374,7 +378,7 @@ def test_cached_render_matches_reference_render(steps):
             node.handle_open5g(b"".join(map(wire.encode_message, step)))
         else:
             node.handle_open5g(wire.encode_message(step))  # an ERROR stops the batch; go on
-        assert node.table.ordered_entries() == sorted(node.table.entries, key=lambda e: (-e.priority, e.entry_id))
+        assert node.table.entries == sorted(node.table.entries, key=lambda e: (-e.priority, e.entry_id))  # display order
         assert render_flow_table(node) == reference_render_flow_table(node)
 
 
@@ -500,6 +504,19 @@ def test_bad_srb0_envelope_drops_on_every_ingress():
     frame = wire.encap_gtpu(wire.pack_ip_packet(ip1, 6, 43, b"x"), teid=1)
     ngu = _Delivery("upf", "gnb1", "NGU", "GPDU", frame, sim._node_ngu)
     assert_dropped_unsent(sim, "gnb1", lambda: sim._node_ngu(ngu))
+
+
+def test_forged_setup_complete_on_srb0_stops_the_run_before_ngap():
+    """ue1's RrcSetupComplete, sent in an SRB0 envelope while its setup is
+    pending, is a violation: it never moves ue1 on or reaches the AMF."""
+    scn = load_scenario("scenarios/initial_access.scn")
+    complete = rrc_to_bytes(RrcMessage(RRC_SETUP_COMPLETE, {"nas": "aa"}))
+    forged = Stimulus(2, "send_uplink_data", ("ue1", 0, wire.pack_envelope(1, complete)))
+    sim = Simulator(scn.topology, list(scn.script) + [forged], scn.settings)
+    with pytest.raises(ProtocolViolationError, match="^RrcSetupComplete on SRB0$"):
+        sim.run()
+    assert sim.controller.ue_contexts[1].rrc_state == RrcState.SETUP_REQUESTED
+    assert not [r for r in sim.records if r.channel == "NGAP"]
 
 
 def test_srb0_envelope_naming_a_ue_on_another_node_drops():

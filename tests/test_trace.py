@@ -210,6 +210,33 @@ def test_verify_rejects_other_separators_and_empty_lines(tmp_path, capsys, layou
     assert capsys.readouterr().err.startswith(f"parse error: line {bad_line}: ")
 
 
+@pytest.mark.parametrize(
+    "length, shown",
+    [
+        (0, "''"),
+        (80, "'" + "x" * 80 + "'"),
+        (81, "'" + "x" * 80 + "'... (81 characters)"),
+        (1000, "'" + "x" * 80 + "'... (1000 characters)"),
+    ],
+)
+def test_a_parse_error_quotes_at_most_80_characters_of_the_line(length, shown):
+    with pytest.raises(TraceParseError) as exc:
+        TraceRecord.from_line("x" * length)
+    assert str(exc.value).startswith(f"not a trace record {shown}: expected step time src dst ")
+
+
+def test_verify_of_a_trace_with_cr_line_ends_prints_a_bounded_error(tmp_path, capsys):
+    """With every LF made CR the whole file is one bad line, which the error
+    quotes only in part."""
+    text = Path(GOLDEN).read_text().replace("\n", "\r")
+    bad = tmp_path / "cr.trace"
+    bad.write_bytes(text.encode())
+    assert main(["verify", str(bad), "--golden", GOLDEN]) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: line 1: not a trace record {text[:80]!r}... ({len(text)} characters): ")
+    assert len(err.encode()) < 512
+
+
 @pytest.mark.parametrize("path", sorted(Path("goldens").glob("*.trace")), ids=lambda p: p.name)
 def test_golden_traces_read_back_to_the_same_text(path):
     text = path.read_text()
