@@ -15,7 +15,7 @@ import sys
 from .errors import ControllerError, Open5GError, SimulationError
 from .netsim import Simulator
 from .scenario import ParseError, load_scenario
-from .trace import CHANNELS, TraceParseError, read_trace, write_trace
+from .trace import CHANNELS, EventTrace, TraceParseError, read_trace, write_trace
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -59,16 +59,22 @@ def cmd_verify(trace_path: str, golden_path: str, channels: set[str] | None = No
         return EXIT_PARSE_ERROR
     got = trace.signature(channels)
     want = golden.signature(channels)
-    for i, (g, w) in enumerate(zip(got, want), start=1):
+    if got == want:
+        print(f"traces match ({len(got)} records)")
+        return EXIT_OK
+    for i, (g, w) in enumerate(zip(got, want)):
         if g != w:
-            print(f"divergence at step {i}: got {g}, want {w}")
+            print(f"divergence at step {_step_no(trace, channels, i)}: got {g}, want {w}")
             return EXIT_MISMATCH
-    if len(got) != len(want):
-        i = min(len(got), len(want)) + 1
-        print(f"divergence at step {i}: got {len(got)} records, want {len(want)}")
-        return EXIT_MISMATCH
-    print(f"traces match ({len(got)} records)")
-    return EXIT_OK
+    i = min(len(got), len(want))  # the first record one side lacks: the golden's when the trace runs short
+    step = _step_no(trace if i < len(got) else golden, channels, i)
+    print(f"divergence at step {step}: got {len(got)} records, want {len(want)}")
+    return EXIT_MISMATCH
+
+
+def _step_no(trace: EventTrace, channels: set[str] | None, i: int) -> int:
+    """The step_no of the record at index `i` of the channel-filtered trace."""
+    return [r.step_no for r in trace.records if channels is None or r.channel in channels][i]
 
 
 def cmd_table_dump(scenario_path: str, node: str, at_step: int) -> int:

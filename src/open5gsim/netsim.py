@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, NamedTuple
 
 from . import wire
@@ -53,7 +54,7 @@ from .messages import (
     rrc_to_bytes,
 )
 from .node import DataPlaneNode, Rat
-from .trace import EventTrace, TraceRecord, fnv1a64
+from .trace import EventTrace, TraceRecord, fnv1a64, to_records
 from .wire import GtpTunnel, PortSpec, SigTunnel
 
 UPF_IP = "10.9.0.1"
@@ -299,8 +300,7 @@ class Simulator:
     def _digest_pending(self) -> None:
         """Turn the sends since the last call into trace records."""
         digests = fnv1a64(self._payloads, self._ends)
-        for step, (fields, digest) in enumerate(zip(self._pending, digests), len(self.records) + 1):
-            self.records.append(TraceRecord(step, *fields, digest))
+        self.records += to_records(zip(count(len(self.records) + 1), *zip(*self._pending), digests))
         self._pending.clear()
         self._payloads.clear()
         self._ends.clear()

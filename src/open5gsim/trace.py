@@ -8,6 +8,14 @@ Step and time are decimal without a sign or leading zeros. Reading accepts
 exactly this form, one record on every line, so writing a trace that was read
 gives its text back (with a final newline).
 
+Both directions run in C-level passes. `to_text` is one `%` of `_LINE_FORMAT`
+repeated per record. `from_text` runs one `_LINE.findall` per slice of about
+`_READ_SLICE` characters that ends just after a newline, converts the fields
+a column at a time, shares equal name strings through one dict per read, and
+reads a slice line by line only to report its first bad line. On
+dataplane_small's trace at seed 1 (6,556 records), reading takes 9.9 ms, not
+11.8, and writing 3.8 ms, not 5.8 (medians of 5 processes, best of 15 each).
+
 Digests are 64-bit FNV-1a over the canonical message bytes. `Simulator.run`
 computes them in chunks of records with the batched `fnv1a64`; each value is
 the one the byte-at-a-time definition gives. Since one `int.from_bytes`
@@ -20,8 +28,11 @@ dataplane_dense's 7 chunks 23 ms instead of 44 ms (best of 5, Python 3.11.7,
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import SimulationError
 
@@ -32,6 +43,8 @@ _LINE = re.compile(
     r"^(0|[1-9][0-9]*) (0|[1-9][0-9]*) (\S+) (\S+) (%s) (\S+) ([0-9a-f]{16})$" % "|".join(CHANNELS),
     re.MULTILINE,
 )
+_LINE_FORMAT = "%d %d %s %s %s %s %016x"  # a record's line, as `_LINE` reads it
+_READ_SLICE = 8192  # characters per findall: bounds the temporary tuples of a read
 _LINE_FORM = (
     "step time src dst channel kind digest, separated by single spaces, with decimal step and time, "
     f"a channel of {', '.join(CHANNELS)} and 16 lowercase hex digest digits"
@@ -128,7 +141,7 @@ class TraceRecord(NamedTuple):
     digest: int
 
     def to_line(self) -> str:
-        return f"{self.step_no} {self.time} {self.src} {self.dst} {self.channel} {self.kind} {self.digest:016x}"
+        return _LINE_FORMAT % self
 
     @classmethod
     def from_line(cls, line: str) -> "TraceRecord":
@@ -137,11 +150,13 @@ class TraceRecord(NamedTuple):
         if fields is None:
             shown = repr(line) if len(line) <= 80 else f"{line[:80]!r}... ({len(line)} characters)"
             raise TraceParseError(f"not a trace record {shown}: expected {_LINE_FORM}")
-        return _record(*fields.groups())
+        step_no, time, src, dst, channel, kind, digest = fields.groups()
+        return cls(int(step_no), int(time), src, dst, channel, kind, int(digest, 16))
 
 
-def _record(step_no: str, time: str, src: str, dst: str, channel: str, kind: str, digest: str) -> TraceRecord:
-    return TraceRecord(int(step_no), int(time), src, dst, channel, kind, int(digest, 16))
+def to_records(rows: Iterable[tuple]) -> Iterator[TraceRecord]:
+    """A record of each 7-tuple: `TraceRecord._make` without its Python call and length check per row."""
+    return map(tuple.__new__, repeat(TraceRecord), rows)
 
 
 class TraceParseError(SimulationError):
@@ -153,28 +168,35 @@ class EventTrace:
     records: list[TraceRecord]
 
     def to_text(self) -> str:
-        return "".join(r.to_line() + "\n" for r in self.records)
+        return (_LINE_FORMAT + "\n") * len(self.records) % tuple(chain.from_iterable(self.records))
 
     @classmethod
     def from_text(cls, text: str) -> "EventTrace":
         """Parse a trace: every line must be a record, the last one's newline optional."""
-        records = [_record(*fields.groups()) for fields in _LINE.finditer(text)]
-        lines = text.count("\n") + (text[-1:] not in ("", "\n"))  # a last line may lack its newline
-        if len(records) != lines:
-            for lineno, line in enumerate(text.split("\n"), start=1):  # find the line that is no record
-                try:
-                    TraceRecord.from_line(line)
-                except TraceParseError as exc:
-                    raise TraceParseError(f"line {lineno}: {exc}") from None
+        records: list[TraceRecord] = []
+        share = {}.setdefault  # one string object per distinct name, channel or kind
+        start, end, lineno = 0, len(text), 0  # lineno: lines before `start`
+        while start < end:
+            stop = text.find("\n", start + _READ_SLICE) + 1 or end
+            found = _LINE.findall(text, start, stop)
+            lines = text.count("\n", start, stop) + (text[stop - 1] != "\n")  # a last line may lack its newline
+            if len(found) != lines:  # find the line that is no record
+                for n, line in enumerate(text[start:stop].split("\n"), start=lineno + 1):
+                    try:
+                        TraceRecord.from_line(line)
+                    except TraceParseError as exc:
+                        raise TraceParseError(f"line {n}: {exc}") from None
+            steps, times, srcs, dsts, channels, kinds, digests = zip(*found)
+            names = (map(share, column, column) for column in (srcs, dsts, channels, kinds))
+            digests = struct.unpack(">%dQ" % len(digests), bytes.fromhex("".join(digests)))
+            records += to_records(zip(map(int, steps), map(int, times), *names, digests))
+            start, lineno = stop, lineno + lines
         return cls(records)
 
     def signature(self, channels: set[str] | None = None) -> list[tuple[str, str, str, str]]:
         """The comparable (src, dst, channel, kind) sequence."""
-        return [
-            (r.src, r.dst, r.channel, r.kind)
-            for r in self.records
-            if channels is None or r.channel in channels
-        ]
+        fields = map(itemgetter(2, 3, 4, 5), self.records)
+        return list(fields) if channels is None else [f for f in fields if f[2] in channels]
 
 
 def write_trace(path: str, trace: EventTrace) -> None:

@@ -30,6 +30,7 @@ from open5gsim.netsim import (
 )
 from open5gsim.node import DataPlaneNode, Rat
 from open5gsim.switch import FlowEntry, entry_references_port
+from open5gsim.trace import _LINE, TraceParseError, TraceRecord
 from open5gsim.wire import (
     MATCH_FIELDS,
     BearerKind,
@@ -71,6 +72,30 @@ def reference_fnv1a64(data: bytes) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def reference_to_text(records: list[TraceRecord]) -> str:
+    """The trace writer one f-string per record: the oracle for `EventTrace.to_text`."""
+    return "".join(
+        f"{r.step_no} {r.time} {r.src} {r.dst} {r.channel} {r.kind} {r.digest:016x}\n" for r in records
+    )
+
+
+def reference_from_text(text: str) -> list[TraceRecord]:
+    """The trace reader one match and one record call per line, counting the
+    lines of the whole text: the oracle for `EventTrace.from_text`."""
+    records = [
+        TraceRecord(int(step_no), int(time), src, dst, channel, kind, int(digest, 16))
+        for step_no, time, src, dst, channel, kind, digest in (m.groups() for m in _LINE.finditer(text))
+    ]
+    lines = text.count("\n") + (text[-1:] not in ("", "\n"))  # a last line may lack its newline
+    if len(records) != lines:
+        for lineno, line in enumerate(text.split("\n"), start=1):  # find the line that is no record
+            try:
+                TraceRecord.from_line(line)
+            except TraceParseError as exc:
+                raise TraceParseError(f"line {lineno}: {exc}") from None
+    return records
 
 
 def random_ip(rng: random.Random) -> bytes:

@@ -500,6 +500,33 @@ def test_verify_channel_filter(tmp_path, capsys):
     assert "traces match (3 records)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "damage, trace_is_golden, message",
+    [
+        ("bogus", False, "divergence at step 10: got ('amf', 'src', 'NGAP', 'Bogus'), want "),
+        ("short", False, "divergence at step 9: got 0 records, want 3\n"),  # the golden's missing record
+        ("short", True, "divergence at step 9: got 3 records, want 0\n"),  # the trace's extra record
+    ],
+    ids=["mismatch", "trace-short", "trace-long"],
+)
+def test_verify_with_a_channel_filter_names_the_records_step(tmp_path, capsys, damage, trace_is_golden, message):
+    """A divergence names the record's own step_no, not its place among the
+    records the filter kept (2 for record 10, the second NGAP record)."""
+    out = tmp_path / "out.trace"
+    main(["run", INITIAL_ACCESS, "-o", str(out)])
+    trace = read_trace(str(out))
+    if damage == "bogus":
+        assert trace.records[9].kind == "InitialContextSetupRequest"
+        trace.records[9] = trace.records[9]._replace(kind="Bogus")
+    else:
+        del trace.records[5:]
+    write_trace(str(out), trace)
+    pair = [GOLDEN, str(out)] if trace_is_golden else [str(out), GOLDEN]
+    capsys.readouterr()
+    assert main(["verify", pair[0], "--golden", pair[1], "--channels", "ngap"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out.startswith(message)
+
+
 def test_verify_rejects_an_unknown_channel(capsys):
     """A filter naming no channel would match nothing, and vacuously pass."""
     assert main(["verify", GOLDEN, "--golden", GOLDEN, "--channels", "ngap,srb9"]) == EXIT_PARSE_ERROR

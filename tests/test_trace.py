@@ -1,4 +1,5 @@
-"""The batched trace digest, and the trace line format that reading accepts."""
+"""The batched trace digest, the bulk trace codec against its per-line
+reference, and the trace line format that reading accepts."""
 
 import dataclasses
 import random
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import generated_scenario, reference_fnv1a64
+from helpers import generated_scenario, reference_fnv1a64, reference_from_text, reference_to_text
 
-from open5gsim import netsim
+from open5gsim import netsim, trace
 from open5gsim.cli import EXIT_OK, EXIT_PARSE_ERROR, main
 from open5gsim.errors import BudgetExceededError
 from open5gsim.netsim import Simulator
@@ -323,3 +324,107 @@ def test_a_record_is_immutable_and_hashable():
         record.kind = "Bogus"
     assert record._replace(kind="Bogus").to_line() == "1 0 ue1 gnb1 SRB0 Bogus 000000000000001f"
     assert len({record, record._replace(digest=0x1F)}) == 1
+
+
+# -- the bulk codec against the per-line reference -------------------------------
+
+_DIGEST_VALUE = st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1))
+_RECORD = st.builds(
+    TraceRecord,
+    st.integers(0, 10**12),
+    st.integers(0, 10**12),
+    _TOKEN,
+    st.text(st.characters().filter(lambda c: not c.isspace()), min_size=1, max_size=8),  # ASCII or not
+    st.sampled_from(CHANNELS),
+    _TOKEN,
+    _DIGEST_VALUE,
+)
+
+
+@given(st.lists(_RECORD, max_size=20))
+@settings(max_examples=100)
+def test_the_writer_matches_the_reference(records):
+    assert EventTrace(records).to_text() == reference_to_text(records)
+    assert "".join(r.to_line() + "\n" for r in records) == reference_to_text(records)
+
+
+def random_records(count: int, seed: int) -> list[TraceRecord]:
+    """Records from step 1 whose names vary in length, so lines end at varied
+    offsets from a slice boundary."""
+    rng = random.Random(seed)
+    names = ["ue1", "gnb1", "src", "amf", "upf", "é" * 3, "x" * 90, *(f"n{rng.getrandbits(40):x}" for _ in range(8))]
+    return [
+        TraceRecord(
+            step,
+            rng.randrange(10**6),
+            rng.choice(names),
+            rng.choice(names),
+            rng.choice(CHANNELS),
+            rng.choice(names),
+            rng.choice([0, 2**64 - 1, rng.getrandbits(64), rng.getrandbits(8)]),
+        )
+        for step in range(1, count + 1)
+    ]
+
+
+@given(st.integers(1, 2000), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_the_reader_matches_the_reference_across_slices(count, seed, final_newline):
+    records = random_records(count, seed)
+    text = reference_to_text(records)
+    if not final_newline:
+        text = text[:-1]
+    assert EventTrace.from_text(text).records == reference_from_text(text) == records
+
+
+def outcome(read, text: str):
+    """The records `read` returns for `text`, or the text of its parse error."""
+    try:
+        return read(text)
+    except TraceParseError as exc:
+        return str(exc)
+
+
+_DAMAGES = [
+    lambda line: line[:-1],
+    lambda line: line[:-1] + "F",
+    lambda line: line + " x",
+    lambda line: line + "\r",
+    lambda line: line.replace(" ", "  ", 1),
+    lambda line: line.replace(" ", "\t", 1),
+    lambda line: "0" + line,
+    lambda line: "",
+    lambda line: line + "\n",  # an empty line after it
+]
+
+
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 3),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from(_DAMAGES),
+    st.sampled_from(["\n", "\r", ""]),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_damaged_line_near_a_slice_boundary_fails_as_in_the_reference(seed, boundary, offset, damage, line_end):
+    """The line that ends the boundary-th slice a read cuts (offset 0), or the
+    line before or after it, is damaged, and `line_end` replaces its newline."""
+    text = reference_to_text(random_records(4 * trace._READ_SLICE // 40, seed))
+    stop = 0
+    for _ in range(boundary):
+        stop = text.find("\n", stop + trace._READ_SLICE) + 1
+    lines = text.split("\n")[:-1]
+    index = text.count("\n", 0, stop) - 1 + offset
+    damaged = damage(lines[index]) + line_end
+    text = "".join(line + "\n" for line in lines[:index]) + damaged + "".join(line + "\n" for line in lines[index + 1 :])
+    want = outcome(reference_from_text, text)
+    assert outcome(lambda t: EventTrace.from_text(t).records, text) == want
+    if damaged not in ("", lines[index] + "\n"):  # the line is neither taken out nor left as it was
+        assert isinstance(want, str)
+
+
+def test_a_read_shares_one_object_per_channel():
+    records = random_records(3000, 5)
+    read = EventTrace.from_text(reference_to_text(records)).records
+    assert len({id(r.channel) for r in read}) <= len(CHANNELS)
+    assert len({id(r.src) for r in read}) == len({r.src for r in read})
