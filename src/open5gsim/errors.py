@@ -135,3 +135,9 @@ class NotIdleError(SimulationError):
 
 class BudgetExceededError(SimulationError):
     pass
+
+
+def quoted(text: str) -> str:
+    """The repr of `text` for an error message: whole up to 80 characters,
+    else its first 80 and its length, so that a huge input gives a short error."""
+    return repr(text) if len(text) <= 80 else f"{text[:80]!r}... ({len(text)} characters)"

@@ -93,8 +93,7 @@ class Topology:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class Stimulus:
+class Stimulus(NamedTuple):
     tick: int
     kind: str  # ue_power_on | send_uplink_data | inject_downlink_data
     args: tuple
@@ -251,26 +250,24 @@ class Simulator:
         self.upf = UpfStub()
 
         # each downlink destination address, parsed once
-        self._downlink_dst: dict[str, bytes] = {}
-        for stim in self.script:
-            arity = STIMULI_ARITY.get(stim.kind)
+        downlink_dst: dict[str, bytes] = {}
+        self._downlink_dst = downlink_dst
+        for tick, kind, args in self.script:
+            arity = STIMULI_ARITY.get(kind)
             if arity is None:
-                raise ScriptError(f"unknown stimulus {stim.kind!r}")
-            if len(stim.args) != arity:
-                raise ScriptError(
-                    f"{stim.kind} at tick {stim.tick} wants {arity} arguments, got {len(stim.args)}"
-                )
-            if stim.tick < 0:
-                raise ScriptError(f"{stim.kind} at negative tick {stim.tick}")
-            if stim.args[0] not in self.ues:
-                raise ScriptError(f"stimulus references unknown UE {stim.args[0]!r}")
-            if stim.kind == "inject_downlink_data" and stim.args[1] not in self._downlink_dst:
+                raise ScriptError(f"unknown stimulus {kind!r}")
+            if len(args) != arity:
+                raise ScriptError(f"{kind} at tick {tick} wants {arity} arguments, got {len(args)}")
+            if tick < 0:
+                raise ScriptError(f"{kind} at negative tick {tick}")
+            if args[0] not in self.ues:
+                raise ScriptError(f"stimulus references unknown UE {args[0]!r}")
+            if kind == "inject_downlink_data" and args[1] not in downlink_dst:
                 try:
-                    self._downlink_dst[stim.args[1]] = wire.ip_bytes(stim.args[1])
+                    downlink_dst[args[1]] = wire.ip_bytes(args[1])
                 except ValueError:
                     raise ScriptError(
-                        f"inject_downlink_data at tick {stim.tick} for {stim.args[0]!r} "
-                        f"has a bad destination {stim.args[1]!r}"
+                        f"inject_downlink_data at tick {tick} for {args[0]!r} has a bad destination {args[1]!r}"
                     ) from None
 
         self.records: list[TraceRecord] = []

@@ -2,9 +2,16 @@
 
 Sections start with a bracketed header. [node], [ue], and [session] may
 repeat; key lines are `key = value`. The [script] section holds one stimulus
-per line: `<tick> <stimulus> <args...>`. Unknown sections, keys, or values,
-references to unknown nodes or UEs and repeated node or UE names are
-rejected with the offending line number.
+per line: `<tick> <stimulus> <args...>`. A `#` starts a comment. Unknown
+sections, keys, or values, references to unknown nodes or UEs and repeated
+node or UE names are rejected with the offending line number; an error quotes
+at most 80 characters of the token at fault.
+
+A script line is split into its fields once and each field converted
+directly: `int()` for numbers, so `+5`, `1_0` and Unicode digits read as
+Python reads them, `bytes.fromhex` for payloads and `wire.ip_bytes` for
+addresses. Only a line that fails there is walked again by the checks that
+word its `ParseError`, in their fixed order.
 
 Example:
 
@@ -34,11 +41,11 @@ Example:
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .controller import QosFlowSpec, SessionSpec
-from .errors import SimulationError
+from .errors import SimulationError, quoted
 from .netsim import STIMULI_ARITY, NodeSpec, Settings, Stimulus, Topology, UeSpec
 from .node import Rat
 from .wire import SRB_BEARER_IDS, ip_bytes, ip_str
@@ -73,7 +80,7 @@ def _parse_proto(token: str, lineno: int) -> int:
     try:
         proto = int(token)
     except ValueError:
-        raise ParseError(lineno, f"unknown protocol {token!r}") from None
+        raise ParseError(lineno, f"unknown protocol {quoted(token)}") from None
     return _check_range(proto, 0, 255, lineno, "protocol")
 
 
@@ -81,7 +88,7 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(lineno, f"bad {what} {token!r}") from None
+        raise ParseError(lineno, f"bad {what} {quoted(token)}") from None
 
 
 def _check_range(value: int, lo: int, hi: int, lineno: int, what: str) -> int:
@@ -101,12 +108,84 @@ def _parse_l4_port(token: str, lineno: int) -> int:
     return _check_range(_parse_int(token, lineno, "l4 port"), 0, 65535, lineno, "l4 port")
 
 
-def _parse_ip(token: str, lineno: int) -> str:
+def _parse_ip(token: str, lineno: int) -> bytes:
     try:
-        ipaddress.IPv4Address(token)
-    except ipaddress.AddressValueError:
-        raise ParseError(lineno, f"bad IPv4 address {token!r}") from None
-    return token
+        return ip_bytes(token)
+    except ValueError:
+        raise ParseError(lineno, f"bad IPv4 address {quoted(token)}") from None
+
+
+def _parse_hex(token: str, lineno: int) -> bytes:
+    try:
+        return bytes.fromhex(token)
+    except ValueError:
+        raise ParseError(lineno, f"bad hex payload {quoted(token)}") from None
+
+
+# -- [script] lines: a parser per stimulus kind, and the checks that word a failure
+#
+# A parser gets the text after a line's tick and kind and the addresses read
+# so far, and returns the stimulus's arguments. It splits off only as many
+# fields as the kind takes, so no payload is scanned for whitespace; whitespace
+# inside the payload field, which `bytes.fromhex` skips, means more fields than
+# the kind takes, and shows as a field longer than twice its bytes. A parser
+# raises ValueError or LookupError at any bad field, and `_script_line_error`
+# then words the error.
+
+
+def _power_on_args(rest: str, ips: dict[str, bytes]) -> tuple:
+    (ue,) = rest.split()
+    return (ue,)
+
+
+def _uplink_args(rest: str, ips: dict[str, bytes]) -> tuple:
+    ue, bearer, hex_payload = rest.split(None, 2)
+    payload = bytes.fromhex(hex_payload)
+    if 2 * len(payload) != len(hex_payload):
+        raise ValueError("more than 3 arguments")
+    return ue, int(bearer), payload
+
+
+def _downlink_args(rest: str, ips: dict[str, bytes]) -> tuple:
+    ue, ip_dst, proto, l4_dst, hex_payload = rest.split(None, 4)
+    if ip_dst not in ips:
+        ips[ip_dst] = ip_bytes(ip_dst)
+    proto = _PROTO_NAMES[proto] if proto in _PROTO_NAMES else int(proto)
+    l4_dst = int(l4_dst)
+    payload = bytes.fromhex(hex_payload)
+    if not (0 <= proto <= 255 and 0 <= l4_dst <= 65535 and 2 * len(payload) == len(hex_payload)):
+        raise ValueError("a field out of range, or more than 5 arguments")
+    return ue, ip_dst, proto, l4_dst, payload
+
+
+_STIMULUS_PARSERS = {
+    "ue_power_on": _power_on_args,
+    "send_uplink_data": _uplink_args,
+    "inject_downlink_data": _downlink_args,
+}
+
+
+def _script_line_error(lineno: int, tokens: list[str]) -> NoReturn:
+    """Raise the ParseError of a script line that a stimulus parser rejected."""
+    tick = _parse_int(tokens[0], lineno, "tick")
+    if tick < 0:
+        raise ParseError(lineno, f"negative tick {tick}")
+    if len(tokens) < 2:
+        raise ParseError(lineno, "script line wants: <tick> <stimulus> <args...>")
+    kind, args = tokens[1], tokens[2:]
+    if kind not in STIMULI_ARITY:
+        raise ParseError(lineno, f"unknown stimulus {quoted(kind)}")
+    if len(args) != STIMULI_ARITY[kind]:
+        raise ParseError(lineno, f"{kind} wants {STIMULI_ARITY[kind]} arguments")
+    if kind == "send_uplink_data":
+        _parse_int(args[1], lineno, "bearer")
+        _parse_hex(args[2], lineno)
+    elif kind == "inject_downlink_data":
+        _parse_ip(args[1], lineno)
+        _parse_proto(args[2], lineno)
+        _parse_l4_port(args[3], lineno)
+        _parse_hex(args[4], lineno)
+    raise AssertionError(f"line {lineno}: the stimulus parser rejected a line that every check passes")
 
 
 class _SectionAccumulator:
@@ -120,14 +199,14 @@ class _SectionAccumulator:
         self.settings_kv: dict[str, int] = {}
         self.script: list[Stimulus] = []
         self.script_ues: dict[str, int] = {}  # UE name -> the first script line naming it
-        self.ips: set[str] = set()  # flow and downlink addresses already checked
+        self.ips: dict[str, bytes] = {}  # flow and downlink addresses already read
 
     def finish_section(self, name: str, start_line: int, pairs: list[tuple[int, str, str]]) -> None:
         got = {k for _, k, _ in pairs}
         if name == "settings":
             for lineno, key, value in pairs:
                 if key in self.settings_kv:
-                    raise ParseError(lineno, f"duplicate settings key {key!r}")
+                    raise ParseError(lineno, f"duplicate settings key {quoted(key)}")
                 number = self.settings_kv[key] = _parse_int(value, lineno, key)
                 if key == "admission_cap" and number < 1:
                     raise ParseError(lineno, f"admission_cap {number} is below 1")
@@ -139,7 +218,7 @@ class _SectionAccumulator:
             try:
                 rat = Rat(rat_value)
             except ValueError:
-                raise ParseError(lineno, f"unknown RAT {rat_value!r}") from None
+                raise ParseError(lineno, f"unknown RAT {quoted(rat_value)}") from None
             _parse_ip(kv["ngu_ip"][1], kv["ngu_ip"][0])
             self.add_name("node", kv["name"])
             self.nodes.append(NodeSpec(kv["name"][1], rat, kv["ngu_ip"][1]))
@@ -175,7 +254,7 @@ class _SectionAccumulator:
                 raise ParseError(lineno, "flow wants: <id> <ip_dst> <proto> <l4_dst> drb=<n>")
             flow = QosFlowSpec(
                 flow_id=_check_range(_parse_int(tokens[0], lineno, "flow id"), 0, 63, lineno, "flow id"),
-                ip_dst=ip_bytes(self.parse_ip(tokens[1], lineno)),
+                ip_dst=self.parse_ip(tokens[1], lineno),
                 ip_proto=_parse_proto(tokens[2], lineno),
                 l4_dst=_parse_l4_port(tokens[3], lineno),
                 drb=_parse_int(tokens[4][4:], lineno, "drb"),
@@ -185,54 +264,19 @@ class _SectionAccumulator:
             flows.append(flow)
         self.sessions.append((ue_name, ue_line, SessionSpec(session_id, drbs, tuple(flows))))
 
-    def parse_ip(self, token: str, lineno: int) -> str:
+    def parse_ip(self, token: str, lineno: int) -> bytes:
         """`_parse_ip`, run once per distinct address in the file."""
         if token not in self.ips:
-            self.ips.add(_parse_ip(token, lineno))
-        return token
+            self.ips[token] = _parse_ip(token, lineno)
+        return self.ips[token]
 
     def add_name(self, section: str, name_pair: tuple[int, str]) -> None:
         lineno, name = name_pair
         if name.split() != [name]:  # a trace line holds each name as one field
-            raise ParseError(lineno, f"{section} name {name!r} is not one word")
+            raise ParseError(lineno, f"{section} name {quoted(name)} is not one word")
         if (section, name) in self.names:
-            raise ParseError(lineno, f"duplicate {section} name {name!r}")
+            raise ParseError(lineno, f"duplicate {section} name {quoted(name)}")
         self.names.add((section, name))
-
-    def add_script_line(self, lineno: int, line: str) -> None:
-        tokens = line.split()
-        tick = _parse_int(tokens[0], lineno, "tick")
-        if tick < 0:
-            raise ParseError(lineno, f"negative tick {tick}")
-        if len(tokens) < 2:
-            raise ParseError(lineno, "script line wants: <tick> <stimulus> <args...>")
-        kind = tokens[1]
-        args = tokens[2:]
-        if kind not in STIMULI_ARITY:
-            raise ParseError(lineno, f"unknown stimulus {kind!r}")
-        if len(args) != STIMULI_ARITY[kind]:
-            raise ParseError(lineno, f"{kind} wants {STIMULI_ARITY[kind]} arguments")
-        if kind == "ue_power_on":
-            parsed = (args[0],)
-        elif kind == "send_uplink_data":
-            parsed = (args[0], _parse_int(args[1], lineno, "bearer"), _parse_hex(args[2], lineno))
-        else:
-            parsed = (
-                args[0],
-                self.parse_ip(args[1], lineno),
-                _parse_proto(args[2], lineno),
-                _parse_l4_port(args[3], lineno),
-                _parse_hex(args[4], lineno),
-            )
-        self.script.append(Stimulus(tick, kind, parsed))
-        self.script_ues.setdefault(args[0], lineno)
-
-
-def _parse_hex(token: str, lineno: int) -> bytes:
-    try:
-        return bytes.fromhex(token)
-    except ValueError:
-        raise ParseError(lineno, f"bad hex payload {token!r}") from None
 
 
 def _unique_pairs(pairs, repeatable: set[str] = frozenset()) -> dict[str, tuple[int, str]]:
@@ -241,7 +285,7 @@ def _unique_pairs(pairs, repeatable: set[str] = frozenset()) -> dict[str, tuple[
         if key in repeatable:
             continue
         if key in kv:
-            raise ParseError(lineno, f"duplicate key {key!r}")
+            raise ParseError(lineno, f"duplicate key {quoted(key)}")
         kv[key] = (lineno, value)
     return kv
 
@@ -262,45 +306,58 @@ def parse_scenario(text: str) -> Scenario:
         if section is not None and section != "script":
             acc.finish_section(section, section_line, pairs)
 
+    script, script_ues, ips = acc.script, acc.script_ues, acc.ips
+    new_stimulus = tuple.__new__  # `Stimulus(...)` without its Python-level __new__
+    in_script = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw[: raw.index("#")] if "#" in raw else raw).strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             flush()
             section = line[1:-1].strip()
             section_line = lineno
             pairs = []
-            if section != "script" and section not in _SECTION_KEYS:
-                raise ParseError(lineno, f"unknown section {section!r}")
+            in_script = section == "script"
+            if not in_script and section not in _SECTION_KEYS:
+                raise ParseError(lineno, f"unknown section {quoted(section)}")
+            continue
+        if in_script:
+            try:
+                first, kind, rest = line.split(None, 2)
+                tick = int(first)
+                if tick < 0:
+                    raise ValueError("negative tick")
+                args = _STIMULUS_PARSERS[kind](rest, ips)
+            except (ValueError, LookupError):
+                _script_line_error(lineno, line.split())
+            script.append(new_stimulus(Stimulus, (tick, kind, args)))
+            script_ues.setdefault(args[0], lineno)
             continue
         if section is None:
             raise ParseError(lineno, "content before any section header")
-        if section == "script":
-            acc.add_script_line(lineno, line)
-            continue
         if "=" not in line:
             raise ParseError(lineno, "expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _SECTION_KEYS[section]:
-            raise ParseError(lineno, f"unknown key {key!r} in [{section}]")
+            raise ParseError(lineno, f"unknown key {quoted(key)} in [{section}]")
         pairs.append((lineno, key, value))
     flush()
 
     node_names = {n.name for n in acc.nodes}
     for ue, attach_line in acc.ues:
         if ue.attach not in node_names:
-            raise ParseError(attach_line, f"ue {ue.name} attaches to unknown node {ue.attach!r}")
+            raise ParseError(attach_line, f"ue {ue.name} attaches to unknown node {quoted(ue.attach)}")
     ue_names = {u.name for u, _ in acc.ues}
     sessions_by_ue: dict[str, list[SessionSpec]] = {name: [] for name in ue_names}
     for ue_name, ue_line, spec in acc.sessions:
         if ue_name not in ue_names:
-            raise ParseError(ue_line, f"session references unknown UE {ue_name!r}")
+            raise ParseError(ue_line, f"session references unknown UE {quoted(ue_name)}")
         sessions_by_ue[ue_name].append(spec)
     for ue_name, lineno in acc.script_ues.items():  # in line order
         if ue_name not in ue_names:
-            raise ParseError(lineno, f"stimulus references unknown UE {ue_name!r}")
+            raise ParseError(lineno, f"stimulus references unknown UE {quoted(ue_name)}")
     ues = tuple(
         UeSpec(u.name, u.attach, tuple(sessions_by_ue[u.name])) for u, _ in acc.ues
     )

@@ -4,9 +4,12 @@ One line per record, fixed field order, separated by single spaces:
 
     step_no time src dst channel kind digest(16 lowercase hex chars)
 
-Step and time are decimal without a sign or leading zeros. Reading accepts
-exactly this form, one record on every line, so writing a trace that was read
-gives its text back (with a final newline).
+Step and time are decimal without a sign or leading zeros, of at most 640
+digits: Python converts that many under any `sys.int_max_str_digits` (640 is
+the least limit it can be set to), so a longer number is a line that is no
+record rather than a ValueError. Reading accepts exactly this form, one record
+on every line, so writing a trace that was read gives its text back (with a
+final newline).
 
 Both directions run in C-level passes. `to_text` is one `%` of `_LINE_FORMAT`
 repeated per record. `from_text` runs one `_LINE.findall` per slice of about
@@ -34,19 +37,21 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import SimulationError
+from .errors import SimulationError, quoted
 
 CHANNELS = ("OPEN5G", "SRB0", "SRB1", "SRB2", "NGAP", "NGU", "RADIO_DATA")
 
+_NUMBER = r"(0|[1-9][0-9]{0,639})"  # a step or time: at most 640 digits, see above
 # a line as `TraceRecord.to_line` writes it
 _LINE = re.compile(
-    r"^(0|[1-9][0-9]*) (0|[1-9][0-9]*) (\S+) (\S+) (%s) (\S+) ([0-9a-f]{16})$" % "|".join(CHANNELS),
+    r"^%s %s (\S+) (\S+) (%s) (\S+) ([0-9a-f]{16})$" % (_NUMBER, _NUMBER, "|".join(CHANNELS)),
     re.MULTILINE,
 )
 _LINE_FORMAT = "%d %d %s %s %s %s %016x"  # a record's line, as `_LINE` reads it
 _READ_SLICE = 8192  # characters per findall: bounds the temporary tuples of a read
 _LINE_FORM = (
-    "step time src dst channel kind digest, separated by single spaces, with decimal step and time, "
+    "step time src dst channel kind digest, separated by single spaces, with decimal step and time "
+    "of at most 640 digits, "
     f"a channel of {', '.join(CHANNELS)} and 16 lowercase hex digest digits"
 )
 
@@ -148,8 +153,7 @@ class TraceRecord(NamedTuple):
         """Parse a line in the form `to_line` writes, and no other."""
         fields = _LINE.fullmatch(line)
         if fields is None:
-            shown = repr(line) if len(line) <= 80 else f"{line[:80]!r}... ({len(line)} characters)"
-            raise TraceParseError(f"not a trace record {shown}: expected {_LINE_FORM}")
+            raise TraceParseError(f"not a trace record {quoted(line)}: expected {_LINE_FORM}")
         step_no, time, src, dst, channel, kind, digest = fields.groups()
         return cls(int(step_no), int(time), src, dst, channel, kind, int(digest, 16))
 

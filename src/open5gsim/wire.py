@@ -26,7 +26,6 @@ and on decode after parsing, where its text becomes a MalformedTlvError's.
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -40,6 +39,7 @@ from .errors import (
     MalformedTlvError,
     TruncatedError,
     UnknownTypeError,
+    quoted,
 )
 
 VERSION = 0x01
@@ -104,8 +104,20 @@ SRB_BEARER_IDS = frozenset({SRB0_BEARER, SRB1_BEARER, SRB2_BEARER})
 
 
 def ip_bytes(addr: str) -> bytes:
-    """Pack a dotted-quad IPv4 address into 4 bytes."""
-    return ipaddress.IPv4Address(addr).packed
+    """Pack a dotted-quad IPv4 address into 4 bytes.
+
+    Accepts exactly the strings `ipaddress.IPv4Address` accepts: four ASCII
+    decimal octets of at most 255, none with a leading zero. Those are the
+    strings that `ip_str` gives back from their bytes; any other is a ValueError.
+    """
+    try:
+        a, b, c, d = addr.split(".")
+        packed = bytes((int(a), int(b), int(c), int(d)))
+    except ValueError:
+        packed = None
+    if packed is None or ip_str(packed) != addr:
+        raise ValueError(f"{quoted(addr)} is not a dotted-quad IPv4 address")
+    return packed
 
 
 def ip_str(packed: bytes) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ipaddress
 import random
 import struct
 
@@ -18,9 +19,11 @@ from open5gsim.errors import (
     UnknownOutPortError,
     UnknownPortError,
     UnknownTypeError,
+    quoted,
 )
 from open5gsim.messages import RrcMessage, rrc_to_bytes
 from open5gsim.netsim import (
+    STIMULI_ARITY,
     NodeSpec,
     Settings,
     Simulator,
@@ -29,6 +32,7 @@ from open5gsim.netsim import (
     UeSpec,
 )
 from open5gsim.node import DataPlaneNode, Rat
+from open5gsim.scenario import ParseError, Scenario
 from open5gsim.switch import FlowEntry, entry_references_port
 from open5gsim.trace import _LINE, TraceParseError, TraceRecord
 from open5gsim.wire import (
@@ -678,3 +682,260 @@ def reference_decode_message(data: bytes):
     except InvalidMessageError as exc:
         raise MalformedTlvError(str(exc)) from None
     return msg
+
+
+# -- reference scenario parser -------------------------------------------------
+# The scenario parser as it was before script lines were converted in one pass:
+# every line goes through the token helpers, every address through `ipaddress`.
+# Its only change since is that each error quotes a token through `quoted`.
+# The differential properties in test_scenario_cli.py hold `parse_scenario` to it.
+
+_REF_PROTO_NAMES = {"tcp": 6, "udp": 17, "icmp": 1}
+_REF_SECTION_KEYS = {
+    "settings": {"seed", "admission_cap", "max_events"},
+    "node": {"name", "rat", "ngu_ip"},
+    "ue": {"name", "attach"},
+    "session": {"ue", "id", "drbs", "flow"},
+}
+
+
+def _ref_parse_proto(token: str, lineno: int) -> int:
+    if token in _REF_PROTO_NAMES:
+        return _REF_PROTO_NAMES[token]
+    try:
+        proto = int(token)
+    except ValueError:
+        raise ParseError(lineno, f"unknown protocol {quoted(token)}") from None
+    return _ref_check_range(proto, 0, 255, lineno, "protocol")
+
+
+def _ref_parse_int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(lineno, f"bad {what} {quoted(token)}") from None
+
+
+def _ref_check_range(value: int, lo: int, hi: int, lineno: int, what: str) -> int:
+    if not lo <= value <= hi:
+        raise ParseError(lineno, f"{what} {value} out of range {lo}..{hi}")
+    return value
+
+
+def _ref_parse_drb(token: str, lineno: int) -> int:
+    drb = _ref_parse_int(token, lineno, "drb")
+    if drb in wire.SRB_BEARER_IDS:
+        raise ParseError(lineno, f"drb {drb} is an SRB bearer id (0, 3 or 4)")
+    return _ref_check_range(drb, 0, 31, lineno, "drb")
+
+
+def _ref_parse_l4_port(token: str, lineno: int) -> int:
+    return _ref_check_range(_ref_parse_int(token, lineno, "l4 port"), 0, 65535, lineno, "l4 port")
+
+
+def _ref_parse_ip(token: str, lineno: int) -> str:
+    try:
+        ipaddress.IPv4Address(token)
+    except ipaddress.AddressValueError:
+        raise ParseError(lineno, f"bad IPv4 address {quoted(token)}") from None
+    return token
+
+
+def _ref_parse_hex(token: str, lineno: int) -> bytes:
+    try:
+        return bytes.fromhex(token)
+    except ValueError:
+        raise ParseError(lineno, f"bad hex payload {quoted(token)}") from None
+
+
+def _ref_unique_pairs(pairs, repeatable: set[str] = frozenset()) -> dict[str, tuple[int, str]]:
+    kv: dict[str, tuple[int, str]] = {}
+    for lineno, key, value in pairs:
+        if key in repeatable:
+            continue
+        if key in kv:
+            raise ParseError(lineno, f"duplicate key {quoted(key)}")
+        kv[key] = (lineno, value)
+    return kv
+
+
+def _ref_require(got: set[str], want: set[str], lineno: int, what: str) -> None:
+    missing = want - got
+    if missing:
+        raise ParseError(lineno, f"{what} section missing keys: {', '.join(sorted(missing))}")
+
+
+class _RefSectionAccumulator:
+    def __init__(self):
+        self.nodes: list[NodeSpec] = []
+        self.ues: list[tuple[UeSpec, int]] = []
+        self.sessions: list[tuple[str, int, SessionSpec]] = []
+        self.session_ids: set[tuple[str, int]] = set()
+        self.drbs: set[tuple[str, int]] = set()
+        self.names: set[tuple[str, str]] = set()
+        self.settings_kv: dict[str, int] = {}
+        self.script: list[Stimulus] = []
+        self.script_ues: dict[str, int] = {}
+        self.ips: set[str] = set()
+
+    def finish_section(self, name: str, start_line: int, pairs: list[tuple[int, str, str]]) -> None:
+        got = {k for _, k, _ in pairs}
+        if name == "settings":
+            for lineno, key, value in pairs:
+                if key in self.settings_kv:
+                    raise ParseError(lineno, f"duplicate settings key {quoted(key)}")
+                number = self.settings_kv[key] = _ref_parse_int(value, lineno, key)
+                if key == "admission_cap" and number < 1:
+                    raise ParseError(lineno, f"admission_cap {number} is below 1")
+            return
+        if name == "node":
+            kv = _ref_unique_pairs(pairs)
+            _ref_require(got, {"name", "rat", "ngu_ip"}, start_line, "node")
+            lineno, rat_value = kv["rat"]
+            try:
+                rat = Rat(rat_value)
+            except ValueError:
+                raise ParseError(lineno, f"unknown RAT {quoted(rat_value)}") from None
+            _ref_parse_ip(kv["ngu_ip"][1], kv["ngu_ip"][0])
+            self.add_name("node", kv["name"])
+            self.nodes.append(NodeSpec(kv["name"][1], rat, kv["ngu_ip"][1]))
+            return
+        if name == "ue":
+            kv = _ref_unique_pairs(pairs)
+            _ref_require(got, {"name", "attach"}, start_line, "ue")
+            self.add_name("ue", kv["name"])
+            self.ues.append((UeSpec(kv["name"][1], kv["attach"][1]), kv["attach"][0]))
+            return
+        kv = _ref_unique_pairs(pairs, repeatable={"flow"})
+        _ref_require(got, {"ue", "id", "drbs"}, start_line, "session")
+        ue_line, ue_name = kv["ue"]
+        id_line, id_value = kv["id"]
+        session_id = _ref_check_range(
+            _ref_parse_int(id_value, id_line, "session id"), 1, 15, id_line, "session id"
+        )
+        if (ue_name, session_id) in self.session_ids:
+            raise ParseError(id_line, f"ue {ue_name} already has session {session_id}")
+        self.session_ids.add((ue_name, session_id))
+        drb_line, drb_value = kv["drbs"]
+        drbs = tuple(_ref_parse_drb(t.strip(), drb_line) for t in drb_value.split(","))
+        for drb in drbs:
+            if (ue_name, drb) in self.drbs:
+                raise ParseError(drb_line, f"ue {ue_name} already uses drb {drb}")
+            self.drbs.add((ue_name, drb))
+        flows = []
+        for lineno, key, value in pairs:
+            if key != "flow":
+                continue
+            tokens = value.split()
+            if len(tokens) != 5 or not tokens[4].startswith("drb="):
+                raise ParseError(lineno, "flow wants: <id> <ip_dst> <proto> <l4_dst> drb=<n>")
+            flow = QosFlowSpec(
+                flow_id=_ref_check_range(_ref_parse_int(tokens[0], lineno, "flow id"), 0, 63, lineno, "flow id"),
+                ip_dst=ipaddress.IPv4Address(self.parse_ip(tokens[1], lineno)).packed,
+                ip_proto=_ref_parse_proto(tokens[2], lineno),
+                l4_dst=_ref_parse_l4_port(tokens[3], lineno),
+                drb=_ref_parse_int(tokens[4][4:], lineno, "drb"),
+            )
+            if flow.drb not in drbs:
+                raise ParseError(lineno, f"flow {flow.flow_id} maps to absent DRB {flow.drb}")
+            flows.append(flow)
+        self.sessions.append((ue_name, ue_line, SessionSpec(session_id, drbs, tuple(flows))))
+
+    def parse_ip(self, token: str, lineno: int) -> str:
+        if token not in self.ips:
+            self.ips.add(_ref_parse_ip(token, lineno))
+        return token
+
+    def add_name(self, section: str, name_pair: tuple[int, str]) -> None:
+        lineno, name = name_pair
+        if name.split() != [name]:
+            raise ParseError(lineno, f"{section} name {quoted(name)} is not one word")
+        if (section, name) in self.names:
+            raise ParseError(lineno, f"duplicate {section} name {quoted(name)}")
+        self.names.add((section, name))
+
+    def add_script_line(self, lineno: int, line: str) -> None:
+        tokens = line.split()
+        tick = _ref_parse_int(tokens[0], lineno, "tick")
+        if tick < 0:
+            raise ParseError(lineno, f"negative tick {tick}")
+        if len(tokens) < 2:
+            raise ParseError(lineno, "script line wants: <tick> <stimulus> <args...>")
+        kind = tokens[1]
+        args = tokens[2:]
+        if kind not in STIMULI_ARITY:
+            raise ParseError(lineno, f"unknown stimulus {quoted(kind)}")
+        if len(args) != STIMULI_ARITY[kind]:
+            raise ParseError(lineno, f"{kind} wants {STIMULI_ARITY[kind]} arguments")
+        if kind == "ue_power_on":
+            parsed = (args[0],)
+        elif kind == "send_uplink_data":
+            parsed = (args[0], _ref_parse_int(args[1], lineno, "bearer"), _ref_parse_hex(args[2], lineno))
+        else:
+            parsed = (
+                args[0],
+                self.parse_ip(args[1], lineno),
+                _ref_parse_proto(args[2], lineno),
+                _ref_parse_l4_port(args[3], lineno),
+                _ref_parse_hex(args[4], lineno),
+            )
+        self.script.append(Stimulus(tick, kind, parsed))
+        self.script_ues.setdefault(args[0], lineno)
+
+
+def reference_parse_scenario(text: str) -> Scenario:
+    """The oracle for `scenario.parse_scenario`: the same Scenario, or the
+    same ParseError text and line."""
+    acc = _RefSectionAccumulator()
+    section: str | None = None
+    section_line = 0
+    pairs: list[tuple[int, str, str]] = []
+
+    def flush():
+        if section is not None and section != "script":
+            acc.finish_section(section, section_line, pairs)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            flush()
+            section = line[1:-1].strip()
+            section_line = lineno
+            pairs = []
+            if section != "script" and section not in _REF_SECTION_KEYS:
+                raise ParseError(lineno, f"unknown section {quoted(section)}")
+            continue
+        if section is None:
+            raise ParseError(lineno, "content before any section header")
+        if section == "script":
+            acc.add_script_line(lineno, line)
+            continue
+        if "=" not in line:
+            raise ParseError(lineno, "expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _REF_SECTION_KEYS[section]:
+            raise ParseError(lineno, f"unknown key {quoted(key)} in [{section}]")
+        pairs.append((lineno, key, value))
+    flush()
+
+    node_names = {n.name for n in acc.nodes}
+    for ue, attach_line in acc.ues:
+        if ue.attach not in node_names:
+            raise ParseError(attach_line, f"ue {ue.name} attaches to unknown node {quoted(ue.attach)}")
+    ue_names = {u.name for u, _ in acc.ues}
+    sessions_by_ue: dict[str, list[SessionSpec]] = {name: [] for name in ue_names}
+    for ue_name, ue_line, spec in acc.sessions:
+        if ue_name not in ue_names:
+            raise ParseError(ue_line, f"session references unknown UE {quoted(ue_name)}")
+        sessions_by_ue[ue_name].append(spec)
+    for ue_name, lineno in acc.script_ues.items():
+        if ue_name not in ue_names:
+            raise ParseError(lineno, f"stimulus references unknown UE {quoted(ue_name)}")
+    ues = tuple(UeSpec(u.name, u.attach, tuple(sessions_by_ue[u.name])) for u, _ in acc.ues)
+
+    settings = Settings(**acc.settings_kv)
+    topology = Topology(tuple(acc.nodes), ues, seed=settings.seed)
+    return Scenario(topology, tuple(acc.script), settings)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_parse_scenario
+
 from open5gsim.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -17,7 +19,7 @@ from open5gsim.cli import (
 )
 from open5gsim.controller import Controller, RrcState
 from open5gsim.errors import InvalidMessageError, ProtocolViolationError
-from open5gsim.netsim import Simulator
+from open5gsim.netsim import Simulator, Stimulus
 from open5gsim.scenario import (
     ParseError,
     load_scenario,
@@ -171,6 +173,155 @@ def test_each_bad_downlink_address_is_reported_at_its_line():
     expect_parse_error(head + downlink(30, "10.0.0.999"), 10, "bad IPv4 address '10.0.0.999'")
     twice = head + downlink(30, "10.0.1.2") + downlink(31, "10.0.0.999") + downlink(32, "10.0.0.999")
     expect_parse_error(twice, 11, "bad IPv4 address '10.0.0.999'")
+
+
+@pytest.mark.parametrize(
+    "line, quoted",
+    [
+        ("0 send_uplink_data ue1 1 " + "ab" * 1399 + "g", "bad hex payload '" + "ab" * 40 + "'... (2799 characters)"),
+        ("1" * 5000 + " ue_power_on ue1", "bad tick '" + "1" * 80 + "'... (5000 characters)"),
+        ("0 " + "k" * 81 + " ue1", "unknown stimulus '" + "k" * 80 + "'... (81 characters)"),
+        ("0 " + "k" * 80 + " ue1", "unknown stimulus '" + "k" * 80 + "'"),
+        (
+            "0 inject_downlink_data ue1 " + "9" * 100 + " tcp 34 00",
+            "bad IPv4 address '" + "9" * 80 + "'... (100 characters)",
+        ),
+    ],
+    ids=["hex", "tick", "kind-81", "kind-80", "address"],
+)
+def test_a_parse_error_quotes_at_most_80_characters_of_its_token(tmp_path, capsys, line, quoted):
+    text = NODE + UE + "[script]\n" + line + "\n"  # the script line is line 9
+    expect_parse_error(text, 9, quoted)
+    scn = tmp_path / "long_token.scn"
+    scn.write_text(text)
+    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err == f"parse error: line 9: {quoted}\n"
+    assert len(err.encode()) < 512
+
+
+# -- the parser against the reference parser -----------------------------------
+# Each example is a canonical scenario, damaged line by line. Both parsers must
+# give an equal Scenario, or raise the same error with the same text and line.
+
+_WHITESPACE = [" ", "  ", "\t", " \t ", "\xa0", "\u3000", "\x1f", "\u2003"]
+_LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+_BAD_TOKENS = [
+    # numbers as Python reads them, and numbers it does not read
+    "+5", "1_0", "\u0663", "\uff15", "-1", "-0", "007", "0x1f", "1e3", "", "99999", "65536", "256", "1" * 90,
+    # payloads
+    "zz", "abc", "AB", "aa bb", "aa\tbb", "\uff41\uff41", "0" * 200 + "g",
+    # addresses
+    "01.2.3.4", "256.1.1.1", "1..2.3", "1.2.3", "1.2.3.4.5", "\uff11.2.3.4", "1.2.3.4/8", "10.0.1.1", "10.0.9.9",
+    # kinds, names and protocols
+    "ue_power_off", "UE_POWER_ON", "explode", "ue9", "ue1", "udp", "icmp", "TCP", "[script]", "x" * 100,
+    # key-line pieces
+    "=", "name", "flow", "drb=9", "NR",
+]
+_TICKS = ["-5", "-0", "+5", "-1_0", "1_0", "\u0663", "-\u0663", "007", "-", "5."]
+_EXTRA_LINES = [
+    "[script]", "[ script ]", "[node]", "[bogus]", "[", "]", "[ue1", "[0 ue_power_on ue1]", "# a comment [x]",
+    "0 ue_power_on ue1", "-5", "-5 ue_power_on", "-5 explode ue1", "-5 send_uplink_data ue1", "5",
+    "5 send_uplink_data ue1 1",
+    "7 inject_downlink_data ue1 010.0.1.2 tcp 34 00", "7 inject_downlink_data ue2 10.0.1.2 udp 80 00 00",
+    "key = value", "seed = 3",
+]
+_COMMENT = st.text(alphabet="ab #[]=\t", max_size=8).map(lambda t: "#" + t)
+
+
+def _damage(draw, lines: list[str], script_start: int) -> None:
+    """Damage one line, most often one after `script_start`."""
+    ops = ["comment", "space", "pad", "break", "tick", "tick", "token", "drop", "add", "insert", "delete", "dup"]
+    op = draw(st.sampled_from(ops))
+    first = draw(st.sampled_from([0, script_start, script_start]))
+    if op == "insert":
+        lines.insert(draw(st.integers(min(first, len(lines)), len(lines))), draw(st.sampled_from(_EXTRA_LINES)))
+        return
+    if first >= len(lines):
+        return
+    i = draw(st.integers(first, len(lines) - 1))
+    line = lines[i]
+    tokens = line.split(" ")
+    if op == "comment":
+        lines[i] = line + draw(st.sampled_from(["", " ", "\t"])) + draw(_COMMENT)
+    elif op == "space":
+        k = draw(st.integers(0, len(tokens) - 1))
+        lines[i] = " ".join(tokens[:k]) + draw(st.sampled_from(_WHITESPACE)) + " ".join(tokens[k:])
+    elif op == "pad":
+        lines[i] = draw(st.sampled_from(_WHITESPACE)) + line + draw(st.sampled_from(_WHITESPACE))
+    elif op == "break":
+        k = draw(st.integers(0, len(line)))
+        lines[i] = line[:k] + draw(st.sampled_from(_LINE_BREAKS)) + line[k:]
+    elif op == "tick":
+        lines[i] = " ".join([draw(st.sampled_from(_TICKS)), *tokens[1:]])
+    elif op == "token":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+        lines[i] = " ".join(tokens)
+    elif op == "drop":
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+        lines[i] = " ".join(tokens)
+    elif op == "add":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_BAD_TOKENS)))
+        lines[i] = " ".join(tokens)
+    elif op == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, line)
+
+
+_SCRIPT_LINE = st.one_of(
+    st.builds("{} ue_power_on {}".format, st.integers(0, 99), st.sampled_from(["ue1", "ue2", "ue3"])),
+    st.builds(
+        "{} send_uplink_data {} {} {}".format,
+        st.integers(0, 99),
+        st.sampled_from(["ue1", "ue2", "ue3"]),
+        st.integers(0, 31),
+        st.binary(min_size=1, max_size=8).map(bytes.hex),
+    ),
+    st.builds(
+        "{} inject_downlink_data {} {} {} {} {}".format,
+        st.integers(0, 99),
+        st.sampled_from(["ue1", "ue2", "ue3"]),
+        st.sampled_from(["10.0.1.1", "10.0.2.1", "10.0.3.1", "192.168.0.255"]),
+        st.sampled_from(["tcp", "udp", "icmp", "0", "255", "47"]),
+        st.integers(0, 65535),
+        st.binary(min_size=1, max_size=8).map(bytes.hex),
+    ),
+)
+
+
+@st.composite
+def _damaged_scenarios(draw) -> str:
+    head = serialize_scenario(load_scenario(MULTI_RAT)).splitlines()
+    lines = head + draw(st.lists(_SCRIPT_LINE, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 4))):
+        _damage(draw, lines, head.index("[script]") + 1)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n", "\u2028"]))
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except Exception as exc:  # an error must match in class, text and line
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@given(_damaged_scenarios())
+@settings(max_examples=600, deadline=None)
+def test_parse_agrees_with_the_reference_parser(text):
+    assert _outcome(parse_scenario, text) == _outcome(reference_parse_scenario, text)
+
+
+@pytest.mark.parametrize("path", [INITIAL_ACCESS, MULTI_RAT])
+def test_bundled_scenarios_parse_as_the_reference_parses_them(path):
+    text = Path(path).read_text()
+    assert parse_scenario(text) == reference_parse_scenario(text)
+
+
+def test_a_stimulus_is_the_tuple_of_its_fields():
+    stim = parse_scenario(NODE + UE + "[script]\n40 send_uplink_data ue1 1 6869\n").script[0]
+    assert stim == (40, "send_uplink_data", ("ue1", 1, b"hi")) == Stimulus(40, "send_uplink_data", ("ue1", 1, b"hi"))
+    assert (stim.tick, stim.kind, stim.args) == tuple(stim)
 
 
 # -- CLI ------------------------------------------------------------------------

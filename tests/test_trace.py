@@ -226,6 +226,33 @@ def test_a_parse_error_quotes_at_most_80_characters_of_the_line(length, shown):
     assert str(exc.value).startswith(f"not a trace record {shown}: expected step time src dst ")
 
 
+@pytest.mark.parametrize("field", ["step", "time"])
+@pytest.mark.parametrize("digits", [641, 5000])
+def test_a_number_too_long_to_convert_is_a_parse_error_at_its_line(tmp_path, capsys, field, digits):
+    """Step and time take at most 640 digits, which `int()` converts under any
+    `sys.int_max_str_digits`; a longer one is no record, never a ValueError."""
+    number = "1" * digits
+    line = f"{number} 0 a b SRB0 X 0000000000000000" if field == "step" else f"1 {number} a b SRB0 X 0000000000000000"
+    text = f"1 0 a b SRB0 X 0000000000000000\n{line}\n"
+    with pytest.raises(TraceParseError, match=r"^line 2: not a trace record "):
+        EventTrace.from_text(text)
+    with pytest.raises(TraceParseError, match=r"^not a trace record "):
+        TraceRecord.from_line(line)
+    bad = tmp_path / "long_number.trace"
+    bad.write_text(text)
+    assert main(["verify", str(bad), "--golden", str(bad)]) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 2: not a trace record ")
+    assert len(err.encode()) < 512
+
+
+def test_a_number_of_640_digits_reads_back():
+    line = f"{'9' * 640} {'1' * 640} a b SRB0 X 0000000000000000"
+    record = TraceRecord.from_line(line)
+    assert record.step_no == int("9" * 640) and record.to_line() == line
+    assert EventTrace.from_text(line + "\n").records == [record]
+
+
 def test_verify_of_a_trace_with_cr_line_ends_prints_a_bounded_error(tmp_path, capsys):
     """With every LF made CR the whole file is one bad line, which the error
     quotes only in part."""

@@ -333,6 +333,37 @@ def test_ip_packet_round_trip():
     assert wire.unpack_ip_packet(packet) == (wire.ip_bytes("10.0.1.2"), 6, 34, b"payload")
 
 
+_NEAR_MISSES = [
+    "01.2.3.4", "1.02.3.4", "1.2.3.00", "256.1.1.1", "1.2.3.1000", "1..2.3", "1.2.3", "1.2.3.4.5",
+    "1.2.3.4 ", " 1.2.3.4", "1.2.3.4\n", "\uff11.2.3.4", "\u0663.2.3.4", "+1.2.3.4", "-1.2.3.4",
+    "1_0.2.3.4", "1.2.3.4/8", "0x1.2.3.4", "", ".", "...", "1.2.3.", "0.0.0.0", "255.255.255.255",
+    "1" * 5000 + ".2.3.4",
+]
+_OCTET = st.one_of(
+    st.integers(0, 300).map(str),
+    st.text(alphabet="0123456789+-_ x\u0663\uff11", max_size=4),
+)
+
+
+@given(
+    st.one_of(
+        st.sampled_from(_NEAR_MISSES),
+        st.text(),
+        st.lists(_OCTET, min_size=3, max_size=5).map(".".join),
+        st.binary(min_size=4, max_size=4).map(wire.ip_str),
+    )
+)
+@settings(max_examples=500)
+def test_ip_bytes_accepts_exactly_what_ipaddress_accepts(text):
+    try:
+        want = ipaddress.IPv4Address(text).packed
+    except ValueError:
+        with pytest.raises(ValueError):
+            wire.ip_bytes(text)
+    else:
+        assert wire.ip_bytes(text) == want
+
+
 @given(st.one_of(st.binary(min_size=4, max_size=4), st.binary(max_size=8)))
 def test_ip_str_formats_as_ipaddress_does(packed):
     if len(packed) == 4:
