@@ -95,12 +95,28 @@ class Topology:
 
 class Stimulus(NamedTuple):
     tick: int
-    kind: str  # ue_power_on | send_uplink_data | inject_downlink_data
+    kind: str  # a key of STIMULI
     args: tuple
 
 
-# stimulus kind -> its number of arguments, checked by the scenario parser too
-STIMULI_ARITY = {"ue_power_on": 1, "send_uplink_data": 3, "inject_downlink_data": 5}
+# stimulus kind -> the type of each of its arguments, the first the UE it acts
+# on; `scenario` reads and writes each type, and `Simulator` checks the UE
+STIMULI = {
+    "ue_power_on": ("ue",),
+    "send_uplink_data": ("ue", "bearer", "payload"),
+    "inject_downlink_data": ("ue", "ip", "proto", "l4_port", "payload"),
+}
+STIMULI_ARITY = {kind: len(types) for kind, types in STIMULI.items()}
+# kind -> its arity and the position of its "ip" argument or None: what
+# `Simulator` checks of a stimulus besides its tick and its UE
+_SCRIPT_CHECKS = {
+    kind: (STIMULI_ARITY[kind], types.index("ip") if "ip" in types else None) for kind, types in STIMULI.items()
+}
+
+# a trace holds times of at most 640 digits, so a tick has at most 639: a run
+# then has room to go on after its last stimulus
+MAX_TICK_DIGITS = 639
+_TICK_LIMIT = 10**MAX_TICK_DIGITS
 
 
 @dataclass(frozen=True)
@@ -252,22 +268,26 @@ class Simulator:
         # each downlink destination address, parsed once
         downlink_dst: dict[str, bytes] = {}
         self._downlink_dst = downlink_dst
+        ues = self.ues
         for tick, kind, args in self.script:
-            arity = STIMULI_ARITY.get(kind)
-            if arity is None:
+            checks = _SCRIPT_CHECKS.get(kind)
+            if checks is None:
                 raise ScriptError(f"unknown stimulus {kind!r}")
+            arity, address_at = checks
             if len(args) != arity:
                 raise ScriptError(f"{kind} at tick {tick} wants {arity} arguments, got {len(args)}")
-            if tick < 0:
-                raise ScriptError(f"{kind} at negative tick {tick}")
-            if args[0] not in self.ues:
+            if not 0 <= tick < _TICK_LIMIT:
+                what = f"negative tick {tick}" if tick < 0 else f"a tick of more than {MAX_TICK_DIGITS} digits"
+                raise ScriptError(f"{kind} at {what}")
+            if args[0] not in ues:
                 raise ScriptError(f"stimulus references unknown UE {args[0]!r}")
-            if kind == "inject_downlink_data" and args[1] not in downlink_dst:
+            if address_at is not None and args[address_at] not in downlink_dst:
+                address = args[address_at]
                 try:
-                    downlink_dst[args[1]] = wire.ip_bytes(args[1])
+                    downlink_dst[address] = wire.ip_bytes(address)
                 except ValueError:
                     raise ScriptError(
-                        f"inject_downlink_data at tick {tick} for {args[0]!r} has a bad destination {args[1]!r}"
+                        f"{kind} at tick {tick} for {args[0]!r} has a bad destination {address!r}"
                     ) from None
 
         self.records: list[TraceRecord] = []

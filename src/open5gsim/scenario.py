@@ -1,52 +1,30 @@
 """Scenario file format: topology + script + settings in plain text.
 
-Sections start with a bracketed header. [node], [ue], and [session] may
-repeat; key lines are `key = value`. The [script] section holds one stimulus
-per line: `<tick> <stimulus> <args...>`. A `#` starts a comment. Unknown
-sections, keys, or values, references to unknown nodes or UEs and repeated
-node or UE names are rejected with the offending line number; an error quotes
-at most 80 characters of the token at fault.
+Sections start with a bracketed header: [settings], [node], [ue], [session]
+and [script]. All but [script] hold `key = value` lines, and [node], [ue] and
+[session] may repeat. The [script] section holds one stimulus per line:
+`<tick> <stimulus> <args...>`. A `#` starts a comment. Unknown sections, keys,
+or values, references to unknown nodes or UEs and repeated node or UE names
+are rejected with the offending line number; an error quotes at most 80
+characters of the token at fault. README.md's "Scenario format" and the files
+in `scenarios/` show whole scenarios.
 
-A script line is split into its fields once and each field converted
-directly: `int()` for numbers, so `+5`, `1_0` and Unicode digits read as
-Python reads them, `bytes.fromhex` for payloads and `wire.ip_bytes` for
-addresses. Only a line that fails there is walked again by the checks that
-word its `ParseError`, in their fixed order.
-
-Example:
-
-    [settings]
-    seed = 0
-
-    [node]
-    name = gnb1
-    rat = NR
-    ngu_ip = 10.0.0.1
-
-    [ue]
-    name = ue1
-    attach = gnb1
-
-    [session]
-    ue = ue1
-    id = 1
-    drbs = 1,2
-    flow = 1 10.0.1.1 tcp 43 drb=1
-
-    [script]
-    0 ue_power_on ue1
-    40 send_uplink_data ue1 1 68656c6c6f
-    41 inject_downlink_data ue1 10.0.1.2 tcp 34 6869
+Each section key is a row of `_SECTIONS` and each stimulus argument type a row
+of `_ARGS`, while `netsim.STIMULI` gives each stimulus its argument types. A
+row reads a value, words the ParseError of a bad one and writes the value
+back. Numbers read as `int()` reads them, so `+5`, `1_0` and Unicode digits
+are numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NoReturn
+from functools import lru_cache
+from typing import Any, Callable, NamedTuple, NoReturn
 
 from .controller import QosFlowSpec, SessionSpec
 from .errors import SimulationError, quoted
-from .netsim import STIMULI_ARITY, NodeSpec, Settings, Stimulus, Topology, UeSpec
+from .netsim import MAX_TICK_DIGITS, STIMULI, NodeSpec, Settings, Stimulus, Topology, UeSpec
 from .node import Rat
 from .wire import SRB_BEARER_IDS, ip_bytes, ip_str
 
@@ -66,13 +44,32 @@ class Scenario:
 
 _PROTO_NAMES = {"tcp": 6, "udp": 17, "icmp": 1}
 _PROTO_BY_NUM = {v: k for k, v in _PROTO_NAMES.items()}
+_TICK_LIMIT = 10**MAX_TICK_DIGITS
+# each distinct address a file names is converted once, for its flows and its
+# downlinks alike; a parse empties the cache as it starts and again once it
+# has read every line, so a parsed file's addresses do not stay in memory
+_ip_bytes = lru_cache(maxsize=None)(ip_bytes)
 
-_SECTION_KEYS = {
-    "settings": {"seed", "admission_cap", "max_events"},
-    "node": {"name", "rat", "ngu_ip"},
-    "ue": {"name", "attach"},
-    "session": {"ue", "id", "drbs", "flow"},
-}
+
+# -- value checks: each reads one token, or raises the ParseError that words why not
+
+
+def _converter(convert: Callable[[str], Any], error: str) -> Callable[[str, int], Any]:
+    """The check that reads a token with `convert`, its ValueError worded `<error> <token>`."""
+
+    def parse(token: str, lineno: int) -> Any:
+        try:
+            return convert(token)
+        except ValueError:
+            raise ParseError(lineno, f"{error} {quoted(token)}") from None
+
+    return parse
+
+
+_parse_ip = _converter(_ip_bytes, "bad IPv4 address")
+_parse_hex = _converter(bytes.fromhex, "bad hex payload")
+_parse_rat = _converter(Rat, "unknown RAT")
+
 
 def _parse_proto(token: str, lineno: int) -> int:
     if token in _PROTO_NAMES:
@@ -84,11 +81,12 @@ def _parse_proto(token: str, lineno: int) -> int:
     return _check_range(proto, 0, 255, lineno, "protocol")
 
 
-def _parse_int(token: str, lineno: int, what: str) -> int:
+def _parse_int(token: str, lineno: int, what: str, lo: int | None = None, hi: int = 0) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ParseError(lineno, f"bad {what} {quoted(token)}") from None
+    return value if lo is None else _check_range(value, lo, hi, lineno, what)
 
 
 def _check_range(value: int, lo: int, hi: int, lineno: int, what: str) -> int:
@@ -104,41 +102,82 @@ def _parse_drb(token: str, lineno: int) -> int:
     return _check_range(drb, 0, 31, lineno, "drb")
 
 
-def _parse_l4_port(token: str, lineno: int) -> int:
-    return _check_range(_parse_int(token, lineno, "l4 port"), 0, 65535, lineno, "l4 port")
+def _check_ip(token: str, lineno: int) -> str:
+    _parse_ip(token, lineno)
+    return token
 
 
-def _parse_ip(token: str, lineno: int) -> bytes:
-    try:
-        return ip_bytes(token)
-    except ValueError:
-        raise ParseError(lineno, f"bad IPv4 address {quoted(token)}") from None
+def _parse_admission_cap(token: str, lineno: int) -> int:
+    cap = _parse_int(token, lineno, "admission_cap")
+    if cap < 1:
+        raise ParseError(lineno, f"admission_cap {cap} is below 1")
+    return cap
 
 
-def _parse_hex(token: str, lineno: int) -> bytes:
-    try:
-        return bytes.fromhex(token)
-    except ValueError:
-        raise ParseError(lineno, f"bad hex payload {quoted(token)}") from None
+def _parse_flow(value: str, lineno: int) -> QosFlowSpec:
+    tokens = value.split()
+    if len(tokens) != 5 or not tokens[4].startswith("drb="):
+        raise ParseError(lineno, "flow wants: <id> <ip_dst> <proto> <l4_dst> drb=<n>")
+    return QosFlowSpec(
+        _parse_int(tokens[0], lineno, "flow id", 0, 63),  # 3GPP bounds QFIs to 0..63
+        _parse_ip(tokens[1], lineno),
+        _parse_proto(tokens[2], lineno),
+        _parse_int(tokens[3], lineno, "l4 port", 0, 65535),
+        _parse_int(tokens[4][4:], lineno, "drb"),
+    )
 
 
-# -- [script] lines: a parser per stimulus kind, and the checks that word a failure
+def _format_proto(proto: int) -> str:
+    return _PROTO_BY_NUM.get(proto, str(proto))
+
+
+def _format_payload(payload: bytes) -> str:
+    if not payload:  # its hex would be no token at all
+        raise ValueError("an empty payload has no script form")
+    return payload.hex()
+
+
+def _format_flow(f: QosFlowSpec) -> str:
+    return f"{f.flow_id} {ip_str(f.ip_dst)} {_format_proto(f.ip_proto)} {f.l4_dst} drb={f.drb}"
+
+
+class _Field(NamedTuple):
+    """How a section key's or a stimulus argument's text is read and written."""
+
+    parse: Callable[[str, int], Any] = lambda text, lineno: text  # (text, its line) -> value
+    format: Callable[[Any], str] = str
+    required: bool = True  # of a section key: it must appear
+    repeats: bool = False  # of a section key: one line per element of its tuple value
+
+
+# stimulus argument type (see netsim.STIMULI) -> its field
+_ARGS = {
+    "ue": _Field(),
+    "bearer": _Field(lambda token, lineno: _parse_int(token, lineno, "bearer")),
+    "ip": _Field(_check_ip),
+    "proto": _Field(_parse_proto, _format_proto),
+    "l4_port": _Field(lambda token, lineno: _parse_int(token, lineno, "l4 port", 0, 65535)),
+    "payload": _Field(_parse_hex, _format_payload),
+}
+
+
+# -- [script] lines: a fast parser per stimulus kind, and the checks that word a failure
 #
-# A parser gets the text after a line's tick and kind and the addresses read
-# so far, and returns the stimulus's arguments. It splits off only as many
-# fields as the kind takes, so no payload is scanned for whitespace; whitespace
-# inside the payload field, which `bytes.fromhex` skips, means more fields than
-# the kind takes, and shows as a field longer than twice its bytes. A parser
-# raises ValueError or LookupError at any bad field, and `_script_line_error`
-# then words the error.
+# A parser gets the text after a line's tick and kind and returns the
+# stimulus's arguments. It splits off only as many fields as the kind takes,
+# so no payload is scanned for whitespace; whitespace inside the payload
+# field, which `bytes.fromhex` skips, means more fields than the kind takes,
+# and shows as a field longer than twice its bytes. A parser raises ValueError
+# or LookupError at any bad field, and `_script_line_error` then words the
+# error from the kind's argument types.
 
 
-def _power_on_args(rest: str, ips: dict[str, bytes]) -> tuple:
+def _power_on_args(rest: str) -> tuple:
     (ue,) = rest.split()
     return (ue,)
 
 
-def _uplink_args(rest: str, ips: dict[str, bytes]) -> tuple:
+def _uplink_args(rest: str) -> tuple:
     ue, bearer, hex_payload = rest.split(None, 2)
     payload = bytes.fromhex(hex_payload)
     if 2 * len(payload) != len(hex_payload):
@@ -146,10 +185,9 @@ def _uplink_args(rest: str, ips: dict[str, bytes]) -> tuple:
     return ue, int(bearer), payload
 
 
-def _downlink_args(rest: str, ips: dict[str, bytes]) -> tuple:
+def _downlink_args(rest: str) -> tuple:
     ue, ip_dst, proto, l4_dst, hex_payload = rest.split(None, 4)
-    if ip_dst not in ips:
-        ips[ip_dst] = ip_bytes(ip_dst)
+    _ip_bytes(ip_dst)
     proto = _PROTO_NAMES[proto] if proto in _PROTO_NAMES else int(proto)
     l4_dst = int(l4_dst)
     payload = bytes.fromhex(hex_payload)
@@ -170,25 +208,32 @@ def _script_line_error(lineno: int, tokens: list[str]) -> NoReturn:
     tick = _parse_int(tokens[0], lineno, "tick")
     if tick < 0:
         raise ParseError(lineno, f"negative tick {tick}")
+    if tick >= _TICK_LIMIT:
+        raise ParseError(lineno, f"tick {quoted(tokens[0])} has more than {MAX_TICK_DIGITS} digits")
     if len(tokens) < 2:
         raise ParseError(lineno, "script line wants: <tick> <stimulus> <args...>")
     kind, args = tokens[1], tokens[2:]
-    if kind not in STIMULI_ARITY:
+    if kind not in STIMULI:
         raise ParseError(lineno, f"unknown stimulus {quoted(kind)}")
-    if len(args) != STIMULI_ARITY[kind]:
-        raise ParseError(lineno, f"{kind} wants {STIMULI_ARITY[kind]} arguments")
-    if kind == "send_uplink_data":
-        _parse_int(args[1], lineno, "bearer")
-        _parse_hex(args[2], lineno)
-    elif kind == "inject_downlink_data":
-        _parse_ip(args[1], lineno)
-        _parse_proto(args[2], lineno)
-        _parse_l4_port(args[3], lineno)
-        _parse_hex(args[4], lineno)
+    if len(args) != len(STIMULI[kind]):
+        raise ParseError(lineno, f"{kind} wants {len(STIMULI[kind])} arguments")
+    for arg_type, token in zip(STIMULI[kind], args):
+        _ARGS[arg_type].parse(token, lineno)
     raise AssertionError(f"line {lineno}: the stimulus parser rejected a line that every check passes")
 
 
+# -- key sections
+
+
 class _SectionAccumulator:
+    """The declarations of a file's sections, added one section at a time.
+
+    A [node], [ue] or [session] section's key lines are first checked against
+    its fields (`take`): each key at most once unless its field repeats, and
+    every required key present. Its values are then parsed as its `add_`
+    method reads them (`one`, `each`, `values`), so the checks it makes
+    between reads run in the order it reads its keys."""
+
     def __init__(self):
         self.nodes: list[NodeSpec] = []
         self.ues: list[tuple[UeSpec, int]] = []  # (spec, its attach line)
@@ -199,79 +244,77 @@ class _SectionAccumulator:
         self.settings_kv: dict[str, int] = {}
         self.script: list[Stimulus] = []
         self.script_ues: dict[str, int] = {}  # UE name -> the first script line naming it
-        self.ips: dict[str, bytes] = {}  # flow and downlink addresses already read
+        self.fields: dict[str, _Field] = {}  # of the section being added
+        self.kv: dict[str, Any] = {}  # its key -> (line, text), or their list if the key repeats
 
-    def finish_section(self, name: str, start_line: int, pairs: list[tuple[int, str, str]]) -> None:
-        got = {k for _, k, _ in pairs}
-        if name == "settings":
-            for lineno, key, value in pairs:
-                if key in self.settings_kv:
-                    raise ParseError(lineno, f"duplicate settings key {quoted(key)}")
-                number = self.settings_kv[key] = _parse_int(value, lineno, key)
-                if key == "admission_cap" and number < 1:
-                    raise ParseError(lineno, f"admission_cap {number} is below 1")
-            return
-        if name == "node":
-            kv = _unique_pairs(pairs)
-            _require(got, {"name", "rat", "ngu_ip"}, start_line, "node")
-            lineno, rat_value = kv["rat"]
-            try:
-                rat = Rat(rat_value)
-            except ValueError:
-                raise ParseError(lineno, f"unknown RAT {quoted(rat_value)}") from None
-            _parse_ip(kv["ngu_ip"][1], kv["ngu_ip"][0])
-            self.add_name("node", kv["name"])
-            self.nodes.append(NodeSpec(kv["name"][1], rat, kv["ngu_ip"][1]))
-            return
-        if name == "ue":
-            kv = _unique_pairs(pairs)
-            _require(got, {"name", "attach"}, start_line, "ue")
-            self.add_name("ue", kv["name"])
-            self.ues.append((UeSpec(kv["name"][1], kv["attach"][1]), kv["attach"][0]))
-            return
-        # session
-        kv = _unique_pairs(pairs, repeatable={"flow"})
-        _require(got, {"ue", "id", "drbs"}, start_line, "session")
-        ue_line, ue_name = kv["ue"]
-        id_line, id_value = kv["id"]
-        # 3GPP bounds PDU session ids to 1..15 and QoS flow ids (QFIs) to 0..63
-        session_id = _check_range(_parse_int(id_value, id_line, "session id"), 1, 15, id_line, "session id")
+    def take(self, name: str, start_line: int, pairs: list[tuple[int, str, str]]) -> None:
+        self.fields = fields = _SECTIONS[name]
+        self.kv = kv = {}
+        for lineno, key, value in pairs:
+            if fields[key].repeats:
+                kv.setdefault(key, []).append((lineno, value))
+            elif key in kv:
+                raise ParseError(lineno, f"duplicate key {quoted(key)}")
+            else:
+                kv[key] = (lineno, value)
+        if not kv.keys() >= _REQUIRED[name]:
+            missing = ", ".join(sorted(_REQUIRED[name] - kv.keys()))
+            raise ParseError(start_line, f"{name} section missing keys: {missing}")
+
+    def one(self, key: str) -> tuple[int, Any]:
+        lineno, text = self.kv[key]
+        return lineno, self.fields[key].parse(text, lineno)
+
+    def each(self, key: str):
+        """Each (line, value) of a repeating key, parsed as it is reached."""
+        parse = self.fields[key].parse
+        for lineno, text in self.kv.get(key, ()):
+            yield lineno, parse(text, lineno)
+
+    def values(self) -> dict[str, Any]:
+        """The value of every key present, parsed in field order."""
+        kv = self.kv
+        return {key: field.parse(kv[key][1], kv[key][0]) for key, field in self.fields.items() if key in kv}
+
+    def add_settings(self, start_line: int, pairs: list[tuple[int, str, str]]) -> None:
+        # every [settings] section adds to the one Settings, a key at most once in all
+        fields = _SECTIONS["settings"]
+        for lineno, key, value in pairs:
+            if key in self.settings_kv:
+                raise ParseError(lineno, f"duplicate settings key {quoted(key)}")
+            self.settings_kv[key] = fields[key].parse(value, lineno)
+
+    def add_node(self, start_line: int, pairs: list[tuple[int, str, str]]) -> None:
+        self.take("node", start_line, pairs)
+        spec = NodeSpec(**self.values())
+        self.add_name("node", self.kv["name"][0], spec.name)
+        self.nodes.append(spec)
+
+    def add_ue(self, start_line: int, pairs: list[tuple[int, str, str]]) -> None:
+        self.take("ue", start_line, pairs)
+        spec = UeSpec(**self.values())
+        self.add_name("ue", self.kv["name"][0], spec.name)
+        self.ues.append((spec, self.kv["attach"][0]))
+
+    def add_session(self, start_line: int, pairs: list[tuple[int, str, str]]) -> None:
+        self.take("session", start_line, pairs)
+        (ue_line, ue_name), (id_line, session_id) = self.one("ue"), self.one("id")
         if (ue_name, session_id) in self.session_ids:
             raise ParseError(id_line, f"ue {ue_name} already has session {session_id}")
         self.session_ids.add((ue_name, session_id))
-        drb_line, drb_value = kv["drbs"]
-        drbs = tuple(_parse_drb(t.strip(), drb_line) for t in drb_value.split(","))
+        drb_line, drbs = self.one("drbs")
         for drb in drbs:
             if (ue_name, drb) in self.drbs:
                 raise ParseError(drb_line, f"ue {ue_name} already uses drb {drb}")
             self.drbs.add((ue_name, drb))
         flows = []
-        for lineno, key, value in pairs:
-            if key != "flow":
-                continue
-            tokens = value.split()
-            if len(tokens) != 5 or not tokens[4].startswith("drb="):
-                raise ParseError(lineno, "flow wants: <id> <ip_dst> <proto> <l4_dst> drb=<n>")
-            flow = QosFlowSpec(
-                flow_id=_check_range(_parse_int(tokens[0], lineno, "flow id"), 0, 63, lineno, "flow id"),
-                ip_dst=self.parse_ip(tokens[1], lineno),
-                ip_proto=_parse_proto(tokens[2], lineno),
-                l4_dst=_parse_l4_port(tokens[3], lineno),
-                drb=_parse_int(tokens[4][4:], lineno, "drb"),
-            )
+        for lineno, flow in self.each("flow"):
             if flow.drb not in drbs:
                 raise ParseError(lineno, f"flow {flow.flow_id} maps to absent DRB {flow.drb}")
             flows.append(flow)
         self.sessions.append((ue_name, ue_line, SessionSpec(session_id, drbs, tuple(flows))))
 
-    def parse_ip(self, token: str, lineno: int) -> bytes:
-        """`_parse_ip`, run once per distinct address in the file."""
-        if token not in self.ips:
-            self.ips[token] = _parse_ip(token, lineno)
-        return self.ips[token]
-
-    def add_name(self, section: str, name_pair: tuple[int, str]) -> None:
-        lineno, name = name_pair
+    def add_name(self, section: str, lineno: int, name: str) -> None:
         if name.split() != [name]:  # a trace line holds each name as one field
             raise ParseError(lineno, f"{section} name {quoted(name)} is not one word")
         if (section, name) in self.names:
@@ -279,24 +322,36 @@ class _SectionAccumulator:
         self.names.add((section, name))
 
 
-def _unique_pairs(pairs, repeatable: set[str] = frozenset()) -> dict[str, tuple[int, str]]:
-    kv: dict[str, tuple[int, str]] = {}
-    for lineno, key, value in pairs:
-        if key in repeatable:
-            continue
-        if key in kv:
-            raise ParseError(lineno, f"duplicate key {quoted(key)}")
-        kv[key] = (lineno, value)
-    return kv
+# section -> its key's fields, in the order the text writes them; a section's
+# lines are checked and added by `_SectionAccumulator.add_<section>`
+_SECTIONS = {
+    "settings": {
+        "seed": _Field(lambda token, lineno: _parse_int(token, lineno, "seed"), required=False),
+        "admission_cap": _Field(_parse_admission_cap, required=False),
+        "max_events": _Field(lambda token, lineno: _parse_int(token, lineno, "max_events"), required=False),
+    },
+    "node": {"name": _Field(), "rat": _Field(_parse_rat, lambda rat: rat.value), "ngu_ip": _Field(_check_ip)},
+    "ue": {"name": _Field(), "attach": _Field()},
+    "session": {
+        "ue": _Field(),
+        # 3GPP bounds PDU session ids to 1..15
+        "id": _Field(lambda token, lineno: _parse_int(token, lineno, "session id", 1, 15)),
+        "drbs": _Field(
+            lambda value, lineno: tuple(_parse_drb(t.strip(), lineno) for t in value.split(",")),
+            lambda drbs: ",".join(map(str, drbs)),
+        ),
+        "flow": _Field(_parse_flow, _format_flow, required=False, repeats=True),
+    },
+}
 
 
-def _require(got: set[str], want: set[str], lineno: int, what: str) -> None:
-    missing = want - got
-    if missing:
-        raise ParseError(lineno, f"{what} section missing keys: {', '.join(sorted(missing))}")
+_REQUIRED = {  # section -> the keys it must have
+    name: {key for key, field in fields.items() if field.required} for name, fields in _SECTIONS.items()
+}
 
 
 def parse_scenario(text: str) -> Scenario:
+    _ip_bytes.cache_clear()
     acc = _SectionAccumulator()
     section: str | None = None
     section_line = 0
@@ -304,9 +359,9 @@ def parse_scenario(text: str) -> Scenario:
 
     def flush():
         if section is not None and section != "script":
-            acc.finish_section(section, section_line, pairs)
+            getattr(acc, f"add_{section}")(section_line, pairs)
 
-    script, script_ues, ips = acc.script, acc.script_ues, acc.ips
+    script, script_ues = acc.script, acc.script_ues
     new_stimulus = tuple.__new__  # `Stimulus(...)` without its Python-level __new__
     in_script = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -319,16 +374,17 @@ def parse_scenario(text: str) -> Scenario:
             section_line = lineno
             pairs = []
             in_script = section == "script"
-            if not in_script and section not in _SECTION_KEYS:
+            fields = _SECTIONS.get(section, {})
+            if not in_script and not fields:
                 raise ParseError(lineno, f"unknown section {quoted(section)}")
             continue
         if in_script:
             try:
                 first, kind, rest = line.split(None, 2)
                 tick = int(first)
-                if tick < 0:
-                    raise ValueError("negative tick")
-                args = _STIMULUS_PARSERS[kind](rest, ips)
+                if not 0 <= tick < _TICK_LIMIT:
+                    raise ValueError("a negative tick, or one too long")
+                args = _STIMULUS_PARSERS[kind](rest)
             except (ValueError, LookupError):
                 _script_line_error(lineno, line.split())
             script.append(new_stimulus(Stimulus, (tick, kind, args)))
@@ -336,14 +392,15 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if section is None:
             raise ParseError(lineno, "content before any section header")
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ParseError(lineno, "expected key = value")
-        key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SECTION_KEYS[section]:
+        if key not in fields:
             raise ParseError(lineno, f"unknown key {quoted(key)} in [{section}]")
         pairs.append((lineno, key, value))
     flush()
+    _ip_bytes.cache_clear()
 
     node_names = {n.name for n in acc.nodes}
     for ue, attach_line in acc.ues:
@@ -358,9 +415,7 @@ def parse_scenario(text: str) -> Scenario:
     for ue_name, lineno in acc.script_ues.items():  # in line order
         if ue_name not in ue_names:
             raise ParseError(lineno, f"stimulus references unknown UE {quoted(ue_name)}")
-    ues = tuple(
-        UeSpec(u.name, u.attach, tuple(sessions_by_ue[u.name])) for u, _ in acc.ues
-    )
+    ues = tuple(UeSpec(u.name, u.attach, tuple(sessions_by_ue[u.name])) for u, _ in acc.ues)
 
     settings = Settings(**acc.settings_kv)
     topology = Topology(tuple(acc.nodes), ues, seed=settings.seed)
@@ -368,46 +423,25 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    out = []
-    s = scenario.settings
-    out.append("[settings]")
-    out.append(f"seed = {s.seed}")
-    out.append(f"admission_cap = {s.admission_cap}")
-    out.append(f"max_events = {s.max_events}")
-    for node in scenario.topology.nodes:
-        out.append("")
-        out.append("[node]")
-        out.append(f"name = {node.name}")
-        out.append(f"rat = {node.rat.value}")
-        out.append(f"ngu_ip = {node.ngu_ip}")
+    """The canonical text of `scenario`; a ValueError names a stimulus it cannot hold."""
+    sections = [("settings", vars(scenario.settings))] + [("node", vars(n)) for n in scenario.topology.nodes]
     for ue in scenario.topology.ues:
+        sections.append(("ue", vars(ue)))
+        for s in ue.sessions:
+            sections.append(("session", {"ue": ue.name, "id": s.session_id, "drbs": s.drbs, "flow": s.flows}))
+    out = []
+    for name, values in sections:
+        out.append(f"[{name}]")
+        for key, field in _SECTIONS[name].items():
+            out += [f"{key} = {field.format(v)}" for v in (values[key] if field.repeats else (values[key],))]
         out.append("")
-        out.append("[ue]")
-        out.append(f"name = {ue.name}")
-        out.append(f"attach = {ue.attach}")
-        for session in ue.sessions:
-            out.append("")
-            out.append("[session]")
-            out.append(f"ue = {ue.name}")
-            out.append(f"id = {session.session_id}")
-            out.append("drbs = " + ",".join(str(d) for d in session.drbs))
-            for f in session.flows:
-                proto = _PROTO_BY_NUM.get(f.ip_proto, str(f.ip_proto))
-                out.append(f"flow = {f.flow_id} {ip_str(f.ip_dst)} {proto} {f.l4_dst} drb={f.drb}")
-    out.append("")
     out.append("[script]")
     for stim in scenario.script:
-        if stim.kind == "ue_power_on":
-            out.append(f"{stim.tick} ue_power_on {stim.args[0]}")
-        elif stim.kind == "send_uplink_data":
-            ue, bearer, payload = stim.args
-            out.append(f"{stim.tick} send_uplink_data {ue} {bearer} {payload.hex()}")
-        else:
-            ue, ip_dst, proto_num, l4_dst, payload = stim.args
-            proto = _PROTO_BY_NUM.get(proto_num, str(proto_num))
-            out.append(
-                f"{stim.tick} inject_downlink_data {ue} {ip_dst} {proto} {l4_dst} {payload.hex()}"
-            )
+        try:
+            args = [_ARGS[t].format(arg) for t, arg in zip(STIMULI[stim.kind], stim.args, strict=True)]
+        except ValueError as exc:
+            raise ValueError(f"cannot write {stim}: {exc}") from None
+        out.append(" ".join([str(stim.tick), stim.kind, *args]))
     return "\n".join(out) + "\n"
 
 

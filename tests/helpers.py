@@ -23,7 +23,6 @@ from open5gsim.errors import (
 )
 from open5gsim.messages import RrcMessage, rrc_to_bytes
 from open5gsim.netsim import (
-    STIMULI_ARITY,
     NodeSpec,
     Settings,
     Simulator,
@@ -687,10 +686,14 @@ def reference_decode_message(data: bytes):
 # -- reference scenario parser -------------------------------------------------
 # The scenario parser as it was before script lines were converted in one pass:
 # every line goes through the token helpers, every address through `ipaddress`.
-# Its only change since is that each error quotes a token through `quoted`.
-# The differential properties in test_scenario_cli.py hold `parse_scenario` to it.
+# Its changes since: each error quotes a token through `quoted`, and a tick of
+# more than 639 digits, which a trace could not hold, is an error. It keeps its
+# own keys and arities, so that the tables `parse_scenario` reads are checked
+# against it. The differential properties in test_scenario_cli.py hold
+# `parse_scenario` to it.
 
 _REF_PROTO_NAMES = {"tcp": 6, "udp": 17, "icmp": 1}
+_REF_STIMULI_ARITY = {"ue_power_on": 1, "send_uplink_data": 3, "inject_downlink_data": 5}
 _REF_SECTION_KEYS = {
     "settings": {"seed", "admission_cap", "max_events"},
     "node": {"name", "rat", "ngu_ip"},
@@ -859,14 +862,16 @@ class _RefSectionAccumulator:
         tick = _ref_parse_int(tokens[0], lineno, "tick")
         if tick < 0:
             raise ParseError(lineno, f"negative tick {tick}")
+        if len(str(tick)) > 639:
+            raise ParseError(lineno, f"tick {quoted(tokens[0])} has more than 639 digits")
         if len(tokens) < 2:
             raise ParseError(lineno, "script line wants: <tick> <stimulus> <args...>")
         kind = tokens[1]
         args = tokens[2:]
-        if kind not in STIMULI_ARITY:
+        if kind not in _REF_STIMULI_ARITY:
             raise ParseError(lineno, f"unknown stimulus {quoted(kind)}")
-        if len(args) != STIMULI_ARITY[kind]:
-            raise ParseError(lineno, f"{kind} wants {STIMULI_ARITY[kind]} arguments")
+        if len(args) != _REF_STIMULI_ARITY[kind]:
+            raise ParseError(lineno, f"{kind} wants {_REF_STIMULI_ARITY[kind]} arguments")
         if kind == "ue_power_on":
             parsed = (args[0],)
         elif kind == "send_uplink_data":

@@ -217,8 +217,9 @@ def test_bad_downlink_destination_is_script_error_at_build():
         (Stimulus(30, "ue_power_on", ()), "ue_power_on at tick 30 wants 1 arguments, got 0"),
         (Stimulus(30, "inject_downlink_data", ("ue1",)), "inject_downlink_data at tick 30 wants 5 arguments, got 1"),
         (Stimulus(-5, "send_uplink_data", ("ue1", 3, b"x")), "send_uplink_data at negative tick -5"),
+        (Stimulus(10**639, "send_uplink_data", ("ue1", 3, b"x")), "send_uplink_data at a tick of more than 639 digits"),
     ],
-    ids=["short_uplink", "bare_power_on", "short_downlink", "negative_tick"],
+    ids=["short_uplink", "bare_power_on", "short_downlink", "negative_tick", "long_tick"],
 )
 def test_stimulus_with_wrong_arity_is_script_error_at_build(stim, message):
     with pytest.raises(ScriptError) as exc:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import re
 import tempfile
@@ -17,17 +18,22 @@ from open5gsim.cli import (
     EXIT_SIM_ERROR,
     main,
 )
-from open5gsim.controller import Controller, RrcState
+from open5gsim.controller import Controller, QosFlowSpec, RrcState, SessionSpec
 from open5gsim.errors import InvalidMessageError, ProtocolViolationError
-from open5gsim.netsim import Simulator, Stimulus
+from open5gsim.netsim import STIMULI, NodeSpec, Settings, Simulator, Stimulus, Topology, UeSpec
+from open5gsim.node import Rat
 from open5gsim.scenario import (
+    _ARGS,
+    _SECTIONS,
+    _STIMULUS_PARSERS,
     ParseError,
+    Scenario,
     load_scenario,
     parse_scenario,
     serialize_scenario,
 )
 from open5gsim.trace import read_trace, write_trace
-from open5gsim.wire import pack_envelope
+from open5gsim.wire import SRB_BEARER_IDS, ip_str, pack_envelope
 
 INITIAL_ACCESS = "scenarios/initial_access.scn"
 MULTI_RAT = "scenarios/multi_rat.scn"
@@ -44,6 +50,44 @@ def test_parse_serialize_round_trip(path):
     assert parse_scenario(text) == scenario
     # canonical form is a fixed point
     assert serialize_scenario(parse_scenario(text)) == text
+
+
+# every row's written form: a named and a numbered protocol, lowercase hex,
+# the DRB list and the RAT's name
+_CANONICAL = """[settings]
+seed = 0
+admission_cap = 8
+max_events = 10000
+
+[node]
+name = gnb1
+rat = NR
+ngu_ip = 10.0.0.1
+
+[ue]
+name = ue1
+attach = gnb1
+
+[session]
+ue = ue1
+id = 1
+drbs = 1,2
+flow = 1 10.0.1.1 tcp 43 drb=1
+flow = 2 10.0.1.2 47 34 drb=2
+
+[script]
+0 ue_power_on ue1
+40 send_uplink_data ue1 1 68656c6c6f
+41 inject_downlink_data ue1 10.0.1.2 udp 34 0aff
+42 inject_downlink_data ue1 10.0.1.2 47 34 00
+"""
+
+
+def test_serialize_writes_the_canonical_text():
+    assert serialize_scenario(parse_scenario(_CANONICAL.replace("0aff", "0AFF").replace("= 1,2", "= 1, 2"))) == _CANONICAL
+    # the bundled scenario is canonical but for its comment header
+    text = Path(INITIAL_ACCESS).read_text()
+    assert serialize_scenario(parse_scenario(text)) == "".join(text.splitlines(True)[3:])
 
 
 def test_bundled_scenarios_shape():
@@ -84,6 +128,30 @@ def test_missing_node_key_rejected():
 def test_bad_script_stimulus_rejected():
     expect_parse_error("[script]\n0 explode ue1\n", 2, "unknown stimulus")
     expect_parse_error("[script]\n-5 ue_power_on ue1\n", 2, "negative tick -5")
+
+
+def test_a_tick_a_trace_cannot_hold_is_rejected(tmp_path, capsys):
+    """A trace holds times of at most 640 digits, so a tick has at most 639;
+    the digits are the number's, whatever zeros lead the token."""
+    head = NODE + UE + "[script]\n"  # the script line is line 9
+    assert parse_scenario(head + "9" * 639 + " ue_power_on ue1\n").script[0].tick == 10**639 - 1
+    assert parse_scenario(head + "0" * 700 + "1 ue_power_on ue1\n").script[0].tick == 1
+    fragment = "tick '1" + "0" * 79 + "'... (700 characters) has more than 639 digits"
+    expect_parse_error(head + "1" + "0" * 699 + " ue_power_on ue1\n", 9, fragment)
+    scn = tmp_path / "long_tick.scn"
+    scn.write_text(head + "0 ue_power_on ue1\n" + "1" + "0" * 699 + " send_uplink_data ue1 1 00\n")
+    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err == f"parse error: line 10: {fragment}\n"
+    assert len(err.encode()) < 512
+
+
+def test_a_run_from_the_longest_tick_writes_a_trace_that_verifies(tmp_path, capsys):
+    scn = tmp_path / "longest_tick.scn"
+    scn.write_text(Path(INITIAL_ACCESS).read_text() + "9" * 639 + " send_uplink_data ue1 1 00\n")
+    trace = str(tmp_path / "o.trace")
+    assert main(["run", str(scn), "-o", trace]) == EXIT_OK
+    assert main(["verify", trace, "--golden", trace]) == EXIT_OK
 
 
 @pytest.mark.parametrize("cap", [0, -1])
@@ -312,10 +380,170 @@ def test_parse_agrees_with_the_reference_parser(text):
     assert _outcome(parse_scenario, text) == _outcome(reference_parse_scenario, text)
 
 
+_SESSION = "[session]\nue = ue1\nid = 1\ndrbs = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        NODE + UE + _SESSION + "[session]\nue = ue1\nid = 1\ndrbs = x\n",
+        NODE + UE + _SESSION + "[session]\nue = ue1\nid = 2\ndrbs = 1\nflow = bad\n",
+        NODE + UE + _SESSION.replace("drbs = 1\n", "drbs = 1\nflow = 1 10.0.0.1 tcp 1 drb=2\nflow = bad\n"),
+        NODE + NODE.replace("rat = NR", "rat = 6G"),
+        NODE.replace("gnb1", "a b").replace("10.0.0.1", "bad"),
+        "[settings]\nseed = x\nseed = 1\n",
+        "[settings]\nmax_events = x\nseed = y\n",
+        "[settings]\nseed = 1\n[settings]\nseed = x\n",
+    ],
+    ids=[
+        "session-id-before-drbs", "drb-before-flows", "flow-by-flow", "rat-before-name", "ngu_ip-before-name",
+        "settings-value-before-duplicate", "settings-in-line-order", "settings-across-sections",
+    ],
+)
+def test_a_file_with_two_faults_gets_the_reference_parsers_error(text):
+    """Which error a bad file gets depends on the order the checks run in."""
+    outcome = _outcome(parse_scenario, text)
+    assert outcome[0] is ParseError
+    assert outcome == _outcome(reference_parse_scenario, text)
+
+
 @pytest.mark.parametrize("path", [INITIAL_ACCESS, MULTI_RAT])
 def test_bundled_scenarios_parse_as_the_reference_parses_them(path):
     text = Path(path).read_text()
     assert parse_scenario(text) == reference_parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "stim",
+    [
+        Stimulus(40, "send_uplink_data", ("ue1", 1, b"")),
+        Stimulus(41, "inject_downlink_data", ("ue1", "10.0.1.2", 6, 34, b"")),
+    ],
+    ids=["uplink", "downlink"],
+)
+def test_serialize_rejects_a_stimulus_it_cannot_write(stim):
+    """The hex of no bytes is no token at all, so the line would not parse back."""
+    scenario = load_scenario(INITIAL_ACCESS)
+    with pytest.raises(ValueError) as exc:
+        serialize_scenario(dataclasses.replace(scenario, script=scenario.script + (stim,)))
+    assert str(exc.value) == f"cannot write {stim!r}: an empty payload has no script form"
+
+
+# -- every row of the format writes what it reads ------------------------------
+# One value strategy per section key and per stimulus argument type; a row
+# added to the format without one fails the first test.
+
+_NAMES = st.text(alphabet="abuexyz019_-.", min_size=1, max_size=6)
+_IPS = st.binary(min_size=4, max_size=4).map(ip_str)
+_PROTOS = st.one_of(st.sampled_from([6, 17, 1]), st.integers(0, 255))  # named and numbered
+_PAYLOADS = st.binary(min_size=1, max_size=12)
+_DRBS = [d for d in range(32) if d not in SRB_BEARER_IDS]
+
+
+def _flows(drbs) -> st.SearchStrategy:
+    return st.builds(
+        QosFlowSpec,
+        st.integers(0, 63),
+        st.binary(min_size=4, max_size=4),
+        _PROTOS,
+        st.integers(0, 65535),
+        st.sampled_from(drbs),
+    )
+
+
+_ROW_VALUES = {
+    ("settings", "seed"): st.integers(),
+    ("settings", "admission_cap"): st.integers(min_value=1),
+    ("settings", "max_events"): st.integers(),
+    ("node", "name"): _NAMES,
+    ("node", "rat"): st.sampled_from(Rat),
+    ("node", "ngu_ip"): _IPS,
+    ("ue", "name"): _NAMES,
+    ("ue", "attach"): _NAMES,
+    ("session", "ue"): _NAMES,
+    ("session", "id"): st.integers(1, 15),
+    ("session", "drbs"): st.lists(st.sampled_from(_DRBS), min_size=1, max_size=4, unique=True).map(tuple),
+    ("session", "flow"): _flows(_DRBS),
+    ("stimulus", "ue"): _NAMES,
+    ("stimulus", "bearer"): st.integers(),
+    ("stimulus", "ip"): _IPS,
+    ("stimulus", "proto"): _PROTOS,
+    ("stimulus", "l4_port"): st.integers(0, 65535),
+    ("stimulus", "payload"): st.binary(max_size=12),  # b"" has no script form
+}
+_ROWS = {(section, key): field for section, fields in _SECTIONS.items() for key, field in fields.items()}
+_ROWS.update({("stimulus", arg_type): field for arg_type, field in _ARGS.items()})
+
+
+def test_every_row_has_a_value_strategy():
+    assert set(_ROWS) == set(_ROW_VALUES)
+    assert {t for types in STIMULI.values() for t in types} == set(_ARGS)
+    # the parser and the Simulator look for a stimulus's UE in its first argument
+    assert all(types[0] == "ue" for types in STIMULI.values())
+    assert set(_STIMULUS_PARSERS) == set(STIMULI)  # each kind has its fast line parser
+
+
+@pytest.mark.parametrize("row", sorted(_ROW_VALUES), ids="{0[0]}.{0[1]}".format)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_each_row_reads_back_the_value_it_writes(row, data):
+    field, value = _ROWS[row], data.draw(_ROW_VALUES[row])
+    if value == b"":
+        with pytest.raises(ValueError, match="an empty payload has no script form"):
+            field.format(value)
+        return
+    text = field.format(value)
+    if row[0] == "stimulus":
+        assert text.split() == [text] and "#" not in text  # one field of a script line
+    else:
+        assert text == text.strip() and text.splitlines() == [text] and "#" not in text
+    assert field.parse(text, 7) == value
+
+
+def test_the_rows_cover_an_empty_payload_and_both_kinds_of_protocol():
+    """The property's draws should reach these; they are pinned here too."""
+    assert _ROWS[("stimulus", "proto")].format(17) == "udp"
+    assert _ROWS[("stimulus", "proto")].format(47) == "47"
+    assert _ROWS[("stimulus", "proto")].parse("udp", 1) == 17
+    with pytest.raises(ValueError):
+        _ROWS[("stimulus", "payload")].format(b"")
+
+
+@st.composite
+def _scenarios(draw) -> Scenario:
+    node_names = draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True))
+    nodes = tuple(NodeSpec(name, draw(st.sampled_from(Rat)), draw(_IPS)) for name in node_names)
+    ues = []
+    for name in draw(st.lists(_NAMES, max_size=3, unique=True)):
+        free, sessions = list(_DRBS), []
+        for session_id in draw(st.lists(st.integers(1, 15), max_size=2, unique=True)):
+            drbs = tuple(draw(st.lists(st.sampled_from(free), min_size=1, max_size=3, unique=True)))
+            free = [d for d in free if d not in drbs]
+            sessions.append(SessionSpec(session_id, drbs, tuple(draw(st.lists(_flows(drbs), max_size=3)))))
+        ues.append(UeSpec(name, draw(st.sampled_from(node_names)), tuple(sessions)))
+    script = []
+    if ues:
+        ue_names = st.sampled_from([u.name for u in ues])
+        stimuli = st.one_of(
+            st.tuples(st.just("ue_power_on"), st.tuples(ue_names)),
+            st.tuples(st.just("send_uplink_data"), st.tuples(ue_names, st.integers(), _PAYLOADS)),
+            st.tuples(
+                st.just("inject_downlink_data"),
+                st.tuples(ue_names, _IPS, _PROTOS, st.integers(0, 65535), _PAYLOADS),
+            ),
+        )
+        ticks = st.one_of(st.integers(0, 99), st.integers(0, 10**639 - 1))
+        script = [Stimulus(draw(ticks), kind, args) for kind, args in draw(st.lists(stimuli, max_size=6))]
+    values = Settings(draw(st.integers()), draw(st.integers(min_value=1)), draw(st.integers()))
+    return Scenario(Topology(nodes, tuple(ues), seed=values.seed), tuple(script), values)
+
+
+@given(_scenarios())
+@settings(max_examples=150, deadline=None)
+def test_every_scenario_reads_back_from_its_text(scenario):
+    text = serialize_scenario(scenario)
+    assert parse_scenario(text) == scenario
+    assert serialize_scenario(parse_scenario(text)) == text
 
 
 def test_a_stimulus_is_the_tuple_of_its_fields():
