@@ -63,6 +63,7 @@ PRIO_DOWNLINK_FLOW = 110
 PRIO_SIGNALING = 100
 
 CRNTI_FIRST = 0x003D
+CONTROLLER_IP = wire.ip_bytes("10.255.0.1")  # the controller's end of every signaling tunnel
 
 # Per-RAT radio layer configuration; contents are opaque to the protocol.
 _RAT_LAYERS = {
@@ -182,8 +183,7 @@ def _check_session(session: SessionSpec) -> None:
 
 
 class Controller:
-    def __init__(self, controller_ip: str = "10.255.0.1", admission_cap: int = 8):
-        self.controller_ip = wire.ip_bytes(controller_ip)
+    def __init__(self, admission_cap: int = 8):
         self.admission_cap = admission_cap
         self.nodes: dict[str, _NodeState] = {}
         self.ue_contexts: dict[int, UeContext] = {}
@@ -238,7 +238,7 @@ class Controller:
         radio_port, create_radio = self._create_port(
             node, RadioBearer(crnti, bearer, BearerKind.SRB, default_layer_config(node.rat))
         )
-        sig_port, create_sig = self._create_port(node, SigTunnel(self.controller_ip, tunnel_id))
+        sig_port, create_sig = self._create_port(node, SigTunnel(CONTROLLER_IP, tunnel_id))
         return tunnel_id, sig_port, [
             create_radio,
             create_sig,

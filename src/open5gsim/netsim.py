@@ -106,17 +106,16 @@ STIMULI = {
     "send_uplink_data": ("ue", "bearer", "payload"),
     "inject_downlink_data": ("ue", "ip", "proto", "l4_port", "payload"),
 }
-STIMULI_ARITY = {kind: len(types) for kind, types in STIMULI.items()}
 # kind -> its arity and the position of its "ip" argument or None: what
 # `Simulator` checks of a stimulus besides its tick and its UE
 _SCRIPT_CHECKS = {
-    kind: (STIMULI_ARITY[kind], types.index("ip") if "ip" in types else None) for kind, types in STIMULI.items()
+    kind: (len(types), types.index("ip") if "ip" in types else None) for kind, types in STIMULI.items()
 }
 
 # a trace holds times of at most 640 digits, so a tick has at most 639: a run
 # then has room to go on after its last stimulus
 MAX_TICK_DIGITS = 639
-_TICK_LIMIT = 10**MAX_TICK_DIGITS
+TICK_LIMIT = 10**MAX_TICK_DIGITS
 
 
 @dataclass(frozen=True)
@@ -276,7 +275,7 @@ class Simulator:
             arity, address_at = checks
             if len(args) != arity:
                 raise ScriptError(f"{kind} at tick {tick} wants {arity} arguments, got {len(args)}")
-            if not 0 <= tick < _TICK_LIMIT:
+            if not 0 <= tick < TICK_LIMIT:
                 what = f"negative tick {tick}" if tick < 0 else f"a tick of more than {MAX_TICK_DIGITS} digits"
                 raise ScriptError(f"{kind} at {what}")
             if args[0] not in ues:

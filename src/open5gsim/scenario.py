@@ -18,13 +18,14 @@ are numbers.
 
 from __future__ import annotations
 
+from binascii import a2b_hex
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, NamedTuple, NoReturn
 
 from .controller import QosFlowSpec, SessionSpec
 from .errors import SimulationError, quoted
-from .netsim import MAX_TICK_DIGITS, STIMULI, NodeSpec, Settings, Stimulus, Topology, UeSpec
+from .netsim import MAX_TICK_DIGITS, STIMULI, TICK_LIMIT, NodeSpec, Settings, Stimulus, Topology, UeSpec
 from .node import Rat
 from .wire import SRB_BEARER_IDS, ip_bytes, ip_str
 
@@ -44,7 +45,6 @@ class Scenario:
 
 _PROTO_NAMES = {"tcp": 6, "udp": 17, "icmp": 1}
 _PROTO_BY_NUM = {v: k for k, v in _PROTO_NAMES.items()}
-_TICK_LIMIT = 10**MAX_TICK_DIGITS
 # each distinct address a file names is converted once, for its flows and its
 # downlinks alike; a parse empties the cache as it starts and again once it
 # has read every line, so a parsed file's addresses do not stay in memory
@@ -67,7 +67,7 @@ def _converter(convert: Callable[[str], Any], error: str) -> Callable[[str, int]
 
 
 _parse_ip = _converter(_ip_bytes, "bad IPv4 address")
-_parse_hex = _converter(bytes.fromhex, "bad hex payload")
+_parse_hex = _converter(a2b_hex, "bad hex payload")
 _parse_rat = _converter(Rat, "unknown RAT")
 
 
@@ -78,7 +78,7 @@ def _parse_proto(token: str, lineno: int) -> int:
         proto = int(token)
     except ValueError:
         raise ParseError(lineno, f"unknown protocol {quoted(token)}") from None
-    return _check_range(proto, 0, 255, lineno, "protocol")
+    return _check_range(token, proto, 0, 255, lineno, "protocol")
 
 
 def _parse_int(token: str, lineno: int, what: str, lo: int | None = None, hi: int = 0) -> int:
@@ -86,20 +86,23 @@ def _parse_int(token: str, lineno: int, what: str, lo: int | None = None, hi: in
         value = int(token)
     except ValueError:
         raise ParseError(lineno, f"bad {what} {quoted(token)}") from None
-    return value if lo is None else _check_range(value, lo, hi, lineno, what)
+    return value if lo is None else _check_range(token, value, lo, hi, lineno, what)
 
 
-def _check_range(value: int, lo: int, hi: int, lineno: int, what: str) -> int:
+def _check_range(token: str, value: int, lo: int, hi: int, lineno: int, what: str) -> int:
     if not lo <= value <= hi:
-        raise ParseError(lineno, f"{what} {value} out of range {lo}..{hi}")
+        raise ParseError(lineno, f"{what} {quoted(token)} out of range {lo}..{hi}")
     return value
 
 
 def _parse_drb(token: str, lineno: int) -> int:
-    drb = _parse_int(token, lineno, "drb")
+    drb = _parse_int(token, lineno, "drb", 0, 31)  # each SRB bearer id is in range too
     if drb in SRB_BEARER_IDS:
         raise ParseError(lineno, f"drb {drb} is an SRB bearer id (0, 3 or 4)")
-    return _check_range(drb, 0, 31, lineno, "drb")
+    return drb
+
+
+_parse_l4_port = partial(_parse_int, what="l4 port", lo=0, hi=65535)
 
 
 def _check_ip(token: str, lineno: int) -> str:
@@ -110,7 +113,7 @@ def _check_ip(token: str, lineno: int) -> str:
 def _parse_admission_cap(token: str, lineno: int) -> int:
     cap = _parse_int(token, lineno, "admission_cap")
     if cap < 1:
-        raise ParseError(lineno, f"admission_cap {cap} is below 1")
+        raise ParseError(lineno, f"admission_cap {quoted(token)} is below 1")
     return cap
 
 
@@ -122,13 +125,19 @@ def _parse_flow(value: str, lineno: int) -> QosFlowSpec:
         _parse_int(tokens[0], lineno, "flow id", 0, 63),  # 3GPP bounds QFIs to 0..63
         _parse_ip(tokens[1], lineno),
         _parse_proto(tokens[2], lineno),
-        _parse_int(tokens[3], lineno, "l4 port", 0, 65535),
+        _parse_l4_port(tokens[3], lineno),
         _parse_int(tokens[4][4:], lineno, "drb"),
     )
 
 
 def _format_proto(proto: int) -> str:
     return _PROTO_BY_NUM.get(proto, str(proto))
+
+
+def _format_name(name: str) -> str:
+    if "#" in name or name.split() != [name]:  # it would not read back as one name
+        raise ValueError(f"{quoted(name)} holds '#' or is not one word")
+    return name
 
 
 def _format_payload(payload: bytes) -> str:
@@ -150,13 +159,14 @@ class _Field(NamedTuple):
     repeats: bool = False  # of a section key: one line per element of its tuple value
 
 
+_NAME = _Field(format=_format_name)  # of a node or a UE
 # stimulus argument type (see netsim.STIMULI) -> its field
 _ARGS = {
-    "ue": _Field(),
+    "ue": _NAME,
     "bearer": _Field(lambda token, lineno: _parse_int(token, lineno, "bearer")),
     "ip": _Field(_check_ip),
     "proto": _Field(_parse_proto, _format_proto),
-    "l4_port": _Field(lambda token, lineno: _parse_int(token, lineno, "l4 port", 0, 65535)),
+    "l4_port": _Field(_parse_l4_port),
     "payload": _Field(_parse_hex, _format_payload),
 }
 
@@ -166,10 +176,9 @@ _ARGS = {
 # A parser gets the text after a line's tick and kind and returns the
 # stimulus's arguments. It splits off only as many fields as the kind takes,
 # so no payload is scanned for whitespace; whitespace inside the payload
-# field, which `bytes.fromhex` skips, means more fields than the kind takes,
-# and shows as a field longer than twice its bytes. A parser raises ValueError
-# or LookupError at any bad field, and `_script_line_error` then words the
-# error from the kind's argument types.
+# field means more fields than the kind takes, and `a2b_hex` rejects it. A
+# parser raises ValueError or LookupError at any bad field, and
+# `_script_line_error` then words the error from the kind's argument types.
 
 
 def _power_on_args(rest: str) -> tuple:
@@ -179,10 +188,7 @@ def _power_on_args(rest: str) -> tuple:
 
 def _uplink_args(rest: str) -> tuple:
     ue, bearer, hex_payload = rest.split(None, 2)
-    payload = bytes.fromhex(hex_payload)
-    if 2 * len(payload) != len(hex_payload):
-        raise ValueError("more than 3 arguments")
-    return ue, int(bearer), payload
+    return ue, int(bearer), a2b_hex(hex_payload)
 
 
 def _downlink_args(rest: str) -> tuple:
@@ -190,10 +196,9 @@ def _downlink_args(rest: str) -> tuple:
     _ip_bytes(ip_dst)
     proto = _PROTO_NAMES[proto] if proto in _PROTO_NAMES else int(proto)
     l4_dst = int(l4_dst)
-    payload = bytes.fromhex(hex_payload)
-    if not (0 <= proto <= 255 and 0 <= l4_dst <= 65535 and 2 * len(payload) == len(hex_payload)):
-        raise ValueError("a field out of range, or more than 5 arguments")
-    return ue, ip_dst, proto, l4_dst, payload
+    if not (0 <= proto <= 255 and 0 <= l4_dst <= 65535):
+        raise ValueError("a field out of range")
+    return ue, ip_dst, proto, l4_dst, a2b_hex(hex_payload)
 
 
 _STIMULUS_PARSERS = {
@@ -207,8 +212,8 @@ def _script_line_error(lineno: int, tokens: list[str]) -> NoReturn:
     """Raise the ParseError of a script line that a stimulus parser rejected."""
     tick = _parse_int(tokens[0], lineno, "tick")
     if tick < 0:
-        raise ParseError(lineno, f"negative tick {tick}")
-    if tick >= _TICK_LIMIT:
+        raise ParseError(lineno, f"negative tick {quoted(tokens[0])}")
+    if tick >= TICK_LIMIT:
         raise ParseError(lineno, f"tick {quoted(tokens[0])} has more than {MAX_TICK_DIGITS} digits")
     if len(tokens) < 2:
         raise ParseError(lineno, "script line wants: <tick> <stimulus> <args...>")
@@ -300,17 +305,17 @@ class _SectionAccumulator:
         self.take("session", start_line, pairs)
         (ue_line, ue_name), (id_line, session_id) = self.one("ue"), self.one("id")
         if (ue_name, session_id) in self.session_ids:
-            raise ParseError(id_line, f"ue {ue_name} already has session {session_id}")
+            raise ParseError(id_line, f"ue {quoted(ue_name)} already has session {session_id}")
         self.session_ids.add((ue_name, session_id))
         drb_line, drbs = self.one("drbs")
         for drb in drbs:
             if (ue_name, drb) in self.drbs:
-                raise ParseError(drb_line, f"ue {ue_name} already uses drb {drb}")
+                raise ParseError(drb_line, f"ue {quoted(ue_name)} already uses drb {drb}")
             self.drbs.add((ue_name, drb))
         flows = []
         for lineno, flow in self.each("flow"):
             if flow.drb not in drbs:
-                raise ParseError(lineno, f"flow {flow.flow_id} maps to absent DRB {flow.drb}")
+                raise ParseError(lineno, f"flow {flow.flow_id} maps to absent DRB {quoted(str(flow.drb))}")
             flows.append(flow)
         self.sessions.append((ue_name, ue_line, SessionSpec(session_id, drbs, tuple(flows))))
 
@@ -330,10 +335,10 @@ _SECTIONS = {
         "admission_cap": _Field(_parse_admission_cap, required=False),
         "max_events": _Field(lambda token, lineno: _parse_int(token, lineno, "max_events"), required=False),
     },
-    "node": {"name": _Field(), "rat": _Field(_parse_rat, lambda rat: rat.value), "ngu_ip": _Field(_check_ip)},
-    "ue": {"name": _Field(), "attach": _Field()},
+    "node": {"name": _NAME, "rat": _Field(_parse_rat, lambda rat: rat.value), "ngu_ip": _Field(_check_ip)},
+    "ue": {"name": _NAME, "attach": _NAME},
     "session": {
-        "ue": _Field(),
+        "ue": _NAME,
         # 3GPP bounds PDU session ids to 1..15
         "id": _Field(lambda token, lineno: _parse_int(token, lineno, "session id", 1, 15)),
         "drbs": _Field(
@@ -382,7 +387,7 @@ def parse_scenario(text: str) -> Scenario:
             try:
                 first, kind, rest = line.split(None, 2)
                 tick = int(first)
-                if not 0 <= tick < _TICK_LIMIT:
+                if not 0 <= tick < TICK_LIMIT:
                     raise ValueError("a negative tick, or one too long")
                 args = _STIMULUS_PARSERS[kind](rest)
             except (ValueError, LookupError):
@@ -405,7 +410,7 @@ def parse_scenario(text: str) -> Scenario:
     node_names = {n.name for n in acc.nodes}
     for ue, attach_line in acc.ues:
         if ue.attach not in node_names:
-            raise ParseError(attach_line, f"ue {ue.name} attaches to unknown node {quoted(ue.attach)}")
+            raise ParseError(attach_line, f"ue {quoted(ue.name)} attaches to unknown node {quoted(ue.attach)}")
     ue_names = {u.name for u, _ in acc.ues}
     sessions_by_ue: dict[str, list[SessionSpec]] = {name: [] for name in ue_names}
     for ue_name, ue_line, spec in acc.sessions:
@@ -423,7 +428,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """The canonical text of `scenario`; a ValueError names a stimulus it cannot hold."""
+    """The canonical text of `scenario`; a ValueError names a value it cannot hold."""
     sections = [("settings", vars(scenario.settings))] + [("node", vars(n)) for n in scenario.topology.nodes]
     for ue in scenario.topology.ues:
         sections.append(("ue", vars(ue)))
@@ -433,7 +438,10 @@ def serialize_scenario(scenario: Scenario) -> str:
     for name, values in sections:
         out.append(f"[{name}]")
         for key, field in _SECTIONS[name].items():
-            out += [f"{key} = {field.format(v)}" for v in (values[key] if field.repeats else (values[key],))]
+            try:
+                out += [f"{key} = {field.format(v)}" for v in (values[key] if field.repeats else (values[key],))]
+            except ValueError as exc:
+                raise ValueError(f"cannot write [{name}] {key}: {exc}") from None
         out.append("")
     out.append("[script]")
     for stim in scenario.script:
@@ -442,7 +450,8 @@ def serialize_scenario(scenario: Scenario) -> str:
         except ValueError as exc:
             raise ValueError(f"cannot write {stim}: {exc}") from None
         out.append(" ".join([str(stim.tick), stim.kind, *args]))
-    return "\n".join(out) + "\n"
+    out.append("")  # the final newline, without a copy of the whole text
+    return "\n".join(out)
 
 
 def load_scenario(path: str) -> Scenario:

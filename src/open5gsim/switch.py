@@ -51,12 +51,6 @@ class PortRegistry:
         self.ports: dict[int, PortSpec] = {}  # in creation order
         self._reindex()
 
-    def __len__(self) -> int:
-        return len(self.ports)
-
-    def __contains__(self, port_id: int) -> bool:
-        return port_id in self.ports
-
     def get(self, port_id: int) -> PortSpec | None:
         return self.ports.get(port_id)
 

@@ -42,7 +42,7 @@ from .errors import SimulationError, quoted
 CHANNELS = ("OPEN5G", "SRB0", "SRB1", "SRB2", "NGAP", "NGU", "RADIO_DATA")
 
 _NUMBER = r"(0|[1-9][0-9]{0,639})"  # a step or time: at most 640 digits, see above
-# a line as `TraceRecord.to_line` writes it
+# a record's line, as `_LINE_FORMAT` writes it
 _LINE = re.compile(
     r"^%s %s (\S+) (\S+) (%s) (\S+) ([0-9a-f]{16})$" % (_NUMBER, _NUMBER, "|".join(CHANNELS)),
     re.MULTILINE,
@@ -145,12 +145,9 @@ class TraceRecord(NamedTuple):
     kind: str
     digest: int
 
-    def to_line(self) -> str:
-        return _LINE_FORMAT % self
-
     @classmethod
     def from_line(cls, line: str) -> "TraceRecord":
-        """Parse a line in the form `to_line` writes, and no other."""
+        """Parse one line in the form `EventTrace.to_text` writes, and no other."""
         fields = _LINE.fullmatch(line)
         if fields is None:
             raise TraceParseError(f"not a trace record {quoted(line)}: expected {_LINE_FORM}")

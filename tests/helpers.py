@@ -709,7 +709,7 @@ def _ref_parse_proto(token: str, lineno: int) -> int:
         proto = int(token)
     except ValueError:
         raise ParseError(lineno, f"unknown protocol {quoted(token)}") from None
-    return _ref_check_range(proto, 0, 255, lineno, "protocol")
+    return _ref_check_range(token, proto, 0, 255, lineno, "protocol")
 
 
 def _ref_parse_int(token: str, lineno: int, what: str) -> int:
@@ -719,9 +719,9 @@ def _ref_parse_int(token: str, lineno: int, what: str) -> int:
         raise ParseError(lineno, f"bad {what} {quoted(token)}") from None
 
 
-def _ref_check_range(value: int, lo: int, hi: int, lineno: int, what: str) -> int:
+def _ref_check_range(token: str, value: int, lo: int, hi: int, lineno: int, what: str) -> int:
     if not lo <= value <= hi:
-        raise ParseError(lineno, f"{what} {value} out of range {lo}..{hi}")
+        raise ParseError(lineno, f"{what} {quoted(token)} out of range {lo}..{hi}")
     return value
 
 
@@ -729,11 +729,11 @@ def _ref_parse_drb(token: str, lineno: int) -> int:
     drb = _ref_parse_int(token, lineno, "drb")
     if drb in wire.SRB_BEARER_IDS:
         raise ParseError(lineno, f"drb {drb} is an SRB bearer id (0, 3 or 4)")
-    return _ref_check_range(drb, 0, 31, lineno, "drb")
+    return _ref_check_range(token, drb, 0, 31, lineno, "drb")
 
 
 def _ref_parse_l4_port(token: str, lineno: int) -> int:
-    return _ref_check_range(_ref_parse_int(token, lineno, "l4 port"), 0, 65535, lineno, "l4 port")
+    return _ref_check_range(token, _ref_parse_int(token, lineno, "l4 port"), 0, 65535, lineno, "l4 port")
 
 
 def _ref_parse_ip(token: str, lineno: int) -> str:
@@ -789,7 +789,7 @@ class _RefSectionAccumulator:
                     raise ParseError(lineno, f"duplicate settings key {quoted(key)}")
                 number = self.settings_kv[key] = _ref_parse_int(value, lineno, key)
                 if key == "admission_cap" and number < 1:
-                    raise ParseError(lineno, f"admission_cap {number} is below 1")
+                    raise ParseError(lineno, f"admission_cap {quoted(value)} is below 1")
             return
         if name == "node":
             kv = _ref_unique_pairs(pairs)
@@ -814,16 +814,16 @@ class _RefSectionAccumulator:
         ue_line, ue_name = kv["ue"]
         id_line, id_value = kv["id"]
         session_id = _ref_check_range(
-            _ref_parse_int(id_value, id_line, "session id"), 1, 15, id_line, "session id"
+            id_value, _ref_parse_int(id_value, id_line, "session id"), 1, 15, id_line, "session id"
         )
         if (ue_name, session_id) in self.session_ids:
-            raise ParseError(id_line, f"ue {ue_name} already has session {session_id}")
+            raise ParseError(id_line, f"ue {quoted(ue_name)} already has session {session_id}")
         self.session_ids.add((ue_name, session_id))
         drb_line, drb_value = kv["drbs"]
         drbs = tuple(_ref_parse_drb(t.strip(), drb_line) for t in drb_value.split(","))
         for drb in drbs:
             if (ue_name, drb) in self.drbs:
-                raise ParseError(drb_line, f"ue {ue_name} already uses drb {drb}")
+                raise ParseError(drb_line, f"ue {quoted(ue_name)} already uses drb {drb}")
             self.drbs.add((ue_name, drb))
         flows = []
         for lineno, key, value in pairs:
@@ -833,14 +833,16 @@ class _RefSectionAccumulator:
             if len(tokens) != 5 or not tokens[4].startswith("drb="):
                 raise ParseError(lineno, "flow wants: <id> <ip_dst> <proto> <l4_dst> drb=<n>")
             flow = QosFlowSpec(
-                flow_id=_ref_check_range(_ref_parse_int(tokens[0], lineno, "flow id"), 0, 63, lineno, "flow id"),
+                flow_id=_ref_check_range(
+                    tokens[0], _ref_parse_int(tokens[0], lineno, "flow id"), 0, 63, lineno, "flow id"
+                ),
                 ip_dst=ipaddress.IPv4Address(self.parse_ip(tokens[1], lineno)).packed,
                 ip_proto=_ref_parse_proto(tokens[2], lineno),
                 l4_dst=_ref_parse_l4_port(tokens[3], lineno),
                 drb=_ref_parse_int(tokens[4][4:], lineno, "drb"),
             )
             if flow.drb not in drbs:
-                raise ParseError(lineno, f"flow {flow.flow_id} maps to absent DRB {flow.drb}")
+                raise ParseError(lineno, f"flow {flow.flow_id} maps to absent DRB {quoted(str(flow.drb))}")
             flows.append(flow)
         self.sessions.append((ue_name, ue_line, SessionSpec(session_id, drbs, tuple(flows))))
 
@@ -861,7 +863,7 @@ class _RefSectionAccumulator:
         tokens = line.split()
         tick = _ref_parse_int(tokens[0], lineno, "tick")
         if tick < 0:
-            raise ParseError(lineno, f"negative tick {tick}")
+            raise ParseError(lineno, f"negative tick {quoted(tokens[0])}")
         if len(str(tick)) > 639:
             raise ParseError(lineno, f"tick {quoted(tokens[0])} has more than 639 digits")
         if len(tokens) < 2:
@@ -929,7 +931,7 @@ def reference_parse_scenario(text: str) -> Scenario:
     node_names = {n.name for n in acc.nodes}
     for ue, attach_line in acc.ues:
         if ue.attach not in node_names:
-            raise ParseError(attach_line, f"ue {ue.name} attaches to unknown node {quoted(ue.attach)}")
+            raise ParseError(attach_line, f"ue {quoted(ue.name)} attaches to unknown node {quoted(ue.attach)}")
     ue_names = {u.name for u, _ in acc.ues}
     sessions_by_ue: dict[str, list[SessionSpec]] = {name: [] for name in ue_names}
     for ue_name, ue_line, spec in acc.sessions:

@@ -129,7 +129,7 @@ def test_bootstrap_applies_cleanly_to_node():
     node = DataPlaneNode("gnb1", Rat.NR)
     (batch,) = c.bootstrap_node("gnb1")
     assert node.handle_open5g(batch.to_bytes()) is None
-    assert len(node.registry) == 2 and len(node.table) == 2
+    assert len(node.registry.ports) == 2 and len(node.table) == 2
 
 
 # -- attach / RRC ----------------------------------------------------------------
@@ -401,7 +401,7 @@ def test_emitted_config_matches_node_state():
     assert node.handle_open5g(batch.to_bytes()) is None
 
     # 2 bootstrap + 2 SRB1 + 1 SRB2 + 2 DRB + 1 NG-U = 8 ports
-    assert len(node.registry) == 8
+    assert len(node.registry.ports) == 8
     # 2 bootstrap + 2 SRB1 + 1 SRB2 + 2 uplink + 3 downlink = 10 entries
     assert len(node.table) == 10
     prios = sorted((e.priority for e in node.table.entries), reverse=True)

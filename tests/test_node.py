@@ -77,7 +77,7 @@ def node() -> DataPlaneNode:
 
 
 def test_valid_commands_produce_no_response(node):
-    assert len(node.registry) == 5
+    assert len(node.registry.ports) == 5
     assert len(node.table) == 7
 
 
@@ -117,7 +117,7 @@ def test_batch_stops_at_first_failure():
     tail = PortMod(3, PortModCommand.CREATE, 7, SigTunnel(SRC_IP, 7))
     out = n.handle_open5g(b"".join(encode_message(m) for m in (good, bad, tail)))
     assert decode_message(out).xid == 2
-    assert 1 in n.registry and 7 not in n.registry
+    assert 1 in n.registry.ports and 7 not in n.registry.ports
 
 
 def test_wlan_rejects_sdap_and_pdcp_layers():
@@ -125,7 +125,7 @@ def test_wlan_rejects_sdap_and_pdcp_layers():
     spec = RadioBearer(1, 1, BearerKind.DRB, (ConfigTlv(int(LayerTlv.PDCP), b""),))
     out = n.handle_open5g(encode_message(PortMod(1, PortModCommand.CREATE, 1, spec)))
     assert decode_message(out).code == CODE_UNSUPPORTED_LAYER
-    assert len(n.registry) == 0
+    assert len(n.registry.ports) == 0
 
 
 def test_wlan_accepts_mac_phy_layers():
@@ -309,4 +309,4 @@ def test_batch_with_undecodable_second_frame():
     good = encode_message(PortMod(5, PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 1)))
     err = decode_message(n.handle_open5g(good + b"\x01\x04\x00\x0b\x00\x00\x00\x06junk"))
     assert (err.xid, err.code) == (0, CODE_TRUNCATED)
-    assert 1 in n.registry
+    assert 1 in n.registry.ports

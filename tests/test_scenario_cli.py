@@ -127,7 +127,7 @@ def test_missing_node_key_rejected():
 
 def test_bad_script_stimulus_rejected():
     expect_parse_error("[script]\n0 explode ue1\n", 2, "unknown stimulus")
-    expect_parse_error("[script]\n-5 ue_power_on ue1\n", 2, "negative tick -5")
+    expect_parse_error("[script]\n-5 ue_power_on ue1\n", 2, "negative tick '-5'")
 
 
 def test_a_tick_a_trace_cannot_hold_is_rejected(tmp_path, capsys):
@@ -158,11 +158,11 @@ def test_a_run_from_the_longest_tick_writes_a_trace_that_verifies(tmp_path, caps
 def test_admission_cap_below_one_rejected(tmp_path, capsys, cap):
     """A cap of 0 would admit no UE and report nothing."""
     text = f"[settings]\nadmission_cap = {cap}\n" + NODE + UE + "[script]\n0 ue_power_on ue1\n"
-    expect_parse_error(text, 2, f"admission_cap {cap} is below 1")
+    expect_parse_error(text, 2, f"admission_cap '{cap}' is below 1")
     scn = tmp_path / "cap.scn"
     scn.write_text(text)
     assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
-    assert capsys.readouterr().err == f"parse error: line 2: admission_cap {cap} is below 1\n"
+    assert capsys.readouterr().err == f"parse error: line 2: admission_cap '{cap}' is below 1\n"
 
 
 def test_bad_hex_payload_rejected():
@@ -214,7 +214,7 @@ def test_names_a_trace_line_cannot_hold_rejected(tmp_path, capsys, section, line
     "text, lineno, fragment",
     [
         (NODE + UE.replace("gnb1", "nowhere") + "[script]\n0 ue_power_on ue1\n", 7,
-         "ue ue1 attaches to unknown node 'nowhere'"),
+         "ue 'ue1' attaches to unknown node 'nowhere'"),
         (NODE + UE + "[script]\n0 ue_power_on ue1\n5 ue_power_on ghost\n", 10,
          "stimulus references unknown UE 'ghost'"),
     ],
@@ -254,8 +254,13 @@ def test_each_bad_downlink_address_is_reported_at_its_line():
             "0 inject_downlink_data ue1 " + "9" * 100 + " tcp 34 00",
             "bad IPv4 address '" + "9" * 80 + "'... (100 characters)",
         ),
+        ("-" + "1" * 3000 + " ue_power_on ue1", "negative tick '-" + "1" * 79 + "'... (3001 characters)"),
+        (
+            "0 inject_downlink_data ue1 10.0.1.1 tcp " + "9" * 100 + " 00",
+            "l4 port '" + "9" * 80 + "'... (100 characters) out of range 0..65535",
+        ),
     ],
-    ids=["hex", "tick", "kind-81", "kind-80", "address"],
+    ids=["hex", "tick", "kind-81", "kind-80", "address", "negative-tick", "l4-port"],
 )
 def test_a_parse_error_quotes_at_most_80_characters_of_its_token(tmp_path, capsys, line, quoted):
     text = NODE + UE + "[script]\n" + line + "\n"  # the script line is line 9
@@ -266,6 +271,28 @@ def test_a_parse_error_quotes_at_most_80_characters_of_its_token(tmp_path, capsy
     err = capsys.readouterr().err
     assert err == f"parse error: line 9: {quoted}\n"
     assert len(err.encode()) < 512
+
+
+_LONG_UE = "u" * 3000
+_LONG_UE_SECTION = UE.replace("ue1", _LONG_UE)
+_LONG_SESSION = f"[session]\nue = {_LONG_UE}\nid = {{}}\ndrbs = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, lineno, fragment",
+    [
+        (NODE + _LONG_UE_SECTION + _LONG_SESSION.format(1) * 2, 14, "already has session 1"),
+        (NODE + _LONG_UE_SECTION + _LONG_SESSION.format(1) + _LONG_SESSION.format(2), 15, "already uses drb 1"),
+        (NODE + _LONG_UE_SECTION.replace("gnb1", "nowhere"), 7, "attaches to unknown node 'nowhere'"),
+    ],
+    ids=["session", "drb", "attach"],
+)
+def test_an_error_about_a_ue_quotes_at_most_80_characters_of_its_name(tmp_path, capsys, text, lineno, fragment):
+    expect_parse_error(text, lineno, f"ue '{'u' * 80}'... (3000 characters) {fragment}")
+    scn = tmp_path / "long_ue.scn"
+    scn.write_text(text)
+    assert main(["run", str(scn), "-o", str(tmp_path / "o.trace")]) == EXIT_PARSE_ERROR
+    assert len(capsys.readouterr().err.encode()) < 512
 
 
 # -- the parser against the reference parser -----------------------------------
@@ -337,6 +364,13 @@ def _damage(draw, lines: list[str], script_start: int) -> None:
         lines.insert(i, line)
 
 
+# hex as the parser writes it and in upper case, and payloads it must reject as
+# the reference parser does: odd length, whitespace inside, non-ASCII digits
+_HEX = st.one_of(
+    st.binary(min_size=1, max_size=8).map(bytes.hex),
+    st.binary(min_size=1, max_size=8).map(lambda data: data.hex().upper()),
+    st.sampled_from(["a", "abc", "AbC", "ab cd", "ab\tcd", "ab\x0bcd", "ab\xa0cd", "\u0663\u0663", "a\uff10"]),
+)
 _SCRIPT_LINE = st.one_of(
     st.builds("{} ue_power_on {}".format, st.integers(0, 99), st.sampled_from(["ue1", "ue2", "ue3"])),
     st.builds(
@@ -344,7 +378,7 @@ _SCRIPT_LINE = st.one_of(
         st.integers(0, 99),
         st.sampled_from(["ue1", "ue2", "ue3"]),
         st.integers(0, 31),
-        st.binary(min_size=1, max_size=8).map(bytes.hex),
+        _HEX,
     ),
     st.builds(
         "{} inject_downlink_data {} {} {} {} {}".format,
@@ -353,7 +387,7 @@ _SCRIPT_LINE = st.one_of(
         st.sampled_from(["10.0.1.1", "10.0.2.1", "10.0.3.1", "192.168.0.255"]),
         st.sampled_from(["tcp", "udp", "icmp", "0", "255", "47"]),
         st.integers(0, 65535),
-        st.binary(min_size=1, max_size=8).map(bytes.hex),
+        _HEX,
     ),
 )
 
@@ -434,6 +468,8 @@ def test_serialize_rejects_a_stimulus_it_cannot_write(stim):
 # added to the format without one fails the first test.
 
 _NAMES = st.text(alphabet="abuexyz019_-.", min_size=1, max_size=6)
+# a row also meets names it cannot write: with a comment or whitespace, or empty
+_ANY_NAMES = st.text(alphabet="abuxyz019_-.# \t\xa0", max_size=6)
 _IPS = st.binary(min_size=4, max_size=4).map(ip_str)
 _PROTOS = st.one_of(st.sampled_from([6, 17, 1]), st.integers(0, 255))  # named and numbered
 _PAYLOADS = st.binary(min_size=1, max_size=12)
@@ -455,16 +491,16 @@ _ROW_VALUES = {
     ("settings", "seed"): st.integers(),
     ("settings", "admission_cap"): st.integers(min_value=1),
     ("settings", "max_events"): st.integers(),
-    ("node", "name"): _NAMES,
+    ("node", "name"): _ANY_NAMES,
     ("node", "rat"): st.sampled_from(Rat),
     ("node", "ngu_ip"): _IPS,
-    ("ue", "name"): _NAMES,
-    ("ue", "attach"): _NAMES,
-    ("session", "ue"): _NAMES,
+    ("ue", "name"): _ANY_NAMES,
+    ("ue", "attach"): _ANY_NAMES,
+    ("session", "ue"): _ANY_NAMES,
     ("session", "id"): st.integers(1, 15),
     ("session", "drbs"): st.lists(st.sampled_from(_DRBS), min_size=1, max_size=4, unique=True).map(tuple),
     ("session", "flow"): _flows(_DRBS),
-    ("stimulus", "ue"): _NAMES,
+    ("stimulus", "ue"): _ANY_NAMES,
     ("stimulus", "bearer"): st.integers(),
     ("stimulus", "ip"): _IPS,
     ("stimulus", "proto"): _PROTOS,
@@ -492,6 +528,10 @@ def test_each_row_reads_back_the_value_it_writes(row, data):
         with pytest.raises(ValueError, match="an empty payload has no script form"):
             field.format(value)
         return
+    if _ROW_VALUES[row] is _ANY_NAMES and not writable(value):
+        with pytest.raises(ValueError, match="holds '#' or is not one word"):
+            field.format(value)
+        return
     text = field.format(value)
     if row[0] == "stimulus":
         assert text.split() == [text] and "#" not in text  # one field of a script line
@@ -507,6 +547,26 @@ def test_the_rows_cover_an_empty_payload_and_both_kinds_of_protocol():
     assert _ROWS[("stimulus", "proto")].parse("udp", 1) == 17
     with pytest.raises(ValueError):
         _ROWS[("stimulus", "payload")].format(b"")
+
+
+def writable(name: str) -> bool:
+    """A name that reads back as itself: one word, and no comment in it."""
+    return "#" not in name and name.split() == [name]
+
+
+@pytest.mark.parametrize("name", ["ue#1", "ue 1", "ue\xa01", ""], ids=["hash", "space", "nbsp", "empty"])
+def test_serialize_rejects_a_name_it_cannot_write(name):
+    """`name = ue#1` would read back as a UE named `ue`."""
+    scenario = load_scenario(INITIAL_ACCESS)
+    (ue,) = scenario.topology.ues
+    topology = dataclasses.replace(scenario.topology, ues=(dataclasses.replace(ue, name=name),))
+    with pytest.raises(ValueError) as exc:
+        serialize_scenario(dataclasses.replace(scenario, topology=topology, script=()))
+    assert str(exc.value) == f"cannot write [ue] name: {name!r} holds '#' or is not one word"
+    stim = Stimulus(0, "ue_power_on", (name,))
+    with pytest.raises(ValueError) as exc:
+        serialize_scenario(dataclasses.replace(scenario, script=(stim,)))
+    assert str(exc.value) == f"cannot write {stim!r}: {name!r} holds '#' or is not one word"
 
 
 @st.composite
@@ -650,11 +710,11 @@ BAD_FLOW_SCENARIO = (
 @pytest.mark.parametrize(
     "flow, fragment",
     [
-        ("1 10.0.1.1 tcp 99999 drb=1", "line 12: l4 port 99999 out of range 0..65535"),
-        ("1 10.0.1.1 tcp 43 drb=7", "line 12: flow 1 maps to absent DRB 7"),
-        ("-5 10.0.1.1 tcp 43 drb=1", "line 12: flow id -5 out of range 0..63"),
-        ("64 10.0.1.1 tcp 43 drb=1", "line 12: flow id 64 out of range 0..63"),
-        ("99999999999999999999 10.0.1.1 tcp 43 drb=1", "line 12: flow id 99999999999999999999 out of range 0..63"),
+        ("1 10.0.1.1 tcp 99999 drb=1", "line 12: l4 port '99999' out of range 0..65535"),
+        ("1 10.0.1.1 tcp 43 drb=7", "line 12: flow 1 maps to absent DRB '7'"),
+        ("-5 10.0.1.1 tcp 43 drb=1", "line 12: flow id '-5' out of range 0..63"),
+        ("64 10.0.1.1 tcp 43 drb=1", "line 12: flow id '64' out of range 0..63"),
+        ("99999999999999999999 10.0.1.1 tcp 43 drb=1", "line 12: flow id '99999999999999999999' out of range 0..63"),
     ],
     ids=["l4_dst_out_of_range", "drb_not_in_session", "flow_id_negative", "flow_id_above_63", "flow_id_huge"],
 )
@@ -680,14 +740,14 @@ TWO_SESSIONS_SCENARIO = (
         ("0", 2, "5", "line 11: drb 0 is an SRB bearer id (0, 3 or 4)"),
         ("1,3", 2, "5", "line 11: drb 3 is an SRB bearer id (0, 3 or 4)"),
         ("1", 2, "4", "line 15: drb 4 is an SRB bearer id (0, 3 or 4)"),
-        ("32", 2, "5", "line 11: drb 32 out of range 0..31"),
-        ("1,1", 2, "5", "line 11: ue ue1 already uses drb 1"),
-        ("1,2", 2, "5,2", "line 15: ue ue1 already uses drb 2"),
-        ("1", 1, "2", "line 14: ue ue1 already has session 1"),
-        ("1", 0, "2", "line 14: session id 0 out of range 1..15"),
-        ("1", 16, "2", "line 14: session id 16 out of range 1..15"),
-        ("1", -1, "2", "line 14: session id -1 out of range 1..15"),
-        ("1", 99999999999, "2", "line 14: session id 99999999999 out of range 1..15"),
+        ("32", 2, "5", "line 11: drb '32' out of range 0..31"),
+        ("1,1", 2, "5", "line 11: ue 'ue1' already uses drb 1"),
+        ("1,2", 2, "5,2", "line 15: ue 'ue1' already uses drb 2"),
+        ("1", 1, "2", "line 14: ue 'ue1' already has session 1"),
+        ("1", 0, "2", "line 14: session id '0' out of range 1..15"),
+        ("1", 16, "2", "line 14: session id '16' out of range 1..15"),
+        ("1", -1, "2", "line 14: session id '-1' out of range 1..15"),
+        ("1", 99999999999, "2", "line 14: session id '99999999999' out of range 1..15"),
     ],
     ids=[
         "srb0", "srb1", "srb2", "above_31", "twice_in_session", "twice_across_sessions", "session_id_twice",
@@ -740,7 +800,8 @@ def test_two_sessions_with_distinct_ids_and_drbs_run(tmp_path):
 
 @pytest.mark.parametrize(
     "proto, l4_dst, fragment",
-    [("tcp", 65536, "l4 port 65536 out of range"), (256, 43, "protocol 256 out of range")],
+    [("tcp", 65536, "l4 port '65536' out of range"), (256, 43, "protocol '256' out of range")],
+    ids=["tcp-65536-l4 port 65536 out of range", "256-43-protocol 256 out of range"],  # the bad inputs
 )
 def test_out_of_range_downlink_tuple_rejected(proto, l4_dst, fragment):
     line = f"40 inject_downlink_data ue1 10.0.1.1 {proto} {l4_dst} 6869"

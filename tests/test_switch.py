@@ -79,7 +79,7 @@ def test_create_sig_port_on_empty_registry():
     registry = PortRegistry()
     msg = PortMod(1, PortModCommand.CREATE, 1, SigTunnel(wire.ip_bytes("10.255.0.1"), 1))
     registry.apply_port_mod(msg)
-    assert len(registry) == 1
+    assert len(registry.ports) == 1
 
 
 def test_create_duplicate_port_id_rejected():

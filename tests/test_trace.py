@@ -25,6 +25,11 @@ def digest_each(payloads: list[bytes], container=bytes) -> list[int]:
     return fnv1a64(container(b"".join(payloads)), list(accumulate(map(len, payloads))))
 
 
+def line_of(record: TraceRecord) -> str:
+    """The record's line as a trace writes it, without its newline."""
+    return EventTrace([record]).to_text()[:-1]
+
+
 def random_payloads(lengths: list[int], seed: int) -> list[bytes]:
     rng = random.Random(seed)
     return [rng.randbytes(n) for n in lengths]
@@ -249,7 +254,7 @@ def test_a_number_too_long_to_convert_is_a_parse_error_at_its_line(tmp_path, cap
 def test_a_number_of_640_digits_reads_back():
     line = f"{'9' * 640} {'1' * 640} a b SRB0 X 0000000000000000"
     record = TraceRecord.from_line(line)
-    assert record.step_no == int("9" * 640) and record.to_line() == line
+    assert record.step_no == int("9" * 640) and line_of(record) == line
     assert EventTrace.from_text(line + "\n").records == [record]
 
 
@@ -298,7 +303,7 @@ def test_every_accepted_line_is_written_back_unchanged(fields, separators, edge)
         record = TraceRecord.from_line(line)
     except TraceParseError:
         return
-    assert record.to_line() == line
+    assert line_of(record) == line
 
 
 @given(
@@ -342,14 +347,14 @@ _TOKEN = st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True)
 )
 @settings(max_examples=100)
 def test_every_written_record_reads_back(record):
-    assert TraceRecord.from_line(record.to_line()) == record
+    assert TraceRecord.from_line(line_of(record)) == record
 
 
 def test_a_record_is_immutable_and_hashable():
     record = TraceRecord(1, 0, "ue1", "gnb1", "SRB0", "RrcSetupRequest", 0x1F)
     with pytest.raises(AttributeError):
         record.kind = "Bogus"
-    assert record._replace(kind="Bogus").to_line() == "1 0 ue1 gnb1 SRB0 Bogus 000000000000001f"
+    assert line_of(record._replace(kind="Bogus")) == "1 0 ue1 gnb1 SRB0 Bogus 000000000000001f"
     assert len({record, record._replace(digest=0x1F)}) == 1
 
 
@@ -372,7 +377,6 @@ _RECORD = st.builds(
 @settings(max_examples=100)
 def test_the_writer_matches_the_reference(records):
     assert EventTrace(records).to_text() == reference_to_text(records)
-    assert "".join(r.to_line() + "\n" for r in records) == reference_to_text(records)
 
 
 def random_records(count: int, seed: int) -> list[TraceRecord]:
