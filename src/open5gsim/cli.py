@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ControllerError, Open5GError, SimulationError
+from .errors import ControllerError, Open5GError, SimulationError, quoted
 from .netsim import Simulator
 from .scenario import ParseError, load_scenario
 from .trace import CHANNELS, EventTrace, TraceParseError, read_trace, write_trace
@@ -27,16 +27,8 @@ RUN_ERRORS = (SimulationError, ControllerError, Open5GError)
 
 
 def cmd_run(scenario_path: str, out_path: str) -> int:
-    try:
-        scenario = load_scenario(scenario_path)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    try:
-        trace = Simulator(scenario.topology, list(scenario.script), scenario.settings).run()
-    except RUN_ERRORS as exc:
-        print(f"simulation error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SIM_ERROR
+    scenario = load_scenario(scenario_path)
+    trace = Simulator(scenario.topology, list(scenario.script), scenario.settings).run()
     try:
         write_trace(out_path, trace)
     except OSError as exc:
@@ -49,14 +41,9 @@ def cmd_run(scenario_path: str, out_path: str) -> int:
 def cmd_verify(trace_path: str, golden_path: str, channels: set[str] | None = None) -> int:
     unknown = sorted(set(channels or ()) - set(CHANNELS))
     if unknown:
-        print(f"parse error: unknown channel {unknown[0]!r}; channels are {', '.join(CHANNELS)}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    try:
-        trace = read_trace(trace_path)
-        golden = read_trace(golden_path)
-    except (TraceParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        raise TraceParseError(f"unknown channel {quoted(unknown[0])}; channels are {', '.join(CHANNELS)}")
+    trace = read_trace(trace_path)
+    golden = read_trace(golden_path)
     got = trace.signature(channels)
     want = golden.signature(channels)
     if got == want:
@@ -78,20 +65,12 @@ def _step_no(trace: EventTrace, channels: set[str] | None, i: int) -> int:
 
 
 def cmd_table_dump(scenario_path: str, node: str, at_step: int) -> int:
-    try:
-        scenario = load_scenario(scenario_path)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    scenario = load_scenario(scenario_path)
     if node not in {n.name for n in scenario.topology.nodes}:
-        print(f"unknown node {node!r}", file=sys.stderr)
+        print(f"unknown node {quoted(node)}", file=sys.stderr)
         return EXIT_SIM_ERROR
-    try:
-        sim = Simulator(scenario.topology, list(scenario.script), scenario.settings)
-        sim.run()
-    except RUN_ERRORS as exc:
-        print(f"simulation error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SIM_ERROR
+    sim = Simulator(scenario.topology, list(scenario.script), scenario.settings)
+    sim.run()
     for row in sim.table_at_step(node, at_step):
         print(row)
     return EXIT_OK
@@ -119,15 +98,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place an error becomes its exit code and message."""
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.scenario, args.out)
-    if args.command == "verify":
-        channels = None
-        if args.channels:
-            channels = {c.strip().upper() for c in args.channels.split(",")}
-        return cmd_verify(args.trace, args.golden, channels)
-    return cmd_table_dump(args.scenario, args.node, args.at)
+    try:
+        if args.command == "run":
+            return cmd_run(args.scenario, args.out)
+        if args.command == "verify":
+            channels = None
+            if args.channels:
+                channels = {c.strip().upper() for c in args.channels.split(",")}
+            return cmd_verify(args.trace, args.golden, channels)
+        return cmd_table_dump(args.scenario, args.node, args.at)
+    except (ParseError, TraceParseError) as exc:  # before RUN_ERRORS: both are SimulationErrors
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except RUN_ERRORS as exc:
+        print(f"simulation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SIM_ERROR
 
 
 if __name__ == "__main__":

@@ -64,6 +64,7 @@ PRIO_SIGNALING = 100
 
 CRNTI_FIRST = 0x003D
 CONTROLLER_IP = wire.ip_bytes("10.255.0.1")  # the controller's end of every signaling tunnel
+UPF_IP = wire.ip_bytes("10.9.0.1")  # the UPF's end of every NG-U tunnel
 
 # Per-RAT radio layer configuration; contents are opaque to the protocol.
 _RAT_LAYERS = {
@@ -132,7 +133,6 @@ class _NodeState:
     node_id: str
     rat: Rat
     ngu_ip: bytes
-    upf_ip: bytes
     next_port_id: int = 1
     next_crnti: int = CRNTI_FIRST
     next_xid: int = 1
@@ -183,7 +183,7 @@ def _check_session(session: SessionSpec) -> None:
 
 
 class Controller:
-    def __init__(self, admission_cap: int = 8):
+    def __init__(self, admission_cap: int):
         self.admission_cap = admission_cap
         self.nodes: dict[str, _NodeState] = {}
         self.ue_contexts: dict[int, UeContext] = {}
@@ -214,8 +214,8 @@ class Controller:
 
     # -- topology ------------------------------------------------------------
 
-    def register_node(self, node_id: str, rat: Rat, ngu_ip: str, upf_ip: str) -> None:
-        self.nodes[node_id] = _NodeState(node_id, rat, wire.ip_bytes(ngu_ip), wire.ip_bytes(upf_ip))
+    def register_node(self, node_id: str, rat: Rat, ngu_ip: str) -> None:
+        self.nodes[node_id] = _NodeState(node_id, rat, wire.ip_bytes(ngu_ip))
 
     # -- step 1: system startup ----------------------------------------------
 
@@ -347,7 +347,7 @@ class Controller:
         self._next_teid += 1
         udp_port = self._next_udp_port
         self._next_udp_port += 1
-        ngu_port, create = self._create_port(node, GtpTunnel(node.ngu_ip, node.upf_ip, udp_port, teid))
+        ngu_port, create = self._create_port(node, GtpTunnel(node.ngu_ip, UPF_IP, udp_port, teid))
         commands.append(create)
 
         for bearer in session.drbs:

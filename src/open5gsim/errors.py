@@ -1,27 +1,10 @@
 """Error hierarchy shared across the simulator.
 
 Every protocol-visible error carries a numeric code so data-plane nodes can
-report it inside an ERROR message without string coupling.
+report it inside an ERROR message without string coupling: 1-5 for wire
+decode errors, 6-11 for port and flow apply errors, 12-13 for encapsulations.
 """
 
-# Wire-level decode errors
-CODE_TRUNCATED = 1
-CODE_BAD_VERSION = 2
-CODE_UNKNOWN_TYPE = 3
-CODE_MALFORMED_TLV = 4
-CODE_INVALID_MESSAGE = 5
-
-# Port/flow apply errors
-CODE_DUPLICATE_PORT = 6
-CODE_UNKNOWN_PORT = 7
-CODE_DUPLICATE_BEARER = 8
-CODE_UNKNOWN_OUT_PORT = 9
-CODE_DUPLICATE_ENTRY = 10
-CODE_UNSUPPORTED_LAYER = 11
-
-# Encapsulation errors
-CODE_BAD_GTPU_FLAGS = 12
-CODE_BAD_SIG_FLAGS = 13
 
 class Open5GError(Exception):
     """Base for all protocol errors with a wire-reportable code."""
@@ -34,33 +17,33 @@ class WireDecodeError(Open5GError):
 
 
 class TruncatedError(WireDecodeError):
-    code = CODE_TRUNCATED
+    code = 1
 
 
 class BadVersionError(WireDecodeError):
-    code = CODE_BAD_VERSION
+    code = 2
 
 
 class UnknownTypeError(WireDecodeError):
-    code = CODE_UNKNOWN_TYPE
+    code = 3
 
 
 class MalformedTlvError(WireDecodeError):
-    code = CODE_MALFORMED_TLV
+    code = 4
 
 
 class InvalidMessageError(Open5GError):
     """A message violates a structural invariant and cannot be encoded."""
 
-    code = CODE_INVALID_MESSAGE
+    code = 5
 
 
 class BadGtpuFlagsError(WireDecodeError):
-    code = CODE_BAD_GTPU_FLAGS
+    code = 12
 
 
 class BadSigFlagsError(WireDecodeError):
-    code = CODE_BAD_SIG_FLAGS
+    code = 13
 
 
 class SwitchApplyError(Open5GError):
@@ -68,27 +51,27 @@ class SwitchApplyError(Open5GError):
 
 
 class DuplicatePortError(SwitchApplyError):
-    code = CODE_DUPLICATE_PORT
+    code = 6
 
 
 class UnknownPortError(SwitchApplyError):
-    code = CODE_UNKNOWN_PORT
+    code = 7
 
 
 class DuplicateBearerError(SwitchApplyError):
-    code = CODE_DUPLICATE_BEARER
+    code = 8
 
 
 class UnknownOutPortError(SwitchApplyError):
-    code = CODE_UNKNOWN_OUT_PORT
+    code = 9
 
 
 class DuplicateEntryError(SwitchApplyError):
-    code = CODE_DUPLICATE_ENTRY
+    code = 10
 
 
 class UnsupportedLayerError(SwitchApplyError):
-    code = CODE_UNSUPPORTED_LAYER
+    code = 11
 
 
 # Controller-side errors (never put on the wire)
@@ -137,7 +120,8 @@ class BudgetExceededError(SimulationError):
     pass
 
 
-def quoted(text: str) -> str:
-    """The repr of `text` for an error message: whole up to 80 characters,
-    else its first 80 and its length, so that a huge input gives a short error."""
+def quoted(text: object) -> str:
+    """The repr of `text` (of its str() if it is no string) for an error message: whole
+    up to 80 characters, else its first 80 and its length, so that a huge input gives a short error."""
+    text = text if isinstance(text, str) else str(text)
     return repr(text) if len(text) <= 80 else f"{text[:80]!r}... ({len(text)} characters)"

@@ -34,6 +34,7 @@ from .errors import (
     ScriptError,
     UnknownUeError,
     WireDecodeError,
+    quoted,
 )
 from .messages import (
     NGAP_INITIAL_CONTEXT_SETUP_REQUEST,
@@ -56,8 +57,6 @@ from .messages import (
 from .node import DataPlaneNode, Rat
 from .trace import EventTrace, TraceRecord, fnv1a64, to_records
 from .wire import GtpTunnel, PortSpec, SigTunnel
-
-UPF_IP = "10.9.0.1"
 
 _DIGEST_CHUNK = 512  # sends per fnv1a64 call: few calls, a bounded payload buffer
 
@@ -116,6 +115,12 @@ _SCRIPT_CHECKS = {
 # then has room to go on after its last stimulus
 MAX_TICK_DIGITS = 639
 TICK_LIMIT = 10**MAX_TICK_DIGITS
+
+
+def _tick_text(tick: int) -> str:
+    """`tick` in an error text: whole up to 80 digits, as `quoted` keeps a token,
+    and a longer one, which str() may refuse to convert, by its length alone."""
+    return str(tick) if abs(tick) < 10**80 else "of more than 80 digits"
 
 
 @dataclass(frozen=True)
@@ -246,7 +251,10 @@ class Simulator:
         self.nodes: dict[str, DataPlaneNode] = {}
         for spec in topology.nodes:
             self.nodes[spec.name] = DataPlaneNode(spec.name, spec.rat)
-            self.controller.register_node(spec.name, spec.rat, spec.ngu_ip, UPF_IP)
+            try:
+                self.controller.register_node(spec.name, spec.rat, spec.ngu_ip)
+            except ValueError:
+                raise ScriptError(f"node {quoted(spec.name)} has a bad ngu_ip {quoted(spec.ngu_ip)}") from None
 
         self.ues: dict[str, UeSim] = {}
         self.ue_by_tmp_id: dict[int, UeSim] = {}
@@ -255,7 +263,7 @@ class Simulator:
         session_specs: dict[int, tuple[SessionSpec, ...]] = {}
         for i, spec in enumerate(topology.ues):
             if spec.attach not in self.nodes:
-                raise ScriptError(f"ue {spec.name} attaches to unknown node {spec.attach}")
+                raise ScriptError(f"ue {quoted(spec.name)} attaches to unknown node {quoted(spec.attach)}")
             ue = UeSim(spec.name, i + 1, spec.attach)
             self.ues[spec.name] = ue
             self.ue_by_tmp_id[ue.ue_tmp_id] = ue
@@ -271,22 +279,24 @@ class Simulator:
         for tick, kind, args in self.script:
             checks = _SCRIPT_CHECKS.get(kind)
             if checks is None:
-                raise ScriptError(f"unknown stimulus {kind!r}")
+                raise ScriptError(f"unknown stimulus {quoted(kind)}")
             arity, address_at = checks
             if len(args) != arity:
-                raise ScriptError(f"{kind} at tick {tick} wants {arity} arguments, got {len(args)}")
-            if not 0 <= tick < TICK_LIMIT:
-                what = f"negative tick {tick}" if tick < 0 else f"a tick of more than {MAX_TICK_DIGITS} digits"
-                raise ScriptError(f"{kind} at {what}")
+                raise ScriptError(f"{kind} at tick {_tick_text(tick)} wants {arity} arguments, got {len(args)}")
+            if tick < 0:
+                raise ScriptError(f"{kind} at negative tick {_tick_text(tick)}")
+            if tick >= TICK_LIMIT:
+                raise ScriptError(f"{kind} at a tick of more than {MAX_TICK_DIGITS} digits")
             if args[0] not in ues:
-                raise ScriptError(f"stimulus references unknown UE {args[0]!r}")
+                raise ScriptError(f"stimulus references unknown UE {quoted(args[0])}")
             if address_at is not None and args[address_at] not in downlink_dst:
                 address = args[address_at]
                 try:
                     downlink_dst[address] = wire.ip_bytes(address)
                 except ValueError:
                     raise ScriptError(
-                        f"{kind} at tick {tick} for {args[0]!r} has a bad destination {address!r}"
+                        f"{kind} at tick {_tick_text(tick)} for {quoted(args[0])}"
+                        f" has a bad destination {quoted(address)}"
                     ) from None
 
         self.records: list[TraceRecord] = []

@@ -140,6 +140,11 @@ def _format_name(name: str) -> str:
     return name
 
 
+def _format_ip(address: str) -> str:
+    ip_bytes(address)  # a ValueError for text that would read back as another address, or not at all
+    return address
+
+
 def _format_payload(payload: bytes) -> str:
     if not payload:  # its hex would be no token at all
         raise ValueError("an empty payload has no script form")
@@ -160,11 +165,12 @@ class _Field(NamedTuple):
 
 
 _NAME = _Field(format=_format_name)  # of a node or a UE
+_IP = _Field(_check_ip, _format_ip)
 # stimulus argument type (see netsim.STIMULI) -> its field
 _ARGS = {
     "ue": _NAME,
     "bearer": _Field(lambda token, lineno: _parse_int(token, lineno, "bearer")),
-    "ip": _Field(_check_ip),
+    "ip": _IP,
     "proto": _Field(_parse_proto, _format_proto),
     "l4_port": _Field(_parse_l4_port),
     "payload": _Field(_parse_hex, _format_payload),
@@ -335,7 +341,7 @@ _SECTIONS = {
         "admission_cap": _Field(_parse_admission_cap, required=False),
         "max_events": _Field(lambda token, lineno: _parse_int(token, lineno, "max_events"), required=False),
     },
-    "node": {"name": _NAME, "rat": _Field(_parse_rat, lambda rat: rat.value), "ngu_ip": _Field(_check_ip)},
+    "node": {"name": _NAME, "rat": _Field(_parse_rat, lambda rat: rat.value), "ngu_ip": _IP},
     "ue": {"name": _NAME, "attach": _NAME},
     "session": {
         "ue": _NAME,
@@ -448,7 +454,7 @@ def serialize_scenario(scenario: Scenario) -> str:
         try:
             args = [_ARGS[t].format(arg) for t, arg in zip(STIMULI[stim.kind], stim.args, strict=True)]
         except ValueError as exc:
-            raise ValueError(f"cannot write {stim}: {exc}") from None
+            raise ValueError(f"cannot write {quoted(repr(stim))}: {exc}") from None
         out.append(" ".join([str(stim.tick), stim.kind, *args]))
     out.append("")  # the final newline, without a copy of the whole text
     return "\n".join(out)

@@ -213,4 +213,6 @@ def read_trace(path: str) -> EventTrace:
         # read() decodes the whole file in one call, so exc.object holds all its bytes
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise TraceParseError(f"line {line}: not UTF-8: {exc.reason}") from None
+    except OSError as exc:
+        raise TraceParseError(str(exc)) from None
     return EventTrace.from_text(text)

@@ -108,12 +108,12 @@ def ip_bytes(addr: str) -> bytes:
 
     Accepts exactly the strings `ipaddress.IPv4Address` accepts: four ASCII
     decimal octets of at most 255, none with a leading zero. Those are the
-    strings that `ip_str` gives back from their bytes; any other is a ValueError.
+    strings that `ip_str` gives back from their bytes; any other value is a ValueError.
     """
     try:
         a, b, c, d = addr.split(".")
         packed = bytes((int(a), int(b), int(c), int(d)))
-    except ValueError:
+    except (ValueError, TypeError, AttributeError):  # the last two: `addr` is no string
         packed = None
     if packed is None or ip_str(packed) != addr:
         raise ValueError(f"{quoted(addr)} is not a dotted-quad IPv4 address")

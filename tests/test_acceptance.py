@@ -201,9 +201,9 @@ def test_criterion_6_uniform_command_grammar_across_rats():
 
     scn = load_scenario(MULTI_RAT)
     per_node: dict[str, list] = {}
-    c = Controller()
+    c = Controller(scn.settings.admission_cap)
     for node in scn.topology.nodes:
-        c.register_node(node.name, node.rat, node.ngu_ip, "10.9.0.1")
+        c.register_node(node.name, node.rat, node.ngu_ip)
     for i, ue in enumerate(scn.topology.ues):
         batches = []
         batches += [e for e in c.bootstrap_node(ue.attach)]

@@ -44,10 +44,9 @@ from open5gsim.messages import (
     rrc_from_bytes,
     rrc_to_bytes,
 )
+from open5gsim.netsim import Settings
 from open5gsim.node import DataPlaneNode, Rat
 from open5gsim.wire import FlowMod, PortMod
-
-UPF_IP = "10.9.0.1"
 
 SESSION = SessionSpec(
     session_id=1,
@@ -60,9 +59,9 @@ SESSION = SessionSpec(
 )
 
 
-def make_controller(**kwargs) -> Controller:
-    c = Controller(**kwargs)
-    c.register_node("gnb1", Rat.NR, "10.0.0.1", UPF_IP)
+def make_controller(admission_cap: int = Settings.admission_cap) -> Controller:
+    c = Controller(admission_cap)
+    c.register_node("gnb1", Rat.NR, "10.0.0.1")
     return c
 
 
@@ -116,8 +115,8 @@ def test_bootstrap_twice_rejected():
 
 def test_bootstrap_three_nodes_is_linear():
     c = make_controller()
-    c.register_node("enb1", Rat.LTE, "10.0.0.2", UPF_IP)
-    c.register_node("wt1", Rat.WLAN, "10.0.0.3", UPF_IP)
+    c.register_node("enb1", Rat.LTE, "10.0.0.2")
+    c.register_node("wt1", Rat.WLAN, "10.0.0.3")
     batches = [c.bootstrap_node(n)[0] for n in ("gnb1", "enb1", "wt1")]
     assert [len(b.messages) for b in batches] == [4, 4, 4]
     # tunnel ids are allocated globally in registration order
@@ -244,9 +243,20 @@ def test_setup_request_on_own_srb1_tunnel_is_violation():
     assert controller_state(c) == before
 
 
+@pytest.mark.parametrize("kind", [RRC_SETUP, RRC_SECURITY_MODE_COMMAND, RRC_RECONFIGURATION])
+def test_a_downlink_kind_sent_up_on_srb1_is_violation(kind):
+    c = bootstrapped()
+    attach_ue(c)
+    before = controller_state(c)
+    with pytest.raises(ProtocolViolationError) as exc:
+        c.on_rrc_uplink("gnb1", sig_frame(c.ue_contexts[1].srb_tunnel, RrcMessage(kind, {})))
+    assert str(exc.value) == f"unexpected uplink {kind}"
+    assert controller_state(c) == before
+
+
 def test_tunnel_of_another_node_rejected():
     c = make_controller()
-    c.register_node("enb1", Rat.LTE, "10.0.0.2", UPF_IP)
+    c.register_node("enb1", Rat.LTE, "10.0.0.2")
     c.bootstrap_node("gnb1")
     c.bootstrap_node("enb1")
     before = controller_state(c)
@@ -338,6 +348,17 @@ def test_second_ics_request_is_violation_and_allocates_nothing():
     before = controller_state(c)
     with pytest.raises(ProtocolViolationError):
         c.on_ngap(ics_request())
+    assert controller_state(c) == before
+
+
+@pytest.mark.parametrize("kind", [NGAP_INITIAL_UE_MESSAGE, NGAP_INITIAL_CONTEXT_SETUP_RESPONSE])
+def test_an_ngap_message_the_amf_does_not_send_is_violation(kind):
+    c = bootstrapped()
+    attach_ue(c)
+    before = controller_state(c)
+    with pytest.raises(ProtocolViolationError) as exc:
+        c.on_ngap(NgapMessage(kind, {"ue_tmp_id": 1}))
+    assert str(exc.value) == f"unexpected NGAP {kind}"
     assert controller_state(c) == before
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from open5gsim.errors import InvalidMessageError
-from open5gsim.messages import ngap_from_bytes, rrc_from_bytes
+from open5gsim.messages import RRC_SETUP_COMPLETE, RrcMessage, ngap_from_bytes, rrc_from_bytes
 
 
 @pytest.mark.parametrize(
@@ -28,3 +28,13 @@ from open5gsim.messages import ngap_from_bytes, rrc_from_bytes
 def test_malformed_documents_are_invalid_messages(decode, data):
     with pytest.raises(InvalidMessageError):
         decode(data)
+
+
+@pytest.mark.parametrize("fields", [{}, {"nas": ""}], ids=["no_nas", "empty_nas"])
+def test_a_setup_complete_must_carry_a_nas_payload(fields):
+    with pytest.raises(InvalidMessageError) as exc:
+        RrcMessage(RRC_SETUP_COMPLETE, fields)
+    assert str(exc.value) == "RrcSetupComplete must carry a NAS payload"
+    with pytest.raises(InvalidMessageError) as exc:
+        rrc_from_bytes(b'{"fields":{},"kind":"RrcSetupComplete"}')
+    assert str(exc.value) == "RrcSetupComplete must carry a NAS payload"

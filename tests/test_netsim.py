@@ -19,6 +19,9 @@ from open5gsim.errors import (
 from open5gsim.messages import (
     NGAP_INITIAL_CONTEXT_SETUP_REQUEST,
     NGAP_INITIAL_UE_MESSAGE,
+    RRC_RECONFIGURATION,
+    RRC_SECURITY_MODE_COMMAND,
+    RRC_SETUP,
     RRC_SETUP_COMPLETE,
     NgapMessage,
     RrcMessage,
@@ -31,6 +34,7 @@ from open5gsim.netsim import (
     Simulator,
     Stimulus,
     Topology,
+    UeSim,
     UeSpec,
     UpfStub,
     _Delivery,
@@ -125,8 +129,75 @@ def test_unknown_ue_in_script_rejected_at_build():
 
 def test_ue_attached_to_unknown_node_rejected():
     bad = Topology(nodes=TOPOLOGY.nodes, ues=(UeSpec("ue1", "ghost"),))
-    with pytest.raises(ScriptError):
+    with pytest.raises(ScriptError) as exc:
         Simulator(bad, [])
+    assert str(exc.value) == "ue 'ue1' attaches to unknown node 'ghost'"
+
+
+@pytest.mark.parametrize(
+    "topology, stim, message",
+    [
+        (TOPOLOGY, Stimulus(0, "ue_power_off", ("ue1",)), "unknown stimulus 'ue_power_off'"),
+        (
+            Topology((NodeSpec("gnb1", Rat.NR, "10.0.0.1#x"),), TOPOLOGY.ues),
+            Stimulus(0, "ue_power_on", ("ue1",)),
+            "node 'gnb1' has a bad ngu_ip '10.0.0.1#x'",
+        ),
+        (TOPOLOGY, Stimulus(0, 5, ("ue1",)), "unknown stimulus '5'"),
+        (TOPOLOGY, Stimulus(0, "ue_power_on", (5,)), "stimulus references unknown UE '5'"),
+        (
+            TOPOLOGY,
+            Stimulus(0, "inject_downlink_data", ("ue1", b"10.0.1.1", 6, 34, b"x")),
+            "inject_downlink_data at tick 0 for 'ue1' has a bad destination \"b'10.0.1.1'\"",
+        ),
+        (Topology((NodeSpec("gnb1", Rat.NR, 5),), ()), Stimulus(0, "ue_power_on", ()), "node 'gnb1' has a bad ngu_ip '5'"),
+        (Topology(TOPOLOGY.nodes, (UeSpec(5, 6),)), Stimulus(0, "ue_power_on", ()), "ue '5' attaches to unknown node '6'"),
+    ],
+    ids=["unknown_kind", "bad_ngu_ip", "int_kind", "int_ue", "bytes_address", "int_ngu_ip", "int_names"],
+)
+def test_a_bad_value_built_in_python_is_a_script_error(topology, stim, message):
+    """The scenario parser rejects these first; through the Python API a name
+    or an address may be any string, or no string at all."""
+    with pytest.raises(ScriptError) as exc:
+        Simulator(topology, [stim])
+    assert str(exc.value) == message
+
+
+_LONG = "x" * 3000
+_HUGE_TICK = -(10**5000)  # str() refuses it under the default limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "topology, stim, start",
+    [
+        (TOPOLOGY, Stimulus(_HUGE_TICK, "ue_power_on", ("ue1",)), "ue_power_on at negative tick of more than 80"),
+        (TOPOLOGY, Stimulus(_HUGE_TICK, "ue_power_on", ()), "ue_power_on at tick of more than 80 digits wants"),
+        (TOPOLOGY, Stimulus(10**600, "ue_power_on", ()), "ue_power_on at tick of more than 80 digits wants"),
+        (TOPOLOGY, Stimulus(0, _LONG, ("ue1",)), "unknown stimulus 'xxx"),
+        (TOPOLOGY, Stimulus(0, "ue_power_on", (_LONG,)), "stimulus references unknown UE 'xxx"),
+        (
+            TOPOLOGY,
+            Stimulus(10**600, "inject_downlink_data", ("ue1", _LONG, 6, 34, b"x")),
+            "inject_downlink_data at tick of more than 80 digits for 'ue1' has a bad destination 'xxx",
+        ),
+        (
+            Topology(TOPOLOGY.nodes, (UeSpec(_LONG, _LONG),)),
+            Stimulus(0, "ue_power_on", (_LONG,)),
+            "ue 'xxx",
+        ),
+        (
+            Topology((NodeSpec(_LONG, Rat.NR, _LONG),), TOPOLOGY.ues),
+            Stimulus(0, "ue_power_on", ("ue1",)),
+            "node 'xxx",
+        ),
+    ],
+    ids=["negative_tick", "arity_negative_tick", "arity_long_tick", "kind", "ue", "address", "attach", "ngu_ip"],
+)
+def test_a_script_error_quotes_a_long_token_or_tick_in_short(topology, stim, start):
+    with pytest.raises(ScriptError) as exc:
+        Simulator(topology, [stim])
+    assert str(exc.value).startswith(start)
+    assert len(str(exc.value)) < 512
 
 
 def test_event_budget_enforced():
@@ -405,6 +476,27 @@ def test_amf_rejects_unknown_ue():
     amf = AmfStub({})
     with pytest.raises(UnknownUeError):
         amf.handle(NgapMessage(NGAP_INITIAL_UE_MESSAGE, {"ue_tmp_id": 9, "nas": "00"}))
+
+
+def test_amf_refuses_a_message_it_does_not_answer():
+    with pytest.raises(ScriptError) as exc:
+        AmfStub({}).handle(NgapMessage(NGAP_INITIAL_CONTEXT_SETUP_REQUEST, {"ue_tmp_id": 1}))
+    assert str(exc.value) == "AMF cannot handle InitialContextSetupRequest"
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [(RRC_SECURITY_MODE_COMMAND, {}), (RRC_RECONFIGURATION, {"sessions": []}), (RRC_SETUP, {"crnti": 61})],
+)
+def test_ue_ignores_a_downlink_its_state_does_not_expect(kind, fields):
+    """Before its RrcSetup a UE answers nothing but an RrcSetup, and after it no second one."""
+    ue = UeSim("ue1", 1, "gnb1")
+    ue.power_on()
+    if kind == RRC_SETUP:
+        ue.on_rrc(0, RrcMessage(RRC_SETUP, {"crnti": 61}))
+    state = ue.state
+    assert ue.on_rrc(3, RrcMessage(kind, fields)) == []
+    assert ue.state == state
 
 
 def test_upf_counts_bad_frames():

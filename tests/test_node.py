@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from open5gsim import wire
+from open5gsim import errors, wire
 from open5gsim.errors import (
-    CODE_DUPLICATE_ENTRY,
-    CODE_TRUNCATED,
-    CODE_UNKNOWN_OUT_PORT,
-    CODE_UNSUPPORTED_LAYER,
+    DuplicateEntryError,
+    TruncatedError,
+    UnknownOutPortError,
+    UnsupportedLayerError,
 )
 from open5gsim.node import DataPlaneNode, Rat
 from open5gsim.wire import (
@@ -86,10 +86,26 @@ def test_hello_is_silent():
     assert n.handle_open5g(encode_message(Hello(1))) is None
 
 
+def test_each_error_class_reports_its_fixed_code():
+    """A node puts these numbers on the wire, in ERROR messages."""
+    classes = [c for c in _subclasses(errors.Open5GError) if c.__module__ == errors.__name__]
+    codes = {c.__name__: c.code for c in classes if "code" in vars(c)}
+    assert codes == {
+        "Open5GError": 0, "TruncatedError": 1, "BadVersionError": 2, "UnknownTypeError": 3, "MalformedTlvError": 4,
+        "InvalidMessageError": 5, "DuplicatePortError": 6, "UnknownPortError": 7, "DuplicateBearerError": 8,
+        "UnknownOutPortError": 9, "DuplicateEntryError": 10, "UnsupportedLayerError": 11, "BadGtpuFlagsError": 12,
+        "BadSigFlagsError": 13,
+    }
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [cls] + [sub for direct in cls.__subclasses__() for sub in _subclasses(direct)]
+
+
 def test_malformed_bytes_produce_single_error():
     n = DataPlaneNode("gnb1", Rat.NR)
     err = decode_message(n.handle_open5g(b"\x01\x04\x00\x0b\x00\x00\x00\x01junk"))
-    assert err.code == CODE_TRUNCATED  # flow-mod body shorter than its header claims
+    assert err.code == TruncatedError.code  # flow-mod body shorter than its header claims
     assert err.xid == 0  # offending message never decoded; no xid to echo
 
 
@@ -97,7 +113,7 @@ def test_flow_mod_to_unknown_port_errors_and_preserves_table(node):
     before = copy.deepcopy(node.table.entries)
     bad = FlowMod(99, FlowModCommand.ADD, 50, FlowMatch(in_port=1), 77)
     err = decode_message(node.handle_open5g(encode_message(bad)))
-    assert err.code == CODE_UNKNOWN_OUT_PORT
+    assert err.code == UnknownOutPortError.code
     assert err.xid == 99
     assert node.table.entries == before
 
@@ -106,7 +122,7 @@ def test_duplicate_flow_mod_add_error_detail_shows_the_match(node):
     # the detail is the error text cut to 64 bytes; it reaches the trace digests
     dup = FlowMod(99, FlowModCommand.ADD, 100, FlowMatch(crnti=1, bearer_id=3), LP_SIG)
     err = decode_message(node.handle_open5g(encode_message(dup)))
-    assert (err.xid, err.code) == (99, CODE_DUPLICATE_ENTRY)
+    assert (err.xid, err.code) == (99, DuplicateEntryError.code)
     assert err.detail == b"entry (priority 100, FlowMatch(in_port=None, crnti=1, bearer_id="
 
 
@@ -124,7 +140,7 @@ def test_wlan_rejects_sdap_and_pdcp_layers():
     n = DataPlaneNode("wt1", Rat.WLAN)
     spec = RadioBearer(1, 1, BearerKind.DRB, (ConfigTlv(int(LayerTlv.PDCP), b""),))
     out = n.handle_open5g(encode_message(PortMod(1, PortModCommand.CREATE, 1, spec)))
-    assert decode_message(out).code == CODE_UNSUPPORTED_LAYER
+    assert decode_message(out).code == UnsupportedLayerError.code
     assert len(n.registry.ports) == 0
 
 
@@ -308,5 +324,5 @@ def test_batch_with_undecodable_second_frame():
     n = DataPlaneNode("gnb1", Rat.NR)
     good = encode_message(PortMod(5, PortModCommand.CREATE, 1, SigTunnel(SRC_IP, 1)))
     err = decode_message(n.handle_open5g(good + b"\x01\x04\x00\x0b\x00\x00\x00\x06junk"))
-    assert (err.xid, err.code) == (0, CODE_TRUNCATED)
+    assert (err.xid, err.code) == (0, TruncatedError.code)
     assert 1 in n.registry.ports

@@ -124,6 +124,8 @@ def corpus(tmp: Path) -> None:
     _cli(0, "run", _scenario_with(tmp, "ue_amf", initial.replace("ue1", "amf")), "-o", out)
     _cli(2, "run", _scenario_with(tmp, "gnb_space", initial.replace("gnb1", "gnb 1")), "-o", out)
     _cli(2, "run", str(tmp / "no_such.scn"), "-o", out)
+    _cli(2, "verify", str(tmp / "no_such.trace"), "--golden", fig6)
+    _cli(2, "verify", str(tmp), "--golden", fig6)
     _cli(2, "verify", fig6, "--golden", fig6, "--channels", "srb9")
     golden = Path(fig6).read_bytes()
     bad_traces = {

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import ipaddress
 import re
 import tempfile
 from pathlib import Path
@@ -128,6 +129,7 @@ def test_missing_node_key_rejected():
 def test_bad_script_stimulus_rejected():
     expect_parse_error("[script]\n0 explode ue1\n", 2, "unknown stimulus")
     expect_parse_error("[script]\n-5 ue_power_on ue1\n", 2, "negative tick '-5'")
+    expect_parse_error("[script]\n5\n", 2, "script line wants: <tick> <stimulus> <args...>")
 
 
 def test_a_tick_a_trace_cannot_hold_is_rejected(tmp_path, capsys):
@@ -385,7 +387,7 @@ _SCRIPT_LINE = st.one_of(
         st.integers(0, 99),
         st.sampled_from(["ue1", "ue2", "ue3"]),
         st.sampled_from(["10.0.1.1", "10.0.2.1", "10.0.3.1", "192.168.0.255"]),
-        st.sampled_from(["tcp", "udp", "icmp", "0", "255", "47"]),
+        st.sampled_from(["tcp", "udp", "icmp", "0", "255", "47", "sctp"]),
         st.integers(0, 65535),
         _HEX,
     ),
@@ -448,19 +450,54 @@ def test_bundled_scenarios_parse_as_the_reference_parses_them(path):
 
 
 @pytest.mark.parametrize(
-    "stim",
+    "stim, quoted",
     [
-        Stimulus(40, "send_uplink_data", ("ue1", 1, b"")),
-        Stimulus(41, "inject_downlink_data", ("ue1", "10.0.1.2", 6, 34, b"")),
+        (
+            Stimulus(40, "send_uplink_data", ("ue1", 1, b"")),
+            repr("Stimulus(tick=40, kind='send_uplink_data', args=('ue1', 1, b''))"),
+        ),
+        (
+            Stimulus(41, "inject_downlink_data", ("ue1", "10.0.1.2", 6, 34, b"")),
+            repr("Stimulus(tick=41, kind='inject_downlink_data', args=('ue1', '10.0.1.2', 6, 34, b")
+            + "... (84 characters)",
+        ),
     ],
     ids=["uplink", "downlink"],
 )
-def test_serialize_rejects_a_stimulus_it_cannot_write(stim):
+def test_serialize_rejects_a_stimulus_it_cannot_write(stim, quoted):
     """The hex of no bytes is no token at all, so the line would not parse back."""
     scenario = load_scenario(INITIAL_ACCESS)
     with pytest.raises(ValueError) as exc:
         serialize_scenario(dataclasses.replace(scenario, script=scenario.script + (stim,)))
-    assert str(exc.value) == f"cannot write {stim!r}: an empty payload has no script form"
+    assert str(exc.value) == f"cannot write {quoted}: an empty payload has no script form"
+
+
+@pytest.mark.parametrize(
+    "address", ["10.0.0.1#x", "10.0.0.1 x", "10.0.0.01", ""], ids=["hash", "space", "zero", "empty"]
+)
+def test_serialize_rejects_an_address_it_cannot_write(address):
+    """`ngu_ip = 10.0.0.1#x` would read back as 10.0.0.1."""
+    scenario = load_scenario(INITIAL_ACCESS)
+    (node,) = scenario.topology.nodes
+    topology = dataclasses.replace(scenario.topology, nodes=(dataclasses.replace(node, ngu_ip=address),))
+    with pytest.raises(ValueError) as exc:
+        serialize_scenario(dataclasses.replace(scenario, topology=topology))
+    assert str(exc.value) == f"cannot write [node] ngu_ip: {address!r} is not a dotted-quad IPv4 address"
+    stim = Stimulus(41, "inject_downlink_data", ("ue1", address, 6, 34, b"x"))
+    with pytest.raises(ValueError) as exc:
+        serialize_scenario(dataclasses.replace(scenario, script=(stim,)))
+    assert str(exc.value).startswith("cannot write \"Stimulus(tick=41, kind='inject_downlink_data'")
+    assert str(exc.value).endswith(f": {address!r} is not a dotted-quad IPv4 address")
+
+
+def test_serialize_quotes_a_long_stimulus_in_short():
+    scenario = load_scenario(INITIAL_ACCESS)
+    stim = Stimulus(41, "inject_downlink_data", ("ue1", "10.0.1.2#x", 6, 34, b"\xab" * 1400))
+    with pytest.raises(ValueError) as exc:
+        serialize_scenario(dataclasses.replace(scenario, script=(stim,)))
+    quoted = repr("Stimulus(tick=41, kind='inject_downlink_data', args=('ue1', '10.0.1.2#x', 6, 34,")
+    error = "'10.0.1.2#x' is not a dotted-quad IPv4 address"
+    assert str(exc.value) == f"cannot write {quoted}... (5686 characters): {error}"
 
 
 # -- every row of the format writes what it reads ------------------------------
@@ -471,6 +508,8 @@ _NAMES = st.text(alphabet="abuexyz019_-.", min_size=1, max_size=6)
 # a row also meets names it cannot write: with a comment or whitespace, or empty
 _ANY_NAMES = st.text(alphabet="abuxyz019_-.# \t\xa0", max_size=6)
 _IPS = st.binary(min_size=4, max_size=4).map(ip_str)
+# a row also meets addresses it cannot write: with a comment, a space, a leading zero
+_ANY_IPS = st.one_of(_IPS, _IPS.map(lambda ip: ip + "#x"), st.sampled_from(["1.2.3.4 5", "01.2.3.4", "1.2.3", ""]))
 _PROTOS = st.one_of(st.sampled_from([6, 17, 1]), st.integers(0, 255))  # named and numbered
 _PAYLOADS = st.binary(min_size=1, max_size=12)
 _DRBS = [d for d in range(32) if d not in SRB_BEARER_IDS]
@@ -493,7 +532,7 @@ _ROW_VALUES = {
     ("settings", "max_events"): st.integers(),
     ("node", "name"): _ANY_NAMES,
     ("node", "rat"): st.sampled_from(Rat),
-    ("node", "ngu_ip"): _IPS,
+    ("node", "ngu_ip"): _ANY_IPS,
     ("ue", "name"): _ANY_NAMES,
     ("ue", "attach"): _ANY_NAMES,
     ("session", "ue"): _ANY_NAMES,
@@ -502,7 +541,7 @@ _ROW_VALUES = {
     ("session", "flow"): _flows(_DRBS),
     ("stimulus", "ue"): _ANY_NAMES,
     ("stimulus", "bearer"): st.integers(),
-    ("stimulus", "ip"): _IPS,
+    ("stimulus", "ip"): _ANY_IPS,
     ("stimulus", "proto"): _PROTOS,
     ("stimulus", "l4_port"): st.integers(0, 65535),
     ("stimulus", "payload"): st.binary(max_size=12),  # b"" has no script form
@@ -532,6 +571,10 @@ def test_each_row_reads_back_the_value_it_writes(row, data):
         with pytest.raises(ValueError, match="holds '#' or is not one word"):
             field.format(value)
         return
+    if _ROW_VALUES[row] is _ANY_IPS and not writable_ip(value):
+        with pytest.raises(ValueError, match="is not a dotted-quad IPv4 address"):
+            field.format(value)
+        return
     text = field.format(value)
     if row[0] == "stimulus":
         assert text.split() == [text] and "#" not in text  # one field of a script line
@@ -554,6 +597,15 @@ def writable(name: str) -> bool:
     return "#" not in name and name.split() == [name]
 
 
+def writable_ip(address: str) -> bool:
+    """An address that reads back as itself: one `ipaddress` accepts, as `wire.ip_bytes` does."""
+    try:
+        ipaddress.IPv4Address(address)
+    except ValueError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("name", ["ue#1", "ue 1", "ue\xa01", ""], ids=["hash", "space", "nbsp", "empty"])
 def test_serialize_rejects_a_name_it_cannot_write(name):
     """`name = ue#1` would read back as a UE named `ue`."""
@@ -566,7 +618,7 @@ def test_serialize_rejects_a_name_it_cannot_write(name):
     stim = Stimulus(0, "ue_power_on", (name,))
     with pytest.raises(ValueError) as exc:
         serialize_scenario(dataclasses.replace(scenario, script=(stim,)))
-    assert str(exc.value) == f"cannot write {stim!r}: {name!r} holds '#' or is not one word"
+    assert str(exc.value) == f"cannot write {repr(stim)!r}: {name!r} holds '#' or is not one word"
 
 
 @st.composite
@@ -715,8 +767,14 @@ BAD_FLOW_SCENARIO = (
         ("-5 10.0.1.1 tcp 43 drb=1", "line 12: flow id '-5' out of range 0..63"),
         ("64 10.0.1.1 tcp 43 drb=1", "line 12: flow id '64' out of range 0..63"),
         ("99999999999999999999 10.0.1.1 tcp 43 drb=1", "line 12: flow id '99999999999999999999' out of range 0..63"),
+        ("1 10.0.1.1 sctp 43 drb=1", "line 12: unknown protocol 'sctp'"),
+        ("1 10.0.1.1 tcp 43", "line 12: flow wants: <id> <ip_dst> <proto> <l4_dst> drb=<n>"),
+        ("1 10.0.1.1 tcp 43 1", "line 12: flow wants: <id> <ip_dst> <proto> <l4_dst> drb=<n>"),
     ],
-    ids=["l4_dst_out_of_range", "drb_not_in_session", "flow_id_negative", "flow_id_above_63", "flow_id_huge"],
+    ids=[
+        "l4_dst_out_of_range", "drb_not_in_session", "flow_id_negative", "flow_id_above_63", "flow_id_huge",
+        "unknown_protocol", "four_fields", "no_drb",
+    ],
 )
 def test_run_rejects_bad_flow_at_parse_time(tmp_path, capsys, flow, fragment):
     scn = tmp_path / "bad_flow.scn"
@@ -800,8 +858,14 @@ def test_two_sessions_with_distinct_ids_and_drbs_run(tmp_path):
 
 @pytest.mark.parametrize(
     "proto, l4_dst, fragment",
-    [("tcp", 65536, "l4 port '65536' out of range"), (256, 43, "protocol '256' out of range")],
-    ids=["tcp-65536-l4 port 65536 out of range", "256-43-protocol 256 out of range"],  # the bad inputs
+    [
+        ("tcp", 65536, "l4 port '65536' out of range"),
+        (256, 43, "protocol '256' out of range"),
+        ("sctp", 43, "unknown protocol 'sctp'"),
+    ],
+    ids=[  # the bad inputs
+        "tcp-65536-l4 port 65536 out of range", "256-43-protocol 256 out of range", "sctp-43-unknown protocol sctp",
+    ],
 )
 def test_out_of_range_downlink_tuple_rejected(proto, l4_dst, fragment):
     line = f"40 inject_downlink_data ue1 10.0.1.1 {proto} {l4_dst} 6869"
@@ -1005,3 +1069,32 @@ def test_table_after_config_shows_data_rows_first(capsys):
 
 def test_table_unknown_node_is_sim_error(capsys):
     assert main(["table", INITIAL_ACCESS, "--node", "ghost", "--at", "5"]) == EXIT_SIM_ERROR
+    assert capsys.readouterr().err == "unknown node 'ghost'\n"
+
+
+def test_an_echo_of_a_long_argument_is_quoted_in_short(capsys):
+    assert main(["table", INITIAL_ACCESS, "--node", "n" * 3000, "--at", "5"]) == EXIT_SIM_ERROR
+    err = capsys.readouterr().err
+    assert err == f"unknown node '{'n' * 80}'... (3000 characters)\n"
+    assert main(["verify", GOLDEN, "--golden", GOLDEN, "--channels", "s" * 3000]) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: unknown channel '{'S' * 80}'... (3000 characters); channels are ")
+    assert len(err.encode()) < 512
+
+
+@pytest.mark.parametrize("side", ["trace", "golden"])
+@pytest.mark.parametrize(
+    "make, err",
+    [
+        (_missing, "parse error: [Errno 2] No such file or directory: "),
+        (_directory, "parse error: [Errno 21] Is a directory: "),
+    ],
+    ids=["missing", "directory"],
+)
+def test_a_trace_verify_cannot_read_is_a_parse_error(tmp_path, capsys, side, make, err):
+    path = str(make(tmp_path))
+    trace, golden = (path, GOLDEN) if side == "trace" else (GOLDEN, path)
+    assert main(["verify", trace, "--golden", golden]) == EXIT_PARSE_ERROR
+    out, text = capsys.readouterr()
+    assert out == ""
+    assert text.startswith(err) and text.count("\n") == 1 and text.endswith("\n")

@@ -23,6 +23,7 @@ from open5gsim.errors import (
 from open5gsim.node import DataPlaneNode, Rat
 from open5gsim.wire import (
     BearerKind,
+    ErrorMsg,
     FlowMatch,
     FlowMod,
     FlowModCommand,
@@ -281,6 +282,32 @@ def test_encoder_agrees_with_reference_with_one_field_replaced(msg):
             _assert_encoders_agree(_replaced(msg, path, value))
 
 
+def test_encode_refuses_what_is_no_message():
+    with pytest.raises(InvalidMessageError) as exc:
+        encode_message(object())
+    assert str(exc.value) == "unknown message class"
+
+
+def test_encode_refuses_a_message_its_length_field_cannot_hold():
+    """An ERROR's detail may be 65,535 bytes, but then the whole message is longer."""
+    with pytest.raises(InvalidMessageError) as exc:
+        encode_message(ErrorMsg(1, 2, bytes(0xFFFF)))
+    assert str(exc.value) == "message too long"
+
+
+def test_a_frame_sequence_ending_in_a_partial_header_is_truncated():
+    with pytest.raises(TruncatedError) as exc:
+        list(wire.iter_messages(encode_message(Hello(1)) + b"\x01\x01"))
+    assert str(exc.value) == "partial header in frame sequence"
+
+
+def test_a_frame_sequence_with_a_length_field_of_zero_is_malformed():
+    """A length of 0 would never advance the split."""
+    with pytest.raises(MalformedTlvError) as exc:
+        list(wire.iter_messages(encode_message(Hello(1)) + bytes.fromhex("0101000000000002")))
+    assert str(exc.value) == "length field 0 below header size"
+
+
 # -- encapsulations -------------------------------------------------------------
 
 
@@ -300,6 +327,29 @@ def test_gtpu_bad_flags():
     frame[0] = 0x32
     with pytest.raises(BadGtpuFlagsError):
         wire.decap_gtpu(bytes(frame))
+
+
+def test_gtpu_length_field_must_match_the_payload():
+    frame = wire.encap_gtpu(b"abc", 1)
+    with pytest.raises(TruncatedError) as exc:
+        wire.decap_gtpu(frame + b"x")
+    assert str(exc.value) == "GTP-U length field 3, payload 4"
+
+
+@pytest.mark.parametrize(
+    "pack, message",
+    [
+        (lambda payload: wire.encap_gtpu(payload, 1), "GTP-U payload too long"),
+        (lambda payload: wire.pack_envelope(1, payload), "envelope payload too long"),
+        (lambda payload: wire.pack_ip_packet(wire.ip_bytes("10.0.1.2"), 6, 34, payload), "ip payload too long"),
+    ],
+    ids=["gtpu", "envelope", "ip_packet"],
+)
+def test_a_payload_its_u16_length_field_cannot_hold_is_refused(pack, message):
+    assert len(pack(bytes(0xFFFF))) > 0xFFFF  # the largest length still packs
+    with pytest.raises(InvalidMessageError) as exc:
+        pack(bytes(0x10000))
+    assert str(exc.value) == message
 
 
 def test_sig_round_trip():
