@@ -14,6 +14,7 @@ stub names never decide where a delivery goes.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count
@@ -121,6 +122,19 @@ def _tick_text(tick: int) -> str:
     """`tick` in an error text: whole up to 80 digits, as `quoted` keeps a token,
     and a longer one, which str() may refuse to convert, by its length alone."""
     return str(tick) if abs(tick) < 10**80 else "of more than 80 digits"
+
+
+def _unpackable(stim: Stimulus) -> ScriptError:
+    """The error of a data stimulus, built in Python, with a payload that is no
+    bytes or a protocol or port that a packet header cannot hold."""
+    args = stim.args
+    if not isinstance(args[-1], (bytes, bytearray)):
+        fault = f"a payload of type {type(args[-1]).__name__}, not bytes"
+    elif not (isinstance(args[2], int) and 0 <= args[2] <= 255):
+        fault = "a protocol outside 0..255"
+    else:
+        fault = "an l4 port outside 0..65535"
+    return ScriptError(f"{stim.kind} at tick {_tick_text(stim.tick)} for {quoted(args[0])} has {fault}")
 
 
 @dataclass(frozen=True)
@@ -370,6 +384,8 @@ class Simulator:
                 self._send_ue_rrc(ue, bearer, msg)
         elif stim.kind == "send_uplink_data":
             _, bearer_id, payload = stim.args
+            if not isinstance(payload, (bytes, bytearray)):
+                raise _unpackable(stim)
             self.uplink_injected += 1
             crnti = ue.crnti if ue.crnti is not None else 0
             self._send(
@@ -377,7 +393,10 @@ class Simulator:
             )
         else:  # inject_downlink_data
             _, ip_dst, ip_proto, l4_dst, payload = stim.args
-            packet = wire.pack_ip_packet(self._downlink_dst[ip_dst], ip_proto, l4_dst, payload)
+            try:
+                packet = wire.pack_ip_packet(self._downlink_dst[ip_dst], ip_proto, l4_dst, payload)
+            except (struct.error, TypeError):
+                raise _unpackable(stim) from None
             node_id, frame = self.upf.downlink(ue.ue_tmp_id, packet)
             self.downlink_injected += 1
             self._send(_Delivery("upf", node_id, "NGU", "GPDU", frame, self._node_ngu))

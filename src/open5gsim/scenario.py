@@ -12,8 +12,8 @@ in `scenarios/` show whole scenarios.
 Each section key is a row of `_SECTIONS` and each stimulus argument type a row
 of `_ARGS`, while `netsim.STIMULI` gives each stimulus its argument types. A
 row reads a value, words the ParseError of a bad one and writes the value
-back. Numbers read as `int()` reads them, so `+5`, `1_0` and Unicode digits
-are numbers.
+back; `serialize_scenario` checks its text by parsing it. Numbers read as
+`int()` reads them, so `+5`, `1_0` and Unicode digits are numbers.
 """
 
 from __future__ import annotations
@@ -134,23 +134,6 @@ def _format_proto(proto: int) -> str:
     return _PROTO_BY_NUM.get(proto, str(proto))
 
 
-def _format_name(name: str) -> str:
-    if "#" in name or name.split() != [name]:  # it would not read back as one name
-        raise ValueError(f"{quoted(name)} holds '#' or is not one word")
-    return name
-
-
-def _format_ip(address: str) -> str:
-    ip_bytes(address)  # a ValueError for text that would read back as another address, or not at all
-    return address
-
-
-def _format_payload(payload: bytes) -> str:
-    if not payload:  # its hex would be no token at all
-        raise ValueError("an empty payload has no script form")
-    return payload.hex()
-
-
 def _format_flow(f: QosFlowSpec) -> str:
     return f"{f.flow_id} {ip_str(f.ip_dst)} {_format_proto(f.ip_proto)} {f.l4_dst} drb={f.drb}"
 
@@ -164,8 +147,8 @@ class _Field(NamedTuple):
     repeats: bool = False  # of a section key: one line per element of its tuple value
 
 
-_NAME = _Field(format=_format_name)  # of a node or a UE
-_IP = _Field(_check_ip, _format_ip)
+_NAME = _Field()  # of a node or a UE
+_IP = _Field(_check_ip)
 # stimulus argument type (see netsim.STIMULI) -> its field
 _ARGS = {
     "ue": _NAME,
@@ -173,7 +156,7 @@ _ARGS = {
     "ip": _IP,
     "proto": _Field(_parse_proto, _format_proto),
     "l4_port": _Field(_parse_l4_port),
-    "payload": _Field(_parse_hex, _format_payload),
+    "payload": _Field(_parse_hex, bytes.hex),
 }
 
 
@@ -375,7 +358,9 @@ def parse_scenario(text: str) -> Scenario:
     script, script_ues = acc.script, acc.script_ues
     new_stimulus = tuple.__new__  # `Stimulus(...)` without its Python-level __new__
     in_script = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines: list[str | None] = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        lines[lineno - 1] = None  # free each line once read: the lines and their scenario are not all held at once
         line = (raw[: raw.index("#")] if "#" in raw else raw).strip()
         if not line:
             continue
@@ -433,8 +418,8 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(topology, tuple(acc.script), settings)
 
 
-def serialize_scenario(scenario: Scenario) -> str:
-    """The canonical text of `scenario`; a ValueError names a value it cannot hold."""
+def _lines(scenario: Scenario) -> list[str]:
+    """The lines of `scenario`'s text, one per key and per stimulus, and "" for its final newline."""
     sections = [("settings", vars(scenario.settings))] + [("node", vars(n)) for n in scenario.topology.nodes]
     for ue in scenario.topology.ues:
         sections.append(("ue", vars(ue)))
@@ -444,20 +429,34 @@ def serialize_scenario(scenario: Scenario) -> str:
     for name, values in sections:
         out.append(f"[{name}]")
         for key, field in _SECTIONS[name].items():
-            try:
-                out += [f"{key} = {field.format(v)}" for v in (values[key] if field.repeats else (values[key],))]
-            except ValueError as exc:
-                raise ValueError(f"cannot write [{name}] {key}: {exc}") from None
+            out += [f"{key} = {field.format(v)}" for v in (values[key] if field.repeats else (values[key],))]
         out.append("")
     out.append("[script]")
-    for stim in scenario.script:
-        try:
-            args = [_ARGS[t].format(arg) for t, arg in zip(STIMULI[stim.kind], stim.args, strict=True)]
-        except ValueError as exc:
-            raise ValueError(f"cannot write {quoted(repr(stim))}: {exc}") from None
-        out.append(" ".join([str(stim.tick), stim.kind, *args]))
-    out.append("")  # the final newline, without a copy of the whole text
-    return "\n".join(out)
+    for tick, kind, args in scenario.script:
+        types = STIMULI.get(kind, ())  # an unknown kind or a wrong arity is written for the parser to refuse
+        words = [_ARGS[t].format(arg) for t, arg in zip(types, args)] if len(types) == len(args) else map(str, args)
+        out.append(" ".join([str(tick), str(kind), *words]))
+    out.append("")
+    return out
+
+
+def serialize_scenario(scenario: Scenario) -> str:
+    """The canonical text of `scenario`, read back with `parse_scenario`: a
+    ValueError quotes the first line that does not read back as written."""
+    try:
+        text = "\n".join(_lines(scenario))
+    except ValueError as exc:  # a value with no text at all
+        raise ValueError(f"cannot write the scenario: {exc}") from None
+    try:
+        result = parse_scenario(text)
+    except ParseError as exc:
+        raise ValueError(f"cannot write {quoted(text.splitlines()[exc.line - 1])}: {exc}") from None
+    if result != scenario:
+        # lines as written, so a value with a line break differs too; if all agree, only a type does
+        for ours, theirs in zip(_lines(scenario), _lines(result)):
+            if ours != theirs:
+                raise ValueError(f"cannot write {quoted(ours)}: it reads back as {quoted(theirs)}")
+    return text
 
 
 def load_scenario(path: str) -> Scenario:

@@ -123,7 +123,7 @@ def ip_bytes(addr: str) -> bytes:
 def ip_str(packed: bytes) -> str:
     """Format 4 packed bytes as a dotted quad; any other length is a ValueError."""
     if len(packed) != 4:
-        raise ValueError(f"{packed!r} is not a packed IPv4 address")
+        raise ValueError(f"a packed IPv4 address is 4 bytes, not {len(packed)}")
     return "%d.%d.%d.%d" % tuple(packed)
 
 

@@ -298,6 +298,38 @@ def test_stimulus_with_wrong_arity_is_script_error_at_build(stim, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "stim, message",
+    [
+        (
+            Stimulus(30, "inject_downlink_data", ("ue1", "10.0.1.2", 300, 34, b"x")),
+            "inject_downlink_data at tick 30 for 'ue1' has a protocol outside 0..255",
+        ),
+        (
+            Stimulus(30, "inject_downlink_data", ("ue1", "10.0.1.2", 6, 70000, b"x")),
+            "inject_downlink_data at tick 30 for 'ue1' has an l4 port outside 0..65535",
+        ),
+        (
+            Stimulus(30, "inject_downlink_data", ("ue1", "10.0.1.2", 6, 34, "x")),
+            "inject_downlink_data at tick 30 for 'ue1' has a payload of type str, not bytes",
+        ),
+        (
+            Stimulus(30, "send_uplink_data", ("ue1", 1, "x")),
+            "send_uplink_data at tick 30 for 'ue1' has a payload of type str, not bytes",
+        ),
+    ],
+    ids=["downlink_protocol", "downlink_port", "downlink_str_payload", "uplink_str_payload"],
+)
+def test_a_field_no_packet_can_hold_is_a_script_error(stim, message):
+    """The scenario parser rejects these first; through the Python API the
+    packet header's struct or the payload buffer would raise instead."""
+    sim = make_sim(script=POWER_ON + [stim])
+    with pytest.raises(ScriptError) as exc:
+        sim.run()
+    assert str(exc.value) == message
+    assert len(sim.records) == 20  # every send before the stimulus
+
+
 def test_downlink_before_session_setup_is_script_error():
     script = [Stimulus(0, "inject_downlink_data", ("ue1", "10.0.1.1", 6, 43, b"x"))]
     with pytest.raises(ScriptError):

@@ -450,44 +450,51 @@ def test_bundled_scenarios_parse_as_the_reference_parses_them(path):
 
 
 @pytest.mark.parametrize(
-    "stim, quoted",
+    "stim, error",
     [
         (
             Stimulus(40, "send_uplink_data", ("ue1", 1, b"")),
-            repr("Stimulus(tick=40, kind='send_uplink_data', args=('ue1', 1, b''))"),
+            "'40 send_uplink_data ue1 1 ': line 24: send_uplink_data wants 3 arguments",
         ),
         (
             Stimulus(41, "inject_downlink_data", ("ue1", "10.0.1.2", 6, 34, b"")),
-            repr("Stimulus(tick=41, kind='inject_downlink_data', args=('ue1', '10.0.1.2', 6, 34, b")
-            + "... (84 characters)",
+            "'41 inject_downlink_data ue1 10.0.1.2 tcp 34 ': line 24: inject_downlink_data wants 5 arguments",
         ),
+        (Stimulus(-5, "ue_power_on", ("ue1",)), "'-5 ue_power_on ue1': line 24: negative tick '-5'"),
     ],
-    ids=["uplink", "downlink"],
+    ids=["uplink", "downlink", "negative_tick"],
 )
-def test_serialize_rejects_a_stimulus_it_cannot_write(stim, quoted):
-    """The hex of no bytes is no token at all, so the line would not parse back."""
+def test_serialize_rejects_a_stimulus_it_cannot_write(stim, error):
+    """The hex of no bytes is no token at all, and no tick is negative: the parser refuses each line."""
     scenario = load_scenario(INITIAL_ACCESS)
     with pytest.raises(ValueError) as exc:
-        serialize_scenario(dataclasses.replace(scenario, script=scenario.script + (stim,)))
-    assert str(exc.value) == f"cannot write {quoted}: an empty payload has no script form"
+        serialize_scenario(dataclasses.replace(scenario, script=(stim,)))
+    assert str(exc.value) == f"cannot write {error}"
 
 
 @pytest.mark.parametrize(
-    "address", ["10.0.0.1#x", "10.0.0.1 x", "10.0.0.01", ""], ids=["hash", "space", "zero", "empty"]
+    "address, node_error, stimulus_error",
+    [
+        ("10.0.0.1#x", "it reads back as 'ngu_ip = 10.0.0.1'", "inject_downlink_data wants 5 arguments"),
+        ("10.0.0.1 x", "line 9: bad IPv4 address '10.0.0.1 x'", "inject_downlink_data wants 5 arguments"),
+        ("10.0.0.01", "line 9: bad IPv4 address '10.0.0.01'", "bad IPv4 address '10.0.0.01'"),
+        ("", "line 9: bad IPv4 address ''", "inject_downlink_data wants 5 arguments"),
+    ],
+    ids=["hash", "space", "zero", "empty"],
 )
-def test_serialize_rejects_an_address_it_cannot_write(address):
+def test_serialize_rejects_an_address_it_cannot_write(address, node_error, stimulus_error):
     """`ngu_ip = 10.0.0.1#x` would read back as 10.0.0.1."""
     scenario = load_scenario(INITIAL_ACCESS)
     (node,) = scenario.topology.nodes
     topology = dataclasses.replace(scenario.topology, nodes=(dataclasses.replace(node, ngu_ip=address),))
     with pytest.raises(ValueError) as exc:
         serialize_scenario(dataclasses.replace(scenario, topology=topology))
-    assert str(exc.value) == f"cannot write [node] ngu_ip: {address!r} is not a dotted-quad IPv4 address"
+    assert str(exc.value) == f"cannot write {f'ngu_ip = {address}'!r}: {node_error}"
     stim = Stimulus(41, "inject_downlink_data", ("ue1", address, 6, 34, b"x"))
     with pytest.raises(ValueError) as exc:
         serialize_scenario(dataclasses.replace(scenario, script=(stim,)))
-    assert str(exc.value).startswith("cannot write \"Stimulus(tick=41, kind='inject_downlink_data'")
-    assert str(exc.value).endswith(f": {address!r} is not a dotted-quad IPv4 address")
+    line = f"41 inject_downlink_data ue1 {address} tcp 34 78"
+    assert str(exc.value) == f"cannot write {line!r}: line 24: {stimulus_error}"
 
 
 def test_serialize_quotes_a_long_stimulus_in_short():
@@ -495,9 +502,10 @@ def test_serialize_quotes_a_long_stimulus_in_short():
     stim = Stimulus(41, "inject_downlink_data", ("ue1", "10.0.1.2#x", 6, 34, b"\xab" * 1400))
     with pytest.raises(ValueError) as exc:
         serialize_scenario(dataclasses.replace(scenario, script=(stim,)))
-    quoted = repr("Stimulus(tick=41, kind='inject_downlink_data', args=('ue1', '10.0.1.2#x', 6, 34,")
-    error = "'10.0.1.2#x' is not a dotted-quad IPv4 address"
-    assert str(exc.value) == f"cannot write {quoted}... (5686 characters): {error}"
+    quoted = repr("41 inject_downlink_data ue1 10.0.1.2#x tcp 34 " + "ab" * 17)
+    error = "line 24: inject_downlink_data wants 5 arguments"
+    assert str(exc.value) == f"cannot write {quoted}... (2846 characters): {error}"
+    assert len(str(exc.value)) < 512
 
 
 # -- every row of the format writes what it reads ------------------------------
@@ -563,17 +571,13 @@ def test_every_row_has_a_value_strategy():
 @settings(max_examples=60, deadline=None)
 def test_each_row_reads_back_the_value_it_writes(row, data):
     field, value = _ROWS[row], data.draw(_ROW_VALUES[row])
-    if value == b"":
-        with pytest.raises(ValueError, match="an empty payload has no script form"):
-            field.format(value)
-        return
-    if _ROW_VALUES[row] is _ANY_NAMES and not writable(value):
-        with pytest.raises(ValueError, match="holds '#' or is not one word"):
-            field.format(value)
-        return
-    if _ROW_VALUES[row] is _ANY_IPS and not writable_ip(value):
-        with pytest.raises(ValueError, match="is not a dotted-quad IPv4 address"):
-            field.format(value)
+    if (
+        value == b""
+        or (_ROW_VALUES[row] is _ANY_NAMES and not writable(value))
+        or (_ROW_VALUES[row] is _ANY_IPS and not writable_ip(value))
+    ):
+        with pytest.raises(ValueError, match="^cannot write "):
+            serialize_scenario(_holding(row, value))
         return
     text = field.format(value)
     if row[0] == "stimulus":
@@ -588,8 +592,30 @@ def test_the_rows_cover_an_empty_payload_and_both_kinds_of_protocol():
     assert _ROWS[("stimulus", "proto")].format(17) == "udp"
     assert _ROWS[("stimulus", "proto")].format(47) == "47"
     assert _ROWS[("stimulus", "proto")].parse("udp", 1) == 17
-    with pytest.raises(ValueError):
-        _ROWS[("stimulus", "payload")].format(b"")
+    with pytest.raises(ValueError, match="^cannot write '40 send_uplink_data ue1 1 ': line 25: "):
+        serialize_scenario(_holding(("stimulus", "payload"), b""))
+
+
+def _holding(row: tuple[str, str], value) -> Scenario:
+    """The initial-access scenario with `value` in `row`: a name wherever the
+    name is used, an address or a payload in one stimulus added to its script."""
+    scenario = load_scenario(INITIAL_ACCESS)
+    topology, (node,), (ue,) = scenario.topology, scenario.topology.nodes, scenario.topology.ues
+    if row in {("node", "name"), ("ue", "attach")}:
+        nodes, ues = (dataclasses.replace(node, name=value),), (dataclasses.replace(ue, attach=value),)
+        return dataclasses.replace(scenario, topology=dataclasses.replace(topology, nodes=nodes, ues=ues))
+    if row in {("ue", "name"), ("session", "ue"), ("stimulus", "ue")}:
+        ues = (dataclasses.replace(ue, name=value),)
+        script = tuple(stim._replace(args=(value, *stim.args[1:])) for stim in scenario.script)
+        return dataclasses.replace(scenario, topology=dataclasses.replace(topology, ues=ues), script=script)
+    if row == ("node", "ngu_ip"):
+        nodes = (dataclasses.replace(node, ngu_ip=value),)
+        return dataclasses.replace(scenario, topology=dataclasses.replace(topology, nodes=nodes))
+    stim = {
+        ("stimulus", "ip"): Stimulus(41, "inject_downlink_data", ("ue1", value, 6, 34, b"x")),
+        ("stimulus", "payload"): Stimulus(40, "send_uplink_data", ("ue1", 1, value)),
+    }[row]
+    return dataclasses.replace(scenario, script=scenario.script + (stim,))
 
 
 def writable(name: str) -> bool:
@@ -606,19 +632,28 @@ def writable_ip(address: str) -> bool:
     return True
 
 
-@pytest.mark.parametrize("name", ["ue#1", "ue 1", "ue\xa01", ""], ids=["hash", "space", "nbsp", "empty"])
-def test_serialize_rejects_a_name_it_cannot_write(name):
+@pytest.mark.parametrize(
+    "name, ue_error, stimulus_error",
+    [
+        ("ue#1", "it reads back as 'name = ue'", "line 24: stimulus references unknown UE 'ue'"),
+        ("ue 1", "line 12: ue name 'ue 1' is not one word", "line 24: ue_power_on wants 1 arguments"),
+        ("ue\xa01", "line 12: ue name 'ue\\xa01' is not one word", "line 24: ue_power_on wants 1 arguments"),
+        ("", "line 12: ue name '' is not one word", "line 24: ue_power_on wants 1 arguments"),
+    ],
+    ids=["hash", "space", "nbsp", "empty"],
+)
+def test_serialize_rejects_a_name_it_cannot_write(name, ue_error, stimulus_error):
     """`name = ue#1` would read back as a UE named `ue`."""
     scenario = load_scenario(INITIAL_ACCESS)
     (ue,) = scenario.topology.ues
     topology = dataclasses.replace(scenario.topology, ues=(dataclasses.replace(ue, name=name),))
     with pytest.raises(ValueError) as exc:
         serialize_scenario(dataclasses.replace(scenario, topology=topology, script=()))
-    assert str(exc.value) == f"cannot write [ue] name: {name!r} holds '#' or is not one word"
+    assert str(exc.value) == f"cannot write {f'name = {name}'!r}: {ue_error}"
     stim = Stimulus(0, "ue_power_on", (name,))
     with pytest.raises(ValueError) as exc:
         serialize_scenario(dataclasses.replace(scenario, script=(stim,)))
-    assert str(exc.value) == f"cannot write {repr(stim)!r}: {name!r} holds '#' or is not one word"
+    assert str(exc.value) == f"cannot write {f'0 ue_power_on {name}'!r}: {stimulus_error}"
 
 
 @st.composite
@@ -656,6 +691,112 @@ def test_every_scenario_reads_back_from_its_text(scenario):
     text = serialize_scenario(scenario)
     assert parse_scenario(text) == scenario
     assert serialize_scenario(parse_scenario(text)) == text
+
+
+def _replaced(obj, path: tuple, value):
+    """`obj` with the value at `path`, of field names and tuple indices, made `value`."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(head, int):
+        items = list(obj)
+        items[head] = _replaced(items[head], rest, value)
+        return tuple(items)
+    inner = _replaced(getattr(obj, head), rest, value)
+    return obj._replace(**{head: inner}) if isinstance(obj, Stimulus) else dataclasses.replace(obj, **{head: inner})
+
+
+# a value past its rule: each stays one word, so the writer has text for it
+_NOT_A_TICK = st.one_of(st.integers(max_value=-1), st.integers(10**639, 10**640 - 1))
+_NOT_A_PORT = st.one_of(st.integers(max_value=-1), st.integers(min_value=65536))
+_NOT_A_PROTO = st.one_of(st.integers(max_value=-1), st.integers(min_value=256))
+_NOT_A_NAME = st.one_of(st.just(""), st.builds("{}{}{}".format, _NAMES, st.sampled_from(["#", " "]), _NAMES))
+
+
+@st.composite
+def _damaged_values(draw) -> Scenario:
+    """A scenario of `_scenarios()` with one value damaged past the parser's rule for it."""
+    scenario = draw(_scenarios())
+    nodes, ues, script = scenario.topology.nodes, scenario.topology.ues, scenario.script
+    targets = [(("settings", "admission_cap"), st.integers(max_value=0))]
+    for i in range(len(nodes)):
+        targets.append((("topology", "nodes", i, "name"), _NOT_A_NAME if i == 0 else st.just(nodes[0].name)))
+    for i, ue in enumerate(ues):
+        at = ("topology", "ues", i)
+        targets += [(at + ("name",), _NOT_A_NAME), (at + ("attach",), st.just("ghost"))]
+        for j, session in enumerate(ue.sessions):
+            at_session = at + ("sessions", j)
+            targets.append((at_session + ("session_id",), st.sampled_from([0, 16])))
+            targets.append((at_session + ("drbs", 0), st.sampled_from([0, 3, 4, 32])))
+            absent = st.sampled_from([d for d in _DRBS if d not in session.drbs])
+            for k in range(len(session.flows)):
+                at_flow = at_session + ("flows", k)
+                targets += [(at_flow + ("l4_dst",), _NOT_A_PORT), (at_flow + ("ip_proto",), _NOT_A_PROTO)]
+                targets.append((at_flow + ("drb",), absent))
+    for i, stim in enumerate(script):
+        at = ("script", i)
+        targets += [(at + ("tick",), _NOT_A_TICK), (at + ("args", 0), st.just("ghost"))]
+        if stim.kind != "ue_power_on":
+            targets.append((at + ("args", -1), st.just(b"")))
+        if stim.kind == "inject_downlink_data":
+            targets += [(at + ("args", 2), _NOT_A_PROTO), (at + ("args", 3), _NOT_A_PORT)]
+    path, values = draw(st.sampled_from(targets))
+    return _replaced(scenario, path, draw(values))
+
+
+@given(_damaged_values())
+@settings(max_examples=300, deadline=None)
+def test_serialize_refuses_or_reads_back_a_damaged_scenario(scenario):
+    """The writer's contract: text that would not read back as the scenario is refused."""
+    try:
+        text = serialize_scenario(scenario)
+    except ValueError as exc:
+        assert str(exc).startswith("cannot write ") and len(str(exc)) < 512
+        return
+    # each way the parser may refuse it fails this one assertion, so Hypothesis shrinks one failure
+    assert _outcome(parse_scenario, text) == scenario
+
+
+_DOWNLINK = ("script", 1)  # the stimulus the test adds after the bundled power-on
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("script", 0, "tick"), -5),
+        (("script", 0, "tick"), 10**639),
+        (("script", 0, "tick"), 10**4999),  # str() refuses it under the default limit of 4,300 digits
+        (_DOWNLINK + ("args", 3), 70000),
+        (("topology", "ues", 0, "sessions", 0, "flows", 0, "l4_dst"), 70000),
+        (_DOWNLINK + ("args", 2), 300),
+        (("topology", "ues", 0, "sessions", 0, "flows", 0, "ip_proto"), 300),
+        (("topology", "ues", 0, "sessions", 0, "session_id"), 0),
+        (("topology", "ues", 0, "sessions", 0, "drbs", 0), 3),
+        (("settings", "admission_cap"), 0),
+        (("topology", "ues", 0, "sessions", 0, "flows", 0, "drb"), 9),
+        (("topology", "ues", 0, "attach"), "ghost"),
+        (_DOWNLINK + ("args", 0), "ghost"),
+        (("topology", "nodes"), (NodeSpec("gnb1", Rat.NR, "10.0.0.1"), NodeSpec("gnb1", Rat.NR, "10.0.0.2"))),
+        (("topology", "nodes", 0, "ngu_ip"), "10.0.0.1\n[node]\nname = gnb2\nrat = NR\nngu_ip = 10.0.0.2"),
+        (("topology", "ues", 0, "sessions", 0, "flows", 0, "ip_dst"), b"\x01" * 5000),
+        (("script", 0, "kind"), "ue_power_off"),
+        (("script", 0, "args"), ("ue1", "ue1")),
+    ],
+    ids=[
+        "negative_tick", "tick_of_640_digits", "tick_of_5000_digits", "stimulus_port", "flow_port",
+        "stimulus_protocol", "flow_protocol", "session_id", "srb_as_drb", "admission_cap", "flow_on_absent_drb",
+        "unknown_attach", "unknown_script_ue", "repeated_node_name", "line_break", "flow_address_of_5000_bytes",
+        "unknown_kind", "arity",
+    ],
+)
+def test_serialize_refuses_a_value_the_parser_refuses(path, value):
+    scenario = load_scenario(INITIAL_ACCESS)
+    downlink = Stimulus(41, "inject_downlink_data", ("ue1", "10.0.1.2", 6, 34, b"x"))
+    with_a_downlink = dataclasses.replace(scenario, script=scenario.script + (downlink,))
+    assert serialize_scenario(with_a_downlink)
+    with pytest.raises(ValueError, match="^cannot write ") as exc:
+        serialize_scenario(_replaced(with_a_downlink, path, value))
+    assert len(str(exc.value)) < 512
 
 
 def test_a_stimulus_is_the_tuple_of_its_fields():
