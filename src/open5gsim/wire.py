@@ -20,8 +20,13 @@ ERROR body: code u16, detail-length u16, detail bytes.
 
 Each layout, and each match field's TLV, is a `struct.Struct` compiled once;
 decoding is one `unpack_from` pass at a running offset. One validator,
-`validate_message`, raises at the first broken rule, on encode before packing
-and on decode after parsing, where its text becomes a MalformedTlvError's.
+`validate_message`, raises at the first broken rule before a message is
+packed. The decoder checks only the rules a parsed frame can break, in the
+validator's order and with its texts, as MalformedTlvErrors: a radio port's
+C-RNTI above `CRNTI_MAX`, bearer id above 31, SRB bearer id outside {0,3,4}
+and C-RNTI 0 off SRB0; a FLOW_MOD's C-RNTI and bearer id not appearing
+together, match C-RNTI above `CRNTI_MAX` and empty match. Every width, range
+and type rule holds once `unpack_from` has read the fields.
 """
 
 from __future__ import annotations
@@ -236,12 +241,14 @@ _GTP = struct.Struct(">4s4sHI")  # local_ip, remote_ip, udp_port, teid
 _SIG = struct.Struct(">4sI")  # controller_ip, tunnel_id
 _FLOW_MOD_HEAD = struct.Struct(">BHB")  # command, priority, match-TLV count
 _ACTION = struct.Struct(">BI")  # kind (1 = OUTPUT), out_port
+_LENGTH = struct.Struct(">H")  # the header's length field, at offset 2
 
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
 _HELLO, _ERROR, _PORT_MOD, _FLOW_MOD = (int(t) for t in MsgType)
 _RADIO_CLASS, _GTP_CLASS, _SIG_CLASS = (int(c) for c in PortClass)
 _DELETE = int(PortModCommand.DELETE)
+_SRB = int(BearerKind.SRB)
 # Member values run 0..n-1, so a decoded value indexes these. Validation tests
 # membership with ==, so a plain int equal to a member passes.
 _PORT_MOD_COMMANDS = tuple(PortModCommand)
@@ -462,6 +469,14 @@ def decode_message(data: bytes) -> Open5GMessage:
                     raise _truncated(tlv_len, off)
                 tlvs.append(ConfigTlv(tlv_type, data[off : off + tlv_len]))
                 off += tlv_len
+            if crnti > CRNTI_MAX:
+                raise MalformedTlvError("crnti above reserved range")
+            if bearer_id > 31:
+                raise MalformedTlvError("bearer_id above 31")
+            if kind == _SRB and bearer_id not in SRB_BEARER_IDS:
+                raise MalformedTlvError("SRB bearer_id not in {0,3,4}")
+            if crnti == 0 and not (kind == _SRB and bearer_id == 0):
+                raise MalformedTlvError("crnti zero on dedicated bearer")
             spec = RadioBearer(crnti, bearer_id, _BEARER_KINDS[kind], tuple(tlvs))
         elif port_class == _GTP_CLASS:
             if size < 28:
@@ -475,7 +490,7 @@ def decode_message(data: bytes) -> Open5GMessage:
             raise MalformedTlvError(f"unknown port class {port_class}")
         if off < size:
             raise _trailing(size - off)
-        msg: Open5GMessage = PortMod(xid, _PORT_MOD_COMMANDS[command], port_id, spec)
+        return PortMod(xid, _PORT_MOD_COMMANDS[command], port_id, spec)
     elif msg_type == _FLOW_MOD:
         if size < 12:
             raise _truncated(4, 8)
@@ -508,7 +523,14 @@ def decode_message(data: bytes) -> Open5GMessage:
             raise MalformedTlvError(f"unknown action kind {kind}")
         if off + 5 < size:
             raise _trailing(size - off - 5)
-        msg = FlowMod(xid, _FLOW_MOD_COMMANDS[command], priority, FlowMatch._make(values), out_port)
+        match = FlowMatch._make(values)
+        if (match.crnti is None) != (match.bearer_id is None):
+            raise MalformedTlvError("crnti and bearer_id must appear together")
+        if match.crnti is not None and match.crnti > CRNTI_MAX:
+            raise MalformedTlvError("crnti above reserved range")
+        if not count:
+            raise MalformedTlvError("empty match")
+        return FlowMod(xid, _FLOW_MOD_COMMANDS[command], priority, match, out_port)
     elif msg_type == _HELLO:
         if size > HEADER_LEN:
             raise _trailing(size - HEADER_LEN)
@@ -525,12 +547,6 @@ def decode_message(data: bytes) -> Open5GMessage:
     else:
         raise UnknownTypeError(f"message type {msg_type}")
 
-    try:
-        validate_message(msg)
-    except InvalidMessageError as exc:
-        raise MalformedTlvError(str(exc)) from None
-    return msg
-
 
 def iter_messages(data: bytes):
     """Split a concatenation of Open5G frames and decode each in turn."""
@@ -538,7 +554,7 @@ def iter_messages(data: bytes):
     while pos < len(data):
         if pos + HEADER_LEN > len(data):
             raise TruncatedError("partial header in frame sequence")
-        (length,) = struct.unpack(">H", data[pos + 2 : pos + 4])
+        (length,) = _LENGTH.unpack_from(data, pos + 2)
         if length < HEADER_LEN:
             raise MalformedTlvError(f"length field {length} below header size")
         yield decode_message(data[pos : pos + length])

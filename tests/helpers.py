@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ipaddress
+import json
 import random
 import struct
 
@@ -681,6 +682,28 @@ def reference_decode_message(data: bytes):
     except InvalidMessageError as exc:
         raise MalformedTlvError(str(exc)) from None
     return msg
+
+
+# -- reference RRC/NG-AP codec ---------------------------------------------------
+# The JSON codec as it was before the templates and the scanner: every document
+# goes through the JSON encoder, and every decode through `json.loads`. The
+# properties in test_messages.py hold `messages` to it.
+
+_REF_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def reference_canonical(kind: str, fields: dict) -> bytes:
+    return _REF_ENCODER.encode({"kind": kind, "fields": fields}).encode()
+
+
+def reference_decode(data: bytes) -> tuple[str, dict]:
+    try:
+        doc = json.loads(data.decode())
+    except (ValueError, RecursionError) as exc:
+        raise InvalidMessageError(f"undecodable message: {type(exc).__name__}") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("kind"), str) and isinstance(doc.get("fields"), dict)):
+        raise InvalidMessageError("message is not an object with a string kind and object fields")
+    return doc["kind"], doc["fields"]
 
 
 # -- reference scenario parser -------------------------------------------------

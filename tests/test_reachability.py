@@ -114,6 +114,9 @@ def corpus(tmp: Path) -> None:
     initial = Path("scenarios/initial_access.scn").read_text()
     out = str(tmp / "out.trace")
     _cli(3, "run", _scenario_with(tmp, "bad_rrc", initial, "30 send_uplink_data ue1 3 ff"), "-o", out)
+    reconfigured = b'{"fields":{},"kind":"RrcReconfigurationComplete"}'
+    for name, doc in (("trailing_rrc", reconfigured + b" x"), ("spaced_rrc", b" " + reconfigured + b" ")):
+        _cli(3, "run", _scenario_with(tmp, name, initial, f"30 send_uplink_data ue1 3 {doc.hex()}"), "-o", out)
     _cli(2, "run", _scenario_with(tmp, "neg_tick", initial, "-5 send_uplink_data ue1 3 ff"), "-o", out)
     long_tick = "1" + "0" * 699 + " send_uplink_data ue1 1 00"
     _cli(2, "run", _scenario_with(tmp, "long_tick", initial, long_tick), "-o", out)

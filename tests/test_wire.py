@@ -230,6 +230,19 @@ def test_decoder_agrees_with_reference_on_damaged_frames(msg):
         _assert_decoders_agree(data)
 
 
+@given(valid_messages())
+@settings(max_examples=150)
+def test_every_decoded_message_passes_the_encoders_check(msg):
+    """The decoder checks only the rules a parsed frame can break; what it
+    returns must pass every rule that `encode_message` checks."""
+    for data in _damaged(encode_message(msg)):
+        try:
+            decoded = decode_message(data)
+        except WireDecodeError:
+            continue
+        wire.validate_message(decoded)
+
+
 def _field_paths(obj, path=()):
     """Every attribute path below a message, tuple indexes included; a
     NamedTuple's fields are walked by name."""
@@ -504,3 +517,20 @@ def test_unknown_match_type_message(mtype):
         decode_message(frame)
     assert str(exc.value) == f"unknown match type {mtype}"
     assert _error_detail(frame) == f"unknown match type {mtype}".encode()
+
+
+@pytest.mark.parametrize(
+    "tlvs, message",
+    [
+        ([], "empty match"),
+        ([(2, struct.pack(">H", 61))], "crnti and bearer_id must appear together"),
+        ([(3, b"\x01"), (5, b"\x06")], "crnti and bearer_id must appear together"),
+        ([(3, b"\x01"), (2, struct.pack(">H", wire.CRNTI_MAX + 1))], "crnti above reserved range"),
+    ],
+    ids=["empty", "crnti_alone", "bearer_alone", "crnti_reserved"],
+)
+def test_flow_mod_rules_a_parsed_frame_can_break(tlvs, message):
+    frame = _flow_mod_frame(tlvs)
+    assert _outcome(decode_message, frame) == (MalformedTlvError, message)
+    assert _outcome(reference_decode_message, frame) == (MalformedTlvError, message)
+    assert _error_detail(frame) == message.encode()
