@@ -17,7 +17,7 @@ fills the text; otherwise `json.loads` decides, and words the error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidMessageError
 
@@ -56,26 +56,33 @@ NGAP_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class RrcMessage:
-    kind: str
-    fields: dict = field(default_factory=dict)
+class _Message(NamedTuple):
+    """An RRC or NG-AP message. Each subclass checks its kind in `__new__` and
+    builds the tuple once, with no per-field `object.__setattr__`."""
 
-    def __post_init__(self):
-        if self.kind not in RRC_KINDS:
-            raise InvalidMessageError(f"unknown RRC kind {self.kind!r}")
-        if self.kind == RRC_SETUP_COMPLETE and not self.fields.get("nas"):
+    kind: str
+    fields: dict
+
+
+class RrcMessage(_Message):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, fields: dict | None = None):
+        if kind not in RRC_KINDS:
+            raise InvalidMessageError(f"unknown RRC kind {kind!r}")
+        fields = {} if fields is None else fields  # a new dict per message
+        if kind == RRC_SETUP_COMPLETE and not fields.get("nas"):
             raise InvalidMessageError("RrcSetupComplete must carry a NAS payload")
+        return tuple.__new__(cls, (kind, fields))
 
 
-@dataclass(frozen=True)
-class NgapMessage:
-    kind: str
-    fields: dict = field(default_factory=dict)
+class NgapMessage(_Message):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in NGAP_KINDS:
-            raise InvalidMessageError(f"unknown NGAP kind {self.kind!r}")
+    def __new__(cls, kind: str, fields: dict | None = None):
+        if kind not in NGAP_KINDS:
+            raise InvalidMessageError(f"unknown NGAP kind {kind!r}")
+        return tuple.__new__(cls, (kind, {} if fields is None else fields))
 
 
 # json.dumps with these arguments builds the same encoder on every call

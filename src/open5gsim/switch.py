@@ -8,10 +8,9 @@ deterministically. The table also keeps its rows rendered for display.
 from __future__ import annotations
 
 from bisect import bisect, insort
-from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     DuplicateBearerError,
@@ -36,8 +35,7 @@ from .wire import (
 )
 
 
-@dataclass(frozen=True)
-class FlowEntry:
+class FlowEntry(NamedTuple):
     entry_id: int
     priority: int
     match: FlowMatch

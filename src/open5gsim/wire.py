@@ -18,22 +18,35 @@ codec, the validator and the flow table read it by position.
 
 ERROR body: code u16, detail-length u16, detail bytes.
 
-Each layout, and each match field's TLV, is a `struct.Struct` compiled once;
-decoding is one `unpack_from` pass at a running offset. One validator,
-`validate_message`, raises at the first broken rule before a message is
-packed. The decoder checks only the rules a parsed frame can break, in the
-validator's order and with its texts, as MalformedTlvErrors: a radio port's
-C-RNTI above `CRNTI_MAX`, bearer id above 31, SRB bearer id outside {0,3,4}
-and C-RNTI 0 off SRB0; a FLOW_MOD's C-RNTI and bearer id not appearing
-together, match C-RNTI above `CRNTI_MAX` and empty match. Every width, range
-and type rule holds once `unpack_from` has read the fields.
+The shape table: each of the six command shapes the controller sends, a
+FLOW_MOD ADD matching {crnti, bearer_id}, {in_port} or {ip_dst, ip_proto,
+l4_dst} and a PORT_MOD CREATE of a radio, GTP-U or signaling port, has one
+whole-frame `struct.Struct`. `encode_message` checks the validator's rules
+for the message's shape and writes it with one `pack`; `decode_message`
+knows a shape by its header, length and fixed fields, reads it with one
+`unpack_from`, checks the rules a parsed frame can break and builds the
+NamedTuples with `tuple.__new__`. A radio port's TLV block is written once
+per `layer_config` tuple and parsed once per distinct block, in bounded
+caches. Any other message or frame, and any that breaks a rule, takes the
+per-field path, which words every error.
+
+On the per-field path each layout, and each match field's TLV, is a
+`struct.Struct` compiled once; decoding is one `unpack_from` pass at a
+running offset. One validator, `validate_message`, raises at the first
+broken rule before a message is packed. The decoder checks only the rules a
+parsed frame can break, in the validator's order and with its texts, as
+MalformedTlvErrors: a radio port's C-RNTI above `CRNTI_MAX`, bearer id above
+31, SRB bearer id outside {0,3,4} and C-RNTI 0 off SRB0; a FLOW_MOD's C-RNTI
+and bearer id not appearing together, match C-RNTI above `CRNTI_MAX` and
+empty match. Every width, range and type rule holds once `unpack_from` has
+read the fields.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (
@@ -141,24 +154,21 @@ class ConfigTlv(NamedTuple):
     value: bytes
 
 
-@dataclass(frozen=True)
-class RadioBearer:
+class RadioBearer(NamedTuple):
     crnti: int
     bearer_id: int
     bearer_kind: BearerKind
     layer_config: tuple[ConfigTlv, ...] = ()
 
 
-@dataclass(frozen=True)
-class GtpTunnel:
+class GtpTunnel(NamedTuple):
     local_ip: bytes
     remote_ip: bytes
     udp_port: int
     teid: int
 
 
-@dataclass(frozen=True)
-class SigTunnel:
+class SigTunnel(NamedTuple):
     controller_ip: bytes
     tunnel_id: int
 
@@ -166,8 +176,7 @@ class SigTunnel:
 PortSpec = RadioBearer | GtpTunnel | SigTunnel
 
 
-@dataclass(frozen=True)
-class MatchField:
+class MatchField(NamedTuple):
     mtype: MatchType
     name: str  # the FlowMatch field at this row's index
     fmt: str  # struct format of the TLV value
@@ -197,28 +206,24 @@ class FlowMatch(NamedTuple):
     l4_dst: int | None = None
 
 
-@dataclass(frozen=True)
-class Hello:
+class Hello(NamedTuple):
     xid: int
 
 
-@dataclass(frozen=True)
-class ErrorMsg:
+class ErrorMsg(NamedTuple):
     xid: int
     code: int
     detail: bytes = b""
 
 
-@dataclass(frozen=True)
-class PortMod:
+class PortMod(NamedTuple):
     xid: int
     command: PortModCommand
     port_id: int
     port_spec: PortSpec | None = None  # None exactly when the command is DELETE
 
 
-@dataclass(frozen=True)
-class FlowMod:
+class FlowMod(NamedTuple):
     xid: int
     command: FlowModCommand
     priority: int
@@ -270,6 +275,92 @@ _MATCH_CODEC = tuple(_match_codec(f) for f in MATCH_FIELDS)  # in MATCH_FIELDS o
 # MatchType values run 1..n in MATCH_FIELDS order, so a match TLV's value
 # goes to FlowMatch index mtype - 1
 _MATCH_BY_TYPE = {int(row[0].mtype): row for row in _MATCH_CODEC}
+
+
+# ---------------------------------------------------------------------------
+# The shape table: one whole-frame layout for each of the six command shapes
+# the controller sends. Each frame is the header (version, msg_type, length,
+# xid) and then, with its fixed values in brackets:
+#   FLOW_MOD: [command ADD] priority [match-TLV count], per match field
+#             [type, length] value, then [action kind OUTPUT] out_port;
+#   PORT_MOD: [command CREATE, port class] port_id, then the class fields, a
+#             radio port's followed by its TLV block.
+
+_CRNTI_FLOW = struct.Struct(">BBHI BHB HHH HHB BI")  # matching {crnti, bearer_id}: 28 bytes
+_PORT_FLOW = struct.Struct(">BBHI BHB HHI BI")  # matching {in_port}: 25 bytes
+_IP_FLOW = struct.Struct(">BBHI BHB HH4s HHB HHH BI")  # matching {ip_dst, ip_proto, l4_dst}: 36 bytes
+_RADIO_PORT = struct.Struct(">BBHI BBI HBB")  # 18 bytes, then the TLV block
+_GTP_PORT = struct.Struct(">BBHI BBI 4s4sHI")  # 28 bytes
+_SIG_PORT = struct.Struct(">BBHI BBI 4sI")  # 22 bytes
+
+# The fixed fields of each FLOW_MOD shape, in frame order: length, command,
+# match-TLV count, each TLV's type and length, and the action kind
+_CRNTI_FIXED = (28, 0, 2, 2, 2, 3, 1, 1)
+_PORT_FIXED = (25, 0, 1, 1, 4, 1)
+_IP_FIXED = (36, 0, 3, 4, 4, 5, 1, 6, 2, 1)
+# The type of each FlowMatch field of each FLOW_MOD shape
+_NONE = type(None)
+_CRNTI_MATCH = (_NONE, int, int, _NONE, _NONE, _NONE)
+_PORT_MATCH = (int, _NONE, _NONE, _NONE, _NONE, _NONE)
+_IP_MATCH = (_NONE, _NONE, _NONE, bytes, int, int)
+_FLOW_MOD_BYTES = bytes((VERSION, _FLOW_MOD))
+_PORT_MOD_BYTES = bytes((VERSION, _PORT_MOD))
+
+_ADD = FlowModCommand.ADD
+_CREATE = PortModCommand.CREATE
+_DRB = int(BearerKind.DRB)
+_new = tuple.__new__  # builds a NamedTuple from checked fields without its __new__
+
+_CACHE_MAX = 64  # entries per TLV-block cache; the controller uses one block per RAT
+# id(layer_config) -> (layer_config, its TLV block). An entry holds the tuple,
+# so no other object can take its id while the entry lives.
+_TLV_BLOCKS: dict[int, tuple[tuple, bytes]] = {}
+
+
+def _bearer_ok(crnti: int, bearer_id: int, srb: bool, drb: bool) -> bool:
+    """The radio-port rules that remain once the fields fit their widths:
+    C-RNTI at most CRNTI_MAX, an SRB's bearer id in {0,3,4}, a DRB's at most
+    31, and C-RNTI 0 only on SRB0."""
+    return (
+        crnti <= CRNTI_MAX
+        and (bearer_id in SRB_BEARER_IDS if srb else drb and bearer_id <= 31)
+        and (crnti != 0 or srb and bearer_id == 0)
+    )
+
+
+def _tlv_block(layer_config: tuple) -> bytes | None:
+    """A radio port's TLV block, written once per layer_config tuple; None
+    unless it is a tuple of ConfigTlvs, each of an int type and a bytes value.
+    A type or a length out of range raises struct.error."""
+    hit = _TLV_BLOCKS.get(id(layer_config))
+    if hit is not None:
+        return hit[1]
+    if type(layer_config) is not tuple or not all(
+        type(tlv) is ConfigTlv and type(tlv.tlv_type) is int and type(tlv.value) is bytes for tlv in layer_config
+    ):
+        return None
+    block = b"".join([_TLV_HEAD.pack(tlv_type, len(value)) + value for tlv_type, value in layer_config])
+    if len(_TLV_BLOCKS) >= _CACHE_MAX:
+        _TLV_BLOCKS.clear()
+    _TLV_BLOCKS[id(layer_config)] = layer_config, block
+    return block
+
+
+@lru_cache(maxsize=_CACHE_MAX)
+def _layer_config(block: bytes) -> tuple[ConfigTlv, ...] | None:
+    """A radio port's TLV block parsed, once per distinct block; None if a
+    TLV in it is cut short."""
+    tlvs = []
+    off = 0
+    while off < len(block):
+        if off + 4 > len(block):
+            return None
+        tlv_type, tlv_len = _TLV_HEAD.unpack_from(block, off)
+        off += 4 + tlv_len
+        if off > len(block):
+            return None
+        tlvs.append(_new(ConfigTlv, (tlv_type, block[off - tlv_len : off])))
+    return tuple(tlvs)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +470,65 @@ def validate_message(msg: Open5GMessage) -> None:
 
 def encode_message(msg: Open5GMessage) -> bytes:
     """Encode a validated message; raises InvalidMessageError otherwise."""
+    # A command of one of the six shapes: the validator's rules for its shape,
+    # then one pack, which checks every width itself and raises struct.error
+    # on a value out of range or an address it cannot write (len() raises
+    # TypeError on one with no length). Any other message, and one that breaks
+    # a rule, goes on to the per-field code, which words the error.
+    cls = type(msg)
+    try:
+        if cls is FlowMod:
+            xid, command, priority, match, out_port = msg
+            if (
+                command is _ADD
+                and type(xid) is int
+                and type(priority) is int
+                and type(out_port) is int
+                and type(match) is FlowMatch
+            ):
+                in_port, crnti, bearer_id, ip_dst, ip_proto, l4_dst = match
+                types = tuple(map(type, match))
+                if types == _CRNTI_MATCH and crnti <= CRNTI_MAX:
+                    return _CRNTI_FLOW.pack(
+                        VERSION, _FLOW_MOD, 28, xid, 0, priority, 2, 2, 2, crnti, 3, 1, bearer_id, 1, out_port
+                    )
+                if types == _PORT_MATCH:
+                    return _PORT_FLOW.pack(VERSION, _FLOW_MOD, 25, xid, 0, priority, 1, 1, 4, in_port, 1, out_port)
+                if types == _IP_MATCH and len(ip_dst) == 4:
+                    return _IP_FLOW.pack(
+                        VERSION, _FLOW_MOD, 36, xid, 0, priority, 3,
+                        4, 4, ip_dst, 5, 1, ip_proto, 6, 2, l4_dst, 1, out_port,
+                    )
+        elif cls is PortMod:
+            xid, command, port_id, spec = msg
+            if command is _CREATE and type(xid) is int and type(port_id) is int:
+                spec_cls = type(spec)
+                if spec_cls is RadioBearer:
+                    crnti, bearer_id, kind, layer_config = spec
+                    if (
+                        type(crnti) is int
+                        and type(bearer_id) is int
+                        and _bearer_ok(crnti, bearer_id, kind is BearerKind.SRB, kind is BearerKind.DRB)
+                    ):
+                        block = _tlv_block(layer_config)
+                        if block is not None:
+                            head = _RADIO_PORT.pack(
+                                VERSION, _PORT_MOD, 18 + len(block), xid, 0, 0, port_id, crnti, bearer_id, kind
+                            )
+                            return head + block
+                elif spec_cls is GtpTunnel:
+                    local_ip, remote_ip, udp_port, teid = spec
+                    if len(local_ip) == len(remote_ip) == 4 and type(udp_port) is int and type(teid) is int:
+                        return _GTP_PORT.pack(
+                            VERSION, _PORT_MOD, 28, xid, 0, 1, port_id, local_ip, remote_ip, udp_port, teid
+                        )
+                elif spec_cls is SigTunnel:
+                    controller_ip, tunnel_id = spec
+                    if len(controller_ip) == 4 and type(tunnel_id) is int:
+                        return _SIG_PORT.pack(VERSION, _PORT_MOD, 22, xid, 0, 2, port_id, controller_ip, tunnel_id)
+    except (struct.error, TypeError):  # a value out of range, or an address with no length
+        pass
+
     validate_message(msg)
     if isinstance(msg, PortMod):
         spec = msg.port_spec
@@ -431,6 +581,51 @@ def _trailing(count: int) -> MalformedTlvError:
 def decode_message(data: bytes) -> Open5GMessage:
     """Decode one complete Open5G message; total over arbitrary input."""
     size = len(data)
+    # A command of one of the six shapes, known by its header, length and
+    # fixed fields: one unpack_from, then the rules a parsed frame can break.
+    # Any other frame, and one that breaks a rule, goes on to the per-field
+    # code, which words the error.
+    head = data[:2]  # version, msg_type
+    if head == _FLOW_MOD_BYTES:
+        if size == 28:
+            _, _, length, xid, command, priority, count, t1, l1, crnti, t2, l2, bearer_id, action, out_port = (
+                _CRNTI_FLOW.unpack_from(data)
+            )
+            if (length, command, count, t1, l1, t2, l2, action) == _CRNTI_FIXED and crnti <= CRNTI_MAX:
+                match = _new(FlowMatch, (None, crnti, bearer_id, None, None, None))
+                return _new(FlowMod, (xid, _ADD, priority, match, out_port))
+        elif size == 25:
+            _, _, length, xid, command, priority, count, t1, l1, in_port, action, out_port = (
+                _PORT_FLOW.unpack_from(data)
+            )
+            if (length, command, count, t1, l1, action) == _PORT_FIXED:
+                match = _new(FlowMatch, (in_port, None, None, None, None, None))
+                return _new(FlowMod, (xid, _ADD, priority, match, out_port))
+        elif size == 36:
+            (_, _, length, xid, command, priority, count, t1, l1, ip_dst,
+             t2, l2, ip_proto, t3, l3, l4_dst, action, out_port) = _IP_FLOW.unpack_from(data)
+            if (length, command, count, t1, l1, t2, l2, t3, l3, action) == _IP_FIXED:
+                match = _new(FlowMatch, (None, None, None, ip_dst, ip_proto, l4_dst))
+                return _new(FlowMod, (xid, _ADD, priority, match, out_port))
+    elif head == _PORT_MOD_BYTES and size >= 18:
+        port_class = data[9]
+        if port_class == _RADIO_CLASS and type(data) is bytes:  # the TLV values of other input keep its type
+            _, _, length, xid, command, _, port_id, crnti, bearer_id, kind = _RADIO_PORT.unpack_from(data)
+            if length == size and command == 0 and _bearer_ok(crnti, bearer_id, kind == _SRB, kind == _DRB):
+                layer_config = _layer_config(data[18:])
+                if layer_config is not None:
+                    spec = _new(RadioBearer, (crnti, bearer_id, _BEARER_KINDS[kind], layer_config))
+                    return _new(PortMod, (xid, _CREATE, port_id, spec))
+        elif port_class == _GTP_CLASS and size == 28:
+            _, _, length, xid, command, _, port_id, local_ip, remote_ip, udp_port, teid = _GTP_PORT.unpack_from(data)
+            if length == 28 and command == 0:
+                spec = _new(GtpTunnel, (local_ip, remote_ip, udp_port, teid))
+                return _new(PortMod, (xid, _CREATE, port_id, spec))
+        elif port_class == _SIG_CLASS and size == 22:
+            _, _, length, xid, command, _, port_id, controller_ip, tunnel_id = _SIG_PORT.unpack_from(data)
+            if length == 22 and command == 0:
+                return _new(PortMod, (xid, _CREATE, port_id, _new(SigTunnel, (controller_ip, tunnel_id))))
+
     if size < HEADER_LEN:
         raise TruncatedError(f"{size} bytes, header needs {HEADER_LEN}")
     version, msg_type, length, xid = _HEADER.unpack_from(data)

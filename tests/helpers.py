@@ -684,6 +684,20 @@ def reference_decode_message(data: bytes):
     return msg
 
 
+def reference_iter_messages(data: bytes):
+    """Split a concatenation of frames as `wire.iter_messages` splits it, and
+    decode each frame with `reference_decode_message`."""
+    pos = 0
+    while pos < len(data):
+        if pos + wire.HEADER_LEN > len(data):
+            raise TruncatedError("partial header in frame sequence")
+        (length,) = struct.unpack(">H", data[pos + 2 : pos + 4])
+        if length < wire.HEADER_LEN:
+            raise MalformedTlvError(f"length field {length} below header size")
+        yield reference_decode_message(data[pos : pos + length])
+        pos += length
+
+
 # -- reference RRC/NG-AP codec ---------------------------------------------------
 # The JSON codec as it was before the templates and the scanner: every document
 # goes through the JSON encoder, and every decode through `json.loads`. The

@@ -61,6 +61,23 @@ def test_a_setup_complete_must_carry_a_nas_payload(fields):
     assert str(exc.value) == "RrcSetupComplete must carry a NAS payload"
 
 
+@pytest.mark.parametrize(
+    "cls, decode, layer", [(RrcMessage, rrc_from_bytes, "RRC"), (NgapMessage, ngap_from_bytes, "NGAP")], ids=["rrc", "ngap"]
+)
+def test_an_unknown_kind_is_named_and_no_two_messages_share_a_default(cls, decode, layer):
+    with pytest.raises(InvalidMessageError) as exc:
+        cls("Bogus")
+    assert str(exc.value) == f"unknown {layer} kind 'Bogus'"
+    with pytest.raises(InvalidMessageError) as exc:
+        decode(b'{"fields":{},"kind":"Bogus"}')
+    assert str(exc.value) == f"unknown {layer} kind 'Bogus'"
+    kind = RRC_SECURITY_MODE_COMPLETE if cls is RrcMessage else NGAP_INITIAL_UE_MESSAGE
+    first, second = cls(kind), cls(kind=kind)
+    assert first == second == (kind, {})
+    first.fields["x"] = 1
+    assert second.fields == {}
+
+
 # -- differential properties against the reference codec ----------------------
 # tests/helpers.py keeps the JSON codec as it was before the templates and the
 # scanner. Both must agree: the same bytes or the same exception class on

@@ -420,7 +420,7 @@ _PORT_IDS = st.integers(1, 4)
 # small domains, so that MODIFY often rewrites the out-port of an entry,
 # sometimes into a spec of another class
 _SPECS = st.one_of(
-    st.builds(RadioBearer, st.integers(1, 2), st.sampled_from([1, 2]), st.just(BearerKind.DRB)),
+    st.builds(RadioBearer, st.integers(1, 2), st.sampled_from([1, 2]), st.just(BearerKind.DRB), st.just(())),
     st.builds(GtpTunnel, st.just(_IP), st.just(_IP), st.integers(1, 2), st.integers(1, 2)),
     st.builds(SigTunnel, st.just(_IP), st.integers(1, 2)),
 )
@@ -474,14 +474,14 @@ _STEPS = st.one_of(_PORT_MOD, _PORT_MOD, _FLOW_MOD, _FLOW_MOD, _FLOW_MOD, _ASSIG
 def test_cached_render_matches_reference_render(steps):
     node = DataPlaneNode("gnb1", Rat.NR)
     for step in steps:
-        if isinstance(step, tuple):
-            keep, extra = step
-            entries = node.table.entries
-            node.table.entries = [entries[i] for i in keep if i < len(entries)] + extra
+        if isinstance(step, (PortMod, FlowMod)):  # before the plain tuple: a command is a NamedTuple
+            node.handle_open5g(wire.encode_message(step))  # an ERROR stops the batch; go on
         elif isinstance(step, list):
             node.handle_open5g(b"".join(map(wire.encode_message, step)))
         else:
-            node.handle_open5g(wire.encode_message(step))  # an ERROR stops the batch; go on
+            keep, extra = step
+            entries = node.table.entries
+            node.table.entries = [entries[i] for i in keep if i < len(entries)] + extra
         assert node.table.entries == sorted(node.table.entries, key=lambda e: (-e.priority, e.entry_id))  # display order
         assert render_flow_table(node) == reference_render_flow_table(node)
 

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 
 import pytest
 from hypothesis import example, given
@@ -266,9 +265,7 @@ def test_bad_sig_frame_drops(node, frame):
 def test_entry_whose_out_port_is_gone_drops(node):
     """An entry can outlive its out-port only through `table.entries = [...]`;
     every ingress then drops what it matches."""
-    node.table.entries = [
-        dataclasses.replace(e, out_port=77) for e in node.table.entries
-    ]
+    node.table.entries = [e._replace(out_port=77) for e in node.table.entries]
     packet = wire.pack_ip_packet(IP2, TCP, 34, b"web")
     assert node.ingress_radio(1, 1, b"data") is None
     assert node.ingress_ngu(wire.encap_gtpu(packet, teid=1)) is None

@@ -338,7 +338,7 @@ def test_assigning_entries_rebuilds_the_classifier(reference_state):
 
 _PORT_IDS = st.integers(0, 5)
 _SPECS = st.one_of(
-    st.builds(RadioBearer, st.integers(0, 2), st.sampled_from([0, 1, 3]), st.just(BearerKind.DRB)),
+    st.builds(RadioBearer, st.integers(0, 2), st.sampled_from([0, 1, 3]), st.just(BearerKind.DRB), st.just(())),
     st.builds(GtpTunnel, st.just(IP1), st.just(IP2), st.integers(1, 2), st.integers(1, 2)),
     st.builds(SigTunnel, st.just(IP1), st.integers(1, 2)),
 )

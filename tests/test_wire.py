@@ -1,14 +1,25 @@
-import dataclasses
+import functools
 import ipaddress
 import random
 import struct
+from collections import Counter
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_message, reference_decode_message, reference_encode_message
+from helpers import (
+    generated_scenario,
+    random_ip,
+    random_message,
+    reference_decode_message,
+    reference_encode_message,
+    reference_iter_messages,
+)
 from open5gsim import wire
+from open5gsim.controller import CONTROLLER_IP, Controller, default_layer_config
 from open5gsim.errors import (
     BadGtpuFlagsError,
     BadSigFlagsError,
@@ -20,14 +31,19 @@ from open5gsim.errors import (
     UnknownTypeError,
     WireDecodeError,
 )
+from open5gsim.netsim import Simulator
 from open5gsim.node import DataPlaneNode, Rat
+from open5gsim.scenario import load_scenario
 from open5gsim.wire import (
     BearerKind,
+    ConfigTlv,
     ErrorMsg,
     FlowMatch,
     FlowMod,
     FlowModCommand,
+    GtpTunnel,
     Hello,
+    MatchType,
     PortMod,
     PortModCommand,
     RadioBearer,
@@ -179,8 +195,9 @@ def test_decoder_total_on_fuzzed_input(data):
 
 
 def _outcome(fn, arg):
+    """The result's repr, which names the type of every field, or the error's class and text."""
     try:
-        return "ok", fn(arg)
+        return "ok", repr(fn(arg))
     except Open5GError as exc:
         return type(exc), str(exc)
     except Exception as exc:  # a field of the wrong type: the class must agree
@@ -246,9 +263,7 @@ def test_every_decoded_message_passes_the_encoders_check(msg):
 def _field_paths(obj, path=()):
     """Every attribute path below a message, tuple indexes included; a
     NamedTuple's fields are walked by name."""
-    if dataclasses.is_dataclass(obj):
-        children = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
-    elif hasattr(obj, "_fields"):
+    if hasattr(obj, "_fields"):
         children = list(zip(obj._fields, obj))
     elif isinstance(obj, tuple):
         children = list(enumerate(obj))
@@ -266,10 +281,8 @@ def _replaced(obj, path, value):
     key, rest = path[0], path[1:]
     if isinstance(key, int):
         out = obj[:key] + (_replaced(obj[key], rest, value),) + obj[key + 1 :]
-    elif hasattr(obj, "_fields"):
-        out = obj._replace(**{key: _replaced(getattr(obj, key), rest, value)})
     else:
-        out = dataclasses.replace(obj, **{key: _replaced(getattr(obj, key), rest, value)})
+        out = obj._replace(**{key: _replaced(getattr(obj, key), rest, value)})
     assert type(out) is type(obj)
     return out
 
@@ -534,3 +547,242 @@ def test_flow_mod_rules_a_parsed_frame_can_break(tlvs, message):
     assert _outcome(decode_message, frame) == (MalformedTlvError, message)
     assert _outcome(reference_decode_message, frame) == (MalformedTlvError, message)
     assert _error_detail(frame) == message.encode()
+
+
+# -- the shape table -----------------------------------------------------------
+# The controller sends six command shapes, and encode_message and
+# decode_message take each through one whole-frame struct. A message or a
+# frame near those shapes must still give the reference codec's bytes, its
+# message with every field of the same type, or its error class and text.
+
+_U32_TOP = (1 << 32) - 1
+
+
+def _shape_commands(rng: random.Random) -> list:
+    """Commands of the six shapes, built by the controller's own builders on
+    a node of a random RAT with random ids and addresses: three radio ports
+    (SRB0, SRB1 or SRB2, a DRB), each with the RAT's TLV block, a GTP-U port,
+    a signaling port, and a FLOW_MOD ADD matching each of {crnti, bearer_id},
+    {in_port} and {ip_dst, ip_proto, l4_dst}."""
+    rat = rng.choice(list(Rat))
+    ctl = Controller(admission_cap=1)
+    ctl.register_node("n", rat, wire.ip_str(random_ip(rng)))
+    node = ctl.nodes["n"]
+    node.next_port_id = rng.choice([0, _U32_TOP - 4, rng.randrange(_U32_TOP - 4)])
+    node.next_xid = rng.choice([0, _U32_TOP - 7, rng.randrange(_U32_TOP - 7)])
+    crnti = rng.choice([1, wire.CRNTI_MAX, rng.randint(1, wire.CRNTI_MAX)])
+    layers = default_layer_config(rat)
+    radio = [
+        RadioBearer(0, 0, BearerKind.SRB, layers),
+        RadioBearer(crnti, rng.choice([3, 4]), BearerKind.SRB, layers),
+        RadioBearer(crnti, rng.randrange(32), BearerKind.DRB, layers),
+    ]
+    radio_port, create_radio = ctl._create_port(node, radio[0])
+    commands = [create_radio] + [ctl._create_port(node, spec)[1] for spec in radio[1:]]
+    gtp = GtpTunnel(node.ngu_ip, random_ip(rng), rng.randrange(1 << 16), rng.randrange(1 << 32))
+    sig_port, create_sig = ctl._create_port(node, SigTunnel(CONTROLLER_IP, rng.randrange(1 << 32)))
+    commands += [ctl._create_port(node, gtp)[1], create_sig]
+    matches = [
+        FlowMatch(crnti=crnti, bearer_id=rng.randrange(256)),
+        FlowMatch(in_port=sig_port),
+        FlowMatch(ip_dst=random_ip(rng), ip_proto=rng.randrange(256), l4_dst=rng.randrange(1 << 16)),
+    ]
+    for match in matches:
+        commands.append(ctl._add_flow(node, rng.choice([0, 0xFFFF, rng.randrange(1 << 16)]), match, radio_port))
+    return commands
+
+
+@functools.total_ordering
+class _IntLike:
+    """No int, though it compares and hashes as one and struct packs it
+    through `__index__`, as a NumPy integer does."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __eq__(self, other):
+        return self.value == other
+
+    def __lt__(self, other):
+        return self.value < other
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"_IntLike({self.value})"
+
+
+class _WideTlv(NamedTuple):
+    """Has a ConfigTlv's fields, and one more."""
+
+    tlv_type: int
+    value: bytes
+    note: int
+
+
+# bool, IntEnum, an int-like object, negative, over-width and edge ints,
+# addresses of 3 and 5 bytes, C-RNTI_MAX + 1, SRB bearer 5, C-RNTI 0, TLV
+# type 65536, a TLV value too long for its frame, and layer configs of other
+# types, one holding a TLV that is no ConfigTlv but has its fields
+_HOSTILE = [
+    _IntLike(1), _IntLike(3), (_WideTlv(1, b"x", 0),),
+    True, False, BearerKind.SRB, BearerKind.DRB, MatchType.CRNTI, PortModCommand.CREATE, FlowModCommand.ADD,
+    PortModCommand.MODIFY, -1, 0, 1, 5, 31, 32, 255, 256, wire.CRNTI_MAX, wire.CRNTI_MAX + 1, 0xFFFF, 1 << 16,
+    _U32_TOP, 1 << 32, 1.0, None, "x", b"\x0a\x00\x01", b"\x0a\x00\x01\x01\x00", bytearray(b"\x0a\x00\x01\x01"),
+    bytes(0xFFF0), bytes(1 << 16), (), [ConfigTlv(1, b"x")], (ConfigTlv(1, b"x"),), ((1, b"x"),),
+    FlowMatch(crnti=1), RadioBearer(1, 1, BearerKind.DRB),
+]
+
+
+def test_the_six_shapes_have_their_sizes():
+    commands = _shape_commands(random.Random(7))
+    block = sum(4 + len(tlv.value) for tlv in commands[0].port_spec.layer_config)
+    sizes = [len(encode_message(msg)) for msg in commands]
+    assert sizes == [18 + block] * 3 + [28, 22, 28, 25, 36]
+
+
+@given(st.integers(0, 2**48))
+@settings(max_examples=15, deadline=None)
+def test_each_shape_with_one_field_made_hostile_agrees_with_reference(seed):
+    for msg in _shape_commands(random.Random(seed)):
+        frame = encode_message(msg)
+        assert frame == reference_encode_message(msg)
+        assert repr(decode_message(frame)) == repr(msg)
+        for path in _field_paths(msg):
+            for value in _HOSTILE:
+                _assert_encoders_agree(_replaced(msg, path, value))
+
+
+def test_a_short_address_beside_one_with_no_length_is_a_bad_ip_length():
+    """The validator tests the local address first and stops at its length."""
+    msg = PortMod(1, PortModCommand.CREATE, 1, GtpTunnel(b"\x0a\x00\x01", 5, 2152, 1))
+    assert _outcome(encode_message, msg) == (InvalidMessageError, "bad ip length")
+    _assert_encoders_agree(msg)
+
+
+def _match_tlvs(frame: bytes) -> tuple[list[bytes], bytes]:
+    """A FLOW_MOD frame's match TLVs, and the action after them."""
+    tlvs, off = [], 12
+    for _ in range(frame[11]):
+        (length,) = struct.unpack_from(">H", frame, off + 2)
+        tlvs.append(frame[off : off + 4 + length])
+        off += 4 + length
+    return tlvs, frame[off:]
+
+
+def _with_tlvs(frame: bytes, tlvs: list[bytes], action: bytes) -> bytes:
+    """A FLOW_MOD frame with other match TLVs, its count and length set to them."""
+    body = frame[8:11] + bytes([len(tlvs)]) + b"".join(tlvs) + action
+    return frame[:2] + struct.pack(">H", 8 + len(body)) + frame[4:8] + body
+
+
+def _shape_damage(frame: bytes):
+    """`_damaged`, each bit of each byte flipped and each byte inverted, one
+    byte added with the length field as it was, and in a FLOW_MOD each pair of
+    neighbouring match TLVs swapped and each match TLV given twice."""
+    yield from _damaged(frame)
+    for i, old in enumerate(frame):
+        for mask in (1, 2, 4, 8, 16, 32, 64, 128, 0xFF):
+            yield frame[:i] + bytes([old ^ mask]) + frame[i + 1 :]
+    yield frame + b"\x00"
+    if frame[1] == wire.MsgType.FLOW_MOD:
+        tlvs, action = _match_tlvs(frame)
+        for i in range(len(tlvs)):
+            yield _with_tlvs(frame, tlvs[:i] + [tlvs[i]] + tlvs[i:], action)
+            if i + 1 < len(tlvs):
+                yield _with_tlvs(frame, tlvs[:i] + [tlvs[i + 1], tlvs[i]] + tlvs[i + 2 :], action)
+
+
+def _split_outcome(split, data: bytes):
+    """The reprs of the messages a splitter yields, then its error's class and text."""
+    got = []
+    try:
+        for msg in split(data):
+            got.append(repr(msg))
+    except Open5GError as exc:
+        return got, type(exc), str(exc)
+    return got, "ok"
+
+
+@given(st.integers(0, 2**48))
+@settings(max_examples=5, deadline=None)
+def test_each_shape_damaged_decodes_as_the_reference_does(seed):
+    commands = _shape_commands(random.Random(seed))
+    frames = [encode_message(msg) for msg in commands]
+    for k, frame in enumerate(frames):
+        _assert_decoders_agree(bytearray(frame))  # a radio port's TLV values are bytearrays too
+        before, after = frames[k - 1], frames[(k + 1) % len(frames)]
+        for data in _shape_damage(frame):
+            _assert_decoders_agree(data)
+            joined = before + data + after
+            assert _split_outcome(wire.iter_messages, joined) == _split_outcome(reference_iter_messages, joined)
+
+
+def test_the_tlv_block_caches_stay_bounded_and_right():
+    """More distinct layer configs than a cache holds, each encoded and decoded
+    twice: every frame and message agrees with the reference codec."""
+    for i in range(3 * wire._CACHE_MAX):
+        layers = (ConfigTlv(i, bytes([i % 256]) * (i % 7)), ConfigTlv(0xFFFF - i, b""))
+        msg = PortMod(i, PortModCommand.CREATE, i, RadioBearer(1, 1, BearerKind.DRB, layers))
+        for _ in range(2):
+            frame = encode_message(msg)
+            assert frame == reference_encode_message(msg)
+            assert repr(decode_message(frame)) == repr(reference_decode_message(frame))
+        assert len(wire._TLV_BLOCKS) <= wire._CACHE_MAX
+        assert wire._layer_config.cache_info().currsize <= wire._CACHE_MAX
+
+
+def test_a_layer_config_that_can_change_is_written_anew_each_time():
+    """A list, or a TLV value in a bytearray, may change between two encodes;
+    each encode writes what it holds then."""
+    value = bytearray(b"x")
+    for layers, change in [
+        ([ConfigTlv(1, b"x")], lambda layers: layers.append(ConfigTlv(2, b"yz"))),
+        ((ConfigTlv(1, value),), lambda _: value.extend(b"yz")),
+    ]:
+        msg = PortMod(1, PortModCommand.CREATE, 1, RadioBearer(1, 1, BearerKind.DRB, layers))
+        first = encode_message(msg)
+        change(layers)
+        assert first != encode_message(msg) == reference_encode_message(msg)
+
+
+def _bundled(name: str):
+    scenario = load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.scn"))
+    return scenario.topology, list(scenario.script), scenario.settings
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _bundled("initial_access"), lambda: _bundled("multi_rat"), lambda: generated_scenario(128)],
+    ids=["initial_access", "multi_rat", "multi_rat_128_ues"],
+)
+def test_every_command_the_controller_sends_goes_through_the_shape_table(monkeypatch, build):
+    """The per-field code starts with `validate_message` when it encodes and
+    reads `_HEADER` when it decodes; no command of a run may reach either."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    class Header:
+        pack = staticmethod(wire._HEADER.pack)
+        unpack_from = staticmethod(counted("per-field decode", wire._HEADER.unpack_from))
+
+    monkeypatch.setattr(wire, "validate_message", counted("per-field encode", wire.validate_message))
+    monkeypatch.setattr(wire, "_HEADER", Header)
+    monkeypatch.setattr(wire, "encode_message", counted("encode", wire.encode_message))
+    monkeypatch.setattr(wire, "decode_message", counted("decode", wire.decode_message))
+    Simulator(*build()).run()
+    assert calls["encode"] == calls["decode"] > 0
+    assert calls["per-field encode"] == calls["per-field decode"] == 0
+    # a HELLO has no shape, so the counters see the per-field code
+    wire.decode_message(wire.encode_message(Hello(1)))
+    assert calls["per-field encode"] == calls["per-field decode"] == 1
