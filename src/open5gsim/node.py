@@ -36,6 +36,8 @@ class Rat(Enum):
     WLAN = "WLAN"
 
 
+_WLAN, _MODIFY, _DELETE = Rat.WLAN, PortModCommand.MODIFY, PortModCommand.DELETE
+
 # d-WT has no SDAP/PDCP; its radio stack is MAC/PHY (plus GRE toward the UE)
 _WLAN_FORBIDDEN_TLVS = {int(LayerTlv.SDAP), int(LayerTlv.PDCP)}
 
@@ -51,25 +53,22 @@ class DataPlaneNode:
     # -- controller channel ------------------------------------------------
 
     def _apply(self, msg) -> None:
-        # HELLO and ERROR change nothing; nodes never act on controller-side errors
-        if isinstance(msg, PortMod):
-            if (
-                self.rat == Rat.WLAN
-                and msg.command != PortModCommand.DELETE
-                and isinstance(msg.port_spec, RadioBearer)
-            ):
+        # commands as the decoder builds them, most of them FLOW_MODs; HELLO and ERROR change nothing
+        if type(msg) is FlowMod:
+            self.table.apply_flow_mod(msg, self.registry)
+        elif isinstance(msg, PortMod):
+            if self.rat is _WLAN and msg.command != _DELETE and isinstance(msg.port_spec, RadioBearer):
                 for tlv in msg.port_spec.layer_config:
                     if tlv.tlv_type in _WLAN_FORBIDDEN_TLVS:
                         raise UnsupportedLayerError(
                             f"tlv {tlv.tlv_type} not supported on WLAN radio stack"
                         )
             spec = self.registry.apply_port_mod(msg)
-            if msg.command == PortModCommand.DELETE:
+            if msg.command == _DELETE:
                 self.table.drop_port_references(msg.port_id, spec)
-            else:
-                self.table.note_port_mod(msg)
-        elif isinstance(msg, FlowMod):
-            self.table.apply_flow_mod(msg, self.registry)
+            elif msg.command == _MODIFY:
+                # the rows showing the port's old spec render again; a CREATE changes no row
+                self.table.entries = self.table.entries
 
     def handle_open5g(self, data: bytes) -> bytes | None:
         """Apply a (possibly batched) command byte stream.

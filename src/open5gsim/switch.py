@@ -2,14 +2,15 @@
 
 A node owns one registry plus one table. Lookups are pure; mutation happens
 only through apply_port_mod / apply_flow_mod so command streams replay
-deterministically. The table also keeps its rows rendered for display.
+deterministically. The table also keeps its rows rendered for display, and
+a FLOW_MOD ADD costs the same whatever the table holds.
 """
 
 from __future__ import annotations
 
-from bisect import bisect, insort
+from bisect import insort
 from functools import cache
-from operator import itemgetter
+from operator import is_not, itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -33,6 +34,10 @@ from .wire import (
     SigTunnel,
     ip_str,
 )
+
+_CREATE, _MODIFY, _ADD = PortModCommand.CREATE, PortModCommand.MODIFY, FlowModCommand.ADD
+_NONES = (None,) * len(MATCH_FIELDS)
+_IP_DST = MatchType.IP_DST - 1  # the FlowMatch index of ip_dst
 
 
 class FlowEntry(NamedTuple):
@@ -94,14 +99,14 @@ class PortRegistry:
         """Apply one PORT_MOD; returns the port's spec (DELETE: the removed one).
         MODIFY and DELETE, which the controller never sends, rebuild the indexes."""
         port_id, spec = msg.port_id, msg.port_spec
-        if msg.command == PortModCommand.CREATE:
+        if msg.command == _CREATE:
             if port_id in self.ports:
                 raise DuplicatePortError(f"port {port_id} already exists")
             index, key = self._check_uniqueness(port_id, spec)
             self.ports[port_id] = spec
             index[key] = port_id
             return spec
-        if msg.command == PortModCommand.MODIFY:
+        if msg.command == _MODIFY:
             if port_id not in self.ports:
                 raise UnknownPortError(f"port {port_id}")
             self._check_uniqueness(port_id, spec)
@@ -129,28 +134,19 @@ def entry_references_port(entry: FlowEntry, port_id: int, spec: PortSpec) -> boo
 
 
 @cache
-def _getter(shape: tuple[int, ...]) -> Callable:
-    """Reads the fields at a match shape's indexes from a FlowMatch. There
-    is one getter per shape, so a getter also names its shape."""
-    return itemgetter(*shape) if shape else lambda _: ()
-
-
-def _slot(match: FlowMatch) -> tuple[Callable, object]:
-    """The getter of the match's shape (the indexes of its set fields), and its key."""
-    key_of = _getter(tuple([i for i, value in enumerate(match) if value is not None]))
-    return key_of, key_of(match)
+def _shape(mask: tuple[bool, ...]) -> tuple[Callable, str, bool]:
+    """A match shape, by which fields it sets: the getter of its classifier key
+    (one per shape, so a getter also names its shape), its row template, and
+    whether it sets ip_dst. The template's arguments are the priority, the
+    action, ip_dst through ip_str, then the match's fields; str.format, like
+    an f-string, formats each value with format(value, "")."""
+    at = [i for i, is_set in enumerate(mask) if is_set]
+    fields = ",".join([f"{MATCH_FIELDS[i].label}={{{2 if i == _IP_DST else i + 3}}}" for i in at])
+    return (itemgetter(*at) if at else lambda _: ()), "{0} [" + fields + "] -> [{1}]", mask[_IP_DST]
 
 
 def _rank(entry: FlowEntry) -> tuple[int, int]:
     return -entry.priority, entry.entry_id
-
-
-def _match_str(match: FlowMatch) -> str:
-    return ",".join([
-        f"{f.label}={ip_str(value) if f.mtype == MatchType.IP_DST else value}"
-        for f, value in zip(MATCH_FIELDS, match)
-        if value is not None
-    ])
 
 
 def _action_str(out_port: int, spec: PortSpec | None) -> str:
@@ -163,22 +159,27 @@ def _action_str(out_port: int, spec: PortSpec | None) -> str:
     return f"output port={out_port}"  # no such port
 
 
-def _row(entry: FlowEntry, spec: PortSpec | None) -> str:
-    """One displayed row: priority, match, and the out-port's spec."""
-    return f"{entry.priority} [{_match_str(entry.match)}] -> [{_action_str(entry.out_port, spec)}]"
+def _row(shape: tuple, entry: FlowEntry, spec: PortSpec | None) -> str:
+    """One displayed row, in the template of the entry's shape: priority, match, and the out-port's spec."""
+    _, template, has_ip = shape
+    match = entry.match
+    return template.format(entry.priority, _action_str(entry.out_port, spec), has_ip and ip_str(match[_IP_DST]), *match)
 
 
 class FlowTable:
     """Tuple-space classifier (Srinivasan, Suri & Varghese, SIGCOMM 1999).
 
-    The table keeps its rows rendered in display order. An ADD renders and
-    inserts its one row; any other change to what the rows show marks them
-    stale, and the next `rows` call renders them all again.
+    The table keeps its rows rendered in display order. An ADD takes its
+    match's cached shape, probes that shape's buckets once for a duplicate,
+    and puts its entry, which has the largest id, and the entry's row at the
+    end of its priority run, counted per priority. Every other change goes
+    through the `entries` setter, which marks the rows stale, and the next
+    `rows` call renders them all again.
     """
 
     def __init__(self):
-        self.entries: list[FlowEntry] = []
         self._next_entry_id = 1
+        self.entries: list[FlowEntry] = []
 
     @property
     def entries(self) -> list[FlowEntry]:
@@ -190,41 +191,54 @@ class FlowTable:
         self._ordered: list[FlowEntry] = sorted(entries, key=_rank)  # stable: equal ranks keep their order
         # shape getter -> field values -> the entries with exactly that match, by _rank
         self._shapes: dict[Callable, dict[object, list[FlowEntry]]] = {}
+        self._runs: dict[int, int] = {}  # priority -> its number of entries
         for entry in self._ordered:
-            key_of, key = _slot(entry.match)
-            self._shapes.setdefault(key_of, {}).setdefault(key, []).append(entry)
+            key_of = _shape(tuple(map(is_not, entry.match, _NONES)))[0]
+            self._shapes.setdefault(key_of, {}).setdefault(key_of(entry.match), []).append(entry)
+            self._runs[entry.priority] = self._runs.get(entry.priority, 0) + 1
+        # later ADDs get ids above every given one, so they are listed after them
+        self._next_entry_id = max([self._next_entry_id, *[e.entry_id + 1 for e in self._ordered]])
         self._rows: list[str] | None = None  # the rows of _ordered; None while stale
 
     def __len__(self) -> int:
         return len(self._ordered)
 
     def apply_flow_mod(self, msg: FlowMod, registry: PortRegistry) -> None:
-        key_of, key = _slot(msg.match)
-        buckets = self._shapes.get(key_of, {})
-        if msg.command == FlowModCommand.ADD:
+        match = msg.match
+        shape = _shape(tuple(map(is_not, match, _NONES)))
+        key_of = shape[0]
+        key = key_of(match)
+        buckets = self._shapes.get(key_of)
+        bucket = buckets.get(key) if buckets else None
+        if msg.command == _ADD:
             spec = registry.get(msg.out_port)
             if spec is None:
                 raise UnknownOutPortError(f"out_port {msg.out_port}")
-            if any(entry.priority == msg.priority for entry in buckets.get(key, ())):
-                raise DuplicateEntryError(
-                    f"entry (priority {msg.priority}, {msg.match}) already present"
-                )
-            entry = FlowEntry(self._next_entry_id, msg.priority, msg.match, msg.out_port)
+            priority = msg.priority
+            for entry in bucket or ():
+                if entry.priority == priority:
+                    raise DuplicateEntryError(f"entry (priority {priority}, {match}) already present")
+            entry = FlowEntry(self._next_entry_id, priority, match, msg.out_port)
             self._next_entry_id += 1
-            i = bisect(self._ordered, _rank(entry), key=_rank)
+            # the largest id goes after every entry of its priority and above
+            runs, i = self._runs, 0
+            for p, n in runs.items():
+                if p >= priority:
+                    i += n
+            runs[priority] = runs.get(priority, 0) + 1
             self._ordered.insert(i, entry)
-            insort(self._shapes.setdefault(key_of, {}).setdefault(key, []), entry, key=_rank)
+            if bucket:
+                insort(bucket, entry, key=_rank)
+            else:
+                self._shapes.setdefault(key_of, {})[key] = [entry]
             if self._rows is not None:
-                self._rows.insert(i, _row(entry, spec))
-        elif key in buckets:
+                try:
+                    self._rows.insert(i, _row(shape, entry, spec))
+                except (TypeError, ValueError):  # an ip_dst that ip_str refuses: `rows` raises it
+                    self._rows = None
+        elif bucket is not None:
             # exact-match delete: drop every entry whose match equals exactly
-            self.entries = [e for e in self._ordered if e.match != msg.match]
-
-    def note_port_mod(self, msg: PortMod) -> None:
-        """Mark the rows stale on an applied MODIFY. A DELETE reaches the rows
-        through drop_port_references; a CREATE changes none of the kept rows."""
-        if msg.command == PortModCommand.MODIFY:
-            self._rows = None
+            self.entries = [e for e in self._ordered if e.match != match]
 
     def drop_port_references(self, port_id: int, spec: PortSpec) -> int:
         """Cascade after a port DELETE; returns the number of entries removed."""
@@ -247,7 +261,7 @@ class FlowTable:
         if every out-port exists, so no kept row shows a missing port."""
         if self._rows is None:
             ports = registry.ports
-            rows = [_row(e, ports.get(e.out_port)) for e in self._ordered]
+            rows = [_row(_shape(tuple(map(is_not, e.match, _NONES))), e, ports.get(e.out_port)) for e in self._ordered]
             if not all(e.out_port in ports for e in self._ordered):
                 return rows
             self._rows = rows

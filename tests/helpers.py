@@ -6,6 +6,7 @@ import ipaddress
 import json
 import random
 import struct
+from pathlib import Path
 
 from open5gsim import wire
 from open5gsim.controller import QosFlowSpec, SessionSpec
@@ -32,7 +33,7 @@ from open5gsim.netsim import (
     UeSpec,
 )
 from open5gsim.node import DataPlaneNode, Rat
-from open5gsim.scenario import ParseError, Scenario
+from open5gsim.scenario import ParseError, Scenario, load_scenario
 from open5gsim.switch import FlowEntry, entry_references_port
 from open5gsim.trace import _LINE, TraceParseError, TraceRecord
 from open5gsim.wire import (
@@ -250,6 +251,12 @@ class EveryDeliveryTables(Simulator):
         return self.snapshots[min(at_step, len(self.snapshots)) - 1][node_id]
 
 
+def bundled_scenario(name: str) -> tuple[Topology, list[Stimulus], Settings]:
+    """The topology, script and settings of `scenarios/<name>.scn`."""
+    scenario = load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.scn"))
+    return scenario.topology, list(scenario.script), scenario.settings
+
+
 def generated_scenario(ues: int = 50) -> tuple[Topology, list[Stimulus], Settings]:
     """`ues` UEs round-robin over four nodes (NR, NR, LTE, WLAN), one attach
     per tick. Each has one session with two DRBs and two downlink flows, then
@@ -352,8 +359,20 @@ class ScanPortRegistry:
 
 class ScanFlowTable:
     def __init__(self):
-        self.entries: list[FlowEntry] = []
         self._next_entry_id = 1
+        self.entries: list[FlowEntry] = []
+
+    @property
+    def entries(self) -> list[FlowEntry]:
+        """In the order they were given or added, not display order."""
+        return self._entries
+
+    @entries.setter
+    def entries(self, entries: list[FlowEntry]) -> None:
+        self._entries = list(entries)
+        # an ADD gets an id above every id the table holds or held
+        for entry in self._entries:
+            self._next_entry_id = max(self._next_entry_id, entry.entry_id + 1)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -382,14 +401,13 @@ class ScanFlowTable:
         return before - len(self.entries)
 
     def match(self, ctx: FlowMatch) -> int | None:
-        """Highest priority wins; earliest installed wins among equals."""
+        """Highest priority wins; earliest installed, the lowest entry_id, wins among equals."""
         best: FlowEntry | None = None
         for entry in self.entries:
             if not match_context(entry.match, ctx):
                 continue
-            if best is None or entry.priority > best.priority:
+            if best is None or (entry.priority, -entry.entry_id) > (best.priority, -best.entry_id):
                 best = entry
-            # equal priority: keep the earlier entry_id (list is insertion-ordered)
         return best.out_port if best else None
 
     def ordered_entries(self) -> list[FlowEntry]:
@@ -404,9 +422,15 @@ class ScanFlowTable:
 
 def reference_render_flow_table(node: DataPlaneNode) -> list[str]:
     """Render (match, action) rows in priority then installation order."""
+    return reference_render_rows(node.table.entries, node.registry)
+
+
+def reference_render_rows(entries: list[FlowEntry], registry) -> list[str]:
+    """The rows of `entries`, whose out-ports `registry.get` answers, in priority
+    then installation order."""
     rows = []
-    for entry in sorted(node.table.entries, key=lambda e: (-e.priority, e.entry_id)):
-        rows.append(f"{entry.priority} [{_match_str(entry)}] -> [{_action_str(entry, node)}]")
+    for entry in sorted(entries, key=lambda e: (-e.priority, e.entry_id)):
+        rows.append(f"{entry.priority} [{_match_str(entry)}] -> [{_action_str(entry, registry)}]")
     return rows
 
 
@@ -428,8 +452,8 @@ def _match_str(entry) -> str:
     return ",".join(parts)
 
 
-def _action_str(entry, node: DataPlaneNode) -> str:
-    spec = node.registry.get(entry.out_port)
+def _action_str(entry, registry) -> str:
+    spec = registry.get(entry.out_port)
     if spec is None:
         return f"output port={entry.out_port}"
     if isinstance(spec, RadioBearer):

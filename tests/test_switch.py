@@ -1,11 +1,23 @@
+import functools
 import random
+from collections import Counter
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ScanFlowTable, ScanPortRegistry, oracle_match, random_context, random_entries
-from open5gsim import wire
+from helpers import (
+    ScanFlowTable,
+    ScanPortRegistry,
+    bundled_scenario,
+    generated_scenario,
+    oracle_match,
+    random_context,
+    random_entries,
+    reference_render_rows,
+)
+from open5gsim import switch, wire
 from open5gsim.errors import (
     DuplicateBearerError,
     DuplicateEntryError,
@@ -14,7 +26,9 @@ from open5gsim.errors import (
     UnknownOutPortError,
     UnknownPortError,
 )
-from open5gsim.switch import FlowTable, PortRegistry
+from open5gsim.netsim import Simulator
+from open5gsim.node import DataPlaneNode, Rat
+from open5gsim.switch import FlowEntry, FlowTable, PortRegistry
 from open5gsim.wire import (
     BearerKind,
     FlowMatch,
@@ -433,3 +447,185 @@ def test_match_fields_name_every_match_attribute():
     assert [f.mtype for f in wire.MATCH_FIELDS] == list(wire.MatchType)
     # the decoder puts a TLV of type t at FlowMatch index t - 1
     assert [int(t) for t in wire.MatchType] == list(range(1, len(names) + 1))
+
+
+# -- entry ids, the ADD path and the rows ---------------------------------------
+
+
+def test_an_assignment_raises_the_next_entry_id_past_its_ids():
+    """ADDs after an assignment get ids above every given one, so they are
+    listed after the entries of their priority that the assignment gave."""
+    registry = reference_ports()
+    table = FlowTable()
+    table.entries = [FlowEntry(5, 100, FlowMatch(in_port=2), LP1)]
+    for bearer in (1, 2, 3, 4):
+        table.apply_flow_mod(FlowMod(1, FlowModCommand.ADD, 100, FlowMatch(crnti=1, bearer_id=bearer), LP1), registry)
+    assert [e.entry_id for e in table.entries] == [5, 6, 7, 8, 9]
+    assert table.entries[0].match == FlowMatch(in_port=2)
+    # the installation order still breaks the tie between two hits
+    assert table.match(FlowMatch(in_port=2, crnti=1, bearer_id=1)) == LP1
+    # an assignment of lower ids lowers nothing
+    table.entries = [FlowEntry(1, 100, FlowMatch(in_port=2), LP1)]
+    table.apply_flow_mod(FlowMod(1, FlowModCommand.ADD, 100, FlowMatch(crnti=1, bearer_id=1), LP1), registry)
+    assert [e.entry_id for e in table.entries] == [1, 10]
+
+
+class _Kind(IntEnum):
+    FIVE = 5
+
+
+class _Loud(int):
+    def __str__(self) -> str:
+        return f"loud{int(self)}"
+
+
+# match values an f-string renders in its own way, and addresses ip_str refuses
+_HOSTILE = [True, False, _Kind.FIVE, _Loud(5), _Loud(0)]
+_BAD_IPS = [b"\x0a\x00\x01", b"\x0a\x00\x01\x01\x00"]
+
+
+@pytest.mark.parametrize("value", _HOSTILE + _BAD_IPS, ids=repr)
+@pytest.mark.parametrize("field", FlowMatch._fields)
+def test_a_hostile_match_value_renders_as_the_reference_does(field, value):
+    """Alone in its match, and beside an ip_dst and a crnti, whether the rows
+    are kept when it is added or rendered in full afterwards."""
+    for others in ({}, {"ip_dst": IP1, "crnti": 7}):
+        match = FlowMatch(**{**others, field: value})
+        for rows_kept in (True, False):
+            registry, table = reference_ports(), FlowTable()
+            if rows_kept:
+                table.rows(registry)
+            for msg in reference_rows()[:3] + [FlowMod(1, FlowModCommand.ADD, 110, match, LP2)]:
+                table.apply_flow_mod(msg, registry)
+            assert _outcome(table.rows, registry) == _outcome(reference_render_rows, table.entries, registry)
+            if value in _BAD_IPS and field == "ip_dst":
+                assert _outcome(table.rows, registry)[0] is ValueError
+
+
+def _outcome(fn, *args) -> tuple:
+    """What a call gives back, or the class and text of the exception it raises."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# any priority, in any order; ports 1-3 are radio ports, 4-5 GTP-U, 6-7 signaling
+_ANY_PRIORITIES = st.sampled_from([0, 1, 99, 100, 110, 120, 0xFFFF]) | st.integers(0, 200)
+_VALUES = {
+    "in_port": st.sampled_from([1, 2, 4, 6, True, _Loud(2)]),
+    "crnti": st.sampled_from([1, 2, True, _Kind.FIVE, _Loud(1), 5]),
+    "bearer_id": st.sampled_from([1, 3, True, _Loud(3)]),
+    "ip_dst": st.sampled_from([IP1, IP2] + _BAD_IPS),
+    "ip_proto": st.sampled_from([6, 17, _Kind.FIVE]),
+    "l4_dst": st.sampled_from([23, 43, False]),
+}
+_ANY_MATCHES = st.sampled_from(_MATCH_POOL) | st.builds(FlowMatch, **{k: st.none() | v for k, v in _VALUES.items()})
+_ANY_FLOW_MOD = functools.partial(st.builds, FlowMod, st.just(1))
+_ANY_ADD = _ANY_FLOW_MOD(st.just(FlowModCommand.ADD), _ANY_PRIORITIES, _ANY_MATCHES, st.integers(0, 8))
+_ANY_REMOVE = _ANY_FLOW_MOD(st.just(FlowModCommand.DELETE), _ANY_PRIORITIES, _ANY_MATCHES, st.integers(0, 8))
+_PORT_SPECS = st.one_of(
+    st.builds(RadioBearer, st.integers(1, 2), st.sampled_from([1, 3]), st.just(BearerKind.DRB), st.just(())),
+    st.builds(GtpTunnel, st.just(IP1), st.just(IP2), st.integers(1, 2), st.integers(1, 2)),
+    st.builds(SigTunnel, st.just(IP1), st.integers(1, 3)),
+)
+_RE_PORT = st.builds(
+    PortMod, st.just(1), st.sampled_from([PortModCommand.MODIFY, PortModCommand.DELETE]), st.integers(0, 8), _PORT_SPECS
+)
+# `entries = ...`: the indexes of current entries to keep, then entries with large ids
+_BIG_ENTRY = st.builds(FlowEntry, st.integers(1000, 10**12), _ANY_PRIORITIES, _ANY_MATCHES, st.integers(0, 8))
+_ASSIGN = st.tuples(st.lists(st.integers(0, 30), max_size=10), st.lists(_BIG_ENTRY, max_size=4))
+_STEPS = st.sampled_from([_ANY_ADD] * 8 + [_ANY_REMOVE, _RE_PORT, _ASSIGN]).flatmap(lambda s: s)
+_START_PORTS = [
+    PortMod(1, PortModCommand.CREATE, 1, RadioBearer(1, 1, BearerKind.DRB)),
+    PortMod(1, PortModCommand.CREATE, 2, RadioBearer(1, 3, BearerKind.SRB)),
+    PortMod(1, PortModCommand.CREATE, 3, RadioBearer(2, 1, BearerKind.DRB)),
+    PortMod(1, PortModCommand.CREATE, 4, GtpTunnel(IP1, IP2, 2152, 1)),
+    PortMod(1, PortModCommand.CREATE, 5, GtpTunnel(IP1, IP2, 2153, 2)),
+    PortMod(1, PortModCommand.CREATE, 6, SigTunnel(IP1, 1)),
+    PortMod(1, PortModCommand.CREATE, 7, SigTunnel(IP1, 2)),
+]
+
+
+def _reference_step(registry: ScanPortRegistry, table: ScanFlowTable, msg) -> None:
+    if isinstance(msg, PortMod):
+        spec = registry.apply_port_mod(msg)
+        if msg.command == PortModCommand.DELETE:
+            table.drop_port_references(msg.port_id, spec)
+    else:
+        table.apply_flow_mod(msg, registry)
+
+
+@given(st.lists(_STEPS, min_size=5, max_size=60), st.lists(st.builds(FlowMatch, **_FIELDS), min_size=2, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_the_add_path_agrees_with_linear_scan_and_full_render(steps, contexts):
+    """A node's table, its kept rows and its lookups against the scan table
+    and the full render, after every step, down to each error's class and text."""
+    node = DataPlaneNode("gnb1", Rat.NR)
+    ref_registry, ref_table = ScanPortRegistry(), ScanFlowTable()
+    for step in _START_PORTS + steps:
+        if isinstance(step, (PortMod, FlowMod)):  # before the plain tuple: a command is a NamedTuple
+            got = _outcome(node._apply, step)
+            assert got == _outcome(_reference_step, ref_registry, ref_table, step)
+        else:
+            keep, extra = step
+            kept = [ref_table.entries[i] for i in keep if i < len(ref_table.entries)]
+            kept = list(dict.fromkeys(kept))  # each entry once
+            ids = {e.entry_id for e in kept}
+            for entry in extra:  # large ids, each unique in the table
+                if entry.entry_id not in ids:
+                    ids.add(entry.entry_id)
+                    kept.append(entry)
+            node.table.entries = ref_table.entries = kept
+        assert [repr(e) for e in node.table.entries] == [repr(e) for e in ref_table.ordered_entries()]
+        rows = _outcome(node.table.rows, node.registry)
+        assert rows == _outcome(reference_render_rows, ref_table.entries, ref_registry)
+        entries = ref_table.entries
+        probes = contexts + [_overlay(ctx, e.match) for e in entries for ctx in contexts[:1]]
+        for ctx in probes:
+            assert node.table.match(ctx) == ref_table.match(ctx)
+    # the next ADD is listed after every entry of its priority
+    table = node.table
+    if table.entries and ref_registry.ports:
+        out_port = next(iter(ref_registry.ports))
+        priority = table.entries[-1].priority
+        msg = FlowMod(1, FlowModCommand.ADD, priority, FlowMatch(l4_dst=0xFFFF), out_port)
+        assert _outcome(node._apply, msg) == _outcome(_reference_step, ref_registry, ref_table, msg) == ("ok", None)
+        assert table.entries[-1].match == msg.match
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: bundled_scenario("initial_access"), lambda: bundled_scenario("multi_rat"), lambda: generated_scenario(128)],
+    ids=["initial_access", "multi_rat", "multi_rat_128_ues"],
+)
+def test_no_flow_mod_add_the_controller_sends_bisects_the_entries(monkeypatch, build):
+    """An ADD places its entry by the count of its priority run; the display
+    order `_rank` is what any bisect or insort of entries would call."""
+    calls = Counter()
+    adding = []
+    rank, apply_flow_mod = switch._rank, FlowTable.apply_flow_mod
+
+    def counted_rank(entry):
+        calls["rank in an ADD" if adding else "rank"] += 1
+        return rank(entry)
+
+    def counted_apply(self, msg, registry):
+        calls["ADD"] += msg.command == FlowModCommand.ADD
+        adding.append(msg)
+        try:
+            return apply_flow_mod(self, msg, registry)
+        finally:
+            adding.pop()
+
+    monkeypatch.setattr(switch, "_rank", counted_rank)
+    monkeypatch.setattr(FlowTable, "apply_flow_mod", counted_apply)
+    Simulator(*build()).run()
+    assert calls["ADD"] > 0
+    assert calls["rank in an ADD"] == 0
+    # an ADD of a match the table holds at another priority sorts its bucket,
+    # and the counter sees it
+    registry, table = reference_ports(), FlowTable()
+    for msg in reference_rows() + [reference_rows()[0]._replace(priority=7)]:
+        table.apply_flow_mod(msg, registry)
+    assert calls["rank in an ADD"] > 0

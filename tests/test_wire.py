@@ -3,7 +3,6 @@ import ipaddress
 import random
 import struct
 from collections import Counter
-from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bundled_scenario,
     generated_scenario,
     random_ip,
     random_message,
@@ -33,7 +33,6 @@ from open5gsim.errors import (
 )
 from open5gsim.netsim import Simulator
 from open5gsim.node import DataPlaneNode, Rat
-from open5gsim.scenario import load_scenario
 from open5gsim.wire import (
     BearerKind,
     ConfigTlv,
@@ -750,14 +749,9 @@ def test_a_layer_config_that_can_change_is_written_anew_each_time():
         assert first != encode_message(msg) == reference_encode_message(msg)
 
 
-def _bundled(name: str):
-    scenario = load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.scn"))
-    return scenario.topology, list(scenario.script), scenario.settings
-
-
 @pytest.mark.parametrize(
     "build",
-    [lambda: _bundled("initial_access"), lambda: _bundled("multi_rat"), lambda: generated_scenario(128)],
+    [lambda: bundled_scenario("initial_access"), lambda: bundled_scenario("multi_rat"), lambda: generated_scenario(128)],
     ids=["initial_access", "multi_rat", "multi_rat_128_ues"],
 )
 def test_every_command_the_controller_sends_goes_through_the_shape_table(monkeypatch, build):
