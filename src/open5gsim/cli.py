@@ -34,7 +34,7 @@ def cmd_run(scenario_path: str, out_path: str) -> int:
     except OSError as exc:
         print(f"cannot write trace: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    print(f"wrote {len(trace.records)} trace records to {out_path}")
+    print(f"wrote {len(trace)} trace records to {out_path}")
     return EXIT_OK
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import count
 from typing import Callable, NamedTuple
 
 from . import wire
@@ -56,7 +55,7 @@ from .messages import (
     rrc_to_bytes,
 )
 from .node import DataPlaneNode, Rat
-from .trace import EventTrace, TraceRecord, fnv1a64, to_records
+from .trace import EventTrace, TraceRecord, fnv1a64
 from .wire import GtpTunnel, PortSpec, SigTunnel
 
 _DIGEST_CHUNK = 512  # sends per fnv1a64 call: few calls, a bounded payload buffer
@@ -313,11 +312,11 @@ class Simulator:
                         f" has a bad destination {quoted(address)}"
                     ) from None
 
-        self.records: list[TraceRecord] = []
-        # sends not yet in `records`: their fields, payloads and end offsets
-        self._pending: list[tuple] = []
-        self._payloads = bytearray()
-        self._ends: list[int] = []
+        # the trace's columns: each send's time and key, and the digests made so far
+        self._times, self._keys, self._digests = [], [], []
+        self._key_of: dict[tuple, tuple] = {}  # (src, dst, channel, kind) -> its one tuple
+        self._payloads = bytearray()  # the payloads of the sends not yet digested
+        self._ends: list[int] = []  # and their end offsets
         # node -> [(step, rendered table)] after each Open5G batch the node
         # received; no other delivery changes its ports or flows
         self.table_history: dict[str, list[tuple[int, list[str]]]] = {n: [] for n in self.nodes}
@@ -330,20 +329,30 @@ class Simulator:
     # -- plumbing -----------------------------------------------------------
 
     def _send(self, delivery: _Delivery) -> None:
-        self._pending.append((self._now, delivery.src, delivery.dst, delivery.channel, delivery.kind))
+        key = (delivery.src, delivery.dst, delivery.channel, delivery.kind)
+        self._times.append(self._now)
+        self._keys.append(self._key_of.setdefault(key, key))
         self._payloads += delivery.payload
         self._ends.append(len(self._payloads))
-        if len(self._pending) == _DIGEST_CHUNK:
+        if len(self._ends) == _DIGEST_CHUNK:
             self._digest_pending()
         self._calendar.setdefault(self._now + 1, []).append(delivery)
 
     def _digest_pending(self) -> None:
-        """Turn the sends since the last call into trace records."""
-        digests = fnv1a64(self._payloads, self._ends)
-        self.records += to_records(zip(count(len(self.records) + 1), *zip(*self._pending), digests))
-        self._pending.clear()
+        """Digest the sends since the last call."""
+        self._digests += fnv1a64(self._payloads, self._ends)
         self._payloads.clear()
         self._ends.clear()
+
+    def _trace(self) -> EventTrace:
+        """The sends digested so far, in copies of the columns."""
+        n = len(self._digests)
+        return EventTrace(columns=(range(1, n + 1), self._times[:n], self._keys[:n], self._digests[:]))
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The trace's records so far, built anew on each read."""
+        return self._trace().records
 
     # -- run ------------------------------------------------------------------
 
@@ -373,7 +382,7 @@ class Simulator:
         finally:
             # on an exception too, so that `records` holds every send made
             self._digest_pending()
-        return EventTrace(list(self.records))
+        return self._trace()
 
     # -- stimuli ----------------------------------------------------------------
 

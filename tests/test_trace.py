@@ -1,22 +1,30 @@
 """The batched trace digest, the bulk trace codec against its per-line
-reference, and the trace line format that reading accepts."""
+reference, the trace line format that reading accepts, and the columns a run's
+or a read's trace holds until its records are read."""
 
 import dataclasses
+import gc
 import random
-from itertools import accumulate, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import generated_scenario, reference_fnv1a64, reference_from_text, reference_to_text
+from helpers import (
+    bundled_scenario,
+    generated_scenario,
+    reference_fnv1a64,
+    reference_from_text,
+    reference_to_text,
+)
 
 from open5gsim import netsim, trace
 from open5gsim.cli import EXIT_OK, EXIT_PARSE_ERROR, main
 from open5gsim.errors import BudgetExceededError
 from open5gsim.netsim import Simulator
-from open5gsim.trace import CHANNELS, EventTrace, TraceParseError, TraceRecord, fnv1a64
+from open5gsim.trace import CHANNELS, EventTrace, TraceParseError, TraceRecord, fnv1a64, read_trace, write_trace
 
 GOLDEN = "goldens/fig6_initial_access.trace"
 
@@ -459,3 +467,107 @@ def test_a_read_shares_one_object_per_channel():
     read = EventTrace.from_text(reference_to_text(records)).records
     assert len({id(r.channel) for r in read}) <= len(CHANNELS)
     assert len({id(r.src) for r in read}) == len({r.src for r in read})
+
+
+# -- the columns a run or a read holds until `records` is read ----------------------
+
+_HOSTILE = "aZ09_é名\u200b\u200d🙂\u0301\x7f-:[]"  # no character of it is whitespace
+
+
+def hostile_records(count: int, seed: int, distinct: int) -> list[TraceRecord]:
+    """Records whose names mix non-ASCII and zero-width characters, drawn from
+    `distinct` names, so from few keys to about one key per record."""
+    rng = random.Random(seed)
+    names = ["".join(rng.choices(_HOSTILE, k=rng.randrange(1, 12))) for _ in range(distinct)]
+    return [
+        TraceRecord(
+            step,
+            rng.randrange(10**rng.randrange(1, 30)),
+            rng.choice(names),
+            rng.choice(names),
+            rng.choice(CHANNELS),
+            rng.choice(names),
+            rng.getrandbits(64),
+        )
+        for step in range(1, count + 1)
+    ]
+
+
+def keys_of(records: list[TraceRecord], channels=None) -> list[tuple[str, str, str, str]]:
+    return [(r.src, r.dst, r.channel, r.kind) for r in records if channels is None or r.channel in channels]
+
+
+_CHANNEL_SUBSETS = [None, *(set(c) for n in range(len(CHANNELS) + 1) for c in combinations(CHANNELS, n))]
+
+
+@given(st.integers(1, 1500), st.integers(0, 2**32), st.sampled_from([2, 30, 3000]), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_a_read_trace_writes_and_signs_from_its_columns_as_the_reference(count, seed, distinct, final_newline):
+    records = hostile_records(count, seed, distinct)
+    text = reference_to_text(records)
+    if not final_newline:
+        text = text[:-1]
+    read = EventTrace.from_text(text)
+    assert read._columns is not None  # no record built yet
+    assert len(read) == count
+    assert read.to_text() == reference_to_text(records)
+    for channels in _CHANNEL_SUBSETS:
+        assert read.signature(channels) == keys_of(records, channels), channels
+    assert read._columns is not None
+    assert read.records == reference_from_text(text) == records
+    assert read._columns is None and read.to_text() == reference_to_text(records)
+
+
+@given(st.integers(2, 1200), st.integers(0, 2**32), st.data())
+@settings(max_examples=30, deadline=None)
+def test_writing_and_signing_follow_the_records_once_read(count, seed, data):
+    records = hostile_records(count, seed, 20)
+    read = EventTrace.from_text(reference_to_text(records))
+    edited = read.records
+    for i in data.draw(st.lists(st.integers(0, count - 1), max_size=5)):
+        edited[i] = edited[i]._replace(kind="Bogus", channel="NGAP")
+    del edited[data.draw(st.integers(1, count)) :]
+    assert read.records is edited and len(read) == len(edited)
+    assert read.to_text() == reference_to_text(edited)
+    for channels in (None, {"NGAP"}, {"SRB0", "OPEN5G"}):
+        assert read.signature(channels) == keys_of(edited, channels)
+
+
+def test_traces_compare_by_their_records():
+    records = hostile_records(50, 1, 5)
+    text = reference_to_text(records)
+    assert EventTrace.from_text(text) == EventTrace(records) == EventTrace.from_text(text)
+    assert EventTrace.from_text(text) != EventTrace(records[:-1])
+    assert EventTrace(records) != records
+
+
+@pytest.mark.parametrize("name", ["initial_access", "multi_rat"])
+def test_a_run_writes_its_trace_as_the_reference_writes_its_records(name):
+    sim = Simulator(*bundled_scenario(name))
+    result = sim.run()
+    assert result.to_text() == reference_to_text(sim.records) == Path(f"goldens/{name}.full.trace").read_text()
+    assert len(result) == len(sim.records)
+
+
+def live_records() -> int:
+    """The TraceRecords the process holds. A NamedTuple stays tracked by the
+    collector, so each one alive is in `gc.get_objects()`."""
+    gc.collect()
+    return sum(type(o) is TraceRecord for o in gc.get_objects())
+
+
+def test_run_write_read_and_verify_build_no_record(tmp_path, capsys):
+    before = live_records()
+    runs = [Simulator(*bundled_scenario(name)) for name in ("initial_access", "multi_rat")]
+    traces = [sim.run() for sim in runs]
+    assert live_records() == before
+    path = str(tmp_path / "multi_rat.trace")
+    write_trace(path, traces[1])
+    signature = read_trace(path).signature()
+    assert live_records() == before
+    assert len({id(key) for key in signature}) == len(set(signature))  # equal keys are one tuple
+    assert main(["run", "scenarios/initial_access.scn", "-o", str(tmp_path / "out.trace")]) == EXIT_OK
+    assert main(["verify", str(tmp_path / "out.trace"), "--golden", GOLDEN]) == EXIT_OK
+    assert live_records() == before
+    records = runs[0].records  # the check sees records that are built and kept
+    assert live_records() == before + len(records) == before + 20
