@@ -4,50 +4,28 @@ All integers are big-endian. The Open5G header is 8 bytes:
 
     version u8 (0x01) | msg_type u8 | length u16 (total bytes) | xid u32
 
-Message types: HELLO=1, ERROR=2, PORT_MOD=3, FLOW_MOD=4.
+Message types: HELLO=1, ERROR=2, PORT_MOD=3, FLOW_MOD=4. The layout table,
+`_LAYOUT`, describes each message body once: its fields in frame order, each
+with its struct code and its rules. Like OpenFlow's OXM fields, one `FlowMatch`
+tuple, in `MATCH_FIELDS` order, is both an entry's match and the header fields
+of a packet to classify; the codec and the flow table read it by position, and
+a FLOW_MOD carries one TLV (type u16, len u16, value) per field it sets.
 
-PORT_MOD body: command u8, port_class u8 (0=radio, 1=gtp, 2=sig),
-port_id u32, then class-specific fields. A DELETE carries no class fields
-and its port_class byte is written as zero.
-
-FLOW_MOD body: command u8, priority u16, match-TLV count u8, match TLVs
-(type u16, len u16, value), then the action (kind u8=1 OUTPUT, out_port u32).
-Like OpenFlow's OXM fields, one `FlowMatch` tuple, in `MATCH_FIELDS` order,
-is both an entry's match and the header fields of a packet to classify; the
-codec, the validator and the flow table read it by position.
-
-ERROR body: code u16, detail-length u16, detail bytes.
-
-The shape table: each of the six command shapes the controller sends, a
-FLOW_MOD ADD matching {crnti, bearer_id}, {in_port} or {ip_dst, ip_proto,
-l4_dst} and a PORT_MOD CREATE of a radio, GTP-U or signaling port, has one
-whole-frame `struct.Struct`. `encode_message` checks the validator's rules
-for the message's shape and writes it with one `pack`; `decode_message`
-knows a shape by its header, length and fixed fields, reads it with one
-`unpack_from`, checks the rules a parsed frame can break and builds the
-NamedTuples with `tuple.__new__`. A radio port's TLV block is written once
-per `layer_config` tuple and parsed once per distinct block, in bounded
-caches. Any other message or frame, and any that breaks a rule, takes the
-per-field path, which words every error.
-
-On the per-field path each layout, and each match field's TLV, is a
-`struct.Struct` compiled once; decoding is one `unpack_from` pass at a
-running offset. One validator, `validate_message`, raises at the first
-broken rule before a message is packed. The decoder checks only the rules a
-parsed frame can break, in the validator's order and with its texts, as
-MalformedTlvErrors: a radio port's C-RNTI above `CRNTI_MAX`, bearer id above
-31, SRB bearer id outside {0,3,4} and C-RNTI 0 off SRB0; a FLOW_MOD's C-RNTI
-and bearer id not appearing together, match C-RNTI above `CRNTI_MAX` and
-empty match. Every width, range and type rule holds once `unpack_from` has
-read the fields.
+Each shape (the message class, the command, and the port class or the fields a
+match sets) is compiled from the table on first use into an entry, whose
+whole-frame `struct.Struct` writes a message with one `pack` and reads a frame
+with one `unpack_from`. Any other message or frame, and one that breaks a rule,
+goes to the walker, which follows the same table field by field and raises at
+the first fault.
 """
 
 from __future__ import annotations
 
 import struct
 from enum import IntEnum
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, partial
+from itertools import groupby
+from typing import Callable, NamedTuple
 
 from .errors import (
     BadGtpuFlagsError,
@@ -235,97 +213,97 @@ Open5GMessage = Hello | ErrorMsg | PortMod | FlowMod
 
 
 # ---------------------------------------------------------------------------
-# Layouts, compiled once
+# The layout table: each message body once, its fields in frame order after the
+# header's version, type and length. A message, a port spec, a ConfigTlv and a
+# match are parts; a field its part's NamedTuple lacks holds a value the shape fixes.
 
+
+class _Field(NamedTuple):
+    name: str  # the part's field that holds it
+    code: str = ""  # its struct code; none for a part, or for a byte string a length field counts
+    top: tuple = ()  # a reserved bound below the width's limit, and the error past it
+    members: tuple = ()  # an enum's members, whose values run 0..n-1,
+    bad: str = ""  # and the decode error for a value past them
+    label: str = ""  # what a byte string is called in its errors
+
+
+_XID = _Field("xid", "I")  # the header's last field
+_CRNTI = _Field("crnti", "H", (CRNTI_MAX, "crnti above reserved range"))
+_IP = partial(_Field, code="4s", label="ip")
+_LAYOUT: dict[type, tuple[_Field, ...]] = {
+    Hello: (_XID,),
+    ErrorMsg: (_XID, _Field("code", "H"), _Field("length", "H"), _Field("detail", label="detail")),
+    PortMod: (
+        _XID,
+        _Field("command", "B", members=tuple(PortModCommand), bad="bad port_mod command {}"),
+        _Field("port_class", "B"),  # the spec's index in _SPECS; 0 in a DELETE, which has no spec
+        _Field("port_id", "I"), _Field("port_spec"),
+    ),
+    RadioBearer: (
+        _CRNTI,
+        _Field("bearer_id", "B", (31, "bearer_id above 31")),
+        _Field("bearer_kind", "B", members=tuple(BearerKind), bad="bad bearer_kind"),
+        _Field("layer_config"),  # ConfigTlvs to the end of the frame, once _radio_fault holds
+    ),
+    ConfigTlv: (_Field("tlv_type", "H"), _Field("length", "H"), _Field("value", label="tlv value")),
+    GtpTunnel: (_IP("local_ip"), _IP("remote_ip"), _Field("udp_port", "H"), _Field("teid", "I")),
+    SigTunnel: (_IP("controller_ip"), _Field("tunnel_id", "I")),
+    FlowMod: (
+        _XID,
+        _Field("command", "B", members=tuple(FlowModCommand), bad="bad flow_mod command {}"),
+        _Field("priority", "H"), _Field("count", "B"),  # the count of match TLVs
+        _Field("match"),  # its TLVs, once _match_fault holds
+        _Field("action", "B"), _Field("out_port", "I"),  # the action: kind 1, OUTPUT, and its port
+    ),
+    # each field's TLV value, after its type u16 and length u16
+    FlowMatch: tuple(_CRNTI if f.name == "crnti" else _Field(f.name, f.fmt[1:], label=f.name) for f in MATCH_FIELDS),
+}
+_MESSAGES = (Hello, ErrorMsg, PortMod, FlowMod)  # by msg_type - 1
+_SPECS = (RadioBearer, GtpTunnel, SigTunnel)  # by port class
+
+
+def _radio_fault(crnti, bearer_id, bearer_kind) -> str:
+    """The first rule between a radio port's fields that they break, or "":
+    an SRB's bearer id is in SRB_BEARER_IDS, and C-RNTI 0 is SRB0's alone."""
+    srb = bearer_kind == _SRB
+    if srb and bearer_id not in SRB_BEARER_IDS:
+        return "SRB bearer_id not in {0,3,4}"
+    if crnti == 0 and not (srb and bearer_id == 0):
+        return "crnti zero on dedicated bearer"
+    return ""
+
+
+def _match_fault(match: FlowMatch) -> str:
+    """The first rule on which fields a match sets that it breaks, or "": C-RNTI
+    and bearer id together, and at least one field."""
+    if (match.crnti is None) != (match.bearer_id is None):
+        return "crnti and bearer_id must appear together"
+    return "" if any(value is not None for value in match) else "empty match"
+
+
+def _plan(cls: type) -> list:
+    """A part's fields after the header, in frame order: each run of coded
+    fields as its struct and its fields, and each other field alone."""
+    steps = []
+    for coded, run in groupby([f for f in _LAYOUT[cls] if f is not _XID], lambda f: bool(f.code)):
+        run = tuple(run)
+        steps += [(struct.Struct(">" + "".join(f.code for f in run)), run)] if coded else run
+    return steps
+
+
+_PLAN = {cls: _plan(cls) for cls in _LAYOUT}
 _HEADER = struct.Struct(">BBHI")  # version, msg_type, length, xid
-_ERROR_HEAD = struct.Struct(">HH")  # code, detail length
-_PORT_MOD_HEAD = struct.Struct(">BBI")  # command, port_class, port_id
-_RADIO = struct.Struct(">HBB")  # crnti, bearer_id, bearer_kind
-_TLV_HEAD = struct.Struct(">HH")  # type, length
-_GTP = struct.Struct(">4s4sHI")  # local_ip, remote_ip, udp_port, teid
-_SIG = struct.Struct(">4sI")  # controller_ip, tunnel_id
-_FLOW_MOD_HEAD = struct.Struct(">BHB")  # command, priority, match-TLV count
-_ACTION = struct.Struct(">BI")  # kind (1 = OUTPUT), out_port
 _LENGTH = struct.Struct(">H")  # the header's length field, at offset 2
-
-_U16 = 0xFFFF
-_U32 = 0xFFFFFFFF
-_HELLO, _ERROR, _PORT_MOD, _FLOW_MOD = (int(t) for t in MsgType)
-_RADIO_CLASS, _GTP_CLASS, _SIG_CLASS = (int(c) for c in PortClass)
-_DELETE = int(PortModCommand.DELETE)
-_SRB = int(BearerKind.SRB)
-# Member values run 0..n-1, so a decoded value indexes these. Validation tests
-# membership with ==, so a plain int equal to a member passes.
-_PORT_MOD_COMMANDS = tuple(PortModCommand)
-_FLOW_MOD_COMMANDS = tuple(FlowModCommand)
-_BEARER_KINDS = tuple(BearerKind)
-
-
-def _match_codec(f: MatchField) -> tuple:
-    """The field; its value's width; the largest value of an integer field
-    (None for a byte string, whose length is checked instead); the largest
-    value the field allows; the structs of its value and of its whole TLV."""
-    value = struct.Struct(f.fmt)
-    limit = None if f.fmt[-1] == "s" else (1 << 8 * value.size) - 1
-    top = CRNTI_MAX if f.mtype == MatchType.CRNTI else limit
-    return f, value.size, limit, top, value, struct.Struct(">HH" + f.fmt[1:])
-
-
-_MATCH_CODEC = tuple(_match_codec(f) for f in MATCH_FIELDS)  # in MATCH_FIELDS order
-# MatchType values run 1..n in MATCH_FIELDS order, so a match TLV's value
-# goes to FlowMatch index mtype - 1
-_MATCH_BY_TYPE = {int(row[0].mtype): row for row in _MATCH_CODEC}
-
-
-# ---------------------------------------------------------------------------
-# The shape table: one whole-frame layout for each of the six command shapes
-# the controller sends. Each frame is the header (version, msg_type, length,
-# xid) and then, with its fixed values in brackets:
-#   FLOW_MOD: [command ADD] priority [match-TLV count], per match field
-#             [type, length] value, then [action kind OUTPUT] out_port;
-#   PORT_MOD: [command CREATE, port class] port_id, then the class fields, a
-#             radio port's followed by its TLV block.
-
-_CRNTI_FLOW = struct.Struct(">BBHI BHB HHH HHB BI")  # matching {crnti, bearer_id}: 28 bytes
-_PORT_FLOW = struct.Struct(">BBHI BHB HHI BI")  # matching {in_port}: 25 bytes
-_IP_FLOW = struct.Struct(">BBHI BHB HH4s HHB HHH BI")  # matching {ip_dst, ip_proto, l4_dst}: 36 bytes
-_RADIO_PORT = struct.Struct(">BBHI BBI HBB")  # 18 bytes, then the TLV block
-_GTP_PORT = struct.Struct(">BBHI BBI 4s4sHI")  # 28 bytes
-_SIG_PORT = struct.Struct(">BBHI BBI 4sI")  # 22 bytes
-
-# The fixed fields of each FLOW_MOD shape, in frame order: length, command,
-# match-TLV count, each TLV's type and length, and the action kind
-_CRNTI_FIXED = (28, 0, 2, 2, 2, 3, 1, 1)
-_PORT_FIXED = (25, 0, 1, 1, 4, 1)
-_IP_FIXED = (36, 0, 3, 4, 4, 5, 1, 6, 2, 1)
-# The type of each FlowMatch field of each FLOW_MOD shape
+_TLV_HEAD = _PLAN[ConfigTlv][0][0]  # a TLV's type and length
+_PORT_MOD, _FLOW_MOD = int(MsgType.PORT_MOD), int(MsgType.FLOW_MOD)
+_SRB = BearerKind.SRB  # an enum member read through its class costs a descriptor call
 _NONE = type(None)
-_CRNTI_MATCH = (_NONE, int, int, _NONE, _NONE, _NONE)
-_PORT_MATCH = (int, _NONE, _NONE, _NONE, _NONE, _NONE)
-_IP_MATCH = (_NONE, _NONE, _NONE, bytes, int, int)
-_FLOW_MOD_BYTES = bytes((VERSION, _FLOW_MOD))
-_PORT_MOD_BYTES = bytes((VERSION, _PORT_MOD))
-
-_ADD = FlowModCommand.ADD
-_CREATE = PortModCommand.CREATE
-_DRB = int(BearerKind.DRB)
 _new = tuple.__new__  # builds a NamedTuple from checked fields without its __new__
 
 _CACHE_MAX = 64  # entries per TLV-block cache; the controller uses one block per RAT
 # id(layer_config) -> (layer_config, its TLV block). An entry holds the tuple,
 # so no other object can take its id while the entry lives.
 _TLV_BLOCKS: dict[int, tuple[tuple, bytes]] = {}
-
-
-def _bearer_ok(crnti: int, bearer_id: int, srb: bool, drb: bool) -> bool:
-    """The radio-port rules that remain once the fields fit their widths:
-    C-RNTI at most CRNTI_MAX, an SRB's bearer id in {0,3,4}, a DRB's at most
-    31, and C-RNTI 0 only on SRB0."""
-    return (
-        crnti <= CRNTI_MAX
-        and (bearer_id in SRB_BEARER_IDS if srb else drb and bearer_id <= 31)
-        and (crnti != 0 or srb and bearer_id == 0)
-    )
 
 
 def _tlv_block(layer_config: tuple) -> bytes | None:
@@ -364,383 +342,190 @@ def _layer_config(block: bytes) -> tuple[ConfigTlv, ...] | None:
 
 
 # ---------------------------------------------------------------------------
-# Validation: the rules run in a fixed order and the first one broken raises,
-# so a message that breaks several always reports the same one.
+# The compiled entries: one per shape, from the layout table, on first use
 
 
-def validate_port_spec(spec: PortSpec) -> None:
-    if isinstance(spec, RadioBearer):
-        crnti, bearer_id, kind = spec.crnti, spec.bearer_id, spec.bearer_kind
-        if not (isinstance(crnti, int) and 0 <= crnti <= _U16):
-            raise InvalidMessageError("crnti out of range")
-        if crnti > CRNTI_MAX:
-            raise InvalidMessageError("crnti above reserved range")
-        if not (isinstance(bearer_id, int) and 0 <= bearer_id <= 0xFF):
-            raise InvalidMessageError("bearer_id out of range")
-        if bearer_id > 31:
-            raise InvalidMessageError("bearer_id above 31")
-        if kind not in _BEARER_KINDS:
-            raise InvalidMessageError("bad bearer_kind")
-        srb = kind == BearerKind.SRB
-        if srb and bearer_id not in SRB_BEARER_IDS:
-            raise InvalidMessageError("SRB bearer_id not in {0,3,4}")
-        # crnti 0 is reserved for the common SRB0 port
-        if crnti == 0 and not (srb and bearer_id == 0):
-            raise InvalidMessageError("crnti zero on dedicated bearer")
-        for tlv in spec.layer_config:
-            tlv_type = tlv.tlv_type
-            if not (isinstance(tlv_type, int) and 0 <= tlv_type <= _U16):
-                raise InvalidMessageError("tlv_type out of range")
-            if len(tlv.value) > _U16:
-                raise InvalidMessageError("tlv value too long")
-    elif isinstance(spec, GtpTunnel):
-        if len(spec.local_ip) != 4 or len(spec.remote_ip) != 4:
-            raise InvalidMessageError("bad ip length")
-        if not (isinstance(spec.udp_port, int) and 0 <= spec.udp_port <= _U16):
-            raise InvalidMessageError("udp_port out of range")
-        if not (isinstance(spec.teid, int) and 0 <= spec.teid <= _U32):
-            raise InvalidMessageError("teid out of range")
-    elif isinstance(spec, SigTunnel):
-        if len(spec.controller_ip) != 4:
-            raise InvalidMessageError("bad ip length")
-        if not (isinstance(spec.tunnel_id, int) and 0 <= spec.tunnel_id <= _U32):
-            raise InvalidMessageError("tunnel_id out of range")
+class _Entry(NamedTuple):
+    whole: struct.Struct  # the frame, up to the byte string that may end it
+    fixed: tuple  # the value of each field that the shape fixes, in frame order
+    types: tuple  # the exact type of each value that encoding checks
+    encode: Callable  # a message of the shape -> its frame; None if a value breaks a rule or has another type
+    decode: Callable  # (frame, its size) -> its message; None if a fixed field, the size or a rule does not hold
+
+
+def _exact(f: _Field) -> type:
+    """The type of the values an entry takes for a coded field."""
+    return type(f.members[0]) if f.members else bytes if f.code[-1] == "s" else int
+
+
+def _compile(cls: type, command, variant) -> _Entry | None:
+    """The entry of a shape key, or None if no valid message has it: the message
+    class, its command (None in a HELLO or an ERROR), and a PORT_MOD's spec class
+    (NoneType in a DELETE) or the type of each field of a FLOW_MOD's match."""
+    if cls is PortMod:
+        delete = command is PortModCommand.DELETE
+        valid = type(command) is PortModCommand and variant in ((_NONE,) if delete else _SPECS)
+    elif cls is FlowMod:
+        match = _new(FlowMatch, tuple(None if t is _NONE else t for t in variant))
+        valid = type(command) is FlowModCommand and not _match_fault(match)
+        valid = valid and all(t in (_NONE, _exact(f)) for t, f in zip(variant, _LAYOUT[FlowMatch]))
     else:
-        raise InvalidMessageError("unknown port spec variant")
+        valid = cls is Hello or cls is ErrorMsg
+    if not valid:
+        return None
+    # Each field of the frame: its struct code, and its fixed value or its
+    # variable, `n` the length field, `k` a byte string's length, or a value by
+    # its path from the message `m` (`m31` is field 1 of field 3).
+    frame: list[tuple[str, int | str]] = [("B", VERSION), ("B", _MESSAGES.index(cls) + 1), ("H", "n")]
+    fixes = {"action": 1, "length": "k", "port_class": _SPECS.index(variant) if variant in _SPECS else 0}
+    fixes["count"] = cls is FlowMod and sum(t is not _NONE for t in variant)
+    typed: dict[str, type] = {}  # each variable whose exact type encoding checks, and the type
+    unpacks, checks, rules = [], [], []  # encoding's unpacking and checks, and both sides' rules
+    tail = []  # how each side gets the byte string that ends the frame
+
+    def lay(part: type, var: str) -> str:
+        """Lay out `part`, held in `var`; returns the source that builds it from the frame."""
+        names = [f"{var}{i}" for i in range(len(part._fields))]
+        unpacks.append(f"{', '.join(names)}, = {var}")
+        build = list(names)
+        for f in _LAYOUT[part]:
+            if f.name not in part._fields:
+                frame.append((f.code, fixes[f.name]))
+                continue
+            i = part._fields.index(f.name)
+            x = names[i]
+            if f.name == "command":
+                frame.append((f.code, int(command)))
+                checks.append(f"{x} is command")
+                build[i] = "command"
+            elif f.name == "port_spec":  # the key gives its class
+                build[i] = "None" if variant is _NONE else lay(variant, x)
+            elif f.name == "match":
+                typed[x], build[i] = FlowMatch, lay(FlowMatch, x)
+            elif part is FlowMatch and variant[i] is _NONE:
+                build[i] = "None"
+            elif not f.code:  # the byte string that ends the frame
+                if part is RadioBearer:
+                    rules.append(f"not _radio_fault({', '.join(names[:3])})")
+                    tail[:] = f"_tlv_block({x})", "_layer_config(data[{}:]) if type(data) is bytes else None"
+                else:
+                    typed[x] = bytes
+                    tail[:] = x, "data[{}:]"
+                build[i] = "t"
+            else:
+                if part is FlowMatch:  # the TLV's type and length; the key gives its value's type
+                    frame.extend([("H", int(MATCH_FIELDS[i].mtype)), ("H", struct.calcsize(">" + f.code))])
+                elif f.code[-1] != "s":  # pack takes only a byte string for one
+                    typed[x] = _exact(f)
+                frame.append((f.code, x))
+                if f.code[-1] == "s":
+                    checks.append(f"len({x}) == {struct.calcsize(f.code)}")
+                if f.top:
+                    rules.append(f"{x} <= {f.top[0]}")
+                if f.members:
+                    rules.append(f"{x} < {len(f.members)}")
+                    build[i] = f"kinds[{x}]"  # the one open enum, a radio port's bearer kind
+        return f"_new({part.__name__}, ({', '.join(build)},))"
+
+    built = lay(cls, "m")
+    whole = struct.Struct(">" + "".join(code for code, _ in frame))
+    size = whole.size
+    if not tail:
+        frame[2] = ("H", size)
+    names = [f"f{j}" if type(value) is int else value for j, (_, value) in enumerate(frame)]
+    lengths = {"n": (f"{size} + len(t)", "n == size"), "k": ("len(t)", f"k == size - {size}")}
+    encoding = [*(f"type({x}) is {t.__name__}" for x, t in typed.items()), *checks, *rules]
+    decoding = [f"({''.join(f'{x}, ' for x, (_, v) in zip(names, frame) if type(v) is int)}) == fixed", *rules]
+    decoding += [lengths[x][1] for x in names if x in lengths]
+    if tail:
+        encoding.append(f"(t := {tail[0]}) is not None")
+        decoding.append(f"(t := {tail[1].format(size)}) is not None")
+    args = ", ".join(str(v) if type(v) is int else lengths[v][0] if v in lengths else v for _, v in frame)
+    source = f"""
+def encode(m):
+    {'; '.join(unpacks)}
+    if {' and '.join(encoding)}:
+        return pack({args}){' + t' if tail else ''}
+def decode(data, size):
+    if size {'>=' if tail else '=='} {size}:
+        {', '.join(names)}, = unpack_from(data)
+        if {' and '.join(decoding)}:
+            return {built}"""
+    fixed = tuple(v for _, v in frame if type(v) is int)
+    namespace = dict(globals(), pack=whole.pack, unpack_from=whole.unpack_from, fixed=fixed, command=command)
+    namespace["kinds"] = tuple(BearerKind)
+    exec(source, namespace)
+    decode = namespace["decode"]
+    seen = frame[1][1]  # what its frames show at fixed offsets: see decode_message
+    if command is not None:  # the command, and the size and first match-TLV type or the port class
+        seen = (seen, int(command), *((size, frame[7][1]) if cls is FlowMod else (frame[5][1],)))
+    other = _DECODERS.get(seen)  # the entry of a shape whose frames show the same
+    _DECODERS[seen] = decode if other is None else lambda data, size: other(data, size) or decode(data, size)
+    _ENTRIES[cls, command, variant] = entry = _Entry(whole, fixed, tuple(typed.values()), namespace["encode"], decode)
+    _ENCODERS[cls, command, variant] = entry.encode
+    return entry
 
 
-def validate_match(match: FlowMatch) -> None:
-    # An empty match passes the pairing check and every field check, so
-    # "empty match" comes last here and is still the only fault it reports.
-    if not isinstance(match, FlowMatch):
-        raise InvalidMessageError("match is not a FlowMatch")
-    if (match.crnti is None) != (match.bearer_id is None):
-        raise InvalidMessageError("crnti and bearer_id must appear together")
-    empty = True
-    for (f, width, limit, top, _, _), value in zip(_MATCH_CODEC, match):
-        if value is None:
-            continue
-        empty = False
-        if limit is None:
-            if len(value) != width:
-                raise InvalidMessageError(f"bad {f.name} length")
-        elif not (isinstance(value, int) and 0 <= value <= limit):
-            raise InvalidMessageError(f"{f.name} out of range")
-        elif value > top:
-            raise InvalidMessageError(f"{f.name} above reserved range")
-    if empty:
-        raise InvalidMessageError("empty match")
-
-
-def validate_message(msg: Open5GMessage) -> None:
-    if not isinstance(msg, (PortMod, FlowMod, Hello, ErrorMsg)):
-        raise InvalidMessageError("unknown message class")
-    if not (isinstance(msg.xid, int) and 0 <= msg.xid <= _U32):
-        raise InvalidMessageError("xid out of range")
-    if isinstance(msg, PortMod):
-        if msg.command not in _PORT_MOD_COMMANDS:
-            raise InvalidMessageError("bad command")
-        if not (isinstance(msg.port_id, int) and 0 <= msg.port_id <= _U32):
-            raise InvalidMessageError("port_id out of range")
-        if msg.command == _DELETE:
-            if msg.port_spec is not None:
-                raise InvalidMessageError("DELETE carries no port spec")
-        elif msg.port_spec is None:
-            raise InvalidMessageError("missing port spec")
-        else:
-            validate_port_spec(msg.port_spec)
-    elif isinstance(msg, FlowMod):
-        if msg.command not in _FLOW_MOD_COMMANDS:
-            raise InvalidMessageError("bad command")
-        if not (isinstance(msg.priority, int) and 0 <= msg.priority <= _U16):
-            raise InvalidMessageError("priority out of range")
-        validate_match(msg.match)
-        if not (isinstance(msg.out_port, int) and 0 <= msg.out_port <= _U32):
-            raise InvalidMessageError("out_port out of range")
-    elif isinstance(msg, ErrorMsg):
-        if not (isinstance(msg.code, int) and 0 <= msg.code <= _U16):
-            raise InvalidMessageError("code out of range")
-        if len(msg.detail) > _U16:
-            raise InvalidMessageError("detail too long")
+# The entries compiled so far: shape key -> its entry, and its entry's encoder
+_ENTRIES: dict[tuple, _Entry] = {}
+_ENCODERS: dict[tuple, Callable] = {}
+# What a frame shows at fixed offsets -> the decoders of the entries whose frames
+# show it. Only {in_port, crnti, bearer_id} and {in_port, ip_proto, l4_dst} show
+# the same, with or without ip_dst.
+_DECODERS: dict[tuple | int, Callable] = {}
 
 
 # ---------------------------------------------------------------------------
-# Encoding
+# Encoding and decoding: through the entry of a compiled shape, or the walker
 
 
 def encode_message(msg: Open5GMessage) -> bytes:
-    """Encode a validated message; raises InvalidMessageError otherwise."""
-    # A command of one of the six shapes: the validator's rules for its shape,
-    # then one pack, which checks every width itself and raises struct.error
-    # on a value out of range or an address it cannot write (len() raises
-    # TypeError on one with no length). Any other message, and one that breaks
-    # a rule, goes on to the per-field code, which words the error.
-    cls = type(msg)
-    try:
-        if cls is FlowMod:
-            xid, command, priority, match, out_port = msg
-            if (
-                command is _ADD
-                and type(xid) is int
-                and type(priority) is int
-                and type(out_port) is int
-                and type(match) is FlowMatch
-            ):
-                in_port, crnti, bearer_id, ip_dst, ip_proto, l4_dst = match
-                types = tuple(map(type, match))
-                if types == _CRNTI_MATCH and crnti <= CRNTI_MAX:
-                    return _CRNTI_FLOW.pack(
-                        VERSION, _FLOW_MOD, 28, xid, 0, priority, 2, 2, 2, crnti, 3, 1, bearer_id, 1, out_port
-                    )
-                if types == _PORT_MATCH:
-                    return _PORT_FLOW.pack(VERSION, _FLOW_MOD, 25, xid, 0, priority, 1, 1, 4, in_port, 1, out_port)
-                if types == _IP_MATCH and len(ip_dst) == 4:
-                    return _IP_FLOW.pack(
-                        VERSION, _FLOW_MOD, 36, xid, 0, priority, 3,
-                        4, 4, ip_dst, 5, 1, ip_proto, 6, 2, l4_dst, 1, out_port,
-                    )
-        elif cls is PortMod:
-            xid, command, port_id, spec = msg
-            if command is _CREATE and type(xid) is int and type(port_id) is int:
-                spec_cls = type(spec)
-                if spec_cls is RadioBearer:
-                    crnti, bearer_id, kind, layer_config = spec
-                    if (
-                        type(crnti) is int
-                        and type(bearer_id) is int
-                        and _bearer_ok(crnti, bearer_id, kind is BearerKind.SRB, kind is BearerKind.DRB)
-                    ):
-                        block = _tlv_block(layer_config)
-                        if block is not None:
-                            head = _RADIO_PORT.pack(
-                                VERSION, _PORT_MOD, 18 + len(block), xid, 0, 0, port_id, crnti, bearer_id, kind
-                            )
-                            return head + block
-                elif spec_cls is GtpTunnel:
-                    local_ip, remote_ip, udp_port, teid = spec
-                    if len(local_ip) == len(remote_ip) == 4 and type(udp_port) is int and type(teid) is int:
-                        return _GTP_PORT.pack(
-                            VERSION, _PORT_MOD, 28, xid, 0, 1, port_id, local_ip, remote_ip, udp_port, teid
-                        )
-                elif spec_cls is SigTunnel:
-                    controller_ip, tunnel_id = spec
-                    if len(controller_ip) == 4 and type(tunnel_id) is int:
-                        return _SIG_PORT.pack(VERSION, _PORT_MOD, 22, xid, 0, 2, port_id, controller_ip, tunnel_id)
-    except (struct.error, TypeError):  # a value out of range, or an address with no length
-        pass
-
-    validate_message(msg)
-    if isinstance(msg, PortMod):
-        spec = msg.port_spec
-        if isinstance(spec, RadioBearer):
-            port_class = _RADIO_CLASS
-            fields = _RADIO.pack(spec.crnti, spec.bearer_id, int(spec.bearer_kind)) + b"".join(
-                [_TLV_HEAD.pack(t.tlv_type, len(t.value)) + t.value for t in spec.layer_config]
-            )
-        elif isinstance(spec, GtpTunnel):
-            port_class, fields = _GTP_CLASS, _GTP.pack(spec.local_ip, spec.remote_ip, spec.udp_port, spec.teid)
-        elif isinstance(spec, SigTunnel):
-            port_class, fields = _SIG_CLASS, _SIG.pack(spec.controller_ip, spec.tunnel_id)
-        else:  # a DELETE writes port_class zero and no class fields
-            port_class, fields = 0, b""
-        msg_type = _PORT_MOD
-        payload = _PORT_MOD_HEAD.pack(int(msg.command), port_class, msg.port_id) + fields
-    elif isinstance(msg, FlowMod):
-        tlvs = [
-            tlv.pack(f.mtype, width, value)
-            for (f, width, _, _, _, tlv), value in zip(_MATCH_CODEC, msg.match)
-            if value is not None
-        ]
-        msg_type = _FLOW_MOD
-        head = _FLOW_MOD_HEAD.pack(int(msg.command), msg.priority, len(tlvs))
-        payload = head + b"".join(tlvs) + _ACTION.pack(1, msg.out_port)
-    elif isinstance(msg, Hello):
-        msg_type, payload = _HELLO, b""
-    else:
-        msg_type, payload = _ERROR, _ERROR_HEAD.pack(msg.code, len(msg.detail)) + msg.detail
-    total = HEADER_LEN + len(payload)
-    if total > _U16:
-        raise InvalidMessageError("message too long")
-    return _HEADER.pack(VERSION, msg_type, total, msg.xid) + payload
-
-
-# ---------------------------------------------------------------------------
-# Decoding: one pass over the frame with a running offset from its first byte.
-# The body starts at 8, a FLOW_MOD's match TLVs at 12 and a PORT_MOD's class
-# fields at 14. Offsets in a TruncatedError count from the start of the body.
-
-
-def _truncated(need: int, offset: int) -> TruncatedError:
-    return TruncatedError(f"need {need} bytes at offset {offset - HEADER_LEN}")
-
-
-def _trailing(count: int) -> MalformedTlvError:
-    return MalformedTlvError(f"{count} trailing bytes in body")
+    """Encode a valid message; raises InvalidMessageError otherwise."""
+    # An entry's pack raises struct.error on a value too wide, len() TypeError on
+    # an address with no length, and the key TypeError or ValueError on an
+    # unhashable command or a match of another length. A message no entry takes
+    # is validated, then goes to its entry again with each value made exact.
+    walked = False
+    while True:
+        cls = type(msg)
+        try:
+            if cls is FlowMod:  # the key: see _compile
+                in_port, crnti, bearer_id, ip_dst, ip_proto, l4_dst = msg[3]
+                variant = type(in_port), type(crnti), type(bearer_id), type(ip_dst), type(ip_proto), type(l4_dst)
+                key = cls, msg[1], variant
+            elif cls is PortMod:
+                key = cls, msg[1], type(msg[3])
+            else:
+                key = cls, None, None
+            frame = _ENCODERS[key](msg)
+            if frame is not None:
+                return frame
+        except KeyError:  # the key's first message, or a key no valid message has
+            if _compile(*key) is not None:
+                continue
+        except (struct.error, TypeError, ValueError):
+            pass
+        if walked:
+            raise InvalidMessageError("message too long")
+        validate_message(msg)
+        msg, walked = _walk(msg, _class_of(msg, _MESSAGES, ""), True), True
 
 
 def decode_message(data: bytes) -> Open5GMessage:
     """Decode one complete Open5G message; total over arbitrary input."""
     size = len(data)
-    # A command of one of the six shapes, known by its header, length and
-    # fixed fields: one unpack_from, then the rules a parsed frame can break.
-    # Any other frame, and one that breaks a rule, goes on to the per-field
-    # code, which words the error.
-    head = data[:2]  # version, msg_type
-    if head == _FLOW_MOD_BYTES:
-        if size == 28:
-            _, _, length, xid, command, priority, count, t1, l1, crnti, t2, l2, bearer_id, action, out_port = (
-                _CRNTI_FLOW.unpack_from(data)
-            )
-            if (length, command, count, t1, l1, t2, l2, action) == _CRNTI_FIXED and crnti <= CRNTI_MAX:
-                match = _new(FlowMatch, (None, crnti, bearer_id, None, None, None))
-                return _new(FlowMod, (xid, _ADD, priority, match, out_port))
-        elif size == 25:
-            _, _, length, xid, command, priority, count, t1, l1, in_port, action, out_port = (
-                _PORT_FLOW.unpack_from(data)
-            )
-            if (length, command, count, t1, l1, action) == _PORT_FIXED:
-                match = _new(FlowMatch, (in_port, None, None, None, None, None))
-                return _new(FlowMod, (xid, _ADD, priority, match, out_port))
-        elif size == 36:
-            (_, _, length, xid, command, priority, count, t1, l1, ip_dst,
-             t2, l2, ip_proto, t3, l3, l4_dst, action, out_port) = _IP_FLOW.unpack_from(data)
-            if (length, command, count, t1, l1, t2, l2, t3, l3, action) == _IP_FIXED:
-                match = _new(FlowMatch, (None, None, None, ip_dst, ip_proto, l4_dst))
-                return _new(FlowMod, (xid, _ADD, priority, match, out_port))
-    elif head == _PORT_MOD_BYTES and size >= 18:
-        port_class = data[9]
-        if port_class == _RADIO_CLASS and type(data) is bytes:  # the TLV values of other input keep its type
-            _, _, length, xid, command, _, port_id, crnti, bearer_id, kind = _RADIO_PORT.unpack_from(data)
-            if length == size and command == 0 and _bearer_ok(crnti, bearer_id, kind == _SRB, kind == _DRB):
-                layer_config = _layer_config(data[18:])
-                if layer_config is not None:
-                    spec = _new(RadioBearer, (crnti, bearer_id, _BEARER_KINDS[kind], layer_config))
-                    return _new(PortMod, (xid, _CREATE, port_id, spec))
-        elif port_class == _GTP_CLASS and size == 28:
-            _, _, length, xid, command, _, port_id, local_ip, remote_ip, udp_port, teid = _GTP_PORT.unpack_from(data)
-            if length == 28 and command == 0:
-                spec = _new(GtpTunnel, (local_ip, remote_ip, udp_port, teid))
-                return _new(PortMod, (xid, _CREATE, port_id, spec))
-        elif port_class == _SIG_CLASS and size == 22:
-            _, _, length, xid, command, _, port_id, controller_ip, tunnel_id = _SIG_PORT.unpack_from(data)
-            if length == 22 and command == 0:
-                return _new(PortMod, (xid, _CREATE, port_id, _new(SigTunnel, (controller_ip, tunnel_id))))
-
-    if size < HEADER_LEN:
-        raise TruncatedError(f"{size} bytes, header needs {HEADER_LEN}")
-    version, msg_type, length, xid = _HEADER.unpack_from(data)
-    if version != VERSION:
-        raise BadVersionError(f"version {version:#04x}")
-    if length < HEADER_LEN:
-        raise MalformedTlvError(f"length field {length} below header size")
-    if size < length:
-        raise TruncatedError(f"{size} bytes, length field says {length}")
-    if size > length:
-        raise MalformedTlvError(f"{size - length} bytes beyond declared length")
-
-    if msg_type == _PORT_MOD:
-        if size < 14:
-            raise _truncated(6, 8)
-        command, port_class, port_id = _PORT_MOD_HEAD.unpack_from(data, 8)
-        if command > 2:
-            raise MalformedTlvError(f"bad port_mod command {command}")
-        off = 14
-        if command == _DELETE:
-            spec = None
-        elif port_class == _RADIO_CLASS:
-            if size < 18:
-                raise _truncated(4, 14)
-            crnti, bearer_id, kind = _RADIO.unpack_from(data, 14)
-            if kind > 1:
-                raise MalformedTlvError("bad bearer_kind")
-            tlvs = []
-            off = 18
-            while off < size:
-                if off + 4 > size:
-                    raise _truncated(4, off)
-                tlv_type, tlv_len = _TLV_HEAD.unpack_from(data, off)
-                off += 4
-                if off + tlv_len > size:
-                    raise _truncated(tlv_len, off)
-                tlvs.append(ConfigTlv(tlv_type, data[off : off + tlv_len]))
-                off += tlv_len
-            if crnti > CRNTI_MAX:
-                raise MalformedTlvError("crnti above reserved range")
-            if bearer_id > 31:
-                raise MalformedTlvError("bearer_id above 31")
-            if kind == _SRB and bearer_id not in SRB_BEARER_IDS:
-                raise MalformedTlvError("SRB bearer_id not in {0,3,4}")
-            if crnti == 0 and not (kind == _SRB and bearer_id == 0):
-                raise MalformedTlvError("crnti zero on dedicated bearer")
-            spec = RadioBearer(crnti, bearer_id, _BEARER_KINDS[kind], tuple(tlvs))
-        elif port_class == _GTP_CLASS:
-            if size < 28:
-                raise _truncated(14, 14)
-            spec, off = GtpTunnel(*_GTP.unpack_from(data, 14)), 28
-        elif port_class == _SIG_CLASS:
-            if size < 22:
-                raise _truncated(8, 14)
-            spec, off = SigTunnel(*_SIG.unpack_from(data, 14)), 22
+    try:
+        msg_type = data[1]
+        if msg_type == _FLOW_MOD:
+            seen = msg_type, data[8], size, data[13]
         else:
-            raise MalformedTlvError(f"unknown port class {port_class}")
-        if off < size:
-            raise _trailing(size - off)
-        return PortMod(xid, _PORT_MOD_COMMANDS[command], port_id, spec)
-    elif msg_type == _FLOW_MOD:
-        if size < 12:
-            raise _truncated(4, 8)
-        command, priority, count = _FLOW_MOD_HEAD.unpack_from(data, 8)
-        if command > 1:
-            raise MalformedTlvError(f"bad flow_mod command {command}")
-        values: list = [None] * len(MATCH_FIELDS)  # a decoded value is never None
-        off = 12
-        for _ in range(count):
-            if off + 4 > size:
-                raise _truncated(4, off)
-            mtype, mlen = _TLV_HEAD.unpack_from(data, off)
-            off += 4
-            if off + mlen > size:
-                raise _truncated(mlen, off)
-            row = _MATCH_BY_TYPE.get(mtype)
-            if row is None:
-                raise MalformedTlvError(f"unknown match type {mtype}")
-            f, width, _, _, value, _ = row
-            if mlen != width:
-                raise MalformedTlvError(f"match {f.mtype.name} has length {mlen}, want {width}")
-            if values[mtype - 1] is not None:
-                raise MalformedTlvError(f"duplicate match field {f.mtype.name}")
-            (values[mtype - 1],) = value.unpack_from(data, off)
-            off += mlen
-        if off + 5 > size:
-            raise _truncated(5, off)
-        kind, out_port = _ACTION.unpack_from(data, off)
-        if kind != 1:
-            raise MalformedTlvError(f"unknown action kind {kind}")
-        if off + 5 < size:
-            raise _trailing(size - off - 5)
-        match = FlowMatch._make(values)
-        if (match.crnti is None) != (match.bearer_id is None):
-            raise MalformedTlvError("crnti and bearer_id must appear together")
-        if match.crnti is not None and match.crnti > CRNTI_MAX:
-            raise MalformedTlvError("crnti above reserved range")
-        if not count:
-            raise MalformedTlvError("empty match")
-        return FlowMod(xid, _FLOW_MOD_COMMANDS[command], priority, match, out_port)
-    elif msg_type == _HELLO:
-        if size > HEADER_LEN:
-            raise _trailing(size - HEADER_LEN)
-        return Hello(xid)
-    elif msg_type == _ERROR:
-        if size < 12:
-            raise _truncated(4, 8)
-        code, detail_len = _ERROR_HEAD.unpack_from(data, 8)
-        if 12 + detail_len > size:
-            raise _truncated(detail_len, 12)
-        if 12 + detail_len < size:
-            raise _trailing(size - 12 - detail_len)
-        return ErrorMsg(xid, code, data[12:size])
-    else:
-        raise UnknownTypeError(f"message type {msg_type}")
+            seen = (msg_type, data[8], data[9]) if msg_type == _PORT_MOD else msg_type
+        msg = _DECODERS[seen](data, size)
+        if msg is not None:
+            return msg
+    except LookupError:  # too short for what it shows, or no entry's
+        pass
+    return _read(data)
 
 
 def iter_messages(data: bytes):
@@ -754,6 +539,156 @@ def iter_messages(data: bytes):
             raise MalformedTlvError(f"length field {length} below header size")
         yield decode_message(data[pos : pos + length])
         pos += length
+
+
+# ---------------------------------------------------------------------------
+# The walker: each field of the table in frame order. Decoding raises at the
+# frame's first structural fault as it reads, then checks the message's rules
+# as MalformedTlvErrors. Offsets in a TruncatedError count from the body.
+
+
+def validate_message(msg: Open5GMessage) -> None:
+    """Raise InvalidMessageError at the first rule that `msg` breaks."""
+    _walk(msg, _class_of(msg, _MESSAGES, "unknown message class"), False)
+
+
+def _class_of(part, classes: tuple, error: str) -> type:
+    for cls in classes:
+        if isinstance(part, cls):
+            return cls
+    raise InvalidMessageError(error)
+
+
+def _walk(part, cls: type, exact: bool):
+    """Check `part`, laid out as `cls`, field by field, up to the first rule it
+    breaks; returns it as a `cls`, with `exact` of the values an entry takes,
+    each made as packing makes it (which raises on a value of no such type)."""
+    if cls is FlowMatch and _match_fault(part):
+        raise InvalidMessageError(_match_fault(part))
+    values = []
+    for f in _LAYOUT[cls]:
+        if f.name not in cls._fields:  # the shape fixes its value
+            continue
+        value = getattr(part, f.name)
+        if cls is FlowMatch and value is None:
+            pass
+        elif f.members:
+            if value not in f.members:
+                raise InvalidMessageError(f"bad {f.name}")
+            value = f.members[int(value)] if exact else value
+        elif f.code[-1:] == "s":
+            if len(value) != struct.calcsize(f.code):
+                raise InvalidMessageError(f"bad {f.label} length")
+            value = struct.pack(f.code, value) if exact else value
+        elif f.code:
+            if not (isinstance(value, int) and 0 <= value < 1 << 8 * struct.calcsize(f.code)):
+                raise InvalidMessageError(f"{f.name} out of range")
+            if f.top and value > f.top[0]:
+                raise InvalidMessageError(f.top[1])
+            value = int(value) if exact else value
+        elif f.label:  # a byte string its length field counts
+            if len(value) > 0xFFFF:
+                raise InvalidMessageError(f"{f.label} too long")
+            value = b"" + value if exact else value
+        elif f.name == "port_spec":
+            if values[1] == PortModCommand.DELETE:
+                if value is not None:
+                    raise InvalidMessageError("DELETE carries no port spec")
+            elif value is None:
+                raise InvalidMessageError("missing port spec")
+            else:
+                value = _walk(value, _class_of(value, _SPECS, "unknown port spec variant"), exact)
+        elif f.name == "match":
+            value = _walk(value, _class_of(value, (FlowMatch,), "match is not a FlowMatch"), exact)
+        else:  # a radio port's TLVs
+            if _radio_fault(*values):
+                raise InvalidMessageError(_radio_fault(*values))
+            value = tuple([_walk(tlv, ConfigTlv, exact) for tlv in value])
+        values.append(value)
+    return _new(cls, tuple(values))
+
+
+def _take(data, off: int, count: int):
+    """`count` bytes at `off`; a TruncatedError if the frame ends first."""
+    if off + count > len(data):
+        raise TruncatedError(f"need {count} bytes at offset {off - HEADER_LEN}")
+    return data[off : off + count]
+
+
+def _read(data) -> Open5GMessage:
+    """Decode a frame field by field: the walker's decode side."""
+    size = len(data)
+    if size < HEADER_LEN:
+        raise TruncatedError(f"{size} bytes, header needs {HEADER_LEN}")
+    version, msg_type, length, xid = _HEADER.unpack_from(data)
+    if version != VERSION:
+        raise BadVersionError(f"version {version:#04x}")
+    if length < HEADER_LEN:
+        raise MalformedTlvError(f"length field {length} below header size")
+    if size < length:
+        raise TruncatedError(f"{size} bytes, length field says {length}")
+    if size > length:
+        raise MalformedTlvError(f"{size - length} bytes beyond declared length")
+    if not 0 < msg_type <= len(_MESSAGES):
+        raise UnknownTypeError(f"message type {msg_type}")
+    cls = _MESSAGES[msg_type - 1]
+    msg, off = _read_part(cls, data, HEADER_LEN, {"xid": xid})
+    if off < size:
+        raise MalformedTlvError(f"{size - off} trailing bytes in body")
+    try:
+        _walk(msg, cls, False)
+    except InvalidMessageError as exc:
+        raise MalformedTlvError(str(exc)) from None
+    variant = type(msg[3]) if cls is PortMod else tuple(map(type, msg[3])) if cls is FlowMod else None
+    key = cls, variant and msg[1], variant  # see _compile
+    if key not in _ENTRIES:  # so that the shape's next frames go through its entry
+        _compile(*key)
+    return msg
+
+
+def _read_part(cls: type, data, off: int, got: dict) -> tuple:
+    """A `cls` read from `off`, and the offset after it; `got` holds its fields before `off`."""
+    for step in _PLAN[cls]:
+        if type(step) is tuple:  # a run of coded fields
+            run, fields = step
+            for f, value in zip(fields, run.unpack(_take(data, off, run.size))):
+                if f.members:
+                    if value >= len(f.members):
+                        raise MalformedTlvError(f.bad.format(value))
+                    value = f.members[value]
+                elif f.name == "action" and value != 1:
+                    raise MalformedTlvError(f"unknown action kind {value}")
+                got[f.name] = value
+            off += run.size
+        elif step.label:  # a byte string, its length counted before it
+            got[step.name] = _take(data, off, got["length"])
+            off += got["length"]
+        elif step.name == "port_spec":
+            got[step.name], port_class = None, got["port_class"]
+            if got["command"] is not PortModCommand.DELETE:
+                if port_class >= len(_SPECS):
+                    raise MalformedTlvError(f"unknown port class {port_class}")
+                got[step.name], off = _read_part(_SPECS[port_class], data, off, {})
+        elif step.name == "layer_config":  # ConfigTlvs to the end of the frame
+            tlvs = []
+            while off < len(data):
+                tlv, off = _read_part(ConfigTlv, data, off, {})
+                tlvs.append(tlv)
+            got[step.name] = tuple(tlvs)
+        else:  # the match, as its TLVs
+            values: list = [None] * len(MATCH_FIELDS)  # a decoded value is never None
+            for _ in range(got["count"]):
+                (mtype, raw), off = _read_part(ConfigTlv, data, off, {})
+                if not 0 < mtype <= len(MATCH_FIELDS):
+                    raise MalformedTlvError(f"unknown match type {mtype}")
+                f, width = MATCH_FIELDS[mtype - 1], len(raw)
+                if width != struct.calcsize(f.fmt):
+                    raise MalformedTlvError(f"match {f.mtype.name} has length {width}, want {struct.calcsize(f.fmt)}")
+                if values[mtype - 1] is not None:
+                    raise MalformedTlvError(f"duplicate match field {f.mtype.name}")
+                (values[mtype - 1],) = struct.unpack(f.fmt, raw)
+            got[step.name] = _new(FlowMatch, tuple(values))
+    return _new(cls, tuple(got[name] for name in cls._fields)), off
 
 
 # ---------------------------------------------------------------------------

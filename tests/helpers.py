@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import ipaddress
 import json
 import random
 import struct
 from pathlib import Path
 
-from open5gsim import wire
+from open5gsim import controller, messages, netsim, node, scenario, switch, trace, wire
+from open5gsim.cli import EXIT_OK, EXIT_PARSE_ERROR, EXIT_SIM_ERROR, RUN_ERRORS
 from open5gsim.controller import QosFlowSpec, SessionSpec
 from open5gsim.errors import (
     BadVersionError,
@@ -35,7 +37,7 @@ from open5gsim.netsim import (
 from open5gsim.node import DataPlaneNode, Rat
 from open5gsim.scenario import ParseError, Scenario, load_scenario
 from open5gsim.switch import FlowEntry, entry_references_port
-from open5gsim.trace import _LINE, TraceParseError, TraceRecord
+from open5gsim.trace import _LINE, EventTrace, TraceParseError, TraceRecord
 from open5gsim.wire import (
     MATCH_FIELDS,
     BearerKind,
@@ -1007,3 +1009,78 @@ def reference_parse_scenario(text: str) -> Scenario:
     settings = Settings(**acc.settings_kv)
     topology = Topology(tuple(acc.nodes), ues, seed=settings.seed)
     return Scenario(topology, tuple(acc.script), settings)
+
+
+# -- whole-run oracle -------------------------------------------------------------
+# A run of a scenario text with every fast path that a run takes swapped for its
+# reference above. The property in test_scenario_cli.py holds a run to it.
+
+
+def _reference_digests(data, ends: list[int]) -> list[int]:
+    """`trace.fnv1a64`'s digests, one `reference_fnv1a64` per record."""
+    return [reference_fnv1a64(bytes(data[start:end])) for start, end in zip([0, *ends[:-1]], ends)]
+
+
+@contextlib.contextmanager
+def _references():
+    """Every fast function a run calls replaced by its reference, under each
+    name a module holds it by, and the trace's text methods by theirs."""
+    swap = {
+        wire.encode_message: reference_encode_message,
+        wire.decode_message: reference_decode_message,
+        wire.iter_messages: reference_iter_messages,
+        messages._canonical: reference_canonical,
+        messages._decode: reference_decode,
+        trace.fnv1a64: _reference_digests,
+        scenario.parse_scenario: reference_parse_scenario,
+        netsim.render_flow_table: reference_render_flow_table,
+    }
+    modules = (wire, messages, trace, scenario, switch, node, controller, netsim)
+    patches = [(m, name, swap[fn]) for m in modules for name, fn in vars(m).items() if callable(fn) and fn in swap]
+    patches += [
+        (EventTrace, "to_text", lambda self: reference_to_text(self.records)),
+        (EventTrace, "from_text", classmethod(lambda cls, text: cls(reference_from_text(text)))),
+    ]
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
+    try:
+        for owner, name, value in patches:
+            setattr(owner, name, value)
+        yield
+    finally:
+        for owner, name, value in saved:
+            setattr(owner, name, value)
+
+
+def run_outcome(text: str, reference: bool = False) -> tuple:
+    """A run of the scenario `text` as `open5g-sim run` makes it: the trace text
+    and the records read back from it (None if the run fails), each node's
+    table after every step (None if the text does not parse), the error's
+    class and text (None if it runs) and the exit code. With `reference`, the
+    run takes every reference path, and each node gets scan tables."""
+    sim = written = read = error = None
+    code = EXIT_OK
+    with _references() if reference else contextlib.nullcontext():
+        try:
+            parsed = scenario.parse_scenario(text)
+            sim = Simulator(parsed.topology, list(parsed.script), parsed.settings)
+            if reference:  # the node's dataclass builds its tables, so they are swapped here
+                for each in sim.nodes.values():
+                    each.table, each.registry = ScanFlowTable(), ScanPortRegistry()
+            written = sim.run().to_text()
+            read = EventTrace.from_text(written).records
+        except (ParseError, TraceParseError) as exc:
+            error, code = (type(exc), str(exc)), EXIT_PARSE_ERROR
+        except RUN_ERRORS as exc:
+            error, code = (type(exc), str(exc)), EXIT_SIM_ERROR
+        if sim is not None:
+            tables = {name: [sim.table_at_step(name, step) for step in range(sim.deliveries + 1)] for name in sim.nodes}
+        else:
+            tables = None
+    return written, read, tables, error, code
+
+
+def reference_run(text: str) -> tuple:
+    """`run_outcome(text)` with every reference swapped in: the Open5G codec,
+    the RRC/NG-AP codec, the digest, the trace's text form, the scenario
+    parser, the scan tables and the table renderer."""
+    return run_outcome(text, reference=True)

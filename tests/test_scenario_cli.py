@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_parse_scenario
+from helpers import reference_parse_scenario, reference_run, run_outcome
 
 from open5gsim.cli import (
     EXIT_MISMATCH,
@@ -1086,6 +1086,28 @@ def test_arbitrary_signaling_payloads_never_crash_the_cli(sends):
     assert (code == EXIT_PARSE_ERROR) == any(tick < 0 for tick, _, _ in sends)
     assert (code == EXIT_SIM_ERROR) == err.getvalue().startswith("simulation error: ")
     assert verified in (None, EXIT_OK)
+
+
+def _with_sends(sends) -> str:
+    """The Fig. 6 scenario with signaling sends added to its script."""
+    script = "".join(f"{tick} send_uplink_data ue1 {bearer} {payload.hex()}\n" for tick, bearer, payload in sends)
+    return Path(INITIAL_ACCESS).read_text() + script
+
+
+@given(
+    st.one_of(
+        _scenarios().map(serialize_scenario),
+        _damaged_scenarios(),
+        st.lists(_SIGNALING_SEND, min_size=1, max_size=3).map(_with_sends),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_a_run_agrees_with_the_reference_run(text):
+    """A run gives the trace, the table of each node at every step, and the
+    error and exit code that it gives with every reference swapped in: the
+    Open5G and RRC/NG-AP codecs, the digest, the trace text, the scenario
+    parser, the scan tables and the table renderer."""
+    assert run_outcome(text) == reference_run(text)
 
 
 def test_run_reports_budget_exhaustion(tmp_path):

@@ -13,7 +13,9 @@ from helpers import (
     bundled_scenario,
     generated_scenario,
     random_ip,
+    random_match,
     random_message,
+    random_port_spec,
     reference_decode_message,
     reference_encode_message,
     reference_iter_messages,
@@ -755,28 +757,65 @@ def test_a_layer_config_that_can_change_is_written_anew_each_time():
     ids=["initial_access", "multi_rat", "multi_rat_128_ues"],
 )
 def test_every_command_the_controller_sends_goes_through_the_shape_table(monkeypatch, build):
-    """The per-field code starts with `validate_message` when it encodes and
-    reads `_HEADER` when it decodes; no command of a run may reach either."""
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    class Header:
-        pack = staticmethod(wire._HEADER.pack)
-        unpack_from = staticmethod(counted("per-field decode", wire._HEADER.unpack_from))
-
-    monkeypatch.setattr(wire, "validate_message", counted("per-field encode", wire.validate_message))
-    monkeypatch.setattr(wire, "_HEADER", Header)
-    monkeypatch.setattr(wire, "encode_message", counted("encode", wire.encode_message))
-    monkeypatch.setattr(wire, "decode_message", counted("decode", wire.decode_message))
+    """The walker starts with `validate_message` when it encodes and with
+    `_read` when it decodes; no command of a run may reach either."""
+    calls = _count_walker(monkeypatch)
+    monkeypatch.setattr(wire, "encode_message", _counted(calls, "encode", wire.encode_message))
+    monkeypatch.setattr(wire, "decode_message", _counted(calls, "decode", wire.decode_message))
     Simulator(*build()).run()
     assert calls["encode"] == calls["decode"] > 0
-    assert calls["per-field encode"] == calls["per-field decode"] == 0
-    # a HELLO has no shape, so the counters see the per-field code
-    wire.decode_message(wire.encode_message(Hello(1)))
-    assert calls["per-field encode"] == calls["per-field decode"] == 1
+    assert calls["walker encode"] == calls["walker decode"] == 0
+    # a message and a frame that break a rule reach the walker once each
+    msg = FlowMod(1, FlowModCommand.ADD, 1, FlowMatch(crnti=1, bearer_id=1), 1)
+    frame = wire.encode_message(msg)
+    with pytest.raises(InvalidMessageError, match="crnti above reserved range"):
+        wire.encode_message(msg._replace(match=FlowMatch(crnti=wire.CRNTI_MAX + 1, bearer_id=1)))
+    with pytest.raises(MalformedTlvError, match="crnti above reserved range"):
+        wire.decode_message(frame[:16] + struct.pack(">H", wire.CRNTI_MAX + 1) + frame[18:])
+    assert calls["walker encode"] == calls["walker decode"] == 1
+
+
+def _counted(calls: Counter, name: str, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+def _count_walker(monkeypatch) -> Counter:
+    """Counts calls of the walker's two entry points, `validate_message`, which
+    encode_message calls, and `_read`, which decode_message calls."""
+    calls = Counter()
+    monkeypatch.setattr(wire, "validate_message", _counted(calls, "walker encode", wire.validate_message))
+    monkeypatch.setattr(wire, "_read", _counted(calls, "walker decode", wire._read))
+    return calls
+
+
+_OTHER_KINDS = {
+    "port_mod_modify": lambda rng, xid: PortMod(
+        xid, PortModCommand.MODIFY, rng.randrange(1 << 32), random_port_spec(rng)
+    ),
+    "port_mod_delete": lambda rng, xid: PortMod(xid, PortModCommand.DELETE, rng.randrange(1 << 32)),
+    "flow_mod_delete": lambda rng, xid: FlowMod(
+        xid, FlowModCommand.DELETE, rng.randrange(1 << 16), random_match(rng), rng.randrange(1 << 32)
+    ),
+    "hello": lambda rng, xid: Hello(xid),
+    "error": lambda rng, xid: ErrorMsg(xid, rng.randrange(1 << 16), rng.randbytes(rng.randrange(40))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OTHER_KINDS))
+def test_each_other_kind_goes_through_a_compiled_entry(monkeypatch, kind):
+    """Random messages of the kinds the controller does not send encode and
+    decode through their shapes' compiled entries, as the reference codec
+    does: an exact-match FLOW_MOD DELETE sets any fields, and a PORT_MOD
+    MODIFY carries any spec."""
+    calls = _count_walker(monkeypatch)
+    rng = random.Random(kind)
+    for _ in range(300):
+        msg = _OTHER_KINDS[kind](rng, rng.choice([0, _U32_TOP, rng.randrange(_U32_TOP)]))
+        frame = encode_message(msg)
+        assert frame == reference_encode_message(msg)
+        assert repr(decode_message(frame)) == repr(msg) == repr(reference_decode_message(frame))
+    assert calls == Counter()
