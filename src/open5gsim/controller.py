@@ -66,6 +66,9 @@ CRNTI_FIRST = 0x003D
 CONTROLLER_IP = wire.ip_bytes("10.255.0.1")  # the controller's end of every signaling tunnel
 UPF_IP = wire.ip_bytes("10.9.0.1")  # the UPF's end of every NG-U tunnel
 
+# read once here: an enum member read through its class is a descriptor call
+_CREATE, _ADD, _SRB, _DRB = PortModCommand.CREATE, FlowModCommand.ADD, BearerKind.SRB, BearerKind.DRB
+
 # Per-RAT radio layer configuration; contents are opaque to the protocol.
 _RAT_LAYERS = {
     Rat.NR: (LayerTlv.SDAP, LayerTlv.PDCP, LayerTlv.RLC, LayerTlv.MAC, LayerTlv.PHY),
@@ -200,11 +203,11 @@ class Controller:
         port_id = node.next_port_id
         node.next_port_id += 1
         node.next_xid += 1
-        return port_id, PortMod(node.next_xid - 1, PortModCommand.CREATE, port_id, spec)
+        return port_id, PortMod(node.next_xid - 1, _CREATE, port_id, spec)
 
     def _add_flow(self, node: _NodeState, priority: int, match: FlowMatch, out_port: int) -> FlowMod:
         node.next_xid += 1
-        return FlowMod(node.next_xid - 1, FlowModCommand.ADD, priority, match, out_port)
+        return FlowMod(node.next_xid - 1, _ADD, priority, match, out_port)
 
     def _alloc_tunnel(self, node_id: str, ue_tmp_id: int | None) -> int:
         tunnel_id = self._next_tunnel_id
@@ -236,7 +239,7 @@ class Controller:
         entries. Returns the tunnel id, the tunnel port and the commands."""
         tunnel_id = self._alloc_tunnel(node.node_id, ue_tmp_id)
         radio_port, create_radio = self._create_port(
-            node, RadioBearer(crnti, bearer, BearerKind.SRB, default_layer_config(node.rat))
+            node, RadioBearer(crnti, bearer, _SRB, default_layer_config(node.rat))
         )
         sig_port, create_sig = self._create_port(node, SigTunnel(CONTROLLER_IP, tunnel_id))
         return tunnel_id, sig_port, [
@@ -339,7 +342,7 @@ class Controller:
         drb_ports: dict[int, int] = {}  # bearer_id -> radio port id
         for bearer in session.drbs:
             drb_ports[bearer], create = self._create_port(
-                node, RadioBearer(ue.crnti, bearer, BearerKind.DRB, default_layer_config(node.rat))
+                node, RadioBearer(ue.crnti, bearer, _DRB, default_layer_config(node.rat))
             )
             commands.append(create)
 
@@ -380,7 +383,7 @@ class Controller:
 
         # SRB2: dedicated radio port paired onto the existing SRB1 tunnel
         _, create_srb2 = self._create_port(
-            node, RadioBearer(ue.crnti, SRB2_BEARER, BearerKind.SRB, default_layer_config(node.rat))
+            node, RadioBearer(ue.crnti, SRB2_BEARER, _SRB, default_layer_config(node.rat))
         )
         commands = [
             create_srb2,

@@ -58,7 +58,9 @@ from .node import DataPlaneNode, Rat
 from .trace import EventTrace, TraceRecord, fnv1a64
 from .wire import GtpTunnel, PortSpec, SigTunnel
 
-_DIGEST_CHUNK = 512  # sends per fnv1a64 call: few calls, a bounded payload buffer
+_DIGEST_CHUNK = 2048  # sends per fnv1a64 call: few calls, a bounded payload buffer
+
+_new = tuple.__new__  # builds a NamedTuple from all its fields without its __new__
 
 _SRB_CHANNEL = {wire.SRB0_BEARER: "SRB0", wire.SRB1_BEARER: "SRB1", wire.SRB2_BEARER: "SRB2"}
 
@@ -244,6 +246,8 @@ class UpfStub:
 
 
 class _Delivery(NamedTuple):
+    """One send in flight. `_send` builds each with `tuple.__new__`, all fields given."""
+
     src: str
     dst: str
     channel: str
@@ -328,15 +332,29 @@ class Simulator:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _send(self, delivery: _Delivery) -> None:
-        key = (delivery.src, delivery.dst, delivery.channel, delivery.kind)
-        self._times.append(self._now)
+    def _send(
+        self,
+        src: str,
+        dst: str,
+        channel: str,
+        kind: str,
+        payload: bytes,
+        receive: Callable[[_Delivery], None],
+        crnti: int | None = None,
+        bearer_id: int | None = None,
+    ) -> None:
+        """Trace a send and deliver it to `receive` on the next tick."""
+        now = self._now
+        key = (src, dst, channel, kind)
+        self._times.append(now)
         self._keys.append(self._key_of.setdefault(key, key))
-        self._payloads += delivery.payload
-        self._ends.append(len(self._payloads))
-        if len(self._ends) == _DIGEST_CHUNK:
+        payloads, ends = self._payloads, self._ends
+        payloads += payload
+        ends.append(len(payloads))
+        if len(ends) == _DIGEST_CHUNK:
             self._digest_pending()
-        self._calendar.setdefault(self._now + 1, []).append(delivery)
+        delivery = _new(_Delivery, (src, dst, channel, kind, payload, receive, crnti, bearer_id))
+        self._calendar.setdefault(now + 1, []).append(delivery)
 
     def _digest_pending(self) -> None:
         """Digest the sends since the last call."""
@@ -364,6 +382,8 @@ class Simulator:
             for stim in self.script:
                 calendar.setdefault(stim.tick, []).append(stim)
 
+            max_events = self.settings.max_events
+            process_stimulus, process_delivery = self._process_stimulus, self._process_delivery
             processed, now = 0, -1
             while calendar:
                 now = now + 1 if now + 1 in calendar else min(calendar)
@@ -371,14 +391,14 @@ class Simulator:
                 # a tick's sends go to the next tick, so its own list is complete
                 for item in calendar.pop(now):
                     processed += 1
-                    if processed > self.settings.max_events:
-                        raise BudgetExceededError(f"exceeded {self.settings.max_events} events")
+                    if processed > max_events:
+                        raise BudgetExceededError(f"exceeded {max_events} events")
                     if isinstance(item, Stimulus):
-                        self._process_stimulus(item)
+                        process_stimulus(item)
                     else:
                         # deliveries arrive in send order, so this counter is the step
                         self.deliveries += 1
-                        self._process_delivery(item)
+                        process_delivery(item)
         finally:
             # on an exception too, so that `records` holds every send made
             self._digest_pending()
@@ -397,9 +417,7 @@ class Simulator:
                 raise _unpackable(stim)
             self.uplink_injected += 1
             crnti = ue.crnti if ue.crnti is not None else 0
-            self._send(
-                _Delivery(ue.name, ue.attach, "RADIO_DATA", "Data", payload, self._node_radio, crnti, bearer_id)
-            )
+            self._send(ue.name, ue.attach, "RADIO_DATA", "Data", payload, self._node_radio, crnti, bearer_id)
         else:  # inject_downlink_data
             _, ip_dst, ip_proto, l4_dst, payload = stim.args
             try:
@@ -408,7 +426,7 @@ class Simulator:
                 raise _unpackable(stim) from None
             node_id, frame = self.upf.downlink(ue.ue_tmp_id, packet)
             self.downlink_injected += 1
-            self._send(_Delivery("upf", node_id, "NGU", "GPDU", frame, self._node_ngu))
+            self._send("upf", node_id, "NGU", "GPDU", frame, self._node_ngu)
 
     def _send_ue_rrc(self, ue: UeSim, bearer: int, msg: RrcMessage) -> None:
         payload = rrc_to_bytes(msg)
@@ -418,21 +436,19 @@ class Simulator:
         else:
             crnti = ue.crnti
         channel = srb_channel(bearer)
-        self._send(_Delivery(ue.name, ue.attach, channel, msg.kind, payload, self._node_radio, crnti, bearer))
+        self._send(ue.name, ue.attach, channel, msg.kind, payload, self._node_radio, crnti, bearer)
 
     # -- controller emissions -----------------------------------------------------
 
     def _emit_controller(self, emissions) -> None:
         for em in emissions:
             if isinstance(em, ConfigBatch):
-                self._send(_Delivery("src", em.node_id, "OPEN5G", em.label, em.to_bytes(), self._node_config))
+                self._send("src", em.node_id, "OPEN5G", em.label, em.to_bytes(), self._node_config)
             elif isinstance(em, RrcDownlink):
                 channel = srb_channel(em.srb_bearer)
-                self._send(_Delivery("src", em.node_id, channel, em.msg.kind, em.to_bytes(), self._node_sig))
+                self._send("src", em.node_id, channel, em.msg.kind, em.to_bytes(), self._node_sig)
             elif isinstance(em, NgapOut):
-                self._send(
-                    _Delivery("src", "amf", "NGAP", em.msg.kind, ngap_to_bytes(em.msg), self._amf_receive)
-                )
+                self._send("src", "amf", "NGAP", em.msg.kind, ngap_to_bytes(em.msg), self._amf_receive)
 
     # -- deliveries: each goes to the handler its sender named --------------------
 
@@ -443,7 +459,7 @@ class Simulator:
         node = self.nodes[d.dst]
         error = node.handle_open5g(d.payload)
         if error is not None:
-            self._send(_Delivery(d.dst, "src", "OPEN5G", "Error", error, self._controller_node_error))
+            self._send(d.dst, "src", "OPEN5G", "Error", error, self._controller_node_error)
         # no other delivery changes a node's ports or flows
         self.table_history[d.dst].append((self.deliveries, render_flow_table(node)))
 
@@ -463,11 +479,11 @@ class Simulator:
         spec, frame = out
         node_id = d.dst
         if isinstance(spec, GtpTunnel):
-            self._send(_Delivery(node_id, "upf", "NGU", "GPDU", frame, self._upf_receive))
+            self._send(node_id, "upf", "NGU", "GPDU", frame, self._upf_receive)
         elif isinstance(spec, SigTunnel):
             # the node forwards the message unmodified
             channel = srb_channel(d.bearer_id) if d.bearer_id is not None else "SRB0"
-            self._send(_Delivery(node_id, "src", channel, d.kind, frame, self._controller_rrc))
+            self._send(node_id, "src", channel, d.kind, frame, self._controller_rrc)
         else:
             resolved = self._resolve_ue(node_id, spec.crnti, frame)
             if resolved is None:
@@ -476,9 +492,7 @@ class Simulator:
             ue, payload = resolved
             channel = srb_channel(spec.bearer_id)
             kind = d.kind if channel != "RADIO_DATA" else "Data"
-            self._send(
-                _Delivery(node_id, ue.name, channel, kind, payload, self._ue_receive, bearer_id=spec.bearer_id)
-            )
+            self._send(node_id, ue.name, channel, kind, payload, self._ue_receive, None, spec.bearer_id)
 
     def _resolve_ue(self, node_id: str, crnti: int, frame: bytes) -> tuple[UeSim, bytes] | None:
         """The UE on the node a radio frame is for, and the bytes it receives; on
@@ -511,9 +525,7 @@ class Simulator:
     def _amf_receive(self, d: _Delivery) -> None:
         reply = self.amf.handle(ngap_from_bytes(d.payload))
         if reply is not None:
-            self._send(
-                _Delivery("amf", "src", "NGAP", reply.kind, ngap_to_bytes(reply), self._controller_ngap)
-            )
+            self._send("amf", "src", "NGAP", reply.kind, ngap_to_bytes(reply), self._controller_ngap)
 
     def _upf_receive(self, d: _Delivery) -> None:
         self.upf.on_uplink(d.payload)

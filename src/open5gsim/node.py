@@ -37,6 +37,7 @@ class Rat(Enum):
 
 
 _WLAN, _MODIFY, _DELETE = Rat.WLAN, PortModCommand.MODIFY, PortModCommand.DELETE
+_new = tuple.__new__  # builds a packet's FlowMatch from all six fields without its __new__
 
 # d-WT has no SDAP/PDCP; its radio stack is MAC/PHY (plus GRE toward the UE)
 _WLAN_FORBIDDEN_TLVS = {int(LayerTlv.SDAP), int(LayerTlv.PDCP)}
@@ -104,7 +105,7 @@ class DataPlaneNode:
 
     def ingress_radio(self, crnti: int, bearer_id: int, payload: bytes) -> tuple[PortSpec, bytes] | None:
         in_port = self.registry.radio_port(crnti, bearer_id)
-        return self._forward(FlowMatch(in_port, crnti, bearer_id), payload)
+        return self._forward(_new(FlowMatch, (in_port, crnti, bearer_id, None, None, None)), payload)
 
     def ingress_ngu(self, frame: bytes) -> tuple[PortSpec, bytes] | None:
         try:
@@ -113,7 +114,7 @@ class DataPlaneNode:
         except WireDecodeError:
             self.drop_count += 1
             return None
-        fields = FlowMatch(self.registry.gtp_port(teid), None, None, ip_dst, ip_proto, l4_dst)
+        fields = _new(FlowMatch, (self.registry.gtp_port(teid), None, None, ip_dst, ip_proto, l4_dst))
         return self._forward(fields, packet)
 
     def ingress_sigtunnel(self, frame: bytes) -> tuple[PortSpec, bytes] | None:
@@ -123,4 +124,5 @@ class DataPlaneNode:
             self.drop_count += 1
             return None
         # an unknown tunnel leaves the fields empty, and no entry has an empty match
-        return self._forward(FlowMatch(self.registry.sig_port(tunnel_id)), payload)
+        fields = _new(FlowMatch, (self.registry.sig_port(tunnel_id), None, None, None, None, None))
+        return self._forward(fields, payload)

@@ -23,12 +23,14 @@ dataplane_small's trace at seed 1 (6,556 records, 123 keys), reading takes
 3.3 (medians of 5 processes, best of 15 each).
 
 Digests are 64-bit FNV-1a over the canonical message bytes. `Simulator.run`
-computes them in chunks of records with the batched `fnv1a64`; each value is
-the one the byte-at-a-time definition gives. Since one `int.from_bytes`
-serves 16 byte positions instead of one, the digests of dataplane_small's 13
-chunks at seed 1 (2,283,366 bytes) take 88 ms instead of 160 ms, and those of
-dataplane_dense's 7 chunks 23 ms instead of 44 ms (best of 5, Python 3.11.7,
-2-core KVM host).
+computes them in chunks of up to 2,048 records with the batched `fnv1a64`;
+each value is the one the byte-at-a-time definition gives. The digests of
+dataplane_small's 6,556 sends at seed 1 (2,283,366 bytes) take 44 ms in 4
+chunks, against 47 ms in 13 chunks of 512 and 224 ms a byte at a time, and
+those of dataplane_dense's 3,265 sends (868,241 bytes) 18 ms in 2 chunks,
+against 20 ms in 7 and 87 ms a byte at a time (best of 5, of 3 for the
+byte-at-a-time loop; Python 3.11.7, 2-core KVM host). Chunks of 4,096 gain
+under 1 ms more.
 """
 
 from __future__ import annotations
@@ -87,10 +89,12 @@ def fnv1a64(data: bytes | bytearray, ends: list[int]) -> list[int]:
     the low lanes at their column and those lanes are dropped. A window reads
     up to 15 bytes past a record's end, which only lanes already read see.
 
-    At 512 lanes (Python 3.11.7, 2-core KVM host) an `int.from_bytes` of the
-    lanes takes about 11 µs, the step about 8 µs and `window >>= 8` about
-    3 µs, so a byte position costs about 12 µs where one `int.from_bytes` per
-    byte cost about 19 µs.
+    At 2,048 lanes (Python 3.11.7, 2-core KVM host) an `int.from_bytes` of
+    the lanes takes about 24 µs, the step about 17 µs and `window >>= 8`
+    about 6 µs, so a byte position costs about 24 µs where one
+    `int.from_bytes` per byte would cost about 41 µs. Per lane that is the
+    same as at 512 lanes; wider chunks gain by stepping fewer byte positions
+    in all, since each chunk steps once through its longest record.
     """
     starts = [0, *ends[:-1]]
     order = sorted(range(len(ends)), key=lambda i: ends[i] - starts[i])

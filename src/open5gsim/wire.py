@@ -702,17 +702,20 @@ SIG_FLAGS = 0x2000  # GRE key-present
 SIG_PROTOCOL = 0x0000
 SIG_HEADER_LEN = 8
 
+_GTPU_HEADER = struct.Struct(">BBHI")  # flags, message type, payload length, TEID
+_SIG_HEADER = struct.Struct(">HHI")  # flags, protocol, tunnel id as the GRE key
+
 
 def encap_gtpu(payload: bytes, teid: int) -> bytes:
     if len(payload) > 0xFFFF:
         raise InvalidMessageError("GTP-U payload too long")
-    return struct.pack(">BBHI", GTPU_FLAGS, GTPU_GPDU, len(payload), teid) + payload
+    return _GTPU_HEADER.pack(GTPU_FLAGS, GTPU_GPDU, len(payload), teid) + payload
 
 
 def decap_gtpu(frame: bytes) -> tuple[int, bytes]:
     if len(frame) < GTPU_HEADER_LEN:
         raise TruncatedError(f"GTP-U frame of {len(frame)} bytes")
-    flags, msg_type, length, teid = struct.unpack(">BBHI", frame[:GTPU_HEADER_LEN])
+    flags, msg_type, length, teid = _GTPU_HEADER.unpack_from(frame)
     if flags != GTPU_FLAGS or msg_type != GTPU_GPDU:
         raise BadGtpuFlagsError(f"flags {flags:#04x} type {msg_type:#04x}")
     payload = frame[GTPU_HEADER_LEN:]
@@ -722,13 +725,13 @@ def decap_gtpu(frame: bytes) -> tuple[int, bytes]:
 
 
 def encap_sig(payload: bytes, tunnel_id: int) -> bytes:
-    return struct.pack(">HHI", SIG_FLAGS, SIG_PROTOCOL, tunnel_id) + payload
+    return _SIG_HEADER.pack(SIG_FLAGS, SIG_PROTOCOL, tunnel_id) + payload
 
 
 def decap_sig(frame: bytes) -> tuple[int, bytes]:
     if len(frame) < SIG_HEADER_LEN:
         raise TruncatedError(f"signaling frame of {len(frame)} bytes")
-    flags, protocol, key = struct.unpack(">HHI", frame[:SIG_HEADER_LEN])
+    flags, protocol, key = _SIG_HEADER.unpack_from(frame)
     if flags != SIG_FLAGS or protocol != SIG_PROTOCOL:
         raise BadSigFlagsError(f"flags {flags:#06x} protocol {protocol:#06x}")
     return key, frame[SIG_HEADER_LEN:]
@@ -738,19 +741,20 @@ def decap_sig(frame: bytes) -> tuple[int, bytes]:
 # SRB0 demux envelope and the emulated IP packet
 
 ENVELOPE_LEN = 6
+_ENVELOPE = struct.Struct(">IH")  # UE identity, message length
 
 
 def pack_envelope(ue_tmp_id: int, msg: bytes) -> bytes:
     """Prefix a common-channel payload with its target UE identity."""
     if len(msg) > 0xFFFF:
         raise InvalidMessageError("envelope payload too long")
-    return struct.pack(">IH", ue_tmp_id, len(msg)) + msg
+    return _ENVELOPE.pack(ue_tmp_id, len(msg)) + msg
 
 
 def unpack_envelope(data: bytes) -> tuple[int, bytes]:
     if len(data) < ENVELOPE_LEN:
         raise TruncatedError(f"envelope of {len(data)} bytes")
-    ue_tmp_id, msg_len = struct.unpack(">IH", data[:ENVELOPE_LEN])
+    ue_tmp_id, msg_len = _ENVELOPE.unpack_from(data)
     msg = data[ENVELOPE_LEN:]
     if len(msg) != msg_len:
         raise TruncatedError(f"envelope length field {msg_len}, payload {len(msg)}")
@@ -758,19 +762,20 @@ def unpack_envelope(data: bytes) -> tuple[int, bytes]:
 
 
 IP_HEADER_LEN = 9
+_IP_HEADER = struct.Struct(">4sBHH")  # destination, protocol, L4 destination port, payload length
 
 
 def pack_ip_packet(ip_dst: bytes, ip_proto: int, l4_dst: int, payload: bytes) -> bytes:
     """Fixed 9-byte pseudo-header standing in for IP+L4 on data paths."""
     if len(payload) > 0xFFFF:
         raise InvalidMessageError("ip payload too long")
-    return struct.pack(">4sBHH", ip_dst, ip_proto, l4_dst, len(payload)) + payload
+    return _IP_HEADER.pack(ip_dst, ip_proto, l4_dst, len(payload)) + payload
 
 
 def unpack_ip_packet(data: bytes) -> tuple[bytes, int, int, bytes]:
     if len(data) < IP_HEADER_LEN:
         raise TruncatedError(f"ip packet of {len(data)} bytes")
-    ip_dst, ip_proto, l4_dst, length = struct.unpack(">4sBHH", data[:IP_HEADER_LEN])
+    ip_dst, ip_proto, l4_dst, length = _IP_HEADER.unpack_from(data)
     payload = data[IP_HEADER_LEN:]
     if len(payload) != length:
         raise TruncatedError(f"ip length field {length}, payload {len(payload)}")

@@ -13,6 +13,8 @@ from open5gsim import controller, messages, netsim, node, scenario, switch, trac
 from open5gsim.cli import EXIT_OK, EXIT_PARSE_ERROR, EXIT_SIM_ERROR, RUN_ERRORS
 from open5gsim.controller import QosFlowSpec, SessionSpec
 from open5gsim.errors import (
+    BadGtpuFlagsError,
+    BadSigFlagsError,
     BadVersionError,
     DuplicateBearerError,
     DuplicateEntryError,
@@ -722,6 +724,54 @@ def reference_iter_messages(data: bytes):
             raise MalformedTlvError(f"length field {length} below header size")
         yield reference_decode_message(data[pos : pos + length])
         pos += length
+
+
+# -- reference data-path header decoders -------------------------------------------
+# The GTP-U, signaling, envelope and IP-header decoders as they were before
+# `wire` read them with precompiled structs: each slices its header and calls
+# `struct.unpack`. The differential property in test_wire.py holds the wire
+# decoders to them, down to the exception class and its text.
+
+
+def reference_decap_gtpu(frame: bytes) -> tuple[int, bytes]:
+    if len(frame) < wire.GTPU_HEADER_LEN:
+        raise TruncatedError(f"GTP-U frame of {len(frame)} bytes")
+    flags, msg_type, length, teid = struct.unpack(">BBHI", frame[: wire.GTPU_HEADER_LEN])
+    if flags != wire.GTPU_FLAGS or msg_type != wire.GTPU_GPDU:
+        raise BadGtpuFlagsError(f"flags {flags:#04x} type {msg_type:#04x}")
+    payload = frame[wire.GTPU_HEADER_LEN :]
+    if len(payload) != length:
+        raise TruncatedError(f"GTP-U length field {length}, payload {len(payload)}")
+    return teid, payload
+
+
+def reference_decap_sig(frame: bytes) -> tuple[int, bytes]:
+    if len(frame) < wire.SIG_HEADER_LEN:
+        raise TruncatedError(f"signaling frame of {len(frame)} bytes")
+    flags, protocol, key = struct.unpack(">HHI", frame[: wire.SIG_HEADER_LEN])
+    if flags != wire.SIG_FLAGS or protocol != wire.SIG_PROTOCOL:
+        raise BadSigFlagsError(f"flags {flags:#06x} protocol {protocol:#06x}")
+    return key, frame[wire.SIG_HEADER_LEN :]
+
+
+def reference_unpack_envelope(data: bytes) -> tuple[int, bytes]:
+    if len(data) < wire.ENVELOPE_LEN:
+        raise TruncatedError(f"envelope of {len(data)} bytes")
+    ue_tmp_id, msg_len = struct.unpack(">IH", data[: wire.ENVELOPE_LEN])
+    msg = data[wire.ENVELOPE_LEN :]
+    if len(msg) != msg_len:
+        raise TruncatedError(f"envelope length field {msg_len}, payload {len(msg)}")
+    return ue_tmp_id, msg
+
+
+def reference_unpack_ip_packet(data: bytes) -> tuple[bytes, int, int, bytes]:
+    if len(data) < wire.IP_HEADER_LEN:
+        raise TruncatedError(f"ip packet of {len(data)} bytes")
+    ip_dst, ip_proto, l4_dst, length = struct.unpack(">4sBHH", data[: wire.IP_HEADER_LEN])
+    payload = data[wire.IP_HEADER_LEN :]
+    if len(payload) != length:
+        raise TruncatedError(f"ip length field {length}, payload {len(payload)}")
+    return ip_dst, ip_proto, l4_dst, payload
 
 
 # -- reference RRC/NG-AP codec ---------------------------------------------------

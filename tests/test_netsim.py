@@ -413,6 +413,37 @@ def test_table_history_matches_every_delivery_oracle(make):
     assert injected == delivered + dropped
 
 
+class EveryDelivery(Simulator):
+    """Keeps every item the harness delivers, in delivery order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.delivered: list = []
+
+    def _process_delivery(self, d) -> None:
+        self.delivered.append(d)
+        super()._process_delivery(d)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _bundled("scenarios/initial_access.scn"), lambda: _bundled("scenarios/multi_rat.scn"), generated_scenario],
+    ids=["initial_access", "multi_rat", "generated_50_ues"],
+)
+def test_every_delivery_is_a_whole_delivery_tuple(make):
+    """`_send` builds each delivery from its fields with `tuple.__new__`: each one
+    is a `_Delivery` holding every field, a handler among them, and its first four
+    fields are the key its trace record shows."""
+    sim = EveryDelivery(*make())
+    records = sim.run().records
+    assert len(sim.delivered) == len(records)
+    for d, record in zip(sim.delivered, records):
+        assert type(d) is _Delivery
+        assert len(d) == len(_Delivery._fields)
+        assert callable(d.receive)
+        assert (d.src, d.dst, d.channel, d.kind) == (record.src, record.dst, record.channel, record.kind)
+
+
 # -- the rows a flow table keeps rendered ----------------------------------------------
 
 _IP = wire.ip_bytes("10.0.1.1")

@@ -147,23 +147,23 @@ class PayloadLog(Simulator):
         super().__init__(*args, **kwargs)
         self.payloads: list[bytes] = []
 
-    def _send(self, delivery) -> None:
-        self.payloads.append(bytes(delivery.payload))
-        super()._send(delivery)
+    def _send(self, src, dst, channel, kind, payload, *rest) -> None:
+        self.payloads.append(bytes(payload))
+        super()._send(src, dst, channel, kind, payload, *rest)
 
 
 def test_simulator_digests_across_chunk_boundaries():
-    sim = PayloadLog(*generated_scenario(100))
+    sim = PayloadLog(*generated_scenario(200))
     records = sim.run().records
-    assert len(records) == len(sim.payloads) == 2504
+    assert len(records) == len(sim.payloads) == 5004
     assert len(records) > 2 * netsim._DIGEST_CHUNK
     assert [r.step_no for r in records] == list(range(1, len(records) + 1))
     assert [r.digest for r in records] == [reference_fnv1a64(p) for p in sim.payloads]
 
 
 def test_records_hold_every_send_when_run_raises():
-    topology, script, settings = generated_scenario(100)
-    sim = PayloadLog(topology, script, dataclasses.replace(settings, max_events=1500))
+    topology, script, settings = generated_scenario(200)
+    sim = PayloadLog(topology, script, dataclasses.replace(settings, max_events=3000))
     with pytest.raises(BudgetExceededError):
         sim.run()
     assert len(sim.records) == len(sim.payloads) > netsim._DIGEST_CHUNK

@@ -16,9 +16,13 @@ from helpers import (
     random_match,
     random_message,
     random_port_spec,
+    reference_decap_gtpu,
+    reference_decap_sig,
     reference_decode_message,
     reference_encode_message,
     reference_iter_messages,
+    reference_unpack_envelope,
+    reference_unpack_ip_packet,
 )
 from open5gsim import wire
 from open5gsim.controller import CONTROLLER_IP, Controller, default_layer_config
@@ -397,6 +401,36 @@ def test_sig_bad_flags():
 def test_encap_round_trip_property(payload, tunnel):
     assert wire.decap_gtpu(wire.encap_gtpu(payload, tunnel)) == (tunnel, payload)
     assert wire.decap_sig(wire.encap_sig(payload, tunnel)) == (tunnel, payload)
+
+
+_U32 = st.integers(0, 2**32 - 1)
+_SHORT = st.binary(max_size=24)
+# any bytes, and each kind's valid frame as it is, one byte short and one byte long
+_FRAMES = st.one_of(
+    st.binary(max_size=40),
+    st.builds(wire.encap_gtpu, _SHORT, _U32),
+    st.builds(wire.encap_sig, _SHORT, _U32),
+    st.builds(wire.pack_envelope, _U32, _SHORT),
+    st.builds(
+        wire.pack_ip_packet, st.binary(min_size=4, max_size=4), st.integers(0, 255), st.integers(0, 65535), _SHORT
+    ),
+).flatmap(lambda frame: st.sampled_from([frame, frame[:-1], frame + b"\0"]))
+
+
+@pytest.mark.parametrize(
+    "decode, reference",
+    [
+        (wire.decap_gtpu, reference_decap_gtpu),
+        (wire.decap_sig, reference_decap_sig),
+        (wire.unpack_envelope, reference_unpack_envelope),
+        (wire.unpack_ip_packet, reference_unpack_ip_packet),
+    ],
+    ids=["gtpu", "sig", "envelope", "ip_packet"],
+)
+@given(data=_FRAMES)
+@settings(max_examples=300)
+def test_header_decoders_match_the_slice_and_unpack_reference(decode, reference, data):
+    assert _outcome(decode, data) == _outcome(reference, data)
 
 
 def test_envelope_round_trip():
