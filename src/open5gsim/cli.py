@@ -61,7 +61,7 @@ def cmd_verify(trace_path: str, golden_path: str, channels: set[str] | None = No
 
 def _step_no(trace: EventTrace, channels: set[str] | None, i: int) -> int:
     """The step_no of the record at index `i` of the channel-filtered trace."""
-    return [r.step_no for r in trace.records if channels is None or r.channel in channels][i]
+    return [step for step, key in zip(trace.steps, trace.keys) if channels is None or key[2] in channels][i]
 
 
 def cmd_table_dump(scenario_path: str, node: str, at_step: int) -> int:

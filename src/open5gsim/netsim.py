@@ -365,7 +365,7 @@ class Simulator:
     def _trace(self) -> EventTrace:
         """The sends digested so far, in copies of the columns."""
         n = len(self._digests)
-        return EventTrace(columns=(range(1, n + 1), self._times[:n], self._keys[:n], self._digests[:]))
+        return EventTrace(range(1, n + 1), self._times[:n], self._keys[:n], self._digests[:])
 
     @property
     def records(self) -> list[TraceRecord]:

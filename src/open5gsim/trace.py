@@ -11,16 +11,16 @@ record rather than a ValueError. Reading accepts exactly this form, one record
 on every line, so writing a trace that was read gives its text back (with a
 final newline).
 
-Both directions run in C-level passes over an `EventTrace`'s four columns:
-steps, times, keys (one shared `(src, dst, channel, kind)` tuple per distinct
-value) and digests. `to_text` is one `%` of `_KEYED_FORMAT` repeated per
-record, each key joined once. `from_text` runs one `_KEYED_LINE.findall` per
-slice of about `_READ_SLICE` characters that ends just after a newline, splits
-each distinct key text once, sharing names through one dict per read, and
-reads a slice line by line with `_LINE` only to report its first bad line. On
-dataplane_small's trace at seed 1 (6,556 records, 123 keys), reading takes
-6.1 ms, not 9.2 as when it built a record per line, and writing 3.0 ms, not
-3.3 (medians of 5 processes, best of 15 each).
+An `EventTrace` is four columns, steps, times, keys (one shared `(src, dst,
+channel, kind)` tuple per distinct value) and digests, and `records` builds
+a list of `TraceRecord`s from them on each read. `to_text` is one `%` of
+`_KEYED_FORMAT` repeated per record, each key joined once. `from_text` runs
+one `_KEYED_LINE.findall` per slice of about `_READ_SLICE` characters that
+ends just after a newline, splits each distinct key text once, sharing names
+through one dict per read, and reads a slice line by line with `_LINE` only
+to report its first bad line. On dataplane_small's trace at seed 1 (6,556
+records, 123 keys), reading takes 6.1 ms, not 9.2 as when it built a record
+per line, and writing 3.0 ms (medians of 5 processes, best of 15 each).
 
 Digests are 64-bit FNV-1a over the canonical message bytes. `Simulator.run`
 computes them in chunks of up to 2,048 records with the batched `fnv1a64`;
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 import struct
+from collections.abc import Sequence
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -47,12 +48,11 @@ CHANNELS = ("OPEN5G", "SRB0", "SRB1", "SRB2", "NGAP", "NGU", "RADIO_DATA")
 
 _NUMBER = r"(0|[1-9][0-9]{0,639})"  # a step or time: at most 640 digits, see above
 _CHANNEL = "|".join(CHANNELS)
-# a record's line, as `_LINE_FORMAT` writes it
+# a record's line, as `_KEYED_FORMAT` writes it
 _LINE = re.compile(r"^%s %s (\S+) (\S+) (%s) (\S+) ([0-9a-f]{16})$" % (_NUMBER, _NUMBER, _CHANNEL), re.M)
 # the same lines, `src dst channel kind` in one group: a read splits each distinct one once
 _KEYED_LINE = re.compile(r"^%s %s (\S+ \S+ (?:%s) \S+) ([0-9a-f]{16})$" % (_NUMBER, _NUMBER, _CHANNEL), re.M)
-_LINE_FORMAT = "%d %d %s %s %s %s %016x"  # a record's line, as `_LINE` reads it
-_KEYED_FORMAT = "%d %d %s %016x"  # the same line, its four names joined once per key
+_KEYED_FORMAT = "%d %d %s %016x"  # a record's line, its four names joined once per key
 _READ_SLICE = 8192  # characters per findall: bounds the temporary tuples of a read
 _LINE_FORM = (
     "step time src dst channel kind digest, separated by single spaces, with decimal step and time "
@@ -167,36 +167,26 @@ class TraceParseError(SimulationError):
 
 
 class EventTrace:
-    """A trace's records. Until `records` is first read, a run's or a read's trace holds them
-    in four columns: steps, times, keys (one shared `(src, dst, channel, kind)` tuple per
-    distinct key) and digests. Once read, the list is the trace, later changes included."""
+    """A trace's records, held in four columns: steps, times, keys (one shared
+    `(src, dst, channel, kind)` tuple per distinct key) and digests."""
 
-    def __init__(self, records: list[TraceRecord] | None = None, *, columns: tuple | None = None):
-        """A trace of `records`, or of `columns` (steps, times, keys, digests), taken as they are."""
-        self._records, self._columns = records, columns
+    def __init__(self, steps: Sequence[int], times: Sequence[int], keys: Sequence[tuple], digests: Sequence[int]):
+        """A trace of these columns, one item per record in each, taken as they are."""
+        self.steps, self.times, self.keys, self.digests = steps, times, keys, digests
 
     @property
     def records(self) -> list[TraceRecord]:
-        if self._columns is not None:
-            steps, times, keys, digests = self._columns
-            names = (map(itemgetter(i), keys) for i in range(4))
-            self._records = list(map(tuple.__new__, repeat(TraceRecord), zip(steps, times, *names, digests)))
-            self._columns = None
-        return self._records
+        """The records, in a list built anew on each read: editing it leaves the trace as it is."""
+        names = (map(itemgetter(i), self.keys) for i in range(4))
+        return list(map(tuple.__new__, repeat(TraceRecord), zip(self.steps, self.times, *names, self.digests)))
 
     def __len__(self) -> int:
-        return len(self._records) if self._columns is None else len(self._columns[3])
-
-    def __eq__(self, other: object) -> bool:
-        return self.records == other.records if isinstance(other, EventTrace) else NotImplemented
+        return len(self.digests)
 
     def to_text(self) -> str:
-        if self._columns is None:
-            return (_LINE_FORMAT + "\n") * len(self._records) % tuple(chain.from_iterable(self._records))
-        steps, times, keys, digests = self._columns
-        joined = {key: " ".join(key) for key in set(keys)}
-        fields = zip(steps, times, map(joined.__getitem__, keys), digests)
-        return (_KEYED_FORMAT + "\n") * len(digests) % tuple(chain.from_iterable(fields))
+        joined = {key: " ".join(key) for key in set(self.keys)}
+        fields = zip(self.steps, self.times, map(joined.__getitem__, self.keys), self.digests)
+        return (_KEYED_FORMAT + "\n") * len(self.digests) % tuple(chain.from_iterable(fields))
 
     @classmethod
     def from_text(cls, text: str) -> "EventTrace":
@@ -225,12 +215,11 @@ class EventTrace:
             keys += map(key_of.__getitem__, key_texts)
             digests += struct.unpack(">%dQ" % len(digest_texts), bytes.fromhex("".join(digest_texts)))
             start, lineno = stop, lineno + lines
-        return cls(columns=(steps, times, keys, digests))
+        return cls(steps, times, keys, digests)
 
     def signature(self, channels: set[str] | None = None) -> list[tuple[str, str, str, str]]:
         """The comparable (src, dst, channel, kind) sequence."""
-        keys = map(itemgetter(2, 3, 4, 5), self._records) if self._columns is None else self._columns[2]
-        return list(keys) if channels is None else [key for key in keys if key[2] in channels]
+        return list(self.keys) if channels is None else [key for key in self.keys if key[2] in channels]
 
 
 def write_trace(path: str, trace: EventTrace) -> None:

@@ -345,23 +345,18 @@ def _layer_config(block: bytes) -> tuple[ConfigTlv, ...] | None:
 # The compiled entries: one per shape, from the layout table, on first use
 
 
-class _Entry(NamedTuple):
-    whole: struct.Struct  # the frame, up to the byte string that may end it
-    fixed: tuple  # the value of each field that the shape fixes, in frame order
-    types: tuple  # the exact type of each value that encoding checks
-    encode: Callable  # a message of the shape -> its frame; None if a value breaks a rule or has another type
-    decode: Callable  # (frame, its size) -> its message; None if a fixed field, the size or a rule does not hold
-
-
 def _exact(f: _Field) -> type:
     """The type of the values an entry takes for a coded field."""
     return type(f.members[0]) if f.members else bytes if f.code[-1] == "s" else int
 
 
-def _compile(cls: type, command, variant) -> _Entry | None:
-    """The entry of a shape key, or None if no valid message has it: the message
-    class, its command (None in a HELLO or an ERROR), and a PORT_MOD's spec class
-    (NoneType in a DELETE) or the type of each field of a FLOW_MOD's match."""
+def _compile(cls: type, command, variant) -> Callable | None:
+    """Compile a shape key's encoder and decoder, and return the encoder; None if
+    no valid message has the key: the message class, its command (None in a HELLO
+    or an ERROR), and a PORT_MOD's spec class (NoneType in a DELETE) or the type of
+    each field of a FLOW_MOD's match. The encoder returns None if a value breaks a
+    rule or has another type, the decoder if a fixed field, the size or a rule does
+    not hold."""
     if cls is PortMod:
         delete = command is PortModCommand.DELETE
         valid = type(command) is PortModCommand and variant in ((_NONE,) if delete else _SPECS)
@@ -461,13 +456,11 @@ def decode(data, size):
         seen = (seen, int(command), *((size, frame[7][1]) if cls is FlowMod else (frame[5][1],)))
     other = _DECODERS.get(seen)  # the entry of a shape whose frames show the same
     _DECODERS[seen] = decode if other is None else lambda data, size: other(data, size) or decode(data, size)
-    _ENTRIES[cls, command, variant] = entry = _Entry(whole, fixed, tuple(typed.values()), namespace["encode"], decode)
-    _ENCODERS[cls, command, variant] = entry.encode
-    return entry
+    _ENCODERS[cls, command, variant] = encode = namespace["encode"]
+    return encode
 
 
-# The entries compiled so far: shape key -> its entry, and its entry's encoder
-_ENTRIES: dict[tuple, _Entry] = {}
+# The encoders of the entries compiled so far, by shape key
 _ENCODERS: dict[tuple, Callable] = {}
 # What a frame shows at fixed offsets -> the decoders of the entries whose frames
 # show it. Only {in_port, crnti, bearer_id} and {in_port, ip_proto, l4_dst} show
@@ -641,7 +634,7 @@ def _read(data) -> Open5GMessage:
         raise MalformedTlvError(str(exc)) from None
     variant = type(msg[3]) if cls is PortMod else tuple(map(type, msg[3])) if cls is FlowMod else None
     key = cls, variant and msg[1], variant  # see _compile
-    if key not in _ENTRIES:  # so that the shape's next frames go through its entry
+    if key not in _ENCODERS:  # so that the shape's next frames go through its entry
         _compile(*key)
     return msg
 

@@ -107,6 +107,16 @@ def reference_from_text(text: str) -> list[TraceRecord]:
     return records
 
 
+def trace_of(records: list[TraceRecord]) -> EventTrace:
+    """The trace of `records`: its four columns, built from them."""
+    return EventTrace(
+        [r.step_no for r in records],
+        [r.time for r in records],
+        [(r.src, r.dst, r.channel, r.kind) for r in records],
+        [r.digest for r in records],
+    )
+
+
 def random_ip(rng: random.Random) -> bytes:
     return bytes(rng.randrange(256) for _ in range(4))
 
@@ -1089,7 +1099,7 @@ def _references():
     patches = [(m, name, swap[fn]) for m in modules for name, fn in vars(m).items() if callable(fn) and fn in swap]
     patches += [
         (EventTrace, "to_text", lambda self: reference_to_text(self.records)),
-        (EventTrace, "from_text", classmethod(lambda cls, text: cls(reference_from_text(text)))),
+        (EventTrace, "from_text", classmethod(lambda cls, text: trace_of(reference_from_text(text)))),
     ]
     saved = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
     try:

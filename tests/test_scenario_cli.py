@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_parse_scenario, reference_run, run_outcome
+from helpers import reference_parse_scenario, reference_run, run_outcome, trace_of
 
 from open5gsim.cli import (
     EXIT_MISMATCH,
@@ -1134,9 +1134,9 @@ def test_verify_is_reflexive(tmp_path, capsys):
 def test_verify_flags_single_mutation(tmp_path, capsys):
     out = tmp_path / "out.trace"
     main(["run", INITIAL_ACCESS, "-o", str(out)])
-    trace = read_trace(str(out))
-    trace.records[6] = trace.records[6]._replace(kind="Bogus")
-    write_trace(str(out), trace)
+    records = read_trace(str(out)).records
+    records[6] = records[6]._replace(kind="Bogus")
+    write_trace(str(out), trace_of(records))
     assert main(["verify", str(out), "--golden", GOLDEN]) == EXIT_MISMATCH
     assert "divergence at step 7" in capsys.readouterr().out
 
@@ -1144,11 +1144,11 @@ def test_verify_flags_single_mutation(tmp_path, capsys):
 def test_verify_flags_swapped_records(tmp_path, capsys):
     out = tmp_path / "out.trace"
     main(["run", INITIAL_ACCESS, "-o", str(out)])
-    trace = read_trace(str(out))
-    a, b = trace.records[11], trace.records[12]
-    trace.records[11] = b._replace(step_no=a.step_no)
-    trace.records[12] = a._replace(step_no=b.step_no)
-    write_trace(str(out), trace)
+    records = read_trace(str(out)).records
+    a, b = records[11], records[12]
+    records[11] = b._replace(step_no=a.step_no)
+    records[12] = a._replace(step_no=b.step_no)
+    write_trace(str(out), trace_of(records))
     assert main(["verify", str(out), "--golden", GOLDEN]) == EXIT_MISMATCH
     assert "divergence at step 12" in capsys.readouterr().out
 
@@ -1181,13 +1181,13 @@ def test_verify_with_a_channel_filter_names_the_records_step(tmp_path, capsys, d
     records the filter kept (2 for record 10, the second NGAP record)."""
     out = tmp_path / "out.trace"
     main(["run", INITIAL_ACCESS, "-o", str(out)])
-    trace = read_trace(str(out))
+    records = read_trace(str(out)).records
     if damage == "bogus":
-        assert trace.records[9].kind == "InitialContextSetupRequest"
-        trace.records[9] = trace.records[9]._replace(kind="Bogus")
+        assert records[9].kind == "InitialContextSetupRequest"
+        records[9] = records[9]._replace(kind="Bogus")
     else:
-        del trace.records[5:]
-    write_trace(str(out), trace)
+        del records[5:]
+    write_trace(str(out), trace_of(records))
     pair = [GOLDEN, str(out)] if trace_is_golden else [str(out), GOLDEN]
     capsys.readouterr()
     assert main(["verify", pair[0], "--golden", pair[1], "--channels", "ngap"]) == EXIT_MISMATCH

@@ -1,6 +1,6 @@
 """The batched trace digest, the bulk trace codec against its per-line
-reference, the trace line format that reading accepts, and the columns a run's
-or a read's trace holds until its records are read."""
+reference, the trace line format that reading accepts, and the columns a trace
+holds, from which each read of its records builds a new list."""
 
 import dataclasses
 import gc
@@ -18,10 +18,11 @@ from helpers import (
     reference_fnv1a64,
     reference_from_text,
     reference_to_text,
+    trace_of,
 )
 
 from open5gsim import netsim, trace
-from open5gsim.cli import EXIT_OK, EXIT_PARSE_ERROR, main
+from open5gsim.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE_ERROR, main
 from open5gsim.errors import BudgetExceededError
 from open5gsim.netsim import Simulator
 from open5gsim.trace import CHANNELS, EventTrace, TraceParseError, TraceRecord, fnv1a64, read_trace, write_trace
@@ -35,7 +36,7 @@ def digest_each(payloads: list[bytes], container=bytes) -> list[int]:
 
 def line_of(record: TraceRecord) -> str:
     """The record's line as a trace writes it, without its newline."""
-    return EventTrace([record]).to_text()[:-1]
+    return trace_of([record]).to_text()[:-1]
 
 
 def random_payloads(lengths: list[int], seed: int) -> list[bytes]:
@@ -384,7 +385,7 @@ _RECORD = st.builds(
 @given(st.lists(_RECORD, max_size=20))
 @settings(max_examples=100)
 def test_the_writer_matches_the_reference(records):
-    assert EventTrace(records).to_text() == reference_to_text(records)
+    assert trace_of(records).to_text() == reference_to_text(records)
 
 
 def random_records(count: int, seed: int) -> list[TraceRecord]:
@@ -508,37 +509,29 @@ def test_a_read_trace_writes_and_signs_from_its_columns_as_the_reference(count, 
     if not final_newline:
         text = text[:-1]
     read = EventTrace.from_text(text)
-    assert read._columns is not None  # no record built yet
     assert len(read) == count
     assert read.to_text() == reference_to_text(records)
     for channels in _CHANNEL_SUBSETS:
         assert read.signature(channels) == keys_of(records, channels), channels
-    assert read._columns is not None
     assert read.records == reference_from_text(text) == records
-    assert read._columns is None and read.to_text() == reference_to_text(records)
 
 
 @given(st.integers(2, 1200), st.integers(0, 2**32), st.data())
 @settings(max_examples=30, deadline=None)
-def test_writing_and_signing_follow_the_records_once_read(count, seed, data):
+def test_each_read_of_records_is_a_new_list_that_leaves_the_trace_as_it_is(count, seed, data):
     records = hostile_records(count, seed, 20)
-    read = EventTrace.from_text(reference_to_text(records))
+    text = reference_to_text(records)
+    read = EventTrace.from_text(text)
     edited = read.records
+    again = read.records
+    assert edited == again == records and edited is not again
     for i in data.draw(st.lists(st.integers(0, count - 1), max_size=5)):
         edited[i] = edited[i]._replace(kind="Bogus", channel="NGAP")
     del edited[data.draw(st.integers(1, count)) :]
-    assert read.records is edited and len(read) == len(edited)
-    assert read.to_text() == reference_to_text(edited)
+    assert again == read.records == records
+    assert len(read) == count and read.to_text() == text
     for channels in (None, {"NGAP"}, {"SRB0", "OPEN5G"}):
-        assert read.signature(channels) == keys_of(edited, channels)
-
-
-def test_traces_compare_by_their_records():
-    records = hostile_records(50, 1, 5)
-    text = reference_to_text(records)
-    assert EventTrace.from_text(text) == EventTrace(records) == EventTrace.from_text(text)
-    assert EventTrace.from_text(text) != EventTrace(records[:-1])
-    assert EventTrace(records) != records
+        assert read.signature(channels) == keys_of(records, channels)
 
 
 @pytest.mark.parametrize("name", ["initial_access", "multi_rat"])
@@ -549,6 +542,17 @@ def test_a_run_writes_its_trace_as_the_reference_writes_its_records(name):
     assert len(result) == len(sim.records)
 
 
+def test_editing_a_runs_records_leaves_its_trace_as_it_is():
+    result = Simulator(*bundled_scenario("initial_access")).run()
+    text, signature = result.to_text(), result.signature()
+    edited = result.records
+    edited[9] = edited[9]._replace(kind="Bogus")
+    del edited[5:]
+    assert len(result) == len(result.records) == 20
+    assert result.to_text() == text == Path("goldens/initial_access.full.trace").read_text()
+    assert result.signature() == signature
+
+
 def live_records() -> int:
     """The TraceRecords the process holds. A NamedTuple stays tracked by the
     collector, so each one alive is in `gc.get_objects()`."""
@@ -556,7 +560,7 @@ def live_records() -> int:
     return sum(type(o) is TraceRecord for o in gc.get_objects())
 
 
-def test_run_write_read_and_verify_build_no_record(tmp_path, capsys):
+def test_run_write_read_and_verify_build_no_record(tmp_path, capsys, monkeypatch):
     before = live_records()
     runs = [Simulator(*bundled_scenario(name)) for name in ("initial_access", "multi_rat")]
     traces = [sim.run() for sim in runs]
@@ -571,3 +575,28 @@ def test_run_write_read_and_verify_build_no_record(tmp_path, capsys):
     assert live_records() == before
     records = runs[0].records  # the check sees records that are built and kept
     assert live_records() == before + len(records) == before + 20
+    del records
+    # a mismatching verify names the divergence's step from the step and key
+    # columns: every read of `records` is counted here
+    reads = []
+    build = EventTrace.records.fget
+    monkeypatch.setattr(EventTrace, "records", property(lambda self: reads.append(self) or build(self)))
+    golden = Path(GOLDEN).read_text().splitlines(keepends=True)
+    assert " InitialContextSetupRequest " in golden[9]
+    damaged = {
+        "kind": [*golden[:9], golden[9].replace("InitialContextSetupRequest", "Bogus"), *golden[10:]],
+        "short": golden[:8],
+    }
+    bogus = "divergence at step 10: got ('amf', 'src', 'NGAP', 'Bogus'), want "
+    for damage, channels, message in [
+        ("kind", [], bogus),
+        ("kind", ["--channels", "ngap"], bogus),
+        ("short", [], "divergence at step 9: got 8 records, want 20\n"),
+        ("short", ["--channels", "ngap"], "divergence at step 9: got 0 records, want 3\n"),
+    ]:
+        path = tmp_path / f"{damage}.trace"
+        path.write_text("".join(damaged[damage]))
+        capsys.readouterr()
+        assert main(["verify", str(path), "--golden", GOLDEN, *channels]) == EXIT_MISMATCH
+        assert capsys.readouterr().out.startswith(message), (damage, channels)
+    assert reads == [] and live_records() == before
