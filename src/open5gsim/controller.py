@@ -126,12 +126,6 @@ class UeContext:
 
 
 @dataclass
-class TunnelInfo:
-    node_id: str
-    ue_tmp_id: int | None  # None for the shared SRB0 tunnel
-
-
-@dataclass
 class _NodeState:
     node_id: str
     rat: Rat
@@ -171,12 +165,7 @@ class RrcDownlink:
         return wire.encap_sig(payload, self.tunnel_id)
 
 
-@dataclass
-class NgapOut:
-    msg: NgapMessage
-
-
-ControllerOutput = ConfigBatch | RrcDownlink | NgapOut
+ControllerOutput = ConfigBatch | RrcDownlink | NgapMessage
 
 
 def _check_session(session: SessionSpec) -> None:
@@ -190,7 +179,8 @@ class Controller:
         self.admission_cap = admission_cap
         self.nodes: dict[str, _NodeState] = {}
         self.ue_contexts: dict[int, UeContext] = {}
-        self.tunnel_info: dict[int, TunnelInfo] = {}
+        # tunnel id -> (node id, UE tmp id), the UE None for a node's SRB0 tunnel
+        self.tunnel_info: dict[int, tuple[str, int | None]] = {}
         self._next_tunnel_id = 1
         self._next_teid = 1
         self._next_udp_port = 2152
@@ -205,6 +195,10 @@ class Controller:
         node.next_xid += 1
         return port_id, PortMod(node.next_xid - 1, _CREATE, port_id, spec)
 
+    def _create_radio_port(self, node: _NodeState, crnti: int, bearer: int, kind: BearerKind) -> tuple[int, PortMod]:
+        """The one recipe for a radio port: its RAT's layer stack."""
+        return self._create_port(node, RadioBearer(crnti, bearer, kind, default_layer_config(node.rat)))
+
     def _add_flow(self, node: _NodeState, priority: int, match: FlowMatch, out_port: int) -> FlowMod:
         node.next_xid += 1
         return FlowMod(node.next_xid - 1, _ADD, priority, match, out_port)
@@ -212,7 +206,7 @@ class Controller:
     def _alloc_tunnel(self, node_id: str, ue_tmp_id: int | None) -> int:
         tunnel_id = self._next_tunnel_id
         self._next_tunnel_id += 1
-        self.tunnel_info[tunnel_id] = TunnelInfo(node_id, ue_tmp_id)
+        self.tunnel_info[tunnel_id] = node_id, ue_tmp_id
         return tunnel_id
 
     # -- topology ------------------------------------------------------------
@@ -238,9 +232,7 @@ class Controller:
         """Signaling bearer: radio port + controller tunnel port + both flow
         entries. Returns the tunnel id, the tunnel port and the commands."""
         tunnel_id = self._alloc_tunnel(node.node_id, ue_tmp_id)
-        radio_port, create_radio = self._create_port(
-            node, RadioBearer(crnti, bearer, _SRB, default_layer_config(node.rat))
-        )
+        radio_port, create_radio = self._create_radio_port(node, crnti, bearer, _SRB)
         sig_port, create_sig = self._create_port(node, SigTunnel(CONTROLLER_IP, tunnel_id))
         return tunnel_id, sig_port, [
             create_radio,
@@ -253,10 +245,10 @@ class Controller:
 
     def on_rrc_uplink(self, node_id: str, frame: bytes) -> list[ControllerOutput]:
         tunnel_id, payload = wire.decap_sig(frame)
-        info = self.tunnel_info.get(tunnel_id)
-        if info is None or info.node_id != node_id:
+        tunnel_node, tunnel_ue = self.tunnel_info.get(tunnel_id, (None, None))
+        if tunnel_node != node_id:
             raise UnknownTunnelError(f"tunnel {tunnel_id} at {node_id}")
-        ue_tmp_id = info.ue_tmp_id
+        ue_tmp_id = tunnel_ue
         if ue_tmp_id is None:  # a node's SRB0 tunnel: the envelope names the UE
             ue_tmp_id, payload = wire.unpack_envelope(payload)
         rrc = rrc_from_bytes(payload)
@@ -267,21 +259,14 @@ class Controller:
         ue = self.ue_contexts.get(ue_tmp_id)
         if ue is None:
             raise UnknownUeError(f"ue_tmp_id {ue_tmp_id}")
-        if info.ue_tmp_id is None:  # TS 38.331: SRB0 carries only the setup request
+        if tunnel_ue is None:  # TS 38.331: SRB0 carries only the setup request
             raise ProtocolViolationError(f"{rrc.kind} on SRB0")
 
         if rrc.kind == RRC_SETUP_COMPLETE:
             if ue.rrc_state != RrcState.SETUP_REQUESTED:
                 raise ProtocolViolationError(f"{rrc.kind} in {ue.rrc_state.value}")
             ue.rrc_state = RrcState.CONNECTED
-            return [
-                NgapOut(
-                    NgapMessage(
-                        NGAP_INITIAL_UE_MESSAGE,
-                        {"ue_tmp_id": ue.ue_tmp_id, "nas": rrc.fields["nas"]},
-                    )
-                )
-            ]
+            return [NgapMessage(NGAP_INITIAL_UE_MESSAGE, {"ue_tmp_id": ue.ue_tmp_id, "nas": rrc.fields["nas"]})]
 
         if rrc.kind == RRC_SECURITY_MODE_COMPLETE:
             if ue.rrc_state != RrcState.SECURITY_MODE_SENT:
@@ -299,14 +284,8 @@ class Controller:
             if ue.rrc_state != RrcState.SECURED:
                 raise ProtocolViolationError(f"{rrc.kind} in {ue.rrc_state.value}")
             ue.rrc_state = RrcState.CONFIGURED
-            response = NgapMessage(
-                NGAP_INITIAL_CONTEXT_SETUP_RESPONSE,
-                {
-                    "ue_tmp_id": ue.ue_tmp_id,
-                    "sessions": [s.session_id for s in ue.pdu_sessions],
-                },
-            )
-            return [NgapOut(response)]
+            sessions = [s.session_id for s in ue.pdu_sessions]
+            return [NgapMessage(NGAP_INITIAL_CONTEXT_SETUP_RESPONSE, {"ue_tmp_id": ue.ue_tmp_id, "sessions": sessions})]
 
         raise ProtocolViolationError(f"unexpected uplink {rrc.kind}")
 
@@ -341,9 +320,7 @@ class Controller:
         commands: list[Open5GMessage] = []
         drb_ports: dict[int, int] = {}  # bearer_id -> radio port id
         for bearer in session.drbs:
-            drb_ports[bearer], create = self._create_port(
-                node, RadioBearer(ue.crnti, bearer, _DRB, default_layer_config(node.rat))
-            )
+            drb_ports[bearer], create = self._create_radio_port(node, ue.crnti, bearer, _DRB)
             commands.append(create)
 
         teid = self._next_teid
@@ -382,9 +359,7 @@ class Controller:
         node = self.nodes[ue.node_id]
 
         # SRB2: dedicated radio port paired onto the existing SRB1 tunnel
-        _, create_srb2 = self._create_port(
-            node, RadioBearer(ue.crnti, SRB2_BEARER, _SRB, default_layer_config(node.rat))
-        )
+        _, create_srb2 = self._create_radio_port(node, ue.crnti, SRB2_BEARER, _SRB)
         commands = [
             create_srb2,
             self._add_flow(node, PRIO_SIGNALING, FlowMatch(crnti=ue.crnti, bearer_id=SRB2_BEARER), ue.srb1_sig_port),

@@ -23,7 +23,6 @@ from . import wire
 from .controller import (
     ConfigBatch,
     Controller,
-    NgapOut,
     RrcDownlink,
     SessionSpec,
     session_spec_to_doc,
@@ -55,7 +54,7 @@ from .messages import (
     rrc_to_bytes,
 )
 from .node import DataPlaneNode, Rat
-from .trace import EventTrace, TraceRecord, fnv1a64
+from .trace import MAX_DIGITS, EventTrace, TraceRecord, fnv1a64
 from .wire import GtpTunnel, PortSpec, SigTunnel
 
 _DIGEST_CHUNK = 2048  # sends per fnv1a64 call: few calls, a bounded payload buffer
@@ -113,9 +112,9 @@ _SCRIPT_CHECKS = {
     kind: (len(types), types.index("ip") if "ip" in types else None) for kind, types in STIMULI.items()
 }
 
-# a trace holds times of at most 640 digits, so a tick has at most 639: a run
-# then has room to go on after its last stimulus
-MAX_TICK_DIGITS = 639
+# a trace holds times of at most MAX_DIGITS digits, so a tick has one fewer: a
+# run then has room to go on after its last stimulus
+MAX_TICK_DIGITS = MAX_DIGITS - 1
 TICK_LIMIT = 10**MAX_TICK_DIGITS
 
 
@@ -447,8 +446,8 @@ class Simulator:
             elif isinstance(em, RrcDownlink):
                 channel = srb_channel(em.srb_bearer)
                 self._send("src", em.node_id, channel, em.msg.kind, em.to_bytes(), self._node_sig)
-            elif isinstance(em, NgapOut):
-                self._send("src", "amf", "NGAP", em.msg.kind, ngap_to_bytes(em.msg), self._amf_receive)
+            elif isinstance(em, NgapMessage):
+                self._send("src", "amf", "NGAP", em.kind, ngap_to_bytes(em), self._amf_receive)
 
     # -- deliveries: each goes to the handler its sender named --------------------
 

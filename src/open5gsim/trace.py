@@ -4,12 +4,12 @@ One line per record, fixed field order, separated by single spaces:
 
     step_no time src dst channel kind digest(16 lowercase hex chars)
 
-Step and time are decimal without a sign or leading zeros, of at most 640
-digits: Python converts that many under any `sys.int_max_str_digits` (640 is
-the least limit it can be set to), so a longer number is a line that is no
-record rather than a ValueError. Reading accepts exactly this form, one record
-on every line, so writing a trace that was read gives its text back (with a
-final newline).
+Step and time are decimal without a sign or leading zeros, of at most
+`MAX_DIGITS` (640) digits: Python converts that many under any
+`sys.int_max_str_digits` (640 is the least limit it can be set to), so a
+longer number is a line that is no record rather than a ValueError. Reading
+accepts exactly this form, one record on every line, so writing a trace that
+was read gives its text back (with a final newline).
 
 An `EventTrace` is four columns, steps, times, keys (one shared `(src, dst,
 channel, kind)` tuple per distinct value) and digests, and `records` builds
@@ -19,8 +19,8 @@ one `_KEYED_LINE.findall` per slice of about `_READ_SLICE` characters that
 ends just after a newline, splits each distinct key text once, sharing names
 through one dict per read, and reads a slice line by line with `_LINE` only
 to report its first bad line. On dataplane_small's trace at seed 1 (6,556
-records, 123 keys), reading takes 6.1 ms, not 9.2 as when it built a record
-per line, and writing 3.0 ms (medians of 5 processes, best of 15 each).
+records, 123 keys), reading takes 6.1 ms and writing 3.0 ms (medians of 5
+processes, best of 15 each).
 
 Digests are 64-bit FNV-1a over the canonical message bytes. `Simulator.run`
 computes them in chunks of up to 2,048 records with the batched `fnv1a64`;
@@ -46,7 +46,8 @@ from .errors import SimulationError, quoted
 
 CHANNELS = ("OPEN5G", "SRB0", "SRB1", "SRB2", "NGAP", "NGU", "RADIO_DATA")
 
-_NUMBER = r"(0|[1-9][0-9]{0,639})"  # a step or time: at most 640 digits, see above
+MAX_DIGITS = 640  # of a step or a time, see above
+_NUMBER = r"(0|[1-9][0-9]{0,%d})" % (MAX_DIGITS - 1)
 _CHANNEL = "|".join(CHANNELS)
 # a record's line, as `_KEYED_FORMAT` writes it
 _LINE = re.compile(r"^%s %s (\S+) (\S+) (%s) (\S+) ([0-9a-f]{16})$" % (_NUMBER, _NUMBER, _CHANNEL), re.M)
@@ -56,7 +57,7 @@ _KEYED_FORMAT = "%d %d %s %016x"  # a record's line, its four names joined once 
 _READ_SLICE = 8192  # characters per findall: bounds the temporary tuples of a read
 _LINE_FORM = (
     "step time src dst channel kind digest, separated by single spaces, with decimal step and time "
-    "of at most 640 digits, "
+    f"of at most {MAX_DIGITS} digits, "
     f"a channel of {', '.join(CHANNELS)} and 16 lowercase hex digest digits"
 )
 

@@ -473,7 +473,11 @@ _DECODERS: dict[tuple | int, Callable] = {}
 
 
 def encode_message(msg: Open5GMessage) -> bytes:
-    """Encode a valid message; raises InvalidMessageError otherwise."""
+    """Encode a valid message; raises InvalidMessageError at the first rule it
+    breaks. A field of the wrong type is no broken rule: a byte-string field
+    that holds no bytes, such as a `str` address, TLV value or error detail,
+    raises struct.error or TypeError, and a layer config that is not a
+    sequence of `ConfigTlv`s raises TypeError or AttributeError."""
     # An entry's pack raises struct.error on a value too wide, len() TypeError on
     # an address with no length, and the key TypeError or ValueError on an
     # unhashable command or a match of another length. A message no entry takes
@@ -541,7 +545,10 @@ def iter_messages(data: bytes):
 
 
 def validate_message(msg: Open5GMessage) -> None:
-    """Raise InvalidMessageError at the first rule that `msg` breaks."""
+    """Raise InvalidMessageError at the first rule that `msg` breaks. It checks
+    a byte-string field's length, not that it holds bytes, so a message it
+    passes may still fail to encode (see encode_message); a layer config that
+    is not a sequence of `ConfigTlv`s raises TypeError or AttributeError."""
     _walk(msg, _class_of(msg, _MESSAGES, "unknown message class"), False)
 
 
@@ -632,10 +639,6 @@ def _read(data) -> Open5GMessage:
         _walk(msg, cls, False)
     except InvalidMessageError as exc:
         raise MalformedTlvError(str(exc)) from None
-    variant = type(msg[3]) if cls is PortMod else tuple(map(type, msg[3])) if cls is FlowMod else None
-    key = cls, variant and msg[1], variant  # see _compile
-    if key not in _ENCODERS:  # so that the shape's next frames go through its entry
-        _compile(*key)
     return msg
 
 

@@ -9,15 +9,16 @@ from helpers import sig_frame
 from open5gsim import wire
 from open5gsim.controller import (
     CRNTI_FIRST,
+    SRB0_BEARER,
     SRB1_BEARER,
     SRB2_BEARER,
     ConfigBatch,
     Controller,
-    NgapOut,
     QosFlowSpec,
     RrcDownlink,
     RrcState,
     SessionSpec,
+    default_layer_config,
     session_spec_from_doc,
     session_spec_to_doc,
 )
@@ -46,7 +47,7 @@ from open5gsim.messages import (
 )
 from open5gsim.netsim import Settings
 from open5gsim.node import DataPlaneNode, Rat
-from open5gsim.wire import FlowMod, PortMod
+from open5gsim.wire import FlowMod, PortMod, RadioBearer
 
 SESSION = SessionSpec(
     session_id=1,
@@ -178,9 +179,9 @@ def test_setup_complete_emits_initial_ue_message():
     request_setup(c)
     ue = c.ue_contexts[1]
     out = c.on_rrc_uplink("gnb1", sig_frame(ue.srb_tunnel, RrcMessage(RRC_SETUP_COMPLETE, {"nas": "aa"})))
-    assert len(out) == 1 and isinstance(out[0], NgapOut)
-    assert out[0].msg.kind == NGAP_INITIAL_UE_MESSAGE
-    assert out[0].msg.fields == {"ue_tmp_id": 1, "nas": "aa"}
+    assert len(out) == 1 and isinstance(out[0], NgapMessage)
+    assert out[0].kind == NGAP_INITIAL_UE_MESSAGE
+    assert out[0].fields == {"ue_tmp_id": 1, "nas": "aa"}
     assert ue.rrc_state == RrcState.CONNECTED
 
 
@@ -264,6 +265,20 @@ def test_tunnel_of_another_node_rejected():
         request = RrcMessage(RRC_SETUP_REQUEST, {"ue_tmp_id": 1})
         c.on_rrc_uplink("enb1", sig_frame(c.nodes["gnb1"].srb0_tunnel_id, request, 1))
     assert controller_state(c) == before
+
+
+def test_tunnel_info_maps_each_tunnel_to_its_node_and_ue():
+    c = make_controller()
+    c.register_node("enb1", Rat.LTE, "10.0.0.2")
+    c.bootstrap_node("gnb1")
+    c.bootstrap_node("enb1")
+    attach_ue(c, ue_tmp_id=5, node_id="enb1")
+    srb0 = {n: c.nodes[n].srb0_tunnel_id for n in ("gnb1", "enb1")}
+    assert c.tunnel_info == {
+        srb0["gnb1"]: ("gnb1", None),
+        srb0["enb1"]: ("enb1", None),
+        c.ue_contexts[5].srb_tunnel: ("enb1", 5),
+    }
 
 
 # -- session configuration --------------------------------------------------------
@@ -389,20 +404,49 @@ def test_full_attach_emission_sequence():
     kinds = [type(e).__name__ for e in e1 + e2 + e3 + e4 + e5]
     assert kinds == [
         "ConfigBatch", "RrcDownlink",   # SRB1 config + RrcSetup
-        "NgapOut",                      # InitialUeMessage
+        "NgapMessage",                  # InitialUeMessage
         "ConfigBatch", "RrcDownlink",   # SRB2/DRB config + SecurityModeCommand
         "RrcDownlink",                  # RrcReconfiguration
-        "NgapOut",                      # InitialContextSetupResponse
+        "NgapMessage",                  # InitialContextSetupResponse
     ]
     assert e4[0].msg.kind == RRC_RECONFIGURATION
-    assert e5[0].msg.kind == NGAP_INITIAL_CONTEXT_SETUP_RESPONSE
-    assert e5[0].msg.fields["sessions"] == [1]
+    assert e5[0].kind == NGAP_INITIAL_CONTEXT_SETUP_RESPONSE
+    assert e5[0].fields["sessions"] == [1]
     assert ue.rrc_state == RrcState.CONFIGURED
     # SRB2 rides the SRB1 tunnel; no tunnel of its own
     (srb2_uplink,) = [
         m for m in e3[0].messages if isinstance(m, FlowMod) and m.match.bearer_id == SRB2_BEARER
     ]
     assert srb2_uplink.out_port == ue.srb1_sig_port
+
+
+def test_every_radio_port_carries_its_rats_one_layer_config():
+    """SRB0, SRB1, SRB2 and each DRB on an NR, an LTE and a WLAN node: each
+    radio PORT_MOD CREATE holds its node's RAT's `default_layer_config` tuple
+    itself, since the codec caches a TLV block by the tuple's id()."""
+    c = make_controller()
+    c.register_node("enb1", Rat.LTE, "10.0.0.2")
+    c.register_node("wt1", Rat.WLAN, "10.0.0.3")
+    nodes = {"gnb1": Rat.NR, "enb1": Rat.LTE, "wt1": Rat.WLAN}
+    radio = {n: [] for n in nodes}  # node -> (bearer, layer config) of each radio port it is sent
+    for ue_tmp_id, node_id in enumerate(nodes, 1):
+        out = c.bootstrap_node(node_id) + attach_ue(c, ue_tmp_id, node_id)
+        out += c.on_ngap(ics_request(ue_tmp_id))
+        srb1 = c.ue_contexts[ue_tmp_id].srb_tunnel
+        out += c.on_rrc_uplink(node_id, sig_frame(srb1, RrcMessage(RRC_SECURITY_MODE_COMPLETE, {})))
+        out += c.on_rrc_uplink(node_id, sig_frame(srb1, RrcMessage(RRC_RECONFIGURATION_COMPLETE, {})))
+        assert c.ue_contexts[ue_tmp_id].rrc_state == RrcState.CONFIGURED
+        for batch in out:
+            if isinstance(batch, ConfigBatch):
+                assert batch.node_id == node_id
+                radio[node_id] += [
+                    (m.port_spec.bearer_id, m.port_spec.layer_config)
+                    for m in batch.messages
+                    if isinstance(m, PortMod) and isinstance(m.port_spec, RadioBearer)
+                ]
+    for node_id, rat in nodes.items():
+        assert [bearer for bearer, _ in radio[node_id]] == [SRB0_BEARER, SRB1_BEARER, SRB2_BEARER, *SESSION.drbs]
+        assert all(config is default_layer_config(rat) for _, config in radio[node_id])
 
 
 def test_emitted_config_matches_node_state():
